@@ -17,6 +17,8 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
+from . import kernel
+from .errors import VerificationError
 from .portrait import FiniteAutomorphism, generator, half_level_mask, identity
 from .subgroups import maximal_subgroup
 
@@ -82,24 +84,32 @@ class JContext:
         return _half_mask(self.jprime, i)
 
 
+def _parity(bits: int, mask: int) -> int:
+    return (bits & mask).bit_count() & 1
+
+
 def N(g: FiniteAutomorphism, ctx: JContext, i: int) -> int:
     """Parity of g's labels in half-tree i over the levels in J'."""
     if g.depth != ctx.depth:
         raise ValueError(f"depth mismatch: {g.depth} vs {ctx.depth}")
     if i not in (0, 1):
         raise ValueError(f"half index must be 0 or 1, got {i}")
-    return (g.bits & ctx.half_mask(i)).bit_count() & 1
+    return _parity(g.bits, ctx.half_mask(i))
 
 
 def _check_pj_member(ctx: JContext, g: FiniteAutomorphism, name: str) -> None:
     """Membership precondition plus the internal parity identity.
 
-    A P_J member satisfies alpha_{J'}(g) + i0 * alpha_0(g) = 0; asserting it
+    A P_J member satisfies alpha_{J'}(g) + i0 * alpha_0(g) = 0; checking it
     on every processed member catches membership-predicate bugs early.
     """
     if not ctx.subgroup().contains(g):
         raise ValueError(f"{name} is not a member of P_J for J={sorted(ctx.levels)}")
-    assert (g.alpha(ctx.jprime) if ctx.jprime else 0) ^ (ctx.i0 & g.root_activity) == 0
+    if (g.alpha(ctx.jprime) if ctx.jprime else 0) ^ (ctx.i0 & g.root_activity):
+        raise VerificationError(
+            f"{name} passed the P_J membership test for J={sorted(ctx.levels)} "
+            "but violates its parity identity"
+        )
 
 
 @dataclass
@@ -125,27 +135,35 @@ class IdentityCheckReport:
         }
 
 
-def _check_identity_triple(ctx: JContext, g: FiniteAutomorphism,
-                           h: FiniteAutomorphism) -> str | None:
-    """Returns the name of the first failed law, or None."""
-    ag, ah = g.root_activity, h.root_activity
+def _portrait(x: int, d: int) -> int:
+    """x itself, after checking it is a depth-d portrait."""
+    if not 0 <= x < 1 << ((1 << d) - 1):
+        raise ValueError("portrait bits out of range for depth")
+    return x
+
+
+def _check_identity_triple(d: int, masks: tuple[int, int], g: int, h: int) -> str | None:
+    """Returns the name of the first failed law on portraits g, h, or None.
+
+    masks are the two half-tree masks over J', so N_i(x) = parity(x & masks[i]).
+    """
+    ag, ah = g & 1, h & 1
+    ng = [_parity(g, m) for m in masks]
+    nh = [_parity(h, m) for m in masks]
     # product law: N_i(g*h) = N_i(h) + N_{i + alpha(h)}(g)
-    gh = g * h
+    gh = _portrait(kernel.compose(g, h, d), d)
     for i in (0, 1):
-        if N(gh, ctx, i) != N(h, ctx, i) ^ N(g, ctx, i ^ ah):
+        if _parity(gh, masks[i]) != nh[i] ^ ng[i ^ ah]:
             return "product"
     # inverse law: N_i(g^-1) = N_{i + alpha(g)}(g)
-    ginv = ~g
+    ginv = _portrait(kernel.invert(g, d), d)
     for i in (0, 1):
-        if N(ginv, ctx, i) != N(g, ctx, i ^ ag):
+        if _parity(ginv, masks[i]) != ng[i ^ ag]:
             return "inverse"
     # commutator law
-    from .portrait import commutator
-
-    c = commutator(g, h)
+    c = _portrait(kernel.commutator(g, h, d), d)
     for i in (0, 1):
-        expected = N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i) ^ N(h, ctx, i ^ ag)
-        if N(c, ctx, i) != expected:
+        if _parity(c, masks[i]) != ng[i] ^ ng[i ^ ah] ^ nh[i] ^ nh[i ^ ag]:
             return "commutator"
     return None
 
@@ -159,25 +177,29 @@ def verify_ni_identities(ctx: JContext, samples: int = 10_000,
     """
     report = IdentityCheckReport(ctx.depth, tuple(sorted(ctx.levels)))
     d = ctx.depth
+    n = (1 << d) - 1
+    masks = (ctx.half_mask(0), ctx.half_mask(1))
 
-    def run(g: FiniteAutomorphism, h: FiniteAutomorphism) -> None:
+    def run(g: int, h: int) -> None:
         report.pairs_checked += 1
-        law = _check_identity_triple(ctx, g, h)
+        law = _check_identity_triple(d, masks, g, h)
         if law is not None and len(report.failures) < 10:
-            report.failures.append(
-                {"law": law, "g": g.to_hex(), "h": h.to_hex()}
-            )
+            report.failures.append({
+                "law": law,
+                "g": FiniteAutomorphism(d, g).to_hex(),
+                "h": FiniteAutomorphism(d, h).to_hex(),
+            })
 
     if exhaustive:
-        n = (1 << d) - 1
-        for gb in range(1 << n):
-            g = FiniteAutomorphism(d, gb)
-            for hb in range(1 << n):
-                run(g, FiniteAutomorphism(d, hb))
+        for g in range(1 << n):
+            for h in range(1 << n):
+                run(g, h)
     else:
+        # The same stream FiniteAutomorphism.random draws from.
         rng = Random(seed)
         for _ in range(samples):
-            run(FiniteAutomorphism.random(d, rng), FiniteAutomorphism.random(d, rng))
+            g, h = rng.getrandbits(n), rng.getrandbits(n)
+            run(g, h)
     return report
 
 

@@ -19,10 +19,11 @@ from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import EnumerationCapExceeded
-from .portrait import FiniteAutomorphism, level_mask
+from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
     full_group,
+    level_set_mask,
     level_stabilizer,
     resolve_cap,
 )
@@ -95,11 +96,14 @@ def essential_reduction(p: PatternGroup) -> PatternGroup:
     the group operation (truncation is a homomorphism and sections of
     products factor through sections of the factors), so the result is again
     a pattern group; it is essential by construction and defines the same
-    constrained group as P.
+    constrained group as P.  A group already marked essential is returned
+    as it is.
     """
     d = p.depth
     if d < 2:
         raise ValueError("reduction needs pattern size >= 2")
+    if p.essential is True:
+        return p
     current = set(p.group.element_bits)
     while True:
         truncations = {_truncate_bits(b, d - 1) for b in current}
@@ -339,13 +343,7 @@ def _subtree_positions(child: int, d: int) -> list[int]:
 
 def linear_pattern_group(d: int, J: Iterable[int]) -> gf2.LinearSubgroup:
     """P_J as a parity-constrained set: one check, the mask of levels in J."""
-    J = frozenset(J)
-    if not J or not J <= set(range(d)):
-        raise ValueError(f"J must be a nonempty subset of 0..{d - 1}")
-    mask = 0
-    for j in J:
-        mask |= level_mask(j)
-    return gf2.LinearSubgroup(d, (mask,))
+    return gf2.LinearSubgroup(d, (level_set_mask(d, J),))
 
 
 def linear_essential_reduction(lin: gf2.LinearSubgroup

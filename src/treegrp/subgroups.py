@@ -2,12 +2,23 @@
 
 Two representations coexist:
 
-* EnumeratedSubgroup: an explicit element set built by breadth-first
-  closure, canonically ordered by the portrait byte encoding.
+* EnumeratedSubgroup: an explicit element set, built by breadth-first
+  closure or listed directly when the structure is known, canonically
+  ordered by the portrait byte encoding.
 * PredicateSubgroup: a membership test without enumeration, covering the
   distinguished families: level-parity kernels P_J, last-level-stabilizer
   maximal subgroups M_V, the derived subgroup of the full group, level
   stabilizers, and intersections of these.
+
+Structure known from the definitions is never recomputed by closure:
+
+* P_J is the solution set of its single parity check (the mask of the
+  levels in J), so enumerate_PJ lists it with the GF(2) Gray-code walk of
+  gf2.LinearSubgroup and attaches the Schreier generators of the index-2
+  kernel for the transversal {1, a_j0}, j0 = min J.  derived_subgroup then
+  starts from at most 2(d-1) generators instead of a greedy generating set.
+* orbit reads each element's image of a vertex off its portrait (the
+  labels at the vertex's proper prefixes), with no generating set.
 
 Enumeration-backed operations respect a hard element cap (default 2^26,
 overridable per call or via the TREEGRP_CAP environment variable) and fail
@@ -20,9 +31,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import kernel
+from . import gf2, kernel
 from .errors import EnumerationCapExceeded
-from .portrait import FiniteAutomorphism, generators, heap_index
+from .portrait import FiniteAutomorphism, check_word, generator, generators, heap_index, level_mask
 
 DEFAULT_CAP = 1 << 26
 
@@ -84,7 +95,9 @@ class EnumeratedSubgroup:
         return len(self._bits)
 
     def contains(self, g: FiniteAutomorphism) -> bool:
-        return g.depth == self.depth and g.bits in self._bits
+        if g.depth != self.depth:
+            raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
+        return g.bits in self._bits
 
     def __contains__(self, g: FiniteAutomorphism) -> bool:
         return self.contains(g)
@@ -156,12 +169,17 @@ def full_group(d: int, cap: int | None = None) -> EnumeratedSubgroup:
 
 
 def verify_closed(s: EnumeratedSubgroup) -> bool:
-    """Full closure check (quadratic; meant for small groups in tests)."""
-    d = s.depth
-    bits = s._bits
-    if 0 not in bits:
+    """Exact closure check: whether the element set is a subgroup.
+
+    Closes the elements themselves with the cap set to |S|.  kernel.close
+    folds generators in one at a time and skips any already generated, so
+    this is a greedy generating set drawn from S.  The closure contains S,
+    so it equals S exactly when S is closed; otherwise it outgrows the cap.
+    """
+    try:
+        return kernel.close(s.depth, s.sorted_bits(), len(s)) == s._bits
+    except EnumerationCapExceeded:
         return False
-    return all(kernel.compose(x, y, d) in bits for x in bits for y in bits)
 
 
 def order(s: EnumeratedSubgroup) -> int:
@@ -204,7 +222,11 @@ def generating_set(s: EnumeratedSubgroup) -> tuple[FiniteAutomorphism, ...]:
             continue
         chosen.append(b)
         current = kernel.close(d, chosen, len(s))
-    assert len(current) == len(s)
+    if len(current) != len(s):
+        raise RuntimeError(
+            f"greedy generators close to {len(current)} elements, not {len(s)}; "
+            "the element set is not a subgroup"
+        )
     s._genset = tuple(FiniteAutomorphism(d, b) for b in chosen)
     return s._genset
 
@@ -257,20 +279,23 @@ def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> 
 
 
 def orbit(s: EnumeratedSubgroup, v: str) -> set[str]:
-    """Orbit of the vertex word v under S, by generator saturation."""
+    """Orbit of the vertex word v under S, read off the element portraits.
+
+    g flips symbol k of v exactly when its label at the length-k prefix of
+    v is 1, so g(v) is v XOR g's labels at the proper prefixes of v.  Only
+    those labels matter: the orbit is one image per distinct restriction of
+    an element portrait to them.
+    """
+    check_word(v)
     if len(v) > s.depth:
         raise ValueError(f"vertex {v!r} too deep for depth {s.depth}")
-    gens = s.generators or generating_set(s)
-    seen = {v}
-    queue = [v]
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            u = g.apply(w)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+    prefixes = [heap_index(v[:k]) for k in range(len(v))]
+    mask = sum(1 << p for p in prefixes)
+    flips = {gf2.gather_bits(b, prefixes) for b in {b & mask for b in s.element_bits}}
+    return {
+        "".join("1" if (c == "1") ^ ((f >> k) & 1) else "0" for k, c in enumerate(v))
+        for f in flips
+    }
 
 
 def is_transitive_on_level(s: EnumeratedSubgroup, n: int) -> bool:
@@ -326,19 +351,54 @@ class PredicateSubgroup:
         return PredicateSubgroup(self.depth, "intersection", parts=(self, other))
 
 
-def maximal_subgroup(d: int, J: Iterable[int]) -> PredicateSubgroup:
-    """The index-2 subgroup P_J = kernel of the parity functional over levels J."""
+def level_set_mask(d: int, J: Iterable[int]) -> int:
+    """The parity check of P_J: the mask of every portrait bit on a level in J."""
     J = frozenset(J)
     if not J:
         raise ValueError("J must be a nonempty set of levels")
     if not J <= set(range(d)):
         raise ValueError(f"J must be contained in 0..{d - 1}, got {sorted(J)}")
+    mask = 0
+    for j in J:
+        mask |= level_mask(j)
+    return mask
+
+
+def maximal_subgroup(d: int, J: Iterable[int]) -> PredicateSubgroup:
+    """The index-2 subgroup P_J = kernel of the parity functional over levels J."""
+    J = frozenset(J)
+    level_set_mask(d, J)  # validates J
     return PredicateSubgroup(d, "PJ", J=J)
 
 
+def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphism, ...]:
+    """Schreier generators of P_J for the transversal {1, t}, t = a_j0, j0 = min J.
+
+    The standard generator a_i lies in P_J exactly when i is not in J, so
+    Schreier's lemma gives a_i and t a_i t for i outside J, and a_i t and
+    t a_i for i in J other than j0 (those for j0 itself are trivial).  All
+    a_i are involutions, so t a_i is the inverse of a_i t and is left out.
+    """
+    t = generator(d, min(J))
+    gens: list[FiniteAutomorphism] = []
+    for i in range(d):
+        a = generator(d, i)
+        if i not in J:
+            gens += [a, t * a * t]
+        elif a != t:
+            gens.append(a * t)
+    return tuple(gens)
+
+
 def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> EnumeratedSubgroup:
-    """Explicit element set of P_J; order 2^(2^d - 2).  Needs d <= 4."""
-    pred = maximal_subgroup(d, J)
+    """Explicit element set of P_J; order 2^(2^d - 2).  Needs d <= 4.
+
+    P_J is the solution set of one parity check, so its members are listed
+    by the Gray-code walk over the check's nullspace, with no closure.  The
+    result carries the Schreier generators of P_J (at most 2(d-1)).
+    """
+    J = frozenset(J)
+    mask = level_set_mask(d, J)
     cap = resolve_cap(cap)
     order_pj = 1 << ((1 << d) - 2)
     if order_pj > cap:
@@ -346,9 +406,8 @@ def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> Enumerated
             cap, order_pj,
             hint="use maximal_subgroup(d, J) for membership without enumeration",
         )
-    grp = full_group(d, cap=cap)
     return EnumeratedSubgroup.from_element_bits(
-        d, (b for b in grp.element_bits if pred.contains(FiniteAutomorphism(d, b)))
+        d, gf2.LinearSubgroup(d, (mask,)).iter_bits(), _pj_schreier_generators(d, J)
     )
 
 

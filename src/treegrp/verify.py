@@ -47,7 +47,6 @@ from .subgroups import (
     derived_subgroup,
     enumerate_PJ,
     full_group,
-    generating_set,
     is_transitive_on_level,
     level_stabilizer,
     maximal_subgroup,
@@ -559,18 +558,20 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
 
     # Exhaustive depth-2 sweep.
     for s in all_subgroups_depth2():
-        pg = pt.PatternGroup.from_subgroup(s)
+        reduced = pt.essential_reduction(pt.PatternGroup.from_subgroup(s))
         report.sweep_groups_processed += 1
-        if not _three_way_equivalence_holds(pg):
+        if not _three_way_equivalence_holds(reduced):
             report.sweep_equivalences_hold = False
-        if not pt.dimension_in_allowed_set(pt.essential_reduction(pg)):
+        if not pt.dimension_in_allowed_set(reduced):
             report.allowed_set_violations += 1
 
     # All maximal subgroups at depth d.
     for J in _nonempty_level_sets(d):
-        pg = pt.PatternGroup.from_subgroup(enumerate_PJ(d, J, cap=cap))
-        if not _three_way_equivalence_holds(pg):
+        reduced = pt.essential_reduction(
+            pt.PatternGroup.from_subgroup(enumerate_PJ(d, J, cap=cap))
+        )
+        if not _three_way_equivalence_holds(reduced):
             report.pj_equivalences_hold = False
-        if not pt.dimension_in_allowed_set(pt.essential_reduction(pg)):
+        if not pt.dimension_in_allowed_set(reduced):
             report.allowed_set_violations += 1
     return report

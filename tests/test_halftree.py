@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from treegrp import kernel
 from treegrp.halftree import (
     INCONCLUSIVE,
     NOT_IN_DERIVED,
@@ -133,6 +134,55 @@ def test_identities_random_each_depth():
         assert rep.pairs_checked == 2000
 
 
+def reference_ni_failures(ctx, samples, seed):
+    """The three laws checked on FiniteAutomorphism objects, one pair at a time."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        g = FiniteAutomorphism.random(ctx.depth, rng)
+        h = FiniteAutomorphism.random(ctx.depth, rng)
+        ag, ah = g.root_activity, h.root_activity
+        gh, ginv, c = g * h, ~g, commutator(g, h)
+        law = None
+        if any(N(gh, ctx, i) != N(h, ctx, i) ^ N(g, ctx, i ^ ah) for i in (0, 1)):
+            law = "product"
+        elif any(N(ginv, ctx, i) != N(g, ctx, i ^ ag) for i in (0, 1)):
+            law = "inverse"
+        elif any(N(c, ctx, i) != N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i)
+                 ^ N(h, ctx, i ^ ag) for i in (0, 1)):
+            law = "commutator"
+        if law is not None and len(failures) < 10:
+            failures.append({"law": law, "g": g.to_hex(), "h": h.to_hex()})
+    return failures
+
+
+@pytest.mark.parametrize("broken, law", [("compose", "product"), ("invert", "inverse"),
+                                         ("commutator", "commutator")])
+def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, law):
+    original = getattr(kernel, broken)
+
+    def flipped(*args):
+        # Flip the label at vertex "0" (level 1, half 0) when the first operand has it.
+        out = original(*args)
+        return out ^ 2 if args[0] & 2 else out
+
+    monkeypatch.setattr(kernel, broken, flipped)
+    ctx = JContext.make(3, {1, 2})
+    failures = reference_ni_failures(ctx, samples=200, seed=11)
+    assert failures
+    rep = verify_ni_identities(ctx, samples=200, seed=11)
+    assert rep.pairs_checked == 200
+    assert rep.failures == failures
+    assert {f["law"] for f in rep.failures} == {law}
+
+
+def test_identities_reject_out_of_range_portraits(monkeypatch):
+    original = kernel.compose
+    monkeypatch.setattr(kernel, "compose", lambda h, g, d: original(h, g, d) | 1 << 7)
+    with pytest.raises(ValueError, match="out of range"):
+        verify_ni_identities(JContext.make(3, {2}), samples=1)
+
+
 def test_identity_report_serialization():
     rep = verify_ni_identities(JContext.make(2, {1}), samples=10, seed=1)
     doc = rep.to_dict()
@@ -178,6 +228,25 @@ def test_commutator_parity_rejects_non_members():
     ctx = JContext.for_top_level(2, {1})
     with pytest.raises(ValueError):
         commutator_parity(generator(2, 1), identity(2), ctx)
+
+
+def test_pj_member_parity_check_survives_optimize_flag(run_optimized):
+    # A membership predicate that admits a non-member must be caught by the
+    # parity identity even when asserts are stripped.
+    proc = run_optimized("""
+        from treegrp.errors import VerificationError
+        from treegrp.halftree import JContext, derived_membership_certificate
+        from treegrp.portrait import generator
+        from treegrp.subgroups import PredicateSubgroup
+
+        PredicateSubgroup.contains = lambda self, g: True
+        try:
+            derived_membership_certificate(JContext.make(3, {1, 2}), generator(3, 1))
+        except VerificationError:
+            print("raised")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 # -- certificate -----------------------------------------------------------------------

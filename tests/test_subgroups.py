@@ -243,6 +243,25 @@ def test_pj_transitive_on_last_level():
     assert is_transitive_on_level(enumerate_PJ(3, {2}), 2)
 
 
+def test_orbit_matches_word_action():
+    rng = random.Random(339)
+    groups = list(all_subgroups_depth2())
+    groups += [random_small_subgroup(rng, 3) for _ in range(10)]
+    for s in groups:
+        for n in range(s.depth + 1):
+            for off in range(1 << n):
+                v = format(off, "b").zfill(n) if n else ""
+                assert orbit(s, v) == {g.apply(v) for g in s}, (s, v)
+
+
+def test_orbit_rejects_bad_words():
+    s = full_group(2)
+    with pytest.raises(ValueError):
+        orbit(s, "000")
+    with pytest.raises(ValueError):
+        orbit(s, "0x")
+
+
 def test_orbit_sizes_divide_group_order():
     rng = random.Random(337)
     groups = list(all_subgroups_depth2())
@@ -292,6 +311,24 @@ def test_enumerate_pj_orders_and_predicate_agreement():
             pred = maximal_subgroup(d, J)
             for b in grp.element_bits:
                 assert (b in pj.element_bits) == pred.contains(FiniteAutomorphism(d, b))
+
+
+def test_enumerate_pj_schreier_generators_generate_pj():
+    for d in (2, 3, 4):
+        grp = full_group(d)
+        for J in nonempty_level_sets(d):
+            filtered = {b for b in grp.element_bits if FiniteAutomorphism(d, b).alpha(J) == 0}
+            pj = enumerate_PJ(d, J)
+            assert pj.element_bits == filtered
+            assert len(pj.generators) <= 2 * (d - 1)
+            assert close(list(pj.generators), depth=d).element_bits == filtered
+
+
+def test_derived_of_pj_from_schreier_generators_matches_allpairs():
+    for d in (2, 3):
+        for J in nonempty_level_sets(d):
+            pj = enumerate_PJ(d, J)
+            assert derived_subgroup(pj) == derived_subgroup_allpairs(pj), (d, sorted(J))
 
 
 def test_enumerate_pj_depth5_resource_error_points_to_predicate():
@@ -412,6 +449,45 @@ def test_presentation_relations_hold(d):
 
 
 # -- depth-2 subgroup inventory ------------------------------------------------------------------
+
+
+def test_verify_closed_rejects_non_closed_sets():
+    missing_identity = EnumeratedSubgroup.from_element_bits(3, full_group(3).element_bits - {0})
+    assert not verify_closed(missing_identity)
+    pj = enumerate_PJ(3, {2})
+    outside = generator(3, 2).bits
+    assert not verify_closed(EnumeratedSubgroup.from_element_bits(3, pj.element_bits | {outside}))
+    # Closes to all eight elements of the depth-2 group, far beyond the cap of 3.
+    overshoot = EnumeratedSubgroup.from_element_bits(2, {0, generator(2, 0).bits, generator(2, 1).bits})
+    assert not verify_closed(overshoot)
+    assert verify_closed(pj)
+
+
+def test_contains_rejects_depth_mismatch_in_both_representations():
+    g = generator(3, 0)
+    with pytest.raises(ValueError):
+        full_group(2).contains(g)
+    with pytest.raises(ValueError):
+        g in full_group(2)
+    with pytest.raises(ValueError):
+        maximal_subgroup(2, {1}).contains(g)
+
+
+def test_generating_set_check_survives_optimize_flag(run_optimized):
+    # A closure that loses elements must still be caught when asserts are stripped.
+    proc = run_optimized("""
+        from treegrp import kernel
+        from treegrp.subgroups import EnumeratedSubgroup, full_group, generating_set
+
+        s = EnumeratedSubgroup.from_element_bits(3, full_group(3).element_bits)
+        kernel.close = lambda d, gens, cap: {0, gens[0]}
+        try:
+            generating_set(s)
+        except RuntimeError:
+            print("raised")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_depth2_has_exactly_ten_subgroups():
