@@ -2,8 +2,10 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Covers the hot paths: breadth-first closure of the full depth-4 group,
-derived subgroup of a 16384-element index-2 subgroup, and raw composition
-throughput.  Run after `pip install -e .`:
+derived subgroup of a 16384-element index-2 subgroup, and raw compose and
+invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
+d <= 6; deeper portraits take the pure kernel on both rows).  Run after
+`pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -15,6 +17,9 @@ import time
 from treegrp import kernel
 from treegrp.portrait import generators
 from treegrp.subgroups import _FULL_GROUP_CACHE, derived_subgroup, enumerate_PJ
+
+# (depth, products timed) for the compose and invert rows.
+KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
 
 
 def timeit(fn, repeats=3):
@@ -36,13 +41,20 @@ def bench_backend(name):
     )
 
     rng = random.Random(0)
-    pairs = [(rng.getrandbits(15), rng.getrandbits(15)) for _ in range(20_000)]
+    for d, count in KERNEL_DEPTHS:
+        n = (1 << d) - 1
+        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count)]
 
-    def compose_burst():
-        for h, g in pairs:
-            kernel.compose(h, g, 4)
+        def compose_burst(pairs=pairs, d=d):
+            for h, g in pairs:
+                kernel.compose(h, g, d)
 
-    results["compose x20k (d=4)"] = timeit(compose_burst)
+        def invert_burst(pairs=pairs, d=d):
+            for _, g in pairs:
+                kernel.invert(g, d)
+
+        results[f"compose x{count} (d={d})"] = timeit(compose_burst)
+        results[f"invert x{count} (d={d})"] = timeit(invert_burst)
 
     _FULL_GROUP_CACHE.clear()
     pj = enumerate_PJ(4, {3})

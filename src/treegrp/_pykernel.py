@@ -8,16 +8,125 @@ bit range [2^j - 1, 2^(j+1) - 2].
 Convention used throughout: compose(h, g) applies g FIRST, so the label of
 the product at vertex u is  label_h(g(u)) XOR label_g(u).
 
+Whole-portrait delta swaps
+--------------------------
+Write a level-i vertex u as its offset p in [0, 2^i).  g(u) is p with bit k
+flipped exactly when g's label at u's ancestor k+1 levels up is 1, and that
+condition reads only the bits of p above k.  So on every level at once, the
+action of g is d-1 conditional block swaps at distances 2^k, k = 0..d-2, each
+a delta swap (Knuth, TAOCP 4A §7.1.3): exchange bits p and p + 2^k of the
+portrait wherever the mask M_k is set.  Pulling h back along g (the h-part of
+h∘g, whose label at u is h's label at g(u)) applies the swaps for k = d-2
+down to 0; pushing g forward along itself (g^-1) applies them for k = 0 up
+to d-2.
+
+The masks come from g by bit doubling (Hacker's Delight, ch. 7).  Work with
+t = heap index + 1, so level i is [2^i, 2^(i+1)) and the descendants k+1
+levels below the vertex at t are [2^(k+1) t, 2^(k+1) (t+1)).  Replacing
+every bit of g by the block "2^k copies of the bit, then 2^k zeros" therefore
+puts each label over exactly those descendants whose offset has bit k clear:
+that is M_k, for every level in one int.  M_0 interleaves g's bits with
+zeros, and M_k is M_(k-1) with every bit doubled.  h∘g and g^-1 thus take
+d-1 mask steps and d-1 swaps, O(d) operations on whole portraits, in place
+of a loop over all 2^d - 1 vertices.
+
 The compiled kernel in _ckernel mirrors this module for depths whose
 portrait fits in a 64-bit word; results must be bit-identical.
 """
 
 from __future__ import annotations
 
+from binascii import hexlify
+from functools import cache
+
 from .errors import EnumerationCapExceeded
 
 
-def vertex_perm(g: int, d: int) -> list[int]:
+def _widen_nibble(v: int, copies: int) -> int:
+    """Nibble v with each bit widened to two: copies 1 gives (bit, 0), 3 gives (bit, bit)."""
+    return sum(copies << 2 * i for i in range(4) if v >> i & 1)
+
+
+@cache
+def _hex_tables() -> tuple[bytes, ...]:
+    """Byte translations of an ASCII hex digit to its nibble zero-interleaved, and doubled."""
+    tables = []
+    for copies in (1, 3):
+        table = bytearray(256)
+        for v, c in enumerate(b"0123456789abcdef"):
+            table[c] = _widen_nibble(v, copies)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _swap_masks(g: int, d: int) -> list[int]:
+    """M_0 .. M_(d-2) of g, in t = heap index + 1 coordinates.
+
+    Each step widens the low half of the previous mask (g itself for M_0):
+    its hex digits are its nibbles, and one translation turns each digit
+    into the byte holding that nibble widened.
+    """
+    size = ((1 << d) + 7) >> 3  # bytes of a portrait in t coordinates
+    half = (size + 1) >> 1  # only bits below 2^(d-1) land inside the tree
+    table, double = _hex_tables()
+    b = (g << 1).to_bytes(size, "big")
+    masks = []
+    for _ in range(d - 1):
+        b = hexlify(b[-half:]).translate(table)
+        masks.append(int.from_bytes(b, "big"))
+        table = double
+    return masks
+
+
+def _pull(x: int, masks: list[int]) -> int:
+    """x pulled back along g (t coordinates): the result at u is x at g(u)."""
+    for k in range(len(masks) - 1, -1, -1):
+        s = 1 << k
+        t = (x ^ (x >> s)) & masks[k]
+        x ^= t ^ (t << s)
+    return x
+
+
+def _push(x: int, masks: list[int]) -> int:
+    """x pushed forward along g (t coordinates): the result at g(u) is x at u."""
+    for k, m in enumerate(masks):
+        s = 1 << k
+        t = (x ^ (x >> s)) & m
+        x ^= t ^ (t << s)
+    return x
+
+
+def compose(h: int, g: int, d: int) -> int:
+    """Product h∘g (g applied first): pulls h's labels back along g's action."""
+    return g ^ (_pull(h << 1, _swap_masks(g, d)) >> 1)
+
+
+def invert(g: int, d: int) -> int:
+    """Inverse: the label of g^-1 at g(v) equals the label of g at v."""
+    return _push(g << 1, _swap_masks(g, d)) >> 1
+
+
+def conjugate(x: int, s: int, d: int) -> int:
+    """s^-1 x s, i.e. compose(compose(invert(s), x), s)."""
+    ms = _swap_masks(s, d)
+    ts = s << 1
+    inv_s = _push(ts, ms)
+    return (ts ^ _pull((x << 1) ^ _pull(inv_s, _swap_masks(x, d)), ms)) >> 1
+
+
+def commutator(x: int, y: int, d: int) -> int:
+    """x^-1 y^-1 x y, i.e. compose(compose(compose(invert(x), invert(y)), x), y).
+
+    Pulling back along y^-1 is pushing forward along y, so x^-1∘y^-1 is
+    push_y(y XOR x^-1) and only the masks of x and y are built.
+    """
+    mx, my = _swap_masks(x, d), _swap_masks(y, d)
+    tx, ty = x << 1, y << 1
+    inv_x_inv_y = _push(ty ^ _push(tx, mx), my)
+    return (ty ^ _pull(tx ^ _pull(inv_x_inv_y, mx), my)) >> 1
+
+
+def _vertex_perm(g: int, d: int) -> list[int]:
     """Action of g on all labeled vertices, as a heap-index permutation."""
     n = (1 << d) - 1
     perm = [0] * n
@@ -31,34 +140,6 @@ def vertex_perm(g: int, d: int) -> list[int]:
     return perm
 
 
-def compose(h: int, g: int, d: int) -> int:
-    """Product h∘g (g applied first): pulls h's labels back along g's action."""
-    perm = vertex_perm(g, d)
-    r = g
-    for u in range((1 << d) - 1):
-        r ^= ((h >> perm[u]) & 1) << u
-    return r
-
-
-def invert(g: int, d: int) -> int:
-    """Inverse: the label of g^-1 at g(v) equals the label of g at v."""
-    perm = vertex_perm(g, d)
-    r = 0
-    for v in range((1 << d) - 1):
-        r |= ((g >> v) & 1) << perm[v]
-    return r
-
-
-def conjugate(x: int, s: int, d: int) -> int:
-    """s^-1 x s."""
-    return compose(compose(invert(s, d), x, d), s, d)
-
-
-def commutator(x: int, y: int, d: int) -> int:
-    """x^-1 y^-1 x y."""
-    return compose(compose(compose(invert(x, d), invert(y, d), d), x, d), y, d)
-
-
 def _rmul_tables(g: int, d: int) -> tuple[list[list[int]], int]:
     """Byte-gather tables for the fixed bit permutation x -> x∘g.
 
@@ -67,7 +148,7 @@ def _rmul_tables(g: int, d: int) -> tuple[list[list[int]], int]:
     lookup per portrait byte.
     """
     n = (1 << d) - 1
-    perm = vertex_perm(g, d)
+    perm = _vertex_perm(g, d)
     inv = [0] * n
     for u, p in enumerate(perm):
         inv[p] = u

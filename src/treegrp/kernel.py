@@ -73,7 +73,3 @@ def close(d: int, gens: list[int], cap: int) -> set[int]:
     if _use_c and d <= _C_MAX_DEPTH:
         return _ckernel.close(d, gens, cap)
     return _pykernel.close(d, gens, cap)
-
-
-def vertex_perm(g: int, d: int) -> list[int]:
-    return _pykernel.vertex_perm(g, d)

@@ -1,11 +1,13 @@
-"""The compiled and pure kernels must be bit-identical wherever both run."""
+"""Kernel arithmetic against the word action, and the compiled kernel against the pure one."""
 
 import random
+from itertools import product
 
 import pytest
 
 from treegrp import _pykernel, kernel
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism, heap_index
 
 needs_c = pytest.mark.skipif(not kernel.has_c_kernel(), reason="compiled kernel not built")
 
@@ -54,15 +56,99 @@ def test_cap_error_from_both_backends():
             mod.close(4, gens_bits(4), 100)
 
 
+def words_below(d):
+    """Every vertex that carries a label at depth d, root first."""
+    return ["".join(w) for n in range(d) for w in product("01", repeat=n)]
+
+
+def label(bits, u):
+    return (bits >> heap_index(u)) & 1
+
+
+def action_portrait(act, d):
+    """Portrait of the automorphism with word action act: its label at u is act(u0)'s last symbol."""
+    return FiniteAutomorphism.from_labels(
+        d, {u: act(u + "0")[-1] == "1" for u in words_below(d)}
+    ).bits
+
+
+def inverse_action(g, w):
+    """g^-1(w), read symbol by symbol off g's labels without the kernel."""
+    pre = ""
+    for c in w:
+        pre += "1" if (c == "1") ^ g.label(pre) else "0"
+    return pre
+
+
+def assert_product_laws(h, g, hg, ginv, vertices):
+    """label_(h∘g)(u) = label_h(g(u)) ^ label_g(u) and label_(g^-1)(g(v)) = label_g(v)."""
+    for u in vertices:
+        gu = g.apply(u)
+        assert label(hg, u) == h.label(gu) ^ g.label(u), u
+        assert label(ginv, gu) == g.label(u), u
+
+
+def test_pure_kernel_matches_word_action():
+    # The word action FiniteAutomorphism.apply is an independent reference for
+    # every element-wise operation of the pure kernel.
+    rng = random.Random(109)
+    depths = list(range(1, 13)) + [rng.randrange(1, 13) for _ in range(4)]
+    for d in depths:
+        n = (1 << d) - 1
+        for _ in range(2):
+            x = FiniteAutomorphism(d, rng.getrandbits(n))
+            y = FiniteAutomorphism(d, rng.getrandbits(n))
+            assert_product_laws(x, y, _pykernel.compose(x.bits, y.bits, d),
+                                _pykernel.invert(y.bits, d), words_below(d))
+            # s^-1 x s applies s first, then x, then s^-1; likewise x^-1 y^-1 x y.
+            assert _pykernel.conjugate(x.bits, y.bits, d) == action_portrait(
+                lambda w: inverse_action(y, x.apply(y.apply(w))), d)
+            assert _pykernel.commutator(x.bits, y.bits, d) == action_portrait(
+                lambda w: inverse_action(x, inverse_action(y, x.apply(y.apply(w)))), d)
+
+
+def test_closure_step_matches_word_action():
+    # close multiplies on the right through byte tables: _rmul(x, tables of g) = x∘g.
+    rng = random.Random(113)
+    for d in range(1, 6):
+        n = (1 << d) - 1
+        for _ in range(20):
+            x = FiniteAutomorphism(d, rng.getrandbits(n))
+            g = FiniteAutomorphism(d, rng.getrandbits(n))
+            xg = _pykernel._rmul(x.bits, *_pykernel._rmul_tables(g.bits, d))
+            for u in words_below(d):
+                assert label(xg, u) == x.label(g.apply(u)) ^ g.label(u), (d, u)
+
+
+def sampled_vertices(rng, d, count):
+    return ["".join(rng.choice("01") for _ in range(rng.randrange(d))) for _ in range(count)]
+
+
 def test_pure_kernel_deep_elements():
     # Depths past the compiled kernel's word size take the pure path.
     rng = random.Random(107)
-    d = 8
+    for d, pairs in ((8, 50), (12, 10), (16, 4), (20, 2)):
+        n = (1 << d) - 1
+        for _ in range(pairs):
+            g, h = rng.getrandbits(n), rng.getrandbits(n)
+            gh = kernel.compose(g, h, d)
+            assert kernel.compose(kernel.invert(g, d), gh, d) == h
+            hg = kernel.compose(h, g, d)
+            ginv = kernel.invert(g, d)
+            assert kernel.compose(hg, ginv, d) == h
+            assert_product_laws(FiniteAutomorphism(d, h), FiniteAutomorphism(d, g), hg, ginv,
+                                sampled_vertices(rng, d, 64))
+
+
+def test_pure_kernel_at_max_depth():
+    # MAX_DEPTH is a tested depth: one product and one inverse there.
+    rng = random.Random(127)
+    d = MAX_DEPTH
     n = (1 << d) - 1
-    for _ in range(50):
-        g, h = rng.getrandbits(n), rng.getrandbits(n)
-        gh = kernel.compose(g, h, d)
-        assert kernel.compose(kernel.invert(g, d), gh, d) == h
+    h = FiniteAutomorphism(d, rng.getrandbits(n))
+    g = FiniteAutomorphism(d, rng.getrandbits(n))
+    assert_product_laws(h, g, kernel.compose(h.bits, g.bits, d), kernel.invert(g.bits, d),
+                        sampled_vertices(rng, d, 64))
 
 
 def test_set_backend_switching():
