@@ -4,8 +4,9 @@
 Covers the hot paths: breadth-first closure of the full depth-4 group,
 derived subgroup of a 16384-element index-2 subgroup, and raw compose and
 invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
-d <= 6; deeper portraits take the pure kernel on both rows).  Run after
-`pip install -e .`:
+d <= 6; deeper portraits take the pure kernel on both rows).  It also times
+FiniteAutomorphism.apply, the kernel-free word action, on full-length words
+at depths 4 and 24.  Run after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -15,11 +16,14 @@ import statistics
 import time
 
 from treegrp import kernel
-from treegrp.portrait import generators
+from treegrp.portrait import FiniteAutomorphism, generators
 from treegrp.subgroups import _FULL_GROUP_CACHE, derived_subgroup, enumerate_PJ
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
+
+# (depth, calls timed) for the apply rows.
+APPLY_DEPTHS = [(4, 20_000), (24, 16)]
 
 
 def timeit(fn, repeats=3):
@@ -64,6 +68,22 @@ def bench_backend(name):
     return results
 
 
+def bench_apply():
+    """Best-of-3 seconds per apply call on random words of length d."""
+    rng = random.Random(0)
+    results = {}
+    for d, count in APPLY_DEPTHS:
+        g = FiniteAutomorphism.random(d, rng)
+        words = ["".join(rng.choice("01") for _ in range(d)) for _ in range(count)]
+
+        def apply_burst(g=g, words=words):
+            for w in words:
+                g.apply(w)
+
+        results[f"apply, |w| = d = {d}"] = timeit(apply_burst)[0] / count
+    return results
+
+
 def main():
     backends = ["pure"]
     if kernel.has_c_kernel():
@@ -89,6 +109,10 @@ def main():
         for label in labels:
             speedup = table["pure"][label][0] / table["c"][label][0]
             print(f"speedup {label}: {speedup:.1f}x")
+
+    print()
+    for label, per_call in bench_apply().items():
+        print(f"{label:<{width}}{per_call * 1e6:>13.2f} us per call")
 
 
 if __name__ == "__main__":

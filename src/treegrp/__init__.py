@@ -19,6 +19,7 @@ from .halftree import (
     commutator_parity,
     derived_membership_certificate,
     verify_ni_identities,
+    verify_ni_identities_for,
     word_parities,
     word_to_element,
 )

@@ -176,7 +176,9 @@ def close(d: int, gens: list[int], cap: int) -> set[int]:
 
     Generators are folded in one at a time; a generator already inside the
     current subgroup costs only a membership test, which keeps closure over
-    large redundant generating sets (commutator saturations) cheap.
+    large redundant generating sets (commutator saturations) cheap.  The
+    cap is checked on every insertion, so at most cap + 1 elements are ever
+    held and EnumerationCapExceeded reports exactly cap + 1.
     """
     els = {0}
     accepted: list[tuple[list[list[int]], int]] = []
@@ -191,19 +193,19 @@ def close(d: int, gens: list[int], cap: int) -> set[int]:
             y = _rmul(x, *tab)
             if y not in els:
                 els.add(y)
+                if len(els) > cap:
+                    raise EnumerationCapExceeded(cap, len(els))
                 frontier.append(y)
         accepted.append(tab)
         while frontier:
-            if len(els) > cap:
-                raise EnumerationCapExceeded(cap, len(els))
             nxt = []
             for x in frontier:
                 for tab2 in accepted:
                     y = _rmul(x, *tab2)
                     if y not in els:
                         els.add(y)
+                        if len(els) > cap:
+                            raise EnumerationCapExceeded(cap, len(els))
                         nxt.append(y)
             frontier = nxt
-        if len(els) > cap:
-            raise EnumerationCapExceeded(cap, len(els))
     return els

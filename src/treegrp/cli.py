@@ -23,7 +23,7 @@ import click
 
 from . import verify as vf
 from .errors import EnumerationCapExceeded, VerificationError
-from .halftree import JContext, verify_ni_identities
+from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
 from .portrait import FiniteAutomorphism, distance as metric_distance
 from .subgroups import (
@@ -205,19 +205,15 @@ def classify_cmd(d: int, use_gf2: bool, fmt: str, no_timestamp: bool, cap: int |
 
 
 def _ni_suite(d: int, samples: int, seed: int) -> dict:
-    suites = []
     top_sets = [J for J in vf._top_level_sets(d)] if d <= 4 else [frozenset({d - 1})]
-    for J in top_sets:
-        ctx = JContext.make(d, J)
-        rep = verify_ni_identities(ctx, samples=samples, seed=seed)
-        entry = rep.to_dict()
-        entry["mode"] = "random"
-        suites.append(entry)
-        if d <= 3:
-            rep_ex = verify_ni_identities(ctx, exhaustive=True)
-            entry = rep_ex.to_dict()
-            entry["mode"] = "exhaustive"
-            suites.append(entry)
+    contexts = [JContext.make(d, J) for J in top_sets]
+    randomized = verify_ni_identities_for(contexts, samples=samples, seed=seed)
+    exhaustive = verify_ni_identities_for(contexts, exhaustive=True) if d <= 3 else []
+    suites = []
+    for i, rep in enumerate(randomized):
+        suites.append({**rep.to_dict(), "mode": "random"})
+        if exhaustive:
+            suites.append({**exhaustive[i].to_dict(), "mode": "exhaustive"})
     return {"name": "ni", "suites": suites,
             "passed": all(s["passed"] for s in suites)}
 

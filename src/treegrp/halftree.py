@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from random import Random
 from typing import Iterable, Sequence
 
@@ -142,65 +143,86 @@ def _portrait(x: int, d: int) -> int:
     return x
 
 
-def _check_identity_triple(d: int, masks: tuple[int, int], g: int, h: int) -> str | None:
-    """Returns the name of the first failed law on portraits g, h, or None.
+def _failed_law(m: tuple[int, int], g: int, h: int,
+                gh: int, ginv: int, c: int) -> str | None:
+    """Returns the name of the first law that fails on g, h, or None.
 
-    masks are the two half-tree masks over J', so N_i(x) = parity(x & masks[i]).
+    gh, ginv and c are the product g*h, the inverse of g and the commutator
+    [g, h]; m holds the two half-tree masks over J', so
+    N_i(x) = parity(x & m[i]).  Each law is an equality of parities, so it
+    holds iff the XOR of its two sides' masked portraits has even weight.
     """
     ag, ah = g & 1, h & 1
-    ng = [_parity(g, m) for m in masks]
-    nh = [_parity(h, m) for m in masks]
     # product law: N_i(g*h) = N_i(h) + N_{i + alpha(h)}(g)
-    gh = _portrait(kernel.compose(g, h, d), d)
     for i in (0, 1):
-        if _parity(gh, masks[i]) != nh[i] ^ ng[i ^ ah]:
+        if ((gh & m[i]) ^ (h & m[i]) ^ (g & m[i ^ ah])).bit_count() & 1:
             return "product"
     # inverse law: N_i(g^-1) = N_{i + alpha(g)}(g)
-    ginv = _portrait(kernel.invert(g, d), d)
     for i in (0, 1):
-        if _parity(ginv, masks[i]) != ng[i ^ ag]:
+        if ((ginv & m[i]) ^ (g & m[i ^ ag])).bit_count() & 1:
             return "inverse"
     # commutator law
-    c = _portrait(kernel.commutator(g, h, d), d)
     for i in (0, 1):
-        if _parity(c, masks[i]) != ng[i] ^ ng[i ^ ah] ^ nh[i] ^ nh[i ^ ag]:
+        if ((c & m[i]) ^ (g & m[i]) ^ (g & m[i ^ ah])
+                ^ (h & m[i]) ^ (h & m[i ^ ag])).bit_count() & 1:
             return "commutator"
     return None
 
 
-def verify_ni_identities(ctx: JContext, samples: int = 10_000,
-                         seed: int = 0, exhaustive: bool = False) -> IdentityCheckReport:
-    """Exercise the three transformation laws on element pairs.
+def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000,
+                             seed: int = 0,
+                             exhaustive: bool = False) -> list[IdentityCheckReport]:
+    """Exercise the three transformation laws for several level sets at once.
 
-    With exhaustive=True every ordered pair at this depth is tried (meant
-    for d <= 3); otherwise `samples` seeded random pairs.
+    All contexts share one depth and one stream of element pairs: every
+    ordered pair with exhaustive=True (meant for d <= 3), otherwise
+    `samples` seeded random pairs.  Each pair's product, inverse and
+    commutator are computed once and checked against every context's half
+    masks; the reports come back in the order of `contexts`.
     """
-    report = IdentityCheckReport(ctx.depth, tuple(sorted(ctx.levels)))
-    d = ctx.depth
+    if not contexts:
+        return []
+    d = contexts[0].depth
+    if any(ctx.depth != d for ctx in contexts):
+        raise ValueError(f"contexts must share one depth, got {[c.depth for c in contexts]}")
     n = (1 << d) - 1
-    masks = (ctx.half_mask(0), ctx.half_mask(1))
-
-    def run(g: int, h: int) -> None:
-        report.pairs_checked += 1
-        law = _check_identity_triple(d, masks, g, h)
-        if law is not None and len(report.failures) < 10:
-            report.failures.append({
-                "law": law,
-                "g": FiniteAutomorphism(d, g).to_hex(),
-                "h": FiniteAutomorphism(d, h).to_hex(),
-            })
-
+    reports = [IdentityCheckReport(d, tuple(sorted(ctx.levels))) for ctx in contexts]
+    # The laws read J only through its half masks, which J and J ∪ {0} share.
+    by_masks: dict[tuple[int, int], list[list[dict]]] = {}
+    for ctx, rep in zip(contexts, reports):
+        by_masks.setdefault((ctx.half_mask(0), ctx.half_mask(1)), []).append(rep.failures)
     if exhaustive:
-        for g in range(1 << n):
-            for h in range(1 << n):
-                run(g, h)
+        pairs = product(range(1 << n), repeat=2)
     else:
         # The same stream FiniteAutomorphism.random draws from.
         rng = Random(seed)
-        for _ in range(samples):
-            g, h = rng.getrandbits(n), rng.getrandbits(n)
-            run(g, h)
-    return report
+        pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(samples))
+    checked = 0
+    for g, h in pairs:
+        checked += 1
+        gh = _portrait(kernel.compose(g, h, d), d)
+        ginv = _portrait(kernel.invert(g, d), d)
+        c = _portrait(kernel.commutator(g, h, d), d)
+        for masks, failure_lists in by_masks.items():
+            law = _failed_law(masks, g, h, gh, ginv, c)
+            if law is None:
+                continue
+            for failures in failure_lists:
+                if len(failures) < 10:
+                    failures.append({
+                        "law": law,
+                        "g": FiniteAutomorphism(d, g).to_hex(),
+                        "h": FiniteAutomorphism(d, h).to_hex(),
+                    })
+    for rep in reports:
+        rep.pairs_checked = checked
+    return reports
+
+
+def verify_ni_identities(ctx: JContext, samples: int = 10_000,
+                         seed: int = 0, exhaustive: bool = False) -> IdentityCheckReport:
+    """verify_ni_identities_for with the single context ctx."""
+    return verify_ni_identities_for([ctx], samples, seed, exhaustive)[0]
 
 
 def commutator_parity(g: FiniteAutomorphism, h: FiniteAutomorphism,

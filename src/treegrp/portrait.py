@@ -34,7 +34,7 @@ MAX_DEPTH = 24
 
 
 def check_word(w: str) -> str:
-    if not all(c in "01" for c in w):
+    if w.strip("01"):
         raise ValueError(f"vertex word must consist of '0'/'1' symbols, got {w!r}")
     return w
 
@@ -203,18 +203,24 @@ class FiniteAutomorphism:
     # -- action on words ---------------------------------------------------
 
     def apply(self, w: str) -> str:
-        """Image of the word w; symbol k is flipped by the label at the length-(k-1) prefix."""
+        """Image of the word w; symbol k is flipped by the label at the length-(k-1) prefix.
+
+        Each label is tested with bits & 1 << node, which touches only the
+        portrait's bits below node (bits >> node would copy everything above
+        it).  Heap indices double per level, so a call costs O(2^len(w)) bit
+        operations, not a full-portrait shift per symbol.
+        """
         check_word(w)
         if len(w) > self.depth:
             raise ValueError(f"word of length {len(w)} too long for depth {self.depth}")
         bits = self.bits
-        out = []
+        image = ""
         node = 0
         for c in w:
             x = c == "1"
-            out.append("1" if x ^ ((bits >> node) & 1) else "0")
+            image += "10"[x] if bits & 1 << node else c
             node = 2 * node + 1 + x
-        return "".join(out)
+        return image
 
     # -- sections and truncations ------------------------------------------
 

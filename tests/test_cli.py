@@ -165,6 +165,22 @@ def test_verify_json_counterexample_fields_empty(runner):
         assert suite["failures"] == []
 
 
+def test_verify_ni_json_keeps_suite_order(runner):
+    # One entry per top-level J in increasing bitmask order, random then exhaustive.
+    res = runner.invoke(
+        main,
+        ["verify", "--suite", "ni", "--d", "3", "--samples", "50", "--seed", "2",
+         "--format", "json", "--no-timestamp"],
+    )
+    assert res.exit_code == 0
+    suites = json.loads(res.output)["results"][0]["suites"]
+    top_sets = [[2], [0, 2], [1, 2], [0, 1, 2]]
+    assert [(s["J"], s["mode"]) for s in suites] == [
+        (J, mode) for J in top_sets for mode in ("random", "exhaustive")
+    ]
+    assert [s["pairs_checked"] for s in suites] == [50, 16384] * 4
+
+
 def test_verify_json_deterministic(runner):
     args = ["verify", "--suite", "noadad", "--d", "3", "--format", "json", "--no-timestamp"]
     assert runner.invoke(main, args).output == runner.invoke(main, args).output

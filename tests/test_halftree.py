@@ -20,6 +20,7 @@ from treegrp.halftree import (
     commutator_parity,
     derived_membership_certificate,
     verify_ni_identities,
+    verify_ni_identities_for,
     word_parities,
     word_to_element,
 )
@@ -181,6 +182,52 @@ def test_identities_reject_out_of_range_portraits(monkeypatch):
     monkeypatch.setattr(kernel, "compose", lambda h, g, d: original(h, g, d) | 1 << 7)
     with pytest.raises(ValueError, match="out of range"):
         verify_ni_identities(JContext.make(3, {2}), samples=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shared_stream_reports_equal_single_context_reports(d):
+    contexts = [JContext.make(d, J) for J in top_level_sets(d)]
+    reports = verify_ni_identities_for(contexts, samples=300, seed=d)
+    assert [r.levels for r in reports] == [tuple(sorted(c.levels)) for c in contexts]
+    for ctx, rep in zip(contexts, reports):
+        assert rep == verify_ni_identities(ctx, samples=300, seed=d)
+    if d <= 3:
+        exhaustive = verify_ni_identities_for(contexts, exhaustive=True)
+        for ctx, rep in zip(contexts, exhaustive):
+            assert rep == verify_ni_identities(ctx, exhaustive=True)
+            assert rep.pairs_checked == 1 << 2 * ((1 << d) - 1)
+
+
+@pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
+def test_shared_stream_reports_broken_kernel_for_each_level_set(monkeypatch, broken):
+    original = getattr(kernel, broken)
+
+    def flipped(*args):
+        out = original(*args)
+        return out ^ 2 if args[0] & 2 else out
+
+    monkeypatch.setattr(kernel, broken, flipped)
+    contexts = [JContext.make(3, J) for J in top_level_sets(3)]
+    reports = verify_ni_identities_for(contexts, samples=200, seed=11)
+    for ctx, rep in zip(contexts, reports):
+        assert rep.pairs_checked == 200
+        assert rep.failures == reference_ni_failures(ctx, samples=200, seed=11)
+    # The flipped label sits on level 1: level sets through it fail, the others pass.
+    assert [bool(rep.failures) for rep in reports] == [1 in c.levels for c in contexts]
+
+
+@pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
+def test_shared_stream_rejects_out_of_range_portraits(monkeypatch, broken):
+    original = getattr(kernel, broken)
+    monkeypatch.setattr(kernel, broken, lambda *args: original(*args) | 1 << 7)
+    with pytest.raises(ValueError, match="out of range"):
+        verify_ni_identities_for([JContext.make(3, J) for J in top_level_sets(3)], samples=1)
+
+
+def test_shared_stream_needs_one_depth():
+    assert verify_ni_identities_for([], samples=5) == []
+    with pytest.raises(ValueError, match="one depth"):
+        verify_ni_identities_for([JContext.make(2, {1}), JContext.make(3, {2})], samples=5)
 
 
 def test_identity_report_serialization():

@@ -56,6 +56,16 @@ def test_cap_error_from_both_backends():
             mod.close(4, gens_bits(4), 100)
 
 
+@pytest.mark.parametrize("cap", [100, 200, 1000, 5000])
+def test_pure_close_stops_one_element_past_the_cap(cap):
+    # The cap is checked on every insertion.  <a_0, a_1, a_2> has 128
+    # elements, so cap 200 is crossed by the first products with a_3 and the
+    # other caps in breadth-first rounds.
+    with pytest.raises(EnumerationCapExceeded) as err:
+        _pykernel.close(4, gens_bits(4), cap)
+    assert err.value.reached == cap + 1
+
+
 def words_below(d):
     """Every vertex that carries a label at depth d, root first."""
     return ["".join(w) for n in range(d) for w in product("01", repeat=n)]

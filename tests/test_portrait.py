@@ -150,6 +150,34 @@ def test_apply_rejects_long_and_malformed_words():
         g.apply("02")
 
 
+def label_walk(g: FiniteAutomorphism, w: str) -> str:
+    """The action formula read bit by bit off the little-endian serialization."""
+    data = g.to_bytes()
+    out = []
+    for k, c in enumerate(w):
+        v = heap_index(w[:k])
+        out.append(str(int(c) ^ (data[v >> 3] >> (v & 7) & 1)))
+    return "".join(out)
+
+
+def test_apply_matches_label_walk():
+    rng = random.Random(41)
+    for d in range(1, 13):
+        g = random_element(rng, d)
+        words = ["".join(rng.choice("01") for _ in range(rng.randrange(d + 1)))
+                 for _ in range(200)] + ["", "0" * d, "1" * d]
+        for w in words:
+            assert g.apply(w) == label_walk(g, w), (d, w)
+
+
+def test_apply_matches_label_walk_at_max_depth():
+    rng = random.Random(43)
+    g = random_element(rng, MAX_DEPTH)
+    for _ in range(64):
+        w = "".join(rng.choice("01") for _ in range(rng.randrange(MAX_DEPTH - 3, MAX_DEPTH + 1)))
+        assert g.apply(w) == label_walk(g, w), w
+
+
 def test_apply_of_product_is_composition_of_actions():
     rng = random.Random(5)
     for _ in range(10_000):
