@@ -6,7 +6,10 @@ derived subgroup of a 16384-element index-2 subgroup, and raw compose and
 invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
 d <= 6; deeper portraits take the pure kernel on both rows).  It also times
 FiniteAutomorphism.apply, the kernel-free word action, on full-length words
-at depths 4 and 24.  Run after `pip install -e .`:
+at depths 4 and 24, and two kernel-free pattern-layer calls that read and
+build portraits through treegrp.heap: the essential reduction of P_{3} and
+the depth-5 truncation group of the reduced P_{1}, both at d=4.  Run after
+`pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -16,6 +19,7 @@ import statistics
 import time
 
 from treegrp import kernel
+from treegrp.patterns import PatternGroup, essential_reduction, truncation_group
 from treegrp.portrait import FiniteAutomorphism, generators
 from treegrp.subgroups import _FULL_GROUP_CACHE, derived_subgroup, enumerate_PJ
 
@@ -84,6 +88,17 @@ def bench_apply():
     return results
 
 
+def bench_patterns():
+    """Best-of-3 seconds of the pattern-layer rows."""
+    p3 = PatternGroup.from_subgroup(enumerate_PJ(4, {3}))
+    reduced_p1 = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(4, {1})))
+    return {
+        "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3))[0],
+        "truncation_group(reduced P_{1}, 5), d=4":
+            timeit(lambda: truncation_group(reduced_p1, 5))[0],
+    }
+
+
 def main():
     backends = ["pure"]
     if kernel.has_c_kernel():
@@ -113,6 +128,12 @@ def main():
     print()
     for label, per_call in bench_apply().items():
         print(f"{label:<{width}}{per_call * 1e6:>13.2f} us per call")
+
+    print()
+    patterns = bench_patterns()
+    width = max(len(s) for s in patterns) + 2
+    for label, seconds in patterns.items():
+        print(f"{label:<{width}}{seconds:>10.4f} s (best)")
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
 from .portrait import FiniteAutomorphism, distance as metric_distance
 from .subgroups import (
-    EnumeratedSubgroup,
     PredicateSubgroup,
+    enumerate_MV,
     enumerate_PJ,
     full_group,
     index,
@@ -241,7 +241,7 @@ _SUITE_DEPTH_LIMITS = {
 @click.option("--suite", type=click.Choice(["ni", "noadad", "topfg", "relation", "aux", "all"]),
               required=True)
 @click.option("--d", "d", type=int, required=True)
-@click.option("--samples", type=int, default=10_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
@@ -309,10 +309,7 @@ def analyze_cmd(path: str, fmt: str, no_timestamp: bool, cap: int | None):
             obj_enum = enumerate_PJ(d, obj.J, cap=cap)
             result["J"] = sorted(obj.J)
         elif isinstance(obj, PredicateSubgroup):
-            grp = full_group(d, cap=cap)
-            obj_enum = EnumeratedSubgroup.from_element_bits(
-                d, (b for b in grp.element_bits if obj.contains(FiniteAutomorphism(d, b)))
-            )
+            obj_enum = enumerate_MV(d, obj.V, cap=cap)
             result["V"] = sorted(obj.V)
         else:
             obj_enum = obj

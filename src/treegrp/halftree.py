@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 from . import kernel
 from .errors import VerificationError
-from .portrait import FiniteAutomorphism, generator, half_level_mask, identity
+from .heap import half_level_mask, in_range
+from .portrait import FiniteAutomorphism, generator, identity
 from .subgroups import maximal_subgroup
 
 
@@ -138,7 +139,7 @@ class IdentityCheckReport:
 
 def _portrait(x: int, d: int) -> int:
     """x itself, after checking it is a depth-d portrait."""
-    if not 0 <= x < 1 << ((1 << d) - 1):
+    if not in_range(x, d):
         raise ValueError("portrait bits out of range for depth")
     return x
 
@@ -176,10 +177,12 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
 
     All contexts share one depth and one stream of element pairs: every
     ordered pair with exhaustive=True (meant for d <= 3), otherwise
-    `samples` seeded random pairs.  Each pair's product, inverse and
-    commutator are computed once and checked against every context's half
-    masks; the reports come back in the order of `contexts`.
+    `samples` seeded random pairs, at least one.  Each pair's product,
+    inverse and commutator are computed once and checked against every
+    context's half masks; the reports come back in the order of `contexts`.
     """
+    if not exhaustive and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if not contexts:
         return []
     d = contexts[0].depth

@@ -1,0 +1,86 @@
+"""Heap geometry of portraits: the raw-int helpers every layer above the
+kernel uses to read and build them (the kernel keeps its own swap masks).
+
+Vertices are words over {0, 1} and are indexed heap-style: the root (empty
+word) is index 0 and the children of index i are 2i+1 and 2i+2.  Level j
+then occupies the contiguous index range [2^j - 1, 2^(j+1) - 2], which makes
+level and half-tree parity functionals single-mask popcounts.  Level j of
+the subtree at index v is the 2^j indices from (v + 1) * 2^j - 1 on, so a
+subtree is read or written one level slice at a time.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+
+def check_word(w: str) -> str:
+    if w.strip("01"):
+        raise ValueError(f"vertex word must consist of '0'/'1' symbols, got {w!r}")
+    return w
+
+
+def heap_index(word: str) -> int:
+    """Heap index of a vertex word: 2^|w| - 1 + (w read as a binary number)."""
+    check_word(word)
+    idx = 0
+    for c in word:
+        idx = 2 * idx + 1 + (c == "1")
+    return idx
+
+
+def vertex_word(index: int) -> str:
+    """Inverse of heap_index."""
+    if index < 0:
+        raise ValueError("negative heap index")
+    level = (index + 1).bit_length() - 1
+    offset = index - ((1 << level) - 1)
+    return format(offset, "b").zfill(level) if level else ""
+
+
+def level_of_index(index: int) -> int:
+    return (index + 1).bit_length() - 1
+
+
+@lru_cache(maxsize=None)
+def level_mask(j: int) -> int:
+    """Mask of the bits of level j (indices 2^j - 1 .. 2^(j+1) - 2)."""
+    return ((1 << (1 << j)) - 1) << ((1 << j) - 1)
+
+
+@lru_cache(maxsize=None)
+def half_level_mask(j: int, i: int) -> int:
+    """Mask of the level-j vertices whose word starts with symbol i (j >= 1)."""
+    if j < 1:
+        raise ValueError("level 0 has no half split")
+    width = 1 << (j - 1)
+    return ((1 << width) - 1) << ((1 << j) - 1 + i * width)
+
+
+@lru_cache(maxsize=None)
+def prefix_mask(k: int) -> int:
+    """Mask of the bits of levels 0..k-1: a whole depth-k portrait."""
+    return (1 << ((1 << k) - 1)) - 1
+
+
+def in_range(bits: int, d: int) -> bool:
+    """Whether bits is a depth-d portrait, i.e. 0 <= bits < 2^(2^d - 1)."""
+    return bits >= 0 and bits.bit_length() < 1 << d
+
+
+def gather(bits: int, v: int, k: int) -> int:
+    """The k-level subtree of bits rooted at heap index v, as a depth-k portrait."""
+    out = 0
+    for lvl in range(k):
+        width = 1 << lvl
+        out |= ((bits >> (((v + 1) << lvl) - 1)) & ((1 << width) - 1)) << (width - 1)
+    return out
+
+
+def place(bits: int, v: int, k: int) -> int:
+    """Inverse of gather: the depth-k portrait bits as the subtree at v."""
+    out = 0
+    for lvl in range(k):
+        width = 1 << lvl
+        out |= ((bits >> (width - 1)) & ((1 << width) - 1)) << (((v + 1) << lvl) - 1)
+    return out

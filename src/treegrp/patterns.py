@@ -9,6 +9,8 @@ the constrained group, and computes the first-level-stabilizer embedding
 index used by the dimension bookkeeping identity.
 
 All dimension arithmetic is exact (fractions.Fraction); no floats anywhere.
+Patterns are read off and assembled from portrait ints with the subtree
+helpers of treegrp.heap, which owns the layout.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import EnumerationCapExceeded
+from .heap import gather, place, prefix_mask
 from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
@@ -27,23 +30,6 @@ from .subgroups import (
     level_stabilizer,
     resolve_cap,
 )
-
-
-def _child_subpattern_bits(bits: int, child: int, d: int) -> int:
-    """Portrait bits of the size-(d-1) pattern at first-level vertex `child`."""
-    v0 = 1 + child
-    out = 0
-    pos = 0
-    for lvl in range(d - 1):
-        start = ((v0 + 1) << lvl) - 1
-        width = 1 << lvl
-        out |= ((bits >> start) & ((1 << width) - 1)) << pos
-        pos += width
-    return out
-
-
-def _truncate_bits(bits: int, k: int) -> int:
-    return bits & ((1 << ((1 << k) - 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -81,10 +67,11 @@ def is_essential(p: PatternGroup) -> EssentialityResult:
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
     member_bits = p.group.element_bits
-    truncations = {_truncate_bits(b, d - 1) for b in member_bits}
+    top = prefix_mask(d - 1)
+    truncations = {b & top for b in member_bits}
     for b in member_bits:
         for i in (0, 1):
-            if _child_subpattern_bits(b, i, d) not in truncations:
+            if gather(b, 1 + i, d - 1) not in truncations:
                 return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
     return EssentialityResult(True, None)
 
@@ -104,13 +91,14 @@ def essential_reduction(p: PatternGroup) -> PatternGroup:
         raise ValueError("reduction needs pattern size >= 2")
     if p.essential is True:
         return p
+    top = prefix_mask(d - 1)
     current = set(p.group.element_bits)
     while True:
-        truncations = {_truncate_bits(b, d - 1) for b in current}
+        truncations = {b & top for b in current}
         kept = {
             b for b in current
-            if _child_subpattern_bits(b, 0, d) in truncations
-            and _child_subpattern_bits(b, 1, d) in truncations
+            if gather(b, 1, d - 1) in truncations
+            and gather(b, 2, d - 1) in truncations
         }
         if kept == current:
             break
@@ -205,21 +193,16 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
         raise EnumerationCapExceeded(
             cap, candidates, hint=f"depth-{m + 1} truncation group candidate set"
         )
-    d_mask = (1 << ((1 << d) - 1)) - 1
+    root_pattern = prefix_mask(d)
+    rights = [place(b1, 2, m) for b1 in h_bits]
     out = set()
-    widths = [(1 << lvl, (1 << (lvl + 1)) - 1) for lvl in range(m)]
     for b0 in h_bits:
-        for b1 in h_bits:
-            body = 0
-            pos = 0
-            for width, start in widths:
-                mask = (1 << width) - 1
-                body |= ((b0 >> pos) & mask) << start
-                body |= ((b1 >> pos) & mask) << (start + width)
-                pos += width
+        left = place(b0, 1, m)
+        for right in rights:
+            body = left | right
             for root in (0, 1):
                 g = body | root
-                if g & d_mask in member_bits:
+                if g & root_pattern in member_bits:
                     out.add(g)
     return frozenset(out)
 
@@ -249,7 +232,7 @@ def truncation_image(p: PatternGroup, m: int) -> EnumeratedSubgroup:
     if not 1 <= m < p.depth:
         raise ValueError(f"truncation image depth must be in 1..{p.depth - 1}")
     return EnumeratedSubgroup.from_element_bits(
-        m, {_truncate_bits(b, m) for b in p.group.element_bits}
+        m, {b & prefix_mask(m) for b in p.group.element_bits}
     )
 
 
@@ -296,8 +279,7 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
         # First-level stabilizer of H(n+1); its section pairs must land in H(n).
         stab = [b for b in h_next if not b & 1]
         for b in stab:
-            if (_child_subpattern_bits(b, 0, n + 1) not in h_n
-                    or _child_subpattern_bits(b, 1, n + 1) not in h_n):
+            if gather(b, 1, n) not in h_n or gather(b, 2, n) not in h_n:
                 raise RuntimeError("section of a truncation-group element escaped "
                                    "the shallower truncation group")
         idx, rem = divmod(len(h_n) * len(h_n), len(stab))
@@ -312,10 +294,6 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
 
 def pattern_appears(pat: FiniteAutomorphism, g: FiniteAutomorphism, w: str) -> bool:
     """Whether the size-k pattern `pat` appears at vertex w in g."""
-    if len(w) + pat.depth > g.depth:
-        raise ValueError(
-            f"pattern of size {pat.depth} at {w!r} exceeds depth {g.depth}"
-        )
     return g.subpattern(w, pat.depth) == pat
 
 
@@ -328,19 +306,6 @@ def pattern_appears(pat: FiniteAutomorphism, g: FiniteAutomorphism, w: str) -> b
 # cross-validated against enumeration at small depth in the tests.
 
 
-def _vertex_block_positions(v0: int, levels: int) -> list[int]:
-    """Portrait bit positions of the `levels`-deep subtree rooted at heap v0."""
-    positions = []
-    for lvl in range(levels):
-        start = ((v0 + 1) << lvl) - 1
-        positions.extend(range(start, start + (1 << lvl)))
-    return positions
-
-
-def _subtree_positions(child: int, d: int) -> list[int]:
-    return _vertex_block_positions(1 + child, d - 1)
-
-
 def linear_pattern_group(d: int, J: Iterable[int]) -> gf2.LinearSubgroup:
     """P_J as a parity-constrained set: one check, the mask of levels in J."""
     return gf2.LinearSubgroup(d, (level_set_mask(d, J),))
@@ -351,20 +316,14 @@ def linear_essential_reduction(lin: gf2.LinearSubgroup
     """Reduction fixpoint computed on parity checks; returns (reduced,
     was_already_essential)."""
     d = lin.depth
-    m = (1 << (d - 1)) - 1
-    top_mask = (1 << m) - 1
-    child_positions = [_subtree_positions(0, d), _subtree_positions(1, d)]
+    top_mask = prefix_mask(d - 1)
     was_essential: bool | None = None
     current = lin
     while True:
         basis = current.basis()
         trunc_basis = gf2.rref([v & top_mask for v in basis])
-        trunc_checks = gf2.dual_checks(trunc_basis, m)
-        new_checks = []
-        for c in trunc_checks:
-            for positions in child_positions:
-                scattered = gf2.scatter_bits(c, positions)
-                new_checks.append(scattered)
+        trunc_checks = gf2.dual_checks(trunc_basis, top_mask.bit_length())
+        new_checks = [place(c, v, d - 1) for c in trunc_checks for v in (1, 2)]
         extended = current.with_checks(new_checks)
         if extended.log2_order() == current.log2_order():
             if was_essential is None:
@@ -382,10 +341,7 @@ def linear_truncation_group(d: int, J: Iterable[int], n: int) -> gf2.LinearSubgr
     if n < d:
         raise ValueError(f"truncation depth must be >= pattern size {d}, got {n}")
     j_mask = base.checks[0]
-    checks = []
-    for v0 in range((1 << (n - d + 1)) - 1):
-        positions = _vertex_block_positions(v0, d)
-        checks.append(gf2.scatter_bits(j_mask, positions))
+    checks = [place(j_mask, v, d) for v in range((1 << (n - d + 1)) - 1)]
     return gf2.LinearSubgroup(n, tuple(checks))
 
 

@@ -6,10 +6,9 @@ means "swap the two subtrees below this vertex".  Every assignment of bits
 is a valid automorphism, so a depth-d element is exactly an integer with
 2^d - 1 meaningful bits.
 
-Vertices are words over {0, 1} and are indexed heap-style: the root (empty
-word) is index 0 and the children of index i are 2i+1 and 2i+2.  Level j
-then occupies the contiguous index range [2^j - 1, 2^(j+1) - 2], which makes
-level and half-tree parity functionals single-mask popcounts.
+Vertices are words over {0, 1}; treegrp.heap owns the heap-style layout of
+their labels in the portrait int (root at bit 0, the children of index i at
+2i+1 and 2i+2) and the raw-int helpers that read and build portraits.
 
 Composition order: ``compose(h, g)`` (equivalently ``h * g``) applies g
 first, i.e. (h*g)(w) = h(g(w)).  The label of h*g at vertex u is
@@ -23,57 +22,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import kernel
+from .heap import (
+    check_word,
+    gather,
+    heap_index,
+    in_range,
+    level_mask,
+    level_of_index,
+    place,
+    prefix_mask,
+    vertex_word,
+)
 
 #: Largest supported element depth; the portrait of a depth-24 element
 #: occupies 2^24 - 1 bits (~2 MB).
 MAX_DEPTH = 24
-
-
-def check_word(w: str) -> str:
-    if w.strip("01"):
-        raise ValueError(f"vertex word must consist of '0'/'1' symbols, got {w!r}")
-    return w
-
-
-def heap_index(word: str) -> int:
-    """Heap index of a vertex word: 2^|w| - 1 + (w read as a binary number)."""
-    check_word(word)
-    idx = 0
-    for c in word:
-        idx = 2 * idx + 1 + (c == "1")
-    return idx
-
-
-def vertex_word(index: int) -> str:
-    """Inverse of heap_index."""
-    if index < 0:
-        raise ValueError("negative heap index")
-    level = (index + 1).bit_length() - 1
-    offset = index - ((1 << level) - 1)
-    return format(offset, "b").zfill(level) if level else ""
-
-
-def level_of_index(index: int) -> int:
-    return (index + 1).bit_length() - 1
-
-
-@lru_cache(maxsize=None)
-def level_mask(j: int) -> int:
-    """Mask of the bits of level j (indices 2^j - 1 .. 2^(j+1) - 2)."""
-    return ((1 << (1 << j)) - 1) << ((1 << j) - 1)
-
-
-@lru_cache(maxsize=None)
-def half_level_mask(j: int, i: int) -> int:
-    """Mask of the level-j vertices whose word starts with symbol i (j >= 1)."""
-    if j < 1:
-        raise ValueError("level 0 has no half split")
-    width = 1 << (j - 1)
-    return ((1 << width) - 1) << ((1 << j) - 1 + i * width)
 
 
 class DistanceResult(NamedTuple):
@@ -98,7 +64,7 @@ class FiniteAutomorphism:
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        if not 0 <= self.bits < (1 << self.num_vertices):
+        if not in_range(self.bits, self.depth):
             raise ValueError("portrait bits out of range for depth")
 
     # -- constructors ------------------------------------------------------
@@ -224,31 +190,17 @@ class FiniteAutomorphism:
 
     # -- sections and truncations ------------------------------------------
 
-    def _gather(self, v0: int, k: int) -> int:
-        """Bits of the k-level subtree portrait rooted at heap index v0."""
-        bits = self.bits
-        out = 0
-        pos = 0
-        for lvl in range(k):
-            start = ((v0 + 1) << lvl) - 1
-            width = 1 << lvl
-            out |= ((bits >> start) & ((1 << width) - 1)) << pos
-            pos += width
-        return out
-
     def section(self, w: str) -> "FiniteAutomorphism":
         """The depth-(d-|w|) automorphism describing the action below vertex w."""
-        check_word(w)
-        if not len(w) < self.depth:
+        if not len(check_word(w)) < self.depth:
             raise ValueError(f"section vertex {w!r} too deep for depth {self.depth}")
-        k = self.depth - len(w)
-        return FiniteAutomorphism(k, self._gather(heap_index(w), k))
+        return self.subpattern(w, self.depth - len(w))
 
     def truncate(self, k: int) -> "FiniteAutomorphism":
         """Forget all labels below level k-1; a homomorphism onto the depth-k group."""
         if not 1 <= k <= self.depth:
             raise ValueError(f"truncation depth must be in 1..{self.depth}, got {k}")
-        return FiniteAutomorphism(k, self.bits & ((1 << ((1 << k) - 1)) - 1))
+        return FiniteAutomorphism(k, self.bits & prefix_mask(k))
 
     def subpattern(self, v: str, k: int) -> "FiniteAutomorphism":
         """The size-k pattern appearing at vertex v (section then truncate, in one gather)."""
@@ -257,7 +209,7 @@ class FiniteAutomorphism:
             raise ValueError(
                 f"pattern of size {k} at vertex {v!r} exceeds depth {self.depth}"
             )
-        return FiniteAutomorphism(k, self._gather(heap_index(v), k))
+        return FiniteAutomorphism(k, gather(self.bits, heap_index(v), k))
 
     # -- parity functionals --------------------------------------------------
 
@@ -281,16 +233,8 @@ def from_sections(root_bit: int, g0: FiniteAutomorphism,
     if g0.depth != g1.depth:
         raise ValueError(f"section depth mismatch: {g0.depth} vs {g1.depth}")
     m = g0.depth
-    out = root_bit & 1
-    pos = 0
-    for lvl in range(m):
-        width = 1 << lvl
-        mask = (1 << width) - 1
-        start = (1 << (lvl + 1)) - 1
-        out |= ((g0.bits >> pos) & mask) << start
-        out |= ((g1.bits >> pos) & mask) << (start + width)
-        pos += width
-    return FiniteAutomorphism(m + 1, out)
+    bits = (root_bit & 1) | place(g0.bits, 1, m) | place(g1.bits, 2, m)
+    return FiniteAutomorphism(m + 1, bits)
 
 
 # -- module-level operation spellings ---------------------------------------

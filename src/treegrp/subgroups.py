@@ -33,7 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded
-from .portrait import FiniteAutomorphism, check_word, generator, generators, heap_index, level_mask
+from .heap import check_word, heap_index, level_mask, prefix_mask
+from .portrait import FiniteAutomorphism, generator, generators
 
 DEFAULT_CAP = 1 << 26
 
@@ -43,11 +44,6 @@ def resolve_cap(cap: int | None = None) -> int:
         return cap
     env = os.environ.get("TREEGRP_CAP")
     return int(env) if env else DEFAULT_CAP
-
-
-def _stabilizer_mask(n: int) -> int:
-    """Mask of all portrait bits on levels 0..n-1."""
-    return (1 << ((1 << n) - 1)) - 1
 
 
 class EnumeratedSubgroup:
@@ -204,7 +200,7 @@ def level_stabilizer(s: EnumeratedSubgroup, n: int) -> EnumeratedSubgroup:
     """Elements of S acting trivially on all words of length <= n."""
     if not 0 <= n <= s.depth:
         raise ValueError(f"stabilizer level must be in 0..{s.depth}, got {n}")
-    mask = _stabilizer_mask(n)
+    mask = prefix_mask(n)
     return EnumeratedSubgroup.from_element_bits(
         s.depth, (b for b in s.element_bits if not b & mask)
     )
@@ -331,13 +327,13 @@ class PredicateSubgroup:
         if self.kind == "PJ":
             return g.alpha(self.J) == 0
         if self.kind == "MV":
-            if g.bits & _stabilizer_mask(self.depth - 1):
+            if g.bits & prefix_mask(self.depth - 1):
                 return False
             return beta_V(g, self.V) == 0
         if self.kind == "derived_of_full":
             return in_derived_of_Gd(g)
         if self.kind == "level_stabilizer":
-            return not g.bits & _stabilizer_mask(self.n)
+            return not g.bits & prefix_mask(self.n)
         if self.kind == "intersection":
             return all(p.contains(g) for p in self.parts)
         raise ValueError(f"unknown predicate kind {self.kind!r}")
@@ -422,6 +418,19 @@ def M_V(d: int, V: Iterable[str]) -> PredicateSubgroup:
     return PredicateSubgroup(d, "MV", V=V)
 
 
+def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> EnumeratedSubgroup:
+    """Explicit element set of M_V, order 2^(2^(d-1) - 1), listed like P_J from
+    its parity checks: one unit check per bit on levels 0..d-2, and V's mask."""
+    cap = resolve_cap(cap)
+    order_mv = 1 << ((1 << (d - 1)) - 1)
+    if order_mv > cap:
+        raise EnumerationCapExceeded(cap, order_mv, hint="use M_V(d, V)")
+    checks = [1 << k for k in range(prefix_mask(d - 1).bit_length())]
+    checks.append(sum(1 << heap_index(w) for w in M_V(d, V).V))
+    return EnumeratedSubgroup.from_element_bits(
+        d, gf2.LinearSubgroup(d, tuple(checks)).iter_bits())
+
+
 def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:
     """Total activity of g over the vertex set V, mod 2."""
     acc = 0
@@ -440,10 +449,10 @@ def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
     d = h.depth
     if g.depth != d:
         raise ValueError(f"depth mismatch: {h.depth} vs {g.depth}")
-    if h.bits & _stabilizer_mask(d - 1):
+    if h.bits & prefix_mask(d - 1):
         raise ValueError("h must stabilize level d-1")
     hg = h.conjugate_by(g)
-    if hg.bits & _stabilizer_mask(d - 1):
+    if hg.bits & prefix_mask(d - 1):
         return False
     for off in range(1 << (d - 1)):
         v = format(off, "b").zfill(d - 1) if d > 1 else ""

@@ -39,7 +39,8 @@ from .halftree import (
     JContext,
     derived_membership_certificate,
 )
-from .portrait import FiniteAutomorphism, commutator, generator, level_mask
+from .heap import level_mask
+from .portrait import FiniteAutomorphism, commutator, generator
 from .subgroups import (
     EnumeratedSubgroup,
     all_subgroups_depth2,
@@ -151,9 +152,8 @@ def _classify_row_enumerated(d: int, J: frozenset[int],
                              max_dim: Fraction,
                              cap: int | None) -> ClassificationRow:
     pj = enumerate_PJ(d, J, cap=cap)
-    pg = pt.PatternGroup.from_subgroup(pj)
-    essential = pt.is_essential(pg).essential
-    reduced = pt.essential_reduction(pg)
+    essential = pt.is_essential(pt.PatternGroup.from_subgroup(pj)).essential
+    reduced = pt.essential_reduction(pt.PatternGroup(d, pj, essential))
     dimension = pt.hausdorff_dimension(reduced)
     dp = derived_subgroup(pj, cap=cap)
     stab = level_stabilizer(pj, d - 1)
@@ -532,9 +532,12 @@ def _three_way_equivalence_holds(pg: pt.PatternGroup, probe_depth_extra: int = 2
 def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
                      cap: int | None = None) -> AuxReport:
     """Conjugation label law, the depth-2 subgroup sweep, and the P_J
-    equivalences at depth d."""
+    equivalences at depth d.  `samples` (at least 1) is the number of
+    sampled conjugation pairs at d = 4; below that every pair is checked."""
     if not 2 <= d <= 4:
         raise ValueError("auxiliary suite needs 2 <= d <= 4")
+    if d == 4 and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     report = AuxReport(d)
 
     # Conjugation label law: exhaustive through depth 3, sampled above.

@@ -263,3 +263,10 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     path.write_text("{not json")
     res = runner.invoke(main, ["analyze", "--file", str(path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("suite,samples", [("ni", "-5"), ("aux", "0")])
+def test_verify_rejects_samples_below_one(runner, suite, samples):
+    res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--samples", samples])
+    assert res.exit_code == 2
+    assert "--samples" in res.output

@@ -420,3 +420,11 @@ def test_word_parities_flip_predictably_under_jprime_insertion():
 def test_word_parities_rejects_bad_indices():
     with pytest.raises(ValueError):
         word_parities([0, 3], JContext.make(3, {2}))
+
+
+def test_sampled_identities_need_at_least_one_pair():
+    contexts = [JContext.make(3, {2})]
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            verify_ni_identities_for(contexts, samples=samples)
+    assert verify_ni_identities_for(contexts, samples=0, exhaustive=True)[0].passed

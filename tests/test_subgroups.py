@@ -526,3 +526,25 @@ def test_pj_and_mv_json_roundtrip():
 def test_subgroup_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         subgroup_from_json({"d": 2, "kind": "nonsense"})
+
+
+def test_enumerate_mv_matches_predicate_filter():
+    from treegrp.subgroups import enumerate_MV
+
+    for d in (2, 3):
+        words = [f"{v:0{d - 1}b}" for v in range(1 << (d - 1))]
+        grp = full_group(d)
+        for mask in range(1, 1 << len(words)):
+            V = {words[i] for i in range(len(words)) if (mask >> i) & 1}
+            mv = M_V(d, V)
+            reference = {b for b in grp.element_bits if mv.contains(FiniteAutomorphism(d, b))}
+            assert enumerate_MV(d, V).element_bits == reference
+
+
+def test_enumerate_mv_refuses_orders_above_the_cap():
+    from treegrp.subgroups import enumerate_MV
+
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_MV(4, {"000"}, cap=100)
+    with pytest.raises(ValueError):
+        enumerate_MV(3, {"0"})

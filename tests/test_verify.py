@@ -156,3 +156,10 @@ def test_classification_deterministic():
     a = classify_maximal(3).to_dict()
     b = classify_maximal(3).to_dict()
     assert a == b
+
+
+def test_auxiliary_sampling_needs_at_least_one_pair():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            verify_auxiliary(4, samples=samples)
+    assert verify_auxiliary(2, samples=0).passed
