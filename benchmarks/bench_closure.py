@@ -6,9 +6,10 @@ derived subgroup of a 16384-element index-2 subgroup, and raw compose and
 invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
 d <= 6; deeper portraits take the pure kernel on both rows).  It also times
 FiniteAutomorphism.apply, the kernel-free word action, on full-length words
-at depths 4 and 24, and two kernel-free pattern-layer calls that read and
-build portraits through treegrp.heap: the essential reduction of P_{3} and
-the depth-5 truncation group of the reduced P_{1}, both at d=4.  Run after
+at depths 4 and 24, and four kernel-free pattern-layer calls, all at d=4:
+the essentiality test of P_{3} (a full pass over an essential group), the
+essential reductions of P_{3} (one pass) and P_{0} (several passes), and
+the depth-5 truncation group of the reduced P_{1}.  Run after
 `pip install -e .`:
 
     python benchmarks/bench_closure.py
@@ -19,7 +20,12 @@ import statistics
 import time
 
 from treegrp import kernel
-from treegrp.patterns import PatternGroup, essential_reduction, truncation_group
+from treegrp.patterns import (
+    PatternGroup,
+    essential_reduction,
+    is_essential,
+    truncation_group,
+)
 from treegrp.portrait import FiniteAutomorphism, generators
 from treegrp.subgroups import _FULL_GROUP_CACHE, derived_subgroup, enumerate_PJ
 
@@ -90,10 +96,13 @@ def bench_apply():
 
 def bench_patterns():
     """Best-of-3 seconds of the pattern-layer rows."""
+    p0 = PatternGroup.from_subgroup(enumerate_PJ(4, {0}))
     p3 = PatternGroup.from_subgroup(enumerate_PJ(4, {3}))
     reduced_p1 = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(4, {1})))
     return {
+        "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3))[0],
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3))[0],
+        "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0))[0],
         "truncation_group(reduced P_{1}, 5), d=4":
             timeit(lambda: truncation_group(reduced_p1, 5))[0],
     }

@@ -9,8 +9,14 @@ the constrained group, and computes the first-level-stabilizer embedding
 index used by the dimension bookkeeping identity.
 
 All dimension arithmetic is exact (fractions.Fraction); no floats anywhere.
-Patterns are read off and assembled from portrait ints with the subtree
-helpers of treegrp.heap, which owns the layout.
+Patterns are assembled from portrait ints with the subtree helpers of
+treegrp.heap, which owns the layout.  Child subpatterns are never read off
+member by member: the candidate set is placed once under each first-level
+child, and a member's child subpattern is tested by masking the member with
+that child's placed prefix mask and looking the result up in the placed set.
+The test is exact because place(t, v, k) is injective and lands exactly on
+the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
+t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import EnumerationCapExceeded
-from .heap import gather, place, prefix_mask
+from .heap import place, prefix_mask
 from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
@@ -57,6 +63,21 @@ class EssentialityResult(NamedTuple):
     witness: tuple[FiniteAutomorphism, int] | None
 
 
+def _children_placed(portraits: set[int] | frozenset[int], k: int
+                     ) -> tuple[tuple[int, set[int]], ...]:
+    """(mask, placed set) for heap indices 1 and 2: the bits of the k-level
+    subtree there, and the depth-k portraits placed onto those bits.
+
+    The k-level subtree of b at v is one of the portraits exactly when
+    b & mask is in the placed set, since place is injective onto the bits
+    under the mask.
+    """
+    top = prefix_mask(k)
+    return tuple(
+        (place(top, v, k), {place(t, v, k) for t in portraits}) for v in (1, 2)
+    )
+
+
 def is_essential(p: PatternGroup) -> EssentialityResult:
     """Whether every child subpattern of every allowed pattern extends in P.
 
@@ -68,12 +89,13 @@ def is_essential(p: PatternGroup) -> EssentialityResult:
         raise ValueError("essentiality needs pattern size >= 2")
     member_bits = p.group.element_bits
     top = prefix_mask(d - 1)
-    truncations = {b & top for b in member_bits}
-    for b in member_bits:
-        for i in (0, 1):
-            if gather(b, 1 + i, d - 1) not in truncations:
-                return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
-    return EssentialityResult(True, None)
+    (lm, left), (rm, right) = _children_placed({b & top for b in member_bits}, d - 1)
+    bad = next((b for b in member_bits
+                if b & lm not in left or b & rm not in right), None)
+    if bad is None:
+        return EssentialityResult(True, None)
+    i = 0 if bad & lm not in left else 1
+    return EssentialityResult(False, (FiniteAutomorphism(d, bad), i))
 
 
 def essential_reduction(p: PatternGroup) -> PatternGroup:
@@ -94,12 +116,8 @@ def essential_reduction(p: PatternGroup) -> PatternGroup:
     top = prefix_mask(d - 1)
     current = set(p.group.element_bits)
     while True:
-        truncations = {b & top for b in current}
-        kept = {
-            b for b in current
-            if gather(b, 1, d - 1) in truncations
-            and gather(b, 2, d - 1) in truncations
-        }
+        (lm, left), (rm, right) = _children_placed({b & top for b in current}, d - 1)
+        kept = {b for b in current if b & lm in left and b & rm in right}
         if kept == current:
             break
         current = kept
@@ -278,10 +296,10 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
         h_next = level(n + 1)
         # First-level stabilizer of H(n+1); its section pairs must land in H(n).
         stab = [b for b in h_next if not b & 1]
-        for b in stab:
-            if gather(b, 1, n) not in h_n or gather(b, 2, n) not in h_n:
-                raise RuntimeError("section of a truncation-group element escaped "
-                                   "the shallower truncation group")
+        (lm, left), (rm, right) = _children_placed(h_n, n)
+        if not all(b & lm in left and b & rm in right for b in stab):
+            raise RuntimeError("section of a truncation-group element escaped "
+                               "the shallower truncation group")
         idx, rem = divmod(len(h_n) * len(h_n), len(stab))
         if rem:
             raise RuntimeError("stabilizer order does not divide the product order")

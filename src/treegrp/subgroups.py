@@ -6,9 +6,8 @@ Two representations coexist:
   closure or listed directly when the structure is known, canonically
   ordered by the portrait byte encoding.
 * PredicateSubgroup: a membership test without enumeration, covering the
-  distinguished families: level-parity kernels P_J, last-level-stabilizer
-  maximal subgroups M_V, the derived subgroup of the full group, level
-  stabilizers, and intersections of these.
+  two distinguished families: level-parity kernels P_J and
+  last-level-stabilizer maximal subgroups M_V.
 
 Structure known from the definitions is never recomputed by closure:
 
@@ -307,19 +306,14 @@ def is_transitive_on_level(s: EnumeratedSubgroup, n: int) -> bool:
 class PredicateSubgroup:
     """A subgroup given by a membership predicate instead of an element list.
 
-    kind is one of "PJ" (kernel of the level-parity functional over J),
-    "MV" (last-level stabilizer cut by the parity over the vertex set V),
-    "derived_of_full" (commutator subgroup of the whole depth-d group, via
-    its level-parity characterization), "level_stabilizer", and
-    "intersection".
+    kind is "PJ" (kernel of the level-parity functional over J) or "MV"
+    (last-level stabilizer cut by the parity over the vertex set V).
     """
 
     depth: int
     kind: str
     J: frozenset[int] = frozenset()
     V: frozenset[str] = frozenset()
-    n: int = 0
-    parts: tuple["PredicateSubgroup", ...] = ()
 
     def contains(self, g: FiniteAutomorphism) -> bool:
         if g.depth != self.depth:
@@ -330,21 +324,10 @@ class PredicateSubgroup:
             if g.bits & prefix_mask(self.depth - 1):
                 return False
             return beta_V(g, self.V) == 0
-        if self.kind == "derived_of_full":
-            return in_derived_of_Gd(g)
-        if self.kind == "level_stabilizer":
-            return not g.bits & prefix_mask(self.n)
-        if self.kind == "intersection":
-            return all(p.contains(g) for p in self.parts)
         raise ValueError(f"unknown predicate kind {self.kind!r}")
 
     def __contains__(self, g: FiniteAutomorphism) -> bool:
         return self.contains(g)
-
-    def intersect(self, other: "PredicateSubgroup") -> "PredicateSubgroup":
-        if other.depth != self.depth:
-            raise ValueError("cannot intersect subgroups of different depths")
-        return PredicateSubgroup(self.depth, "intersection", parts=(self, other))
 
 
 def level_set_mask(d: int, J: Iterable[int]) -> int:
@@ -439,26 +422,42 @@ def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:
     return acc
 
 
+def _last_level_images(g_bits: int, d: int) -> list[int]:
+    """Heap indices of g's images of the level-(d-1) vertices, in heap order.
+
+    Walks g's labels level by level: g sends the children 2i+1, 2i+2 of a
+    vertex i to the children of g(i), swapped when g's label at i is 1.
+    """
+    images = [0]
+    for lvl in range(d - 1):
+        first = (1 << lvl) - 1
+        nxt = []
+        for u, img in enumerate(images):
+            flip = g_bits >> (first + u) & 1
+            nxt += (2 * img + 1 + flip, 2 * img + 2 - flip)
+        images = nxt
+    return images
+
+
 def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
     """Check the conjugation law on last-level labels.
 
     For h stabilizing level d-1, the conjugate h^g must also stabilize
     level d-1 and carry, at each last-level vertex v, the label of h at
-    g(v).  Returns whether that holds (it always should).
+    g(v).  Returns whether that holds (it always should).  The expected
+    portrait is built from g's images of the last level, so a conjugate
+    with any label above the last level fails the comparison too.
     """
     d = h.depth
     if g.depth != d:
         raise ValueError(f"depth mismatch: {h.depth} vs {g.depth}")
     if h.bits & prefix_mask(d - 1):
         raise ValueError("h must stabilize level d-1")
-    hg = h.conjugate_by(g)
-    if hg.bits & prefix_mask(d - 1):
-        return False
-    for off in range(1 << (d - 1)):
-        v = format(off, "b").zfill(d - 1) if d > 1 else ""
-        if hg.label(v) != h.label(g.apply(v)):
-            return False
-    return True
+    first = (1 << (d - 1)) - 1
+    expected = 0
+    for k, img in enumerate(_last_level_images(g.bits, d)):
+        expected |= (h.bits >> img & 1) << (first + k)
+    return h.conjugate_by(g).bits == expected
 
 
 def in_derived_of_Gd(g: FiniteAutomorphism) -> bool:

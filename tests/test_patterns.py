@@ -13,6 +13,7 @@ import pytest
 
 from treegrp import gf2
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.heap import gather, prefix_mask
 from treegrp.patterns import (
     PatternGroup,
     dimension_in_allowed_set,
@@ -67,6 +68,19 @@ def oracle_reduction_bits(group, d):
         current = kept
 
 
+def pinning_cases():
+    """Every P_J at d = 2, 3, 4, the ten depth-2 subgroups and 15 seeded
+    random depth-3 subgroups, as (J or None, subgroup)."""
+    cases = [(None, s) for s in all_subgroups_depth2()]
+    rng = random.Random(401)
+    cases += [
+        (None, close([FiniteAutomorphism.random(3, rng) for _ in range(2)]))
+        for _ in range(15)
+    ]
+    cases += [(J, enumerate_PJ(d, J)) for d in (2, 3, 4) for J in nonempty_level_sets(d)]
+    return cases
+
+
 def oracle_truncation_bits(pattern, n):
     """Filter the full depth-n group by all size-d subpattern tests."""
     d = pattern.depth
@@ -116,6 +130,32 @@ def test_pj_essential_iff_top_level_in_J():
             assert is_essential(pj_pattern(d, J)).essential == (d - 1 in J)
 
 
+def reference_is_essential(p):
+    """The per-member subtree walk: (verdict, (witness bits, child) or None)."""
+    d = p.depth
+    truncations = {b & prefix_mask(d - 1) for b in p.group.element_bits}
+    for b in p.group.element_bits:
+        for i in (0, 1):
+            if gather(b, 1 + i, d - 1) not in truncations:
+                return False, (b, i)
+    return True, None
+
+
+def test_is_essential_matches_subtree_walk_with_its_witness():
+    children = set()
+    for _, s in pinning_cases():
+        res = is_essential(PatternGroup.from_subgroup(s))
+        essential, witness = reference_is_essential(PatternGroup.from_subgroup(s))
+        assert res.essential == essential
+        if essential:
+            assert res.witness is None
+        else:
+            g, i = res.witness
+            assert (g.depth, g.bits, i) == (s.depth, *witness)
+            children.add(i)
+    assert children == {0, 1}
+
+
 def test_essentiality_needs_depth_at_least_two():
     with pytest.raises(ValueError):
         is_essential(PatternGroup.from_subgroup(close([generator(1, 0)])))
@@ -140,13 +180,11 @@ def test_reduction_of_p0_at_depth2_is_trivial():
 
 
 def test_reduction_matches_literal_filter_oracle():
-    rng = random.Random(401)
-    cases = [s for s in all_subgroups_depth2()]
-    for _ in range(15):
-        cases.append(close([FiniteAutomorphism.random(3, rng) for _ in range(2)]))
-    for J in nonempty_level_sets(3):
-        cases.append(enumerate_PJ(3, J))
-    for s in cases:
+    for J, s in pinning_cases():
+        # at d = 4 the slow oracle runs only on P_J that reduce in four
+        # passes, in two, and not at all (essential)
+        if s.depth == 4 and J not in ({0}, {1, 2}, {3}):
+            continue
         red = essential_reduction(PatternGroup.from_subgroup(s))
         assert red.group.element_bits == oracle_reduction_bits(s, s.depth)
         assert is_essential(red).essential

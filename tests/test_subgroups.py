@@ -12,10 +12,12 @@ import pytest
 
 from treegrp import kernel
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.heap import heap_index
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
 from treegrp.subgroups import (
     M_V,
     EnumeratedSubgroup,
+    _last_level_images,
     all_subgroups_depth2,
     beta_V,
     close,
@@ -402,6 +404,37 @@ def test_conjugate_label_check_random_deeper():
             h = FiniteAutomorphism(d, rng.getrandbits(width) << (width - 1))
             g = FiniteAutomorphism.random(d, rng)
             assert conjugate_label_check(h, g)
+
+
+def test_last_level_images_match_apply():
+    rng = random.Random(353)
+    for d in range(1, 9):
+        words = [format(k, "b").zfill(d - 1) if d > 1 else "" for k in range(1 << (d - 1))]
+        for _ in range(20):
+            g = FiniteAutomorphism.random(d, rng)
+            assert _last_level_images(g.bits, d) == [heap_index(g.apply(w)) for w in words]
+
+
+def test_conjugate_label_check_fails_on_wrong_conjugate(monkeypatch):
+    true_conjugate = kernel.conjugate
+    rng = random.Random(359)
+    wrong_results = {
+        "last-level bit flipped": lambda x, s, d: true_conjugate(x, s, d) ^ (1 << ((1 << d) - 2)),
+        "root label set": lambda x, s, d: true_conjugate(x, s, d) | 1,
+        "not conjugated": lambda x, s, d: x,
+    }
+    for name, wrong in wrong_results.items():
+        monkeypatch.setattr(kernel, "conjugate", wrong)
+        for d in (2, 3, 4, 5):
+            width = 1 << (d - 1)
+            for _ in range(200):
+                h = FiniteAutomorphism(d, rng.getrandbits(width) << (width - 1))
+                g = FiniteAutomorphism.random(d, rng)
+                hg = true_conjugate(h.bits, g.bits, d)
+                if wrong(h.bits, g.bits, d) != hg:
+                    assert not conjugate_label_check(h, g), (name, d, h, g)
+                else:
+                    assert conjugate_label_check(h, g), (name, d, h, g)
 
 
 def test_conjugate_label_check_rejects_non_stabilizer():
