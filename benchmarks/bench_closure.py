@@ -2,7 +2,9 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Covers the hot paths: breadth-first closure of the full depth-4 group,
-derived subgroup of a 16384-element index-2 subgroup, and raw compose and
+derived subgroups of a 16384-element index-2 subgroup and of the full
+depth-4 group (a normal closure folded from its four generators, which
+always runs on the pure kernel), and raw compose and
 invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
 d <= 6; deeper portraits take the pure kernel on both rows).  It also times
 FiniteAutomorphism.apply, the kernel-free word action, on full-length words
@@ -27,7 +29,12 @@ from treegrp.patterns import (
     truncation_group,
 )
 from treegrp.portrait import FiniteAutomorphism, generators
-from treegrp.subgroups import _FULL_GROUP_CACHE, derived_subgroup, enumerate_PJ
+from treegrp.subgroups import (
+    _FULL_GROUP_CACHE,
+    _derived_from_generators,
+    derived_subgroup,
+    enumerate_PJ,
+)
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
@@ -74,6 +81,9 @@ def bench_backend(name):
     pj = enumerate_PJ(4, {3})
     results["derived of P_{3} in G(4)"] = timeit(
         lambda: derived_subgroup(pj), repeats=1
+    )
+    results["[G(4), G(4)] from generators"] = timeit(
+        lambda: _derived_from_generators(4, gens4), repeats=1
     )
     return results
 

@@ -31,13 +31,15 @@ d-1 mask steps and d-1 swaps, O(d) operations on whole portraits, in place
 of a loop over all 2^d - 1 vertices.
 
 The compiled kernel in _ckernel mirrors this module for depths whose
-portrait fits in a 64-bit word; results must be bit-identical.
+portrait fits in a 64-bit word, except the normalizer of close; results
+must be bit-identical.
 """
 
 from __future__ import annotations
 
 from binascii import hexlify
 from functools import cache
+from typing import Sequence
 
 from .errors import EnumerationCapExceeded
 
@@ -171,18 +173,25 @@ def _rmul(x: int, tables: list[list[int]], g: int) -> int:
     return r
 
 
-def close(d: int, gens: list[int], cap: int) -> set[int]:
+def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:
     """Subgroup generated by gens, as a set of portrait ints.
 
-    Generators are folded in one at a time; a generator already inside the
-    current subgroup costs only a membership test, which keeps closure over
-    large redundant generating sets (commutator saturations) cheap.  The
-    cap is checked on every insertion, so at most cap + 1 elements are ever
-    held and EnumerationCapExceeded reports exactly cap + 1.
+    gens is a work list folded in one generator at a time; a generator
+    already inside the current subgroup costs only a membership test.  Each
+    generator that is accepted (not yet inside) also queues its conjugate
+    s^-1 x s by every normalizer element s.  The result N is generated by the
+    accepted set A, and A^s lies in N for every s, so s normalizes N: N is
+    the normal closure of gens under the group the normalizer generates
+    (finite groups need no inverse conjugators, since N^s <= N forces
+    N^s = N).  Only accepted generators are conjugated, at most
+    log2|N| * len(normalizer) conjugations.  The cap is checked on every
+    insertion, so at most cap + 1 elements are ever held and
+    EnumerationCapExceeded reports exactly cap + 1.
     """
     els = {0}
     accepted: list[tuple[list[list[int]], int]] = []
-    for gb in gens:
+    work = list(gens)
+    for gb in work:  # conjugates appended below are visited by this loop too
         if gb in els:
             continue
         tab = _rmul_tables(gb, d)
@@ -208,4 +217,5 @@ def close(d: int, gens: list[int], cap: int) -> set[int]:
                             raise EnumerationCapExceeded(cap, len(els))
                         nxt.append(y)
             frontier = nxt
+        work += [conjugate(gb, s, d) for s in normalizer]
     return els

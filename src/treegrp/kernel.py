@@ -2,13 +2,16 @@
 
 The compiled kernel covers depths whose portrait fits in 64 bits (d <= 6);
 deeper portraits always take the pure path.  Both backends are bit-exact
-mirrors of each other.  Set TREEGRP_PURE=1 (or call set_backend) to force
-the pure kernel, e.g. for benchmarking.
+mirrors of each other.  Only the pure kernel takes a normalizer in close
+(a normal closure), so those calls take the pure path at every depth.  Set
+TREEGRP_PURE=1 (or call set_backend) to force the pure kernel, e.g. for
+benchmarking.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 from . import _pykernel
 
@@ -69,7 +72,7 @@ def commutator(x: int, y: int, d: int) -> int:
     return _pykernel.commutator(x, y, d)
 
 
-def close(d: int, gens: list[int], cap: int) -> set[int]:
-    if _use_c and d <= _C_MAX_DEPTH:
+def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:
+    if _use_c and d <= _C_MAX_DEPTH and not normalizer:
         return _ckernel.close(d, gens, cap)
-    return _pykernel.close(d, gens, cap)
+    return _pykernel.close(d, gens, cap, normalizer)

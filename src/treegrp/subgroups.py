@@ -16,6 +16,11 @@ Structure known from the definitions is never recomputed by closure:
   gf2.LinearSubgroup and attaches the Schreier generators of the index-2
   kernel for the transversal {1, a_j0}, j0 = min J.  derived_subgroup then
   starts from at most 2(d-1) generators instead of a greedy generating set.
+* [S, S] is the normal closure in S of the commutators of S's generators,
+  so derived_subgroup folds it from generators inside kernel.close, which
+  conjugates each generator it accepts by S's generators.  It never lists
+  S itself, and the derived subgroup of the full group is built the same
+  way from the d generators a_i (verify.derived_of_full).
 * orbit reads each element's image of a vertex off its portrait (the
   labels at the vertex's proper prefixes), with no generating set.
 
@@ -226,38 +231,25 @@ def generating_set(s: EnumeratedSubgroup) -> tuple[FiniteAutomorphism, ...]:
     return s._genset
 
 
-def derived_subgroup(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
-    """Commutator subgroup [S, S].
+def _derived_from_generators(d: int, gens: Sequence[int],
+                             cap: int | None = None) -> EnumeratedSubgroup:
+    """[S, S] for S generated by the portrait ints gens.
 
-    Seeds with commutators of generator pairs, saturates the seed set under
-    conjugation by generators (and their inverses), then closes.  The
-    saturated set is conjugation-invariant, so its closure is the normal
-    closure of the seeds, which is [S, S].
+    [S, S] is the normal closure in S of the commutators of generator
+    pairs, and kernel.close builds that closure directly with gens as the
+    normalizer.  Only pairs x < y are seeded: [y, x] = [x, y]^-1 and
+    [x, x] = 1.
     """
-    cap = resolve_cap(cap)
-    d = s.depth
-    gens = [g.bits for g in (s.generators or generating_set(s))]
-    conjugators = []
-    for g in gens:
-        conjugators.append(g)
-        gi = kernel.invert(g, d)
-        if gi != g:
-            conjugators.append(gi)
-    seeds = {kernel.commutator(x, y, d) for x in gens for y in gens}
-    seeds.discard(0)
-    saturated = set(seeds)
-    queue = list(seeds)
-    while queue:
-        x = queue.pop()
-        for c in conjugators:
-            y = kernel.conjugate(x, c, d)
-            if y not in saturated:
-                if len(saturated) >= cap:
-                    raise EnumerationCapExceeded(cap, len(saturated))
-                saturated.add(y)
-                queue.append(y)
-    bits = kernel.close(d, sorted(saturated), cap)
+    seeds = {kernel.commutator(x, y, d) for i, x in enumerate(gens) for y in gens[i + 1:]}
+    bits = kernel.close(d, sorted(seeds), resolve_cap(cap), normalizer=gens)
     return EnumeratedSubgroup.from_element_bits(d, bits)
+
+
+def derived_subgroup(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
+    """Commutator subgroup [S, S], folded from S's generators (the ones it
+    was built from, else a greedy generating set) by _derived_from_generators."""
+    gens = [g.bits for g in (s.generators or generating_set(s))]
+    return _derived_from_generators(s.depth, gens, cap)
 
 
 def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:

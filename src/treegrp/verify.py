@@ -33,16 +33,18 @@ from fractions import Fraction
 from random import Random
 
 from . import gf2, patterns as pt
-from .errors import VerificationError
+from .errors import EnumerationCapExceeded, VerificationError
 from .halftree import (
     NOT_IN_DERIVED,
     JContext,
     derived_membership_certificate,
 )
 from .heap import level_mask
-from .portrait import FiniteAutomorphism, commutator, generator
+from .portrait import FiniteAutomorphism, commutator, generator, generators
 from .subgroups import (
     EnumeratedSubgroup,
+    _derived_from_generators,
+    _pj_schreier_generators,
     all_subgroups_depth2,
     conjugate_label_check,
     derived_subgroup,
@@ -51,6 +53,7 @@ from .subgroups import (
     is_transitive_on_level,
     level_stabilizer,
     maximal_subgroup,
+    resolve_cap,
 )
 
 VERDICT_NOT_TOP_FG = "not_topologically_finitely_generated"
@@ -72,9 +75,21 @@ _DERIVED_FULL_CACHE: dict[int, EnumeratedSubgroup] = {}
 
 
 def derived_of_full(d: int, cap: int | None = None) -> EnumeratedSubgroup:
-    full = full_group(d, cap=cap)
+    """[G(d), G(d)], folded from the d generators a_i without listing G(d).
+
+    The abelianization of G(d) has rank d, so the order is known up front;
+    as in full_group, the cap check precedes the cache so behavior does not
+    depend on what earlier calls happen to have enumerated.
+    """
+    cap = resolve_cap(cap)
+    order = 1 << ((1 << d) - 1 - d)
+    if order > cap:
+        raise EnumerationCapExceeded(
+            cap, order, hint=f"[G({d}), G({d})] has order 2^{(1 << d) - 1 - d}"
+        )
     if d not in _DERIVED_FULL_CACHE:
-        _DERIVED_FULL_CACHE[d] = derived_subgroup(full, cap=cap)
+        _DERIVED_FULL_CACHE[d] = _derived_from_generators(
+            d, [a.bits for a in generators(d)], cap)
     return _DERIVED_FULL_CACHE[d]
 
 
@@ -212,9 +227,6 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
     if d < 2:
         raise ValueError("classification needs depth >= 2")
     if d > 5 or (d == 5 and not use_gf2):
-        from .errors import EnumerationCapExceeded
-        from .subgroups import resolve_cap
-
         hint = ("pass use_gf2 / --gf2 for the depth-5 parity fast path"
                 if d == 5
                 else f"the full depth-{d} group has order 2^{(1 << d) - 1}; "
@@ -285,7 +297,8 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
     """[a_0, a_{d-1}] is not a product of commutators of P_J members.
 
     The parity certificate runs at any supported depth; for d <= 4 the
-    derived subgroup is also enumerated outright and must agree.
+    derived subgroup is also enumerated outright and must agree.  It is
+    folded from P_J's Schreier generators, so P_J itself is never listed.
     """
     if d < 2:
         raise ValueError("needs depth >= 2")
@@ -297,8 +310,8 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
         verdict = derived_membership_certificate(ctx, c)
         excluded: bool | None = None
         if enumerate_arm:
-            dp = derived_subgroup(enumerate_PJ(d, J, cap=cap), cap=cap)
-            excluded = not dp.contains(c)
+            schreier = [g.bits for g in _pj_schreier_generators(d, J)]
+            excluded = not _derived_from_generators(d, schreier, cap).contains(c)
             if (verdict.verdict == NOT_IN_DERIVED) != excluded:
                 raise VerificationError(
                     f"certificate and enumeration disagree for d={d}, J={sorted(J)}"

@@ -66,6 +66,90 @@ def test_pure_close_stops_one_element_past_the_cap(cap):
     assert err.value.reached == cap + 1
 
 
+def saturate_then_close(d, seeds, normalizer):
+    """Normal closure by saturation: conjugate the seeds by the normalizer and
+    its inverses until no new element appears, then close the saturated set.
+
+    The saturated set is conjugation-invariant, so its closure is normal.
+    This was the derived-subgroup algorithm before the closure took a
+    normalizer; it is the reference for that closure.
+    """
+    conjugators = set(normalizer) | {_pykernel.invert(s, d) for s in normalizer}
+    saturated = set(seeds)
+    queue = list(saturated)
+    while queue:
+        x = queue.pop()
+        for c in conjugators:
+            y = _pykernel.conjugate(x, c, d)
+            if y not in saturated:
+                saturated.add(y)
+                queue.append(y)
+    return _pykernel.close(d, sorted(saturated), 1 << 26)
+
+
+def bfs_closure(d, gens):
+    """Plain breadth-first closure under left multiplication by the generators."""
+    els, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _pykernel.compose(g, x, d)
+                if y not in els:
+                    els.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return els
+
+
+def test_normal_closure_matches_saturation_on_random_inputs():
+    rng = random.Random(131)
+    for d, cases in ((2, 20), (3, 20), (4, 12)):
+        n = (1 << d) - 1
+        for _ in range(cases):
+            seeds = [rng.getrandbits(n) for _ in range(rng.randrange(1, 3))]
+            normalizer = [rng.getrandbits(n) for _ in range(rng.randrange(0, 3))]
+            got = kernel.close(d, seeds, 1 << 26, normalizer=normalizer)
+            assert got == saturate_then_close(d, seeds, normalizer), (d, seeds, normalizer)
+
+
+def test_normal_closure_matches_saturation_on_every_pj():
+    # [P_J, P_J] as the normal closure of the Schreier generators' commutators.
+    from treegrp.subgroups import _pj_schreier_generators
+
+    for d in (2, 3, 4):
+        for mask in range(1, 1 << d):
+            J = frozenset(j for j in range(d) if mask >> j & 1)
+            gens = [g.bits for g in _pj_schreier_generators(d, J)]
+            seeds = [_pykernel.commutator(x, y, d) for x in gens for y in gens]
+            got = kernel.close(d, seeds, 1 << 26, normalizer=gens)
+            assert got == saturate_then_close(d, seeds, gens), (d, sorted(J))
+
+
+def test_empty_normalizer_is_the_plain_closure():
+    rng = random.Random(137)
+    for d in (2, 3, 4):
+        n = (1 << d) - 1
+        cases = [gens_bits(d)] + [[rng.getrandbits(n) for _ in range(rng.randrange(1, 3))]
+                                  for _ in range(4)]
+        for gens in cases:
+            plain = _pykernel.close(d, gens, 1 << 26)
+            assert plain == bfs_closure(d, gens)
+            assert _pykernel.close(d, gens, 1 << 26, normalizer=()) == plain
+            assert kernel.close(d, gens, 1 << 26, normalizer=()) == plain
+
+
+@pytest.mark.parametrize("cap", [10, 100, 1000, 2047])
+def test_normal_closure_stops_one_element_past_the_cap(cap):
+    # The commutators of a_0..a_3 have normal closure [G(4), G(4)], 2048 elements.
+    gens = gens_bits(4)
+    seeds = [_pykernel.commutator(x, y, 4) for x in gens for y in gens]
+    assert len(_pykernel.close(4, seeds, 2048, normalizer=gens)) == 2048
+    with pytest.raises(EnumerationCapExceeded) as err:
+        _pykernel.close(4, seeds, cap, normalizer=gens)
+    assert err.value.reached == cap + 1
+
+
 def words_below(d):
     """Every vertex that carries a label at depth d, root first."""
     return ["".join(w) for n in range(d) for w in product("01", repeat=n)]

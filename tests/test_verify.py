@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from treegrp import patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.subgroups import (
+    derived_subgroup,
+    derived_subgroup_allpairs,
+    full_group,
+    index,
+)
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
     VERDICT_UNKNOWN,
     classify_maximal,
+    derived_of_full,
     verify_auxiliary,
     verify_new_relation,
     verify_no_adad,
@@ -163,3 +171,45 @@ def test_auxiliary_sampling_needs_at_least_one_pair():
         with pytest.raises(ValueError, match="samples"):
             verify_auxiliary(4, samples=samples)
     assert verify_auxiliary(2, samples=0).passed
+
+
+def test_derived_of_full_from_generators_matches_derived_subgroup():
+    for d in (2, 3, 4):
+        full = full_group(d)
+        derived = derived_of_full(d)
+        assert derived == derived_subgroup(full)
+        assert index(full, derived) == 1 << d
+    for d in (2, 3):
+        assert derived_of_full(d) == derived_subgroup_allpairs(full_group(d))
+
+
+def test_derived_of_full_checks_the_cap_ahead_of_its_cache():
+    # [G(4), G(4)] has 2048 elements; once cached, a smaller cap must still fail.
+    assert derived_of_full(4).order == 2048
+    with pytest.raises(EnumerationCapExceeded):
+        derived_of_full(4, cap=100)
+    with pytest.raises(EnumerationCapExceeded):
+        derived_of_full(4, cap=2047)
+    assert derived_of_full(4, cap=2048).order == 2048
+
+
+def test_classify_never_lists_the_full_group(monkeypatch):
+    def refuse(d, cap=None):
+        raise AssertionError("full_group called")
+
+    for module in (subgroups, verify, patterns):
+        monkeypatch.setattr(module, "full_group", refuse)
+    monkeypatch.setattr(verify, "_DERIVED_FULL_CACHE", {})
+    report = classify_maximal(4)
+    assert report.passed
+    assert all(row.contains_derived_of_Gd for row in report.rows)
+
+
+def test_no_adad_passes_with_a_cap_below_the_order_of_pj():
+    # The enumerated arm folds [P_J, P_J] from generators and never lists
+    # P_J (16384 elements at d=4); each [P_J, P_J] with 3 in J has 1024.
+    report = verify_no_adad(4, cap=1024)
+    assert report.passed
+    assert all(case.enumerated_checked and case.enumerated_excluded for case in report.cases)
+    with pytest.raises(EnumerationCapExceeded):
+        verify_no_adad(4, cap=1023)
