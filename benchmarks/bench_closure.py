@@ -1,24 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Time the kernel and the layers above it on their hot paths.
 
-Covers the hot paths: breadth-first closure of the full depth-4 group,
-derived subgroups of a 16384-element index-2 subgroup and of the full
-depth-4 group (a normal closure folded from its four generators, which
-always runs on the pure kernel), and raw compose and
-invert throughput at depths 4, 8, 12 and 16 (the compiled kernel covers
-d <= 6; deeper portraits take the pure kernel on both rows).  It also times
-FiniteAutomorphism.apply, the kernel-free word action, on full-length words
-at depths 4 and 24, and four kernel-free pattern-layer calls, all at d=4:
-the essentiality test of P_{3} (a full pass over an essential group), the
-essential reductions of P_{3} (one pass) and P_{0} (several passes), and
-the depth-5 truncation group of the reduced P_{1}.  Run after
-`pip install -e .`:
+Covers breadth-first closure of the full depth-4 group, derived subgroups
+of a 16384-element index-2 subgroup and of the full depth-4 group (a normal
+closure folded from its four generators), and raw compose and invert
+throughput at depths 4, 8, 12 and 16, where each product is d - 1
+whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
+kernel-free word action, on full-length words at depths 4 and 24, and four
+kernel-free pattern-layer calls, all at d=4: the essentiality test of P_{3}
+(a full pass over an essential group), the essential reductions of P_{3}
+(one pass) and P_{0} (several passes), and the depth-5 truncation group of
+the reduced P_{1}.  Run after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
 
 import random
-import statistics
 import time
 
 from treegrp import kernel
@@ -49,11 +46,11 @@ def timeit(fn, repeats=3):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return min(times), statistics.mean(times)
+    return min(times)
 
 
-def bench_backend(name):
-    kernel.set_backend(name)
+def bench_kernel():
+    """Best seconds of the closure, compose, invert and derived-subgroup rows."""
     results = {}
 
     gens4 = [g.bits for g in generators(4)]
@@ -100,7 +97,7 @@ def bench_apply():
             for w in words:
                 g.apply(w)
 
-        results[f"apply, |w| = d = {d}"] = timeit(apply_burst)[0] / count
+        results[f"apply, |w| = d = {d}"] = timeit(apply_burst) / count
     return results
 
 
@@ -110,39 +107,22 @@ def bench_patterns():
     p3 = PatternGroup.from_subgroup(enumerate_PJ(4, {3}))
     reduced_p1 = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(4, {1})))
     return {
-        "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3))[0],
-        "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3))[0],
-        "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0))[0],
+        "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
+        "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
+        "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0)),
         "truncation_group(reduced P_{1}, 5), d=4":
-            timeit(lambda: truncation_group(reduced_p1, 5))[0],
+            timeit(lambda: truncation_group(reduced_p1, 5)),
     }
 
 
 def main():
-    backends = ["pure"]
-    if kernel.has_c_kernel():
-        backends.insert(0, "c")
-    else:
-        print("compiled kernel not available; benchmarking pure backend only")
-
-    table = {b: bench_backend(b) for b in backends}
-    kernel.set_backend("auto")
-
-    labels = list(next(iter(table.values())))
-    width = max(len(s) for s in labels) + 2
-    header = f"{'benchmark':<{width}}" + "".join(f"{b + ' (best s)':>16}" for b in backends)
+    kernel_rows = bench_kernel()
+    width = max(len(s) for s in kernel_rows) + 2
+    header = f"{'benchmark':<{width}}{'best s':>16}"
     print(header)
     print("-" * len(header))
-    for label in labels:
-        row = f"{label:<{width}}"
-        for b in backends:
-            row += f"{table[b][label][0]:>16.4f}"
-        print(row)
-    if len(backends) == 2:
-        print()
-        for label in labels:
-            speedup = table["pure"][label][0] / table["c"][label][0]
-            print(f"speedup {label}: {speedup:.1f}x")
+    for label, best in kernel_rows.items():
+        print(f"{label:<{width}}{best:>16.4f}")
 
     print()
     for label, per_call in bench_apply().items():

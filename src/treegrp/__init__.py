@@ -23,7 +23,7 @@ from .halftree import (
     word_parities,
     word_to_element,
 )
-from .kernel import backend_name, has_c_kernel, set_backend
+from .kernel import backend_name, has_c_kernel
 from .patterns import (
     EssentialityResult,
     PatternGroup,

@@ -10,7 +10,8 @@ something the library asserts, which a correct build never produces);
 
 JSON reports are versioned ("schema": 1) and byte-deterministic for a fixed
 configuration when --no-timestamp is passed.  The enumeration cap can be
-overridden per call with --cap or globally with the TREEGRP_CAP variable.
+overridden per call with --cap or globally with the TREEGRP_CAP variable;
+either must be an integer of at least 1, or the run is a usage error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .subgroups import (
     enumerate_PJ,
     full_group,
     index,
+    resolve_cap,
     subgroup_from_json,
 )
 
@@ -75,6 +77,19 @@ def _run(fn):
     except VerificationError as e:
         click.echo(f"verification failure: {e}", err=True)
         sys.exit(1)
+
+
+def _check_cap(ctx: click.Context, param: click.Parameter, cap: int | None) -> int | None:
+    """Refuse a malformed TREEGRP_CAP as a usage error; --cap itself is range-checked."""
+    try:
+        resolve_cap(cap)
+    except ValueError as e:
+        raise click.UsageError(str(e), ctx)
+    return cap
+
+
+_cap_option = click.option("--cap", type=click.IntRange(min=1), default=None,
+                           callback=_check_cap, help="enumeration cap override")
 
 
 @click.group()
@@ -169,7 +184,7 @@ def elem_distance(d: int, lhs: str, rhs: str):
               help="parity-rank fast path (required for depth 5)")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
-@click.option("--cap", type=int, default=None, help="enumeration cap override")
+@_cap_option
 def classify_cmd(d: int, use_gf2: bool, fmt: str, no_timestamp: bool, cap: int | None):
     """Classify all P_J as pattern groups and check the dimension equivalences."""
     if d < 2:
@@ -245,7 +260,7 @@ _SUITE_DEPTH_LIMITS = {
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
-@click.option("--cap", type=int, default=None, help="enumeration cap override")
+@_cap_option
 def verify_cmd(suite: str, d: int, samples: int, seed: int, fmt: str,
                no_timestamp: bool, cap: int | None):
     """Run a verification suite; exit 0 only if every check passes."""
@@ -288,7 +303,7 @@ def verify_cmd(suite: str, d: int, samples: int, seed: int, fmt: str,
               help="subgroup or pattern-group JSON file")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
-@click.option("--cap", type=int, default=None, help="enumeration cap override")
+@_cap_option
 def analyze_cmd(path: str, fmt: str, no_timestamp: bool, cap: int | None):
     """Report order, essentiality and dimension for a subgroup JSON file."""
     try:

@@ -1,78 +1,227 @@
-"""Kernel dispatch: compiled fast path with a pure-Python fallback.
+"""Kernel for bit-packed portrait arithmetic, in pure Python.
 
-The compiled kernel covers depths whose portrait fits in 64 bits (d <= 6);
-deeper portraits always take the pure path.  Both backends are bit-exact
-mirrors of each other.  Only the pure kernel takes a normalizer in close
-(a normal closure), so those calls take the pure path at every depth.  Set
-TREEGRP_PURE=1 (or call set_backend) to force the pure kernel, e.g. for
-benchmarking.
+A depth-d automorphism is a Python int whose bit k is the label (vertex
+permutation, 0 or 1) at heap index k.  Heap indexing: the root is 0, the
+children of vertex i are 2i+1 and 2i+2, so level j occupies the contiguous
+bit range [2^j - 1, 2^(j+1) - 2].
+
+Convention used throughout: compose(h, g) applies g FIRST, so the label of
+the product at vertex u is  label_h(g(u)) XOR label_g(u).
+
+Whole-portrait delta swaps
+--------------------------
+Write a level-i vertex u as its offset p in [0, 2^i).  g(u) is p with bit k
+flipped exactly when g's label at u's ancestor k+1 levels up is 1, and that
+condition reads only the bits of p above k.  So on every level at once, the
+action of g is d-1 conditional block swaps at distances 2^k, k = 0..d-2, each
+a delta swap (Knuth, TAOCP 4A §7.1.3): exchange bits p and p + 2^k of the
+portrait wherever the mask M_k is set.  Pulling h back along g (the h-part of
+h∘g, whose label at u is h's label at g(u)) applies the swaps for k = d-2
+down to 0; pushing g forward along itself (g^-1) applies them for k = 0 up
+to d-2.
+
+The masks come from g by bit doubling (Hacker's Delight, ch. 7).  Work with
+t = heap index + 1, so level i is [2^i, 2^(i+1)) and the descendants k+1
+levels below the vertex at t are [2^(k+1) t, 2^(k+1) (t+1)).  Replacing
+every bit of g by the block "2^k copies of the bit, then 2^k zeros" therefore
+puts each label over exactly those descendants whose offset has bit k clear:
+that is M_k, for every level in one int.  M_0 interleaves g's bits with
+zeros, and M_k is M_(k-1) with every bit doubled.  h∘g and g^-1 thus take
+d-1 mask steps and d-1 swaps, O(d) operations on whole portraits, in place
+of a loop over all 2^d - 1 vertices.
 """
 
 from __future__ import annotations
 
-import os
+from binascii import hexlify
+from functools import cache
 from typing import Sequence
 
-from . import _pykernel
-
-try:
-    from . import _ckernel
-except ImportError:
-    _ckernel = None
-
-_C_MAX_DEPTH = _ckernel.MAX_DEPTH if _ckernel is not None else 0
-
-_use_c = _ckernel is not None and os.environ.get("TREEGRP_PURE") != "1"
+from .errors import EnumerationCapExceeded
 
 
 def backend_name() -> str:
-    return "c" if _use_c else "pure"
+    """Name of the kernel that runs, as recorded in benchmark environments."""
+    return "pure"
 
 
 def has_c_kernel() -> bool:
-    return _ckernel is not None
+    """Whether a compiled kernel is present: it never is."""
+    return False
 
 
-def set_backend(name: str) -> None:
-    """Select "c", "pure", or "auto" (prefer compiled when available)."""
-    global _use_c
-    if name == "pure":
-        _use_c = False
-    elif name == "c":
-        if _ckernel is None:
-            raise RuntimeError("compiled kernel is not available")
-        _use_c = True
-    elif name == "auto":
-        _use_c = _ckernel is not None and os.environ.get("TREEGRP_PURE") != "1"
-    else:
-        raise ValueError(f"unknown backend {name!r}")
+def _widen_nibble(v: int, copies: int) -> int:
+    """Nibble v with each bit widened to two: copies 1 gives (bit, 0), 3 gives (bit, bit)."""
+    return sum(copies << 2 * i for i in range(4) if v >> i & 1)
+
+
+@cache
+def _hex_tables() -> tuple[bytes, ...]:
+    """Byte translations of an ASCII hex digit to its nibble zero-interleaved, and doubled."""
+    tables = []
+    for copies in (1, 3):
+        table = bytearray(256)
+        for v, c in enumerate(b"0123456789abcdef"):
+            table[c] = _widen_nibble(v, copies)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _swap_masks(g: int, d: int) -> list[int]:
+    """M_0 .. M_(d-2) of g, in t = heap index + 1 coordinates.
+
+    Each step widens the low half of the previous mask (g itself for M_0):
+    its hex digits are its nibbles, and one translation turns each digit
+    into the byte holding that nibble widened.
+    """
+    size = ((1 << d) + 7) >> 3  # bytes of a portrait in t coordinates
+    half = (size + 1) >> 1  # only bits below 2^(d-1) land inside the tree
+    table, double = _hex_tables()
+    b = (g << 1).to_bytes(size, "big")
+    masks = []
+    for _ in range(d - 1):
+        b = hexlify(b[-half:]).translate(table)
+        masks.append(int.from_bytes(b, "big"))
+        table = double
+    return masks
+
+
+def _pull(x: int, masks: list[int]) -> int:
+    """x pulled back along g (t coordinates): the result at u is x at g(u)."""
+    for k in range(len(masks) - 1, -1, -1):
+        s = 1 << k
+        t = (x ^ (x >> s)) & masks[k]
+        x ^= t ^ (t << s)
+    return x
+
+
+def _push(x: int, masks: list[int]) -> int:
+    """x pushed forward along g (t coordinates): the result at g(u) is x at u."""
+    for k, m in enumerate(masks):
+        s = 1 << k
+        t = (x ^ (x >> s)) & m
+        x ^= t ^ (t << s)
+    return x
 
 
 def compose(h: int, g: int, d: int) -> int:
-    if _use_c and d <= _C_MAX_DEPTH:
-        return _ckernel.compose(h, g, d)
-    return _pykernel.compose(h, g, d)
+    """Product h∘g (g applied first): pulls h's labels back along g's action."""
+    return g ^ (_pull(h << 1, _swap_masks(g, d)) >> 1)
 
 
 def invert(g: int, d: int) -> int:
-    if _use_c and d <= _C_MAX_DEPTH:
-        return _ckernel.invert(g, d)
-    return _pykernel.invert(g, d)
+    """Inverse: the label of g^-1 at g(v) equals the label of g at v."""
+    return _push(g << 1, _swap_masks(g, d)) >> 1
 
 
 def conjugate(x: int, s: int, d: int) -> int:
-    if _use_c and d <= _C_MAX_DEPTH:
-        return _ckernel.conjugate(x, s, d)
-    return _pykernel.conjugate(x, s, d)
+    """s^-1 x s, i.e. compose(compose(invert(s), x), s)."""
+    ms = _swap_masks(s, d)
+    ts = s << 1
+    inv_s = _push(ts, ms)
+    return (ts ^ _pull((x << 1) ^ _pull(inv_s, _swap_masks(x, d)), ms)) >> 1
 
 
 def commutator(x: int, y: int, d: int) -> int:
-    if _use_c and d <= _C_MAX_DEPTH:
-        return _ckernel.commutator(x, y, d)
-    return _pykernel.commutator(x, y, d)
+    """x^-1 y^-1 x y, i.e. compose(compose(compose(invert(x), invert(y)), x), y).
+
+    Pulling back along y^-1 is pushing forward along y, so x^-1∘y^-1 is
+    push_y(y XOR x^-1) and only the masks of x and y are built.
+    """
+    mx, my = _swap_masks(x, d), _swap_masks(y, d)
+    tx, ty = x << 1, y << 1
+    inv_x_inv_y = _push(ty ^ _push(tx, mx), my)
+    return (ty ^ _pull(tx ^ _pull(inv_x_inv_y, mx), my)) >> 1
+
+
+def _vertex_perm(g: int, d: int) -> list[int]:
+    """Action of g on all labeled vertices, as a heap-index permutation."""
+    n = (1 << d) - 1
+    perm = [0] * n
+    # Internal (non-last-level) vertices are the first 2^(d-1) - 1 indices.
+    for i in range((1 << (d - 1)) - 1):
+        b = (g >> i) & 1
+        base = 2 * perm[i] + 1
+        j = 2 * i + 1
+        perm[j] = base + b
+        perm[j + 1] = base + 1 - b
+    return perm
+
+
+def _rmul_tables(g: int, d: int) -> tuple[list[list[int]], int]:
+    """Byte-gather tables for the fixed bit permutation x -> x∘g.
+
+    Right multiplication by a fixed g is a fixed permutation of x's bits
+    followed by XOR with g, so it can be applied with one 256-entry table
+    lookup per portrait byte.
+    """
+    n = (1 << d) - 1
+    perm = _vertex_perm(g, d)
+    inv = [0] * n
+    for u, p in enumerate(perm):
+        inv[p] = u
+    tables = []
+    for b in range((n + 7) >> 3):
+        base = b << 3
+        singles = [(1 << inv[base + k]) if base + k < n else 0 for k in range(8)]
+        tbl = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            tbl[v] = tbl[v ^ low] | singles[low.bit_length() - 1]
+        tables.append(tbl)
+    return tables, g
+
+
+def _rmul(x: int, tables: list[list[int]], g: int) -> int:
+    r = g
+    for b, tbl in enumerate(tables):
+        r ^= tbl[(x >> (b << 3)) & 255]
+    return r
 
 
 def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:
-    if _use_c and d <= _C_MAX_DEPTH and not normalizer:
-        return _ckernel.close(d, gens, cap)
-    return _pykernel.close(d, gens, cap, normalizer)
+    """Subgroup generated by gens, as a set of portrait ints.
+
+    gens is a work list folded in one generator at a time; a generator
+    already inside the current subgroup costs only a membership test.  Each
+    generator that is accepted (not yet inside) also queues its conjugate
+    s^-1 x s by every normalizer element s.  The result N is generated by the
+    accepted set A, and A^s lies in N for every s, so s normalizes N: N is
+    the normal closure of gens under the group the normalizer generates
+    (finite groups need no inverse conjugators, since N^s <= N forces
+    N^s = N).  Only accepted generators are conjugated, at most
+    log2|N| * len(normalizer) conjugations.  The cap is checked on every
+    insertion, so at most cap + 1 elements are ever held and
+    EnumerationCapExceeded reports exactly cap + 1.
+    """
+    els = {0}
+    accepted: list[tuple[list[list[int]], int]] = []
+    work = list(gens)
+    for gb in work:  # conjugates appended below are visited by this loop too
+        if gb in els:
+            continue
+        tab = _rmul_tables(gb, d)
+        # Old elements are closed under old generators: only products with
+        # the new generator can leave the current set.
+        frontier = []
+        for x in list(els):
+            y = _rmul(x, *tab)
+            if y not in els:
+                els.add(y)
+                if len(els) > cap:
+                    raise EnumerationCapExceeded(cap, len(els))
+                frontier.append(y)
+        accepted.append(tab)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for tab2 in accepted:
+                    y = _rmul(x, *tab2)
+                    if y not in els:
+                        els.add(y)
+                        if len(els) > cap:
+                            raise EnumerationCapExceeded(cap, len(els))
+                        nxt.append(y)
+            frontier = nxt
+        work += [conjugate(gb, s, d) for s in normalizer]
+    return els

@@ -44,10 +44,23 @@ DEFAULT_CAP = 1 << 26
 
 
 def resolve_cap(cap: int | None = None) -> int:
+    """cap if given, else TREEGRP_CAP if set, else DEFAULT_CAP.
+
+    Raises ValueError when TREEGRP_CAP is not an integer of at least 1.
+    """
     if cap is not None:
         return cap
     env = os.environ.get("TREEGRP_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    message = f"TREEGRP_CAP must be an integer of at least 1, got {env!r}"
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(message) from None
+    if value < 1:
+        raise ValueError(message)
+    return value
 
 
 class EnumeratedSubgroup:

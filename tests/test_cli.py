@@ -270,3 +270,21 @@ def test_verify_rejects_samples_below_one(runner, suite, samples):
     res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--samples", samples])
     assert res.exit_code == 2
     assert "--samples" in res.output
+
+
+@pytest.mark.parametrize("command", [["classify"], ["verify", "--suite", "noadad"]])
+@pytest.mark.parametrize("cap_args,env_cap", [
+    (["--cap", "0"], None),
+    (["--cap", "-5"], None),
+    ([], "abc"),
+    ([], "-1"),
+])
+def test_cap_below_one_or_malformed_is_a_usage_error(runner, monkeypatch, command,
+                                                     cap_args, env_cap):
+    if env_cap is None:
+        monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    else:
+        monkeypatch.setenv("TREEGRP_CAP", env_cap)
+    res = runner.invoke(main, [*command, "--d", "3", *cap_args])
+    assert res.exit_code == 2
+    assert ("--cap" if cap_args else "TREEGRP_CAP") in res.output

@@ -1,59 +1,23 @@
-"""Kernel arithmetic against the word action, and the compiled kernel against the pure one."""
+"""The kernel against the word action, and its closures against plain and saturating references."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from treegrp import _pykernel, kernel
+import treegrp
+from treegrp import kernel
 from treegrp.errors import EnumerationCapExceeded
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism, heap_index
-
-needs_c = pytest.mark.skipif(not kernel.has_c_kernel(), reason="compiled kernel not built")
 
 
 def gens_bits(d):
     return [1 << ((1 << i) - 1) for i in range(d)]
-
-
-@needs_c
-def test_elementwise_ops_match_across_backends():
-    from treegrp import _ckernel
-
-    rng = random.Random(101)
-    for d in range(1, _ckernel.MAX_DEPTH + 1):
-        n = (1 << d) - 1
-        for _ in range(400):
-            h, g = rng.getrandbits(n), rng.getrandbits(n)
-            assert _ckernel.compose(h, g, d) == _pykernel.compose(h, g, d)
-            assert _ckernel.invert(g, d) == _pykernel.invert(g, d)
-            assert _ckernel.conjugate(h, g, d) == _pykernel.conjugate(h, g, d)
-            assert _ckernel.commutator(h, g, d) == _pykernel.commutator(h, g, d)
-
-
-@needs_c
-def test_closure_matches_across_backends():
-    from treegrp import _ckernel
-
-    rng = random.Random(103)
-    for d in (2, 3, 4):
-        assert _ckernel.close(d, gens_bits(d), 1 << 26) == _pykernel.close(
-            d, gens_bits(d), 1 << 26
-        )
-    for _ in range(30):
-        d = rng.randrange(2, 5)
-        n = (1 << d) - 1
-        gens = [rng.getrandbits(n) for _ in range(rng.randrange(1, 4))]
-        assert _ckernel.close(d, gens, 1 << 26) == _pykernel.close(d, gens, 1 << 26)
-
-
-@needs_c
-def test_cap_error_from_both_backends():
-    from treegrp import _ckernel
-
-    for mod in (_ckernel, _pykernel):
-        with pytest.raises(EnumerationCapExceeded):
-            mod.close(4, gens_bits(4), 100)
 
 
 @pytest.mark.parametrize("cap", [100, 200, 1000, 5000])
@@ -62,7 +26,7 @@ def test_pure_close_stops_one_element_past_the_cap(cap):
     # elements, so cap 200 is crossed by the first products with a_3 and the
     # other caps in breadth-first rounds.
     with pytest.raises(EnumerationCapExceeded) as err:
-        _pykernel.close(4, gens_bits(4), cap)
+        kernel.close(4, gens_bits(4), cap)
     assert err.value.reached == cap + 1
 
 
@@ -74,17 +38,17 @@ def saturate_then_close(d, seeds, normalizer):
     This was the derived-subgroup algorithm before the closure took a
     normalizer; it is the reference for that closure.
     """
-    conjugators = set(normalizer) | {_pykernel.invert(s, d) for s in normalizer}
+    conjugators = set(normalizer) | {kernel.invert(s, d) for s in normalizer}
     saturated = set(seeds)
     queue = list(saturated)
     while queue:
         x = queue.pop()
         for c in conjugators:
-            y = _pykernel.conjugate(x, c, d)
+            y = kernel.conjugate(x, c, d)
             if y not in saturated:
                 saturated.add(y)
                 queue.append(y)
-    return _pykernel.close(d, sorted(saturated), 1 << 26)
+    return kernel.close(d, sorted(saturated), 1 << 26)
 
 
 def bfs_closure(d, gens):
@@ -94,7 +58,7 @@ def bfs_closure(d, gens):
         nxt = []
         for x in frontier:
             for g in gens:
-                y = _pykernel.compose(g, x, d)
+                y = kernel.compose(g, x, d)
                 if y not in els:
                     els.add(y)
                     nxt.append(y)
@@ -121,7 +85,7 @@ def test_normal_closure_matches_saturation_on_every_pj():
         for mask in range(1, 1 << d):
             J = frozenset(j for j in range(d) if mask >> j & 1)
             gens = [g.bits for g in _pj_schreier_generators(d, J)]
-            seeds = [_pykernel.commutator(x, y, d) for x in gens for y in gens]
+            seeds = [kernel.commutator(x, y, d) for x in gens for y in gens]
             got = kernel.close(d, seeds, 1 << 26, normalizer=gens)
             assert got == saturate_then_close(d, seeds, gens), (d, sorted(J))
 
@@ -133,9 +97,8 @@ def test_empty_normalizer_is_the_plain_closure():
         cases = [gens_bits(d)] + [[rng.getrandbits(n) for _ in range(rng.randrange(1, 3))]
                                   for _ in range(4)]
         for gens in cases:
-            plain = _pykernel.close(d, gens, 1 << 26)
+            plain = kernel.close(d, gens, 1 << 26)
             assert plain == bfs_closure(d, gens)
-            assert _pykernel.close(d, gens, 1 << 26, normalizer=()) == plain
             assert kernel.close(d, gens, 1 << 26, normalizer=()) == plain
 
 
@@ -143,10 +106,10 @@ def test_empty_normalizer_is_the_plain_closure():
 def test_normal_closure_stops_one_element_past_the_cap(cap):
     # The commutators of a_0..a_3 have normal closure [G(4), G(4)], 2048 elements.
     gens = gens_bits(4)
-    seeds = [_pykernel.commutator(x, y, 4) for x in gens for y in gens]
-    assert len(_pykernel.close(4, seeds, 2048, normalizer=gens)) == 2048
+    seeds = [kernel.commutator(x, y, 4) for x in gens for y in gens]
+    assert len(kernel.close(4, seeds, 2048, normalizer=gens)) == 2048
     with pytest.raises(EnumerationCapExceeded) as err:
-        _pykernel.close(4, seeds, cap, normalizer=gens)
+        kernel.close(4, seeds, cap, normalizer=gens)
     assert err.value.reached == cap + 1
 
 
@@ -192,12 +155,12 @@ def test_pure_kernel_matches_word_action():
         for _ in range(2):
             x = FiniteAutomorphism(d, rng.getrandbits(n))
             y = FiniteAutomorphism(d, rng.getrandbits(n))
-            assert_product_laws(x, y, _pykernel.compose(x.bits, y.bits, d),
-                                _pykernel.invert(y.bits, d), words_below(d))
+            assert_product_laws(x, y, kernel.compose(x.bits, y.bits, d),
+                                kernel.invert(y.bits, d), words_below(d))
             # s^-1 x s applies s first, then x, then s^-1; likewise x^-1 y^-1 x y.
-            assert _pykernel.conjugate(x.bits, y.bits, d) == action_portrait(
+            assert kernel.conjugate(x.bits, y.bits, d) == action_portrait(
                 lambda w: inverse_action(y, x.apply(y.apply(w))), d)
-            assert _pykernel.commutator(x.bits, y.bits, d) == action_portrait(
+            assert kernel.commutator(x.bits, y.bits, d) == action_portrait(
                 lambda w: inverse_action(x, inverse_action(y, x.apply(y.apply(w)))), d)
 
 
@@ -209,7 +172,7 @@ def test_closure_step_matches_word_action():
         for _ in range(20):
             x = FiniteAutomorphism(d, rng.getrandbits(n))
             g = FiniteAutomorphism(d, rng.getrandbits(n))
-            xg = _pykernel._rmul(x.bits, *_pykernel._rmul_tables(g.bits, d))
+            xg = kernel._rmul(x.bits, *kernel._rmul_tables(g.bits, d))
             for u in words_below(d):
                 assert label(xg, u) == x.label(g.apply(u)) ^ g.label(u), (d, u)
 
@@ -219,7 +182,7 @@ def sampled_vertices(rng, d, count):
 
 
 def test_pure_kernel_deep_elements():
-    # Depths past the compiled kernel's word size take the pure path.
+    # Deep portraits span many machine words; the delta swaps act on them whole.
     rng = random.Random(107)
     for d, pairs in ((8, 50), (12, 10), (16, 4), (20, 2)):
         n = (1 << d) - 1
@@ -245,17 +208,19 @@ def test_pure_kernel_at_max_depth():
                         sampled_vertices(rng, d, 64))
 
 
-def test_set_backend_switching():
-    original = kernel.backend_name()
-    try:
-        kernel.set_backend("pure")
-        assert kernel.backend_name() == "pure"
-        assert kernel.compose(1, 2, 2) == 3
-        if kernel.has_c_kernel():
-            kernel.set_backend("c")
-            assert kernel.backend_name() == "c"
-            assert kernel.compose(1, 2, 2) == 3
-    finally:
-        kernel.set_backend(original)
-    with pytest.raises(ValueError):
-        kernel.set_backend("fortran")
+
+def test_benchmark_env_record_names_the_pure_kernel():
+    # perfbench/worker.py records backend_name() and has_c_kernel() before each op.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(treegrp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("TREEGRP_CAP", None)
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"),
+                           '{"kind": "probe"}'],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ready = json.loads(proc.stdout.splitlines()[0])
+    assert ready["ready"] is True
+    assert ready["backend"] == "pure"
+    assert ready["has_c_kernel"] is False

@@ -15,6 +15,7 @@ from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import heap_index
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
 from treegrp.subgroups import (
+    DEFAULT_CAP,
     M_V,
     EnumeratedSubgroup,
     _last_level_images,
@@ -33,6 +34,7 @@ from treegrp.subgroups import (
     level_stabilizer,
     maximal_subgroup,
     orbit,
+    resolve_cap,
     subgroup_from_json,
     subgroup_to_json,
     verify_closed,
@@ -84,6 +86,18 @@ def test_close_cap_error_names_cap():
     with pytest.raises(EnumerationCapExceeded) as err:
         close(generators(4), cap=1000)
     assert "1000" in str(err.value)
+
+
+def test_resolve_cap_reads_and_checks_the_environment(monkeypatch):
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    assert resolve_cap() == DEFAULT_CAP
+    monkeypatch.setenv("TREEGRP_CAP", "100")
+    assert resolve_cap() == 100
+    assert resolve_cap(7) == 7  # an explicit cap wins over the variable
+    for bad in ("abc", "0", "-1", "1.5"):
+        monkeypatch.setenv("TREEGRP_CAP", bad)
+        with pytest.raises(ValueError, match="TREEGRP_CAP"):
+            resolve_cap()
 
 
 def test_close_rejects_mixed_depths():
