@@ -10,7 +10,10 @@ kernel-free word action, on full-length words at depths 4 and 24, and four
 kernel-free pattern-layer calls, all at d=4: the essentiality test of P_{3}
 (a full pass over an essential group), the essential reductions of P_{3}
 (one pass) and P_{0} (several passes), and the depth-5 truncation group of
-the reduced P_{1}.  Run after `pip install -e .`:
+the reduced P_{1}.  The half-tree law check `verify_ni_identities_for` is
+timed on the level sets `verify --suite ni` checks: every J containing the
+top level at d=4 (10,000 pairs) and J = {7} at d=8 (1,500 pairs).  Run
+after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -19,6 +22,7 @@ import random
 import time
 
 from treegrp import kernel
+from treegrp.halftree import JContext, verify_ni_identities_for
 from treegrp.patterns import (
     PatternGroup,
     essential_reduction,
@@ -35,6 +39,9 @@ from treegrp.subgroups import (
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
+
+# (depth, pairs checked) for the half-tree law rows.
+NI_DEPTHS = [(4, 10_000), (8, 1_500)]
 
 # (depth, calls timed) for the apply rows.
 APPLY_DEPTHS = [(4, 20_000), (24, 16)]
@@ -115,6 +122,20 @@ def bench_patterns():
     }
 
 
+def bench_halftree():
+    """Best-of-3 seconds of the half-tree law rows."""
+    results = {}
+    for d, samples in NI_DEPTHS:
+        # The level sets `verify --suite ni` checks at this depth.
+        tops = [{d - 1} | {j for j in range(d - 1) if bits >> j & 1}
+                for bits in range(1 << (d - 1))]
+        contexts = [JContext.make(d, J) for J in (tops if d <= 4 else [{d - 1}])]
+        results[f"ni laws, {len(contexts)} J x {samples} pairs (d={d})"] = timeit(
+            lambda contexts=contexts, samples=samples:
+                verify_ni_identities_for(contexts, samples=samples))
+    return results
+
+
 def main():
     kernel_rows = bench_kernel()
     width = max(len(s) for s in kernel_rows) + 2
@@ -129,7 +150,7 @@ def main():
         print(f"{label:<{width}}{per_call * 1e6:>13.2f} us per call")
 
     print()
-    patterns = bench_patterns()
+    patterns = bench_patterns() | bench_halftree()
     width = max(len(s) for s in patterns) + 2
     for label, seconds in patterns.items():
         print(f"{label:<{width}}{seconds:>10.4f} s (best)")

@@ -13,14 +13,15 @@ certifies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import islice, product
+from operator import xor
 from random import Random
 from typing import Iterable, Sequence
 
 from . import kernel
 from .errors import VerificationError
-from .heap import half_level_mask, in_range
+from .heap import half_level_mask
 from .portrait import FiniteAutomorphism, generator, identity
 from .subgroups import maximal_subgroup
 
@@ -137,37 +138,22 @@ class IdentityCheckReport:
         }
 
 
-def _portrait(x: int, d: int) -> int:
-    """x itself, after checking it is a depth-d portrait."""
-    if not in_range(x, d):
+#: Bits of batch in one chunk of sample pairs (one pair where a portrait is
+#: wider).  It bounds the memory a run holds, whatever the number of pairs.
+_CHUNK_BITS = 1 << 16
+
+
+def _batch(x: int, n: int, d: int) -> int:
+    """x itself, after checking it is a batch of n depth-d portraits."""
+    if x < 0 or x >> (n << d) or x & ((1 << n) - 1):
         raise ValueError("portrait bits out of range for depth")
     return x
 
 
-def _failed_law(m: tuple[int, int], g: int, h: int,
-                gh: int, ginv: int, c: int) -> str | None:
-    """Returns the name of the first law that fails on g, h, or None.
-
-    gh, ginv and c are the product g*h, the inverse of g and the commutator
-    [g, h]; m holds the two half-tree masks over J', so
-    N_i(x) = parity(x & m[i]).  Each law is an equality of parities, so it
-    holds iff the XOR of its two sides' masked portraits has even weight.
-    """
-    ag, ah = g & 1, h & 1
-    # product law: N_i(g*h) = N_i(h) + N_{i + alpha(h)}(g)
-    for i in (0, 1):
-        if ((gh & m[i]) ^ (h & m[i]) ^ (g & m[i ^ ah])).bit_count() & 1:
-            return "product"
-    # inverse law: N_i(g^-1) = N_{i + alpha(g)}(g)
-    for i in (0, 1):
-        if ((ginv & m[i]) ^ (g & m[i ^ ag])).bit_count() & 1:
-            return "inverse"
-    # commutator law
-    for i in (0, 1):
-        if ((c & m[i]) ^ (g & m[i]) ^ (g & m[i ^ ah])
-                ^ (h & m[i]) ^ (h & m[i ^ ag])).bit_count() & 1:
-            return "commutator"
-    return None
+def _swap_halves(v: int, a: int) -> int:
+    """v with the bit pair 2j, 2j + 1 exchanged wherever a has bit 2j."""
+    t = (v ^ (v >> 1)) & a
+    return v ^ t ^ (t << 1)
 
 
 def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000,
@@ -177,9 +163,15 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
 
     All contexts share one depth and one stream of element pairs: every
     ordered pair with exhaustive=True (meant for d <= 3), otherwise
-    `samples` seeded random pairs, at least one.  Each pair's product,
-    inverse and commutator are computed once and checked against every
-    context's half masks; the reports come back in the order of `contexts`.
+    `samples` seeded random pairs, at least one.  The stream is cut into
+    chunks that are packed into kernel batches, so each chunk's products,
+    inverses and commutators are three batch calls.  The laws are then
+    checked for every sample at once on 2n-bit vectors whose bit 2j + i is
+    N_i of sample j: per level set, N is the XOR of the kernel's level
+    half parities over J', and N_(i + alpha) is N with each sample's pair
+    swapped where its root is active.  Each failing pair is reported with
+    the first law it breaks, in stream order, at most 10 per report; the
+    reports come back in the order of `contexts`.
     """
     if not exhaustive and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -188,38 +180,56 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     d = contexts[0].depth
     if any(ctx.depth != d for ctx in contexts):
         raise ValueError(f"contexts must share one depth, got {[c.depth for c in contexts]}")
-    n = (1 << d) - 1
-    reports = [IdentityCheckReport(d, tuple(sorted(ctx.levels))) for ctx in contexts]
-    # The laws read J only through its half masks, which J and J ∪ {0} share.
-    by_masks: dict[tuple[int, int], list[list[dict]]] = {}
-    for ctx, rep in zip(contexts, reports):
-        by_masks.setdefault((ctx.half_mask(0), ctx.half_mask(1)), []).append(rep.failures)
+    nbits = (1 << d) - 1
+    # The laws read J only through J', which J and J ∪ {0} share.
+    found: dict[frozenset[int], list[dict]] = {ctx.jprime: [] for ctx in contexts}
     if exhaustive:
-        pairs = product(range(1 << n), repeat=2)
+        pairs = product(range(1 << nbits), repeat=2)
     else:
         # The same stream FiniteAutomorphism.random draws from.
         rng = Random(seed)
-        pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(samples))
+        pairs = ((rng.getrandbits(nbits), rng.getrandbits(nbits)) for _ in range(samples))
+    per_chunk = max(1, _CHUNK_BITS >> d)
     checked = 0
-    for g, h in pairs:
-        checked += 1
-        gh = _portrait(kernel.compose(g, h, d), d)
-        ginv = _portrait(kernel.invert(g, d), d)
-        c = _portrait(kernel.commutator(g, h, d), d)
-        for masks, failure_lists in by_masks.items():
-            law = _failed_law(masks, g, h, gh, ginv, c)
-            if law is None:
+    while chunk := list(islice(pairs, per_chunk)):
+        n = len(chunk)
+        checked += n
+        gs, hs = zip(*chunk)
+        g, h = kernel.pack(gs, d), kernel.pack(hs, d)
+        gh = _batch(kernel.compose_batch(g, h, n, d), n, d)
+        ginv = _batch(kernel.invert_batch(g, n, d), n, d)
+        c = _batch(kernel.commutator_batch(g, h, n, d), n, d)
+        parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
+        ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
+        evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample
+        for jprime, failures in found.items():
+            if len(failures) >= 10:
                 continue
-            for failures in failure_lists:
-                if len(failures) < 10:
-                    failures.append({
-                        "law": law,
-                        "g": FiniteAutomorphism(d, g).to_hex(),
-                        "h": FiniteAutomorphism(d, h).to_hex(),
-                    })
-    for rep in reports:
-        rep.pairs_checked = checked
-    return reports
+            ng, nh, ngh, nginv, nc = (reduce(xor, (p[m - 1] for m in jprime), 0)
+                                      for p in parities)
+            # Each law holds where its vector of both sides' XOR vanishes.
+            laws = [
+                # product law: N_i(g*h) = N_i(h) + N_{i + alpha(h)}(g)
+                ("product", ngh ^ nh ^ _swap_halves(ng, ah)),
+                # inverse law: N_i(g^-1) = N_{i + alpha(g)}(g)
+                ("inverse", nginv ^ _swap_halves(ng, ag)),
+                # commutator law
+                ("commutator", nc ^ ng ^ _swap_halves(ng, ah) ^ nh ^ _swap_halves(nh, ag)),
+            ]
+            laws = [(law, (v | (v >> 1)) & evens) for law, v in laws]
+            bad = laws[0][1] | laws[1][1] | laws[2][1]
+            while bad and len(failures) < 10:
+                low = bad & -bad
+                bad ^= low
+                j = (low.bit_length() - 1) >> 1
+                failures.append({
+                    "law": next(law for law, v in laws if v & low),
+                    "g": FiniteAutomorphism(d, gs[j]).to_hex(),
+                    "h": FiniteAutomorphism(d, hs[j]).to_hex(),
+                })
+    return [IdentityCheckReport(d, tuple(sorted(ctx.levels)), checked,
+                                [dict(f) for f in found[ctx.jprime]])
+            for ctx in contexts]
 
 
 def verify_ni_identities(ctx: JContext, samples: int = 10_000,

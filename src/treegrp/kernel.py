@@ -29,11 +29,30 @@ that is M_k, for every level in one int.  M_0 interleaves g's bits with
 zeros, and M_k is M_(k-1) with every bit doubled.  h∘g and g^-1 thus take
 d-1 mask steps and d-1 swaps, O(d) operations on whole portraits, in place
 of a loop over all 2^d - 1 vertices.
+
+Batches
+-------
+n portraits of one depth side by side form one int in a level-major layout:
+the vertex at level m, offset p, of sample j is bit n 2^m + j 2^m + p.  For
+n = 1 these are the t coordinates above.  Level m is the block
+[n 2^m, n 2^(m+1)), and sample j's slice of it starts at the block's bit
+j 2^m.  The vertex at t = (n + j) 2^m + p has its descendants k+1 levels
+below at [2^(k+1) t, 2^(k+1) (t+1)), which are the same sample's vertices
+under (m, p).  So the bit widening that builds M_k for one portrait builds
+it for the batch, and the delta swaps, which never cross a slice, act on
+every sample at once: a batch costs the d-1 mask steps and d-1 swaps of one
+portrait, on an int n times as wide.  Only the byte sizes scale with n.
+compose, invert, conjugate and commutator are the n = 1 cases of the
+*_batch functions, which take batches built by pack.
+
+half_parities reads per-level half-tree parities off a batch by the
+inverse of the widening: each XOR-fold step translates every byte to the
+hex digit of its four XOR-ed bit pairs and unhexlifies, halving the int.
 """
 
 from __future__ import annotations
 
-from binascii import hexlify
+from binascii import hexlify, unhexlify
 from functools import cache
 from typing import Sequence
 
@@ -55,29 +74,48 @@ def _widen_nibble(v: int, copies: int) -> int:
     return sum(copies << 2 * i for i in range(4) if v >> i & 1)
 
 
+_HEX_DIGITS = b"0123456789abcdef"
+
+
 @cache
 def _hex_tables() -> tuple[bytes, ...]:
     """Byte translations of an ASCII hex digit to its nibble zero-interleaved, and doubled."""
     tables = []
     for copies in (1, 3):
         table = bytearray(256)
-        for v, c in enumerate(b"0123456789abcdef"):
+        for v, c in enumerate(_HEX_DIGITS):
             table[c] = _widen_nibble(v, copies)
         tables.append(bytes(table))
     return tuple(tables)
 
 
-def _swap_masks(g: int, d: int) -> list[int]:
-    """M_0 .. M_(d-2) of g, in t = heap index + 1 coordinates.
+@cache
+def _fold_table() -> bytes:
+    """Byte translation of a byte to the ASCII hex digit of its four XOR-ed bit pairs."""
+    return bytes(_HEX_DIGITS[sum(((v >> 2 * i ^ v >> 2 * i + 1) & 1) << i for i in range(4))]
+                 for v in range(256))
 
-    Each step widens the low half of the previous mask (g itself for M_0):
+
+@cache
+def _digit_tables() -> tuple[bytes, ...]:
+    """Byte translations of a byte to its bits [2^m, 2^(m+1)) as one digit in
+    base 2^(2^m), for m = 0, 1, 2: the levels a t-coordinate portrait keeps
+    in its lowest byte."""
+    return tuple(bytes(_HEX_DIGITS[v >> w & (1 << w) - 1] for v in range(256))
+                 for w in (1, 2, 4))
+
+
+def _swap_masks(x: int, n: int, d: int) -> list[int]:
+    """M_0 .. M_(d-2) of the batch x of n depth-d portraits.
+
+    Each step widens the low half of the previous mask (x itself for M_0):
     its hex digits are its nibbles, and one translation turns each digit
     into the byte holding that nibble widened.
     """
-    size = ((1 << d) + 7) >> 3  # bytes of a portrait in t coordinates
-    half = (size + 1) >> 1  # only bits below 2^(d-1) land inside the tree
+    size = ((n << d) + 7) >> 3  # bytes of the batch
+    half = (size + 1) >> 1  # only bits below n 2^(d-1) land inside the batch
     table, double = _hex_tables()
-    b = (g << 1).to_bytes(size, "big")
+    b = x.to_bytes(size, "big")
     masks = []
     for _ in range(d - 1):
         b = hexlify(b[-half:]).translate(table)
@@ -104,34 +142,110 @@ def _push(x: int, masks: list[int]) -> int:
     return x
 
 
-def compose(h: int, g: int, d: int) -> int:
-    """Product h∘g (g applied first): pulls h's labels back along g's action."""
-    return g ^ (_pull(h << 1, _swap_masks(g, d)) >> 1)
+def pack(xs: Sequence[int], d: int) -> int:
+    """The depth-d portraits xs (heap-indexed ints) as one batch, xs[j] as sample j."""
+    n = len(xs)
+    row = max(1, (1 << d) >> 3)  # bytes of one portrait in t coordinates
+    # Big-endian rows, last sample first: the same run of bytes taken from
+    # every row, in row order, is a big-endian level block.
+    rows = b"".join((x << 1).to_bytes(row, "big") for x in reversed(xs))
+    blocks = []
+    for m in range(d - 1, 2, -1):  # level m >= 3 is 2^(m-3) whole bytes of a row
+        w = 1 << (m - 3)
+        lo = row - 2 * w
+        # min(n, w) slice copies: one strided column per byte of the level
+        # slice, or one run per sample.  On a 2-core x86 VM (Python 3.11)
+        # columns pack d = 6, n = 1024 3.6x faster, runs d = 14, n = 4 23x.
+        if w <= n:
+            block = bytearray(n * w)
+            for i in range(w):
+                block[i::w] = rows[lo + i::row]
+        else:
+            block = b"".join(rows[r:r + w] for r in range(lo, n * row, row))
+        blocks.append(block)
+    out = int.from_bytes(b"".join(blocks), "big") << (n << 3)
+    low = rows[row - 1::row]  # levels 0, 1 and 2 share each row's last byte
+    for m, table in enumerate(_digit_tables()[:d]):
+        out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
+    return out
 
 
-def invert(g: int, d: int) -> int:
-    """Inverse: the label of g^-1 at g(v) equals the label of g at v."""
-    return _push(g << 1, _swap_masks(g, d)) >> 1
+def half_parities(x: int, n: int, d: int) -> list[int]:
+    """Half-tree parities of each level of the batch x of n depth-d portraits.
+
+    Entry m - 1, for levels m = 1 .. d-1, is a 2n-bit int whose bit 2j + i
+    is the parity of sample j's level-m labels under the root's child i.
+    Each XOR-fold halves the batch, so after m - 1 folds level m's halves
+    are single bits at [2n, 4n).
+    """
+    low = (1 << 2 * n) - 1
+    tail = (4 * n + 7) >> 3  # the last bytes, which hold bits [0, 4n)
+    fold = _fold_table()
+    b = x.to_bytes(((n << d) + 7) >> 3, "big")
+    out = []
+    for m in range(1, d):
+        if m > 1:
+            b = unhexlify((b"\0" * (len(b) & 1) + b).translate(fold))
+        out.append(int.from_bytes(b[-tail:], "big") >> 2 * n & low)
+    return out
 
 
-def conjugate(x: int, s: int, d: int) -> int:
-    """s^-1 x s, i.e. compose(compose(invert(s), x), s)."""
-    ms = _swap_masks(s, d)
-    ts = s << 1
-    inv_s = _push(ts, ms)
-    return (ts ^ _pull((x << 1) ^ _pull(inv_s, _swap_masks(x, d)), ms)) >> 1
+def root_swap_mask(x: int, n: int) -> int:
+    """Bit 2j set where sample j of the batch x moves the root.
+
+    This is the level-1 block of x's M_0, the delta-swap mask that exchanges
+    each sample's pair of half-tree bits at 2j, 2j + 1 where its root is
+    active.
+    """
+    return _swap_masks(x & ((1 << 2 * n) - 1), n, 2)[0] >> 2 * n
 
 
-def commutator(x: int, y: int, d: int) -> int:
-    """x^-1 y^-1 x y, i.e. compose(compose(compose(invert(x), invert(y)), x), y).
+def compose_batch(h: int, g: int, n: int, d: int) -> int:
+    """Products h_j∘g_j of two batches: pulls h's labels back along g's action."""
+    return g ^ _pull(h, _swap_masks(g, n, d))
+
+
+def invert_batch(g: int, n: int, d: int) -> int:
+    """Inverses: the label of g_j^-1 at g_j(v) equals the label of g_j at v."""
+    return _push(g, _swap_masks(g, n, d))
+
+
+def conjugate_batch(x: int, s: int, n: int, d: int) -> int:
+    """s_j^-1 x_j s_j, i.e. compose_batch(compose_batch(invert_batch(s), x), s)."""
+    ms = _swap_masks(s, n, d)
+    inv_s = _push(s, ms)
+    return s ^ _pull(x ^ _pull(inv_s, _swap_masks(x, n, d)), ms)
+
+
+def commutator_batch(x: int, y: int, n: int, d: int) -> int:
+    """x_j^-1 y_j^-1 x_j y_j for two batches.
 
     Pulling back along y^-1 is pushing forward along y, so x^-1∘y^-1 is
     push_y(y XOR x^-1) and only the masks of x and y are built.
     """
-    mx, my = _swap_masks(x, d), _swap_masks(y, d)
-    tx, ty = x << 1, y << 1
-    inv_x_inv_y = _push(ty ^ _push(tx, mx), my)
-    return (ty ^ _pull(tx ^ _pull(inv_x_inv_y, mx), my)) >> 1
+    mx, my = _swap_masks(x, n, d), _swap_masks(y, n, d)
+    inv_x_inv_y = _push(y ^ _push(x, mx), my)
+    return y ^ _pull(x ^ _pull(inv_x_inv_y, mx), my)
+
+
+def compose(h: int, g: int, d: int) -> int:
+    """Product h∘g (g applied first)."""
+    return compose_batch(h << 1, g << 1, 1, d) >> 1
+
+
+def invert(g: int, d: int) -> int:
+    """Inverse of g."""
+    return invert_batch(g << 1, 1, d) >> 1
+
+
+def conjugate(x: int, s: int, d: int) -> int:
+    """s^-1 x s."""
+    return conjugate_batch(x << 1, s << 1, 1, d) >> 1
+
+
+def commutator(x: int, y: int, d: int) -> int:
+    """x^-1 y^-1 x y."""
+    return commutator_batch(x << 1, y << 1, 1, d) >> 1
 
 
 def _vertex_perm(g: int, d: int) -> list[int]:

@@ -46,9 +46,12 @@ DEFAULT_CAP = 1 << 26
 def resolve_cap(cap: int | None = None) -> int:
     """cap if given, else TREEGRP_CAP if set, else DEFAULT_CAP.
 
-    Raises ValueError when TREEGRP_CAP is not an integer of at least 1.
+    Raises ValueError when cap, or TREEGRP_CAP if it is read, is not an
+    integer of at least 1.
     """
     if cap is not None:
+        if cap < 1:
+            raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
         return cap
     env = os.environ.get("TREEGRP_CAP")
     if not env:

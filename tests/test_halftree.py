@@ -8,11 +8,13 @@ enumerated derived subgroup.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
 from treegrp import kernel
 from treegrp.halftree import (
+    _CHUNK_BITS,
     INCONCLUSIVE,
     NOT_IN_DERIVED,
     JContext,
@@ -135,8 +137,11 @@ def test_identities_random_each_depth():
         assert rep.pairs_checked == 2000
 
 
-def reference_ni_failures(ctx, samples, seed):
-    """The three laws checked on FiniteAutomorphism objects, one pair at a time."""
+def reference_ni_failures(ctx, samples, seed, limit=10):
+    """The three laws checked on FiniteAutomorphism objects, one pair at a time.
+
+    Returns the first `limit` failing pairs (every one for limit=None).
+    """
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -152,22 +157,32 @@ def reference_ni_failures(ctx, samples, seed):
         elif any(N(c, ctx, i) != N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i)
                  ^ N(h, ctx, i ^ ag) for i in (0, 1)):
             law = "commutator"
-        if law is not None and len(failures) < 10:
+        if law is not None and (limit is None or len(failures) < limit):
             failures.append({"law": law, "g": g.to_hex(), "h": h.to_hex()})
     return failures
+
+
+def flip_vertex_0(original):
+    """A batch kernel op that flips the label at vertex "0" (level 1, half 0)
+    of each sample whose first operand has it.
+
+    The single ops are the n = 1 case of the batch ops and call them through
+    the kernel module, so patching a batch op breaks its single op too, and
+    the object path of reference_ni_failures sees the same fault.
+    """
+    def flipped(*args):
+        out = original(*args)
+        n = args[-2]
+        vertex_0 = ((1 << 2 * n) - 1) // 3 << 2 * n  # bit 2n + 2j of each sample j
+        return out ^ (args[0] & vertex_0)
+    return flipped
 
 
 @pytest.mark.parametrize("broken, law", [("compose", "product"), ("invert", "inverse"),
                                          ("commutator", "commutator")])
 def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, law):
-    original = getattr(kernel, broken)
-
-    def flipped(*args):
-        # Flip the label at vertex "0" (level 1, half 0) when the first operand has it.
-        out = original(*args)
-        return out ^ 2 if args[0] & 2 else out
-
-    monkeypatch.setattr(kernel, broken, flipped)
+    batch = f"{broken}_batch"
+    monkeypatch.setattr(kernel, batch, flip_vertex_0(getattr(kernel, batch)))
     ctx = JContext.make(3, {1, 2})
     failures = reference_ni_failures(ctx, samples=200, seed=11)
     assert failures
@@ -178,8 +193,9 @@ def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, l
 
 
 def test_identities_reject_out_of_range_portraits(monkeypatch):
-    original = kernel.compose
-    monkeypatch.setattr(kernel, "compose", lambda h, g, d: original(h, g, d) | 1 << 7)
+    original = kernel.compose_batch
+    monkeypatch.setattr(kernel, "compose_batch",
+                        lambda h, g, n, d: original(h, g, n, d) | 1 << (n << d))
     with pytest.raises(ValueError, match="out of range"):
         verify_ni_identities(JContext.make(3, {2}), samples=1)
 
@@ -200,13 +216,8 @@ def test_shared_stream_reports_equal_single_context_reports(d):
 
 @pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
 def test_shared_stream_reports_broken_kernel_for_each_level_set(monkeypatch, broken):
-    original = getattr(kernel, broken)
-
-    def flipped(*args):
-        out = original(*args)
-        return out ^ 2 if args[0] & 2 else out
-
-    monkeypatch.setattr(kernel, broken, flipped)
+    batch = f"{broken}_batch"
+    monkeypatch.setattr(kernel, batch, flip_vertex_0(getattr(kernel, batch)))
     contexts = [JContext.make(3, J) for J in top_level_sets(3)]
     reports = verify_ni_identities_for(contexts, samples=200, seed=11)
     for ctx, rep in zip(contexts, reports):
@@ -218,10 +229,73 @@ def test_shared_stream_reports_broken_kernel_for_each_level_set(monkeypatch, bro
 
 @pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
 def test_shared_stream_rejects_out_of_range_portraits(monkeypatch, broken):
-    original = getattr(kernel, broken)
-    monkeypatch.setattr(kernel, broken, lambda *args: original(*args) | 1 << 7)
+    original = getattr(kernel, f"{broken}_batch")
+    # One bit above the batch: n * 2^d, for n samples of depth d.
+    monkeypatch.setattr(kernel, f"{broken}_batch",
+                        lambda *args: original(*args) | 1 << (args[-2] << args[-1]))
     with pytest.raises(ValueError, match="out of range"):
         verify_ni_identities_for([JContext.make(3, J) for J in top_level_sets(3)], samples=1)
+
+
+def flip_vertex_0_rarely(original):
+    """flip_vertex_0 limited to samples whose first operand also labels the
+    first 7 vertices of level 5: about one depth-6 pair in 256 is broken."""
+    def flipped(*args):
+        out = original(*args)
+        x, n = args[0], args[-2]
+        for j in range(n):
+            if (x >> ((n << 5) + (j << 5))) & 0x7f == 0x7f and (x >> (2 * n + 2 * j)) & 1:
+                out ^= 1 << (2 * n + 2 * j)
+        return out
+    return flipped
+
+
+CHUNK_CONTEXTS = [{1, 5}, {0, 1, 5}, {5}, {0, 2, 3, 5}]
+
+
+def test_multi_chunk_run_equals_per_context_reports():
+    per_chunk = _CHUNK_BITS >> 6
+    samples = 3 * per_chunk + 5  # four chunks, the last one short
+    contexts = [JContext.make(6, J) for J in CHUNK_CONTEXTS]
+    reports = verify_ni_identities_for(contexts, samples=samples, seed=41)
+    for ctx, rep in zip(contexts, reports):
+        assert rep.passed and rep.pairs_checked == samples
+        assert rep == verify_ni_identities(ctx, samples=samples, seed=41)
+
+
+def test_multi_chunk_failures_stop_at_ten_across_chunks(monkeypatch):
+    monkeypatch.setattr(kernel, "compose_batch", flip_vertex_0_rarely(kernel.compose_batch))
+    per_chunk = _CHUNK_BITS >> 6
+    samples, seed = 5 * per_chunk, 43
+    contexts = [JContext.make(6, J) for J in CHUNK_CONTEXTS]
+    reports = verify_ni_identities_for(contexts, samples=samples, seed=seed)
+    for ctx, rep in zip(contexts, reports):
+        assert rep.pairs_checked == samples
+        assert rep.failures == reference_ni_failures(ctx, samples=samples, seed=seed)
+    assert [len(rep.failures) for rep in reports] == [10, 10, 0, 0]
+    # Where the reported pairs sit in the stream: the ten span several chunks,
+    # and the stream holds more broken pairs than were reported.
+    rng = random.Random(seed)
+    stream = [FiniteAutomorphism.random(6, rng).to_hex() for _ in range(2 * samples)]
+    position = {pair: i for i, pair in enumerate(zip(stream[::2], stream[1::2]))}
+    chunks = [position[f["g"], f["h"]] // per_chunk for f in reports[0].failures]
+    assert chunks == sorted(chunks) and chunks[0] < chunks[-1] < 4
+    full = reference_ni_failures(contexts[0], samples=samples, seed=seed, limit=None)
+    assert len(full) > 10
+
+
+def test_chunked_run_memory_does_not_grow_with_pairs():
+    contexts = [JContext.make(6, {1, 5})]
+    verify_ni_identities_for(contexts, samples=10)  # builds the kernel's tables
+    peaks = []
+    for samples in (4_000, 40_000):
+        tracemalloc.start()
+        try:
+            verify_ni_identities_for(contexts, samples=samples, seed=47)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_shared_stream_needs_one_depth():

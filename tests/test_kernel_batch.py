@@ -1,0 +1,77 @@
+"""Batches of portraits in the kernel's level-major layout: pack against a
+reference unpack, the batch ops against the single ops, and the level half
+parities and root swap mask against heap-mask popcounts."""
+
+import random
+
+import pytest
+
+from treegrp import kernel
+from treegrp.heap import half_level_mask
+
+BATCH_SIZES = [1, 2, 3, 7, 8, 9, 64]
+
+
+def unpack(x, n, d):
+    """The n heap-indexed portraits of the batch x: sample j's level m is the
+    2^m bits from n 2^m + j 2^m on."""
+    xs = []
+    for j in range(n):
+        g = 0
+        for m in range(d):
+            w = 1 << m
+            g |= ((x >> (n * w + j * w)) & ((1 << w) - 1)) << (w - 1)
+        xs.append(g)
+    return xs
+
+
+def batches(rng, n, d):
+    """A random batch holding the identity and the all-ones portrait when
+    n >= 2, a batch of identities and a batch of all-ones portraits."""
+    full = (1 << ((1 << d) - 1)) - 1
+    mixed = [rng.getrandbits((1 << d) - 1) for _ in range(n)]
+    if n >= 2:
+        mixed[0], mixed[-1] = 0, full
+    return [mixed, [0] * n, [full] * n]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_pack_round_trips_through_unpack(d):
+    rng = random.Random(900 + d)
+    for n in BATCH_SIZES:
+        for xs in batches(rng, n, d):
+            x = kernel.pack(xs, d)
+            assert unpack(x, n, d) == xs
+            # Only the n 2^d - n vertex bits above the n unused low bits are set.
+            assert 0 <= x < 1 << (n << d) and not x & ((1 << n) - 1)
+        # One portrait is its t coordinates, heap index + 1.
+        assert kernel.pack(xs[:1], d) == xs[0] << 1
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_batch_ops_equal_single_ops(d):
+    rng = random.Random(700 + d)
+    for n in BATCH_SIZES:
+        for xs, ys in zip(batches(rng, n, d), batches(rng, n, d)[::-1]):
+            x, y = kernel.pack(xs, d), kernel.pack(ys, d)
+            assert unpack(kernel.compose_batch(x, y, n, d), n, d) == [
+                kernel.compose(a, b, d) for a, b in zip(xs, ys)]
+            assert unpack(kernel.invert_batch(x, n, d), n, d) == [
+                kernel.invert(a, d) for a in xs]
+            assert unpack(kernel.conjugate_batch(x, y, n, d), n, d) == [
+                kernel.conjugate(a, b, d) for a, b in zip(xs, ys)]
+            assert unpack(kernel.commutator_batch(x, y, n, d), n, d) == [
+                kernel.commutator(a, b, d) for a, b in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_level_half_parities_are_half_level_popcounts(d):
+    rng = random.Random(800 + d)
+    for n in BATCH_SIZES:
+        for xs in batches(rng, n, d):
+            x = kernel.pack(xs, d)
+            assert kernel.half_parities(x, n, d) == [
+                sum(((a & half_level_mask(m, i)).bit_count() & 1) << (2 * j + i)
+                    for j, a in enumerate(xs) for i in (0, 1))
+                for m in range(1, d)]
+            assert kernel.root_swap_mask(x, n) == sum((a & 1) << 2 * j for j, a in enumerate(xs))

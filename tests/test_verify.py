@@ -24,6 +24,14 @@ from treegrp.verify import (
 )
 
 
+@pytest.mark.parametrize("cap", [-5, 0])
+def test_explicit_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="cap must be"):
+        classify_maximal(3, cap=cap)
+    with pytest.raises(ValueError, match="cap must be"):
+        subgroups.resolve_cap(cap)
+
+
 def test_classify_depth2_rows():
     report = classify_maximal(2)
     assert len(report.rows) == 3
