@@ -1,10 +1,11 @@
 """Exact computation in automorphism groups of finite binary rooted trees.
 
 Elements are stored as bit-packed portraits (one parity bit per vertex of
-the labeled levels); subgroups come either enumerated or as membership
-predicates; pattern groups carry the machinery of finitely constrained
-groups: essentiality, reduction, exact Hausdorff dimension, and the
-half-tree parity obstruction used to refute topological finite generation.
+the labeled levels); subgroups come either enumerated or, when parity
+checks cut them out, as a gf2.LinearSubgroup; pattern groups carry the
+machinery of finitely constrained groups: essentiality, reduction, exact
+Hausdorff dimension, and the half-tree parity obstruction used to refute
+topological finite generation.
 
 Composition convention: ``h * g`` applies g first.
 """
@@ -56,7 +57,6 @@ from .subgroups import (
     DEFAULT_CAP,
     EnumeratedSubgroup,
     M_V,
-    PredicateSubgroup,
     all_subgroups_depth2,
     beta_V,
     close,

@@ -28,7 +28,6 @@ from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
 from .portrait import FiniteAutomorphism, distance as metric_distance
 from .subgroups import (
-    PredicateSubgroup,
     enumerate_MV,
     enumerate_PJ,
     full_group,
@@ -317,15 +316,15 @@ def analyze_cmd(path: str, fmt: str, no_timestamp: bool, cap: int | None):
             obj = subgroup_from_json(doc, cap=cap)
         except (KeyError, ValueError) as e:
             raise click.UsageError(f"--file: {e}")
-        d = doc["d"]
-        result: dict = {"d": d, "kind": doc["kind"]}
-        lines = [f"depth {d} subgroup ({doc['kind']})"]
-        if isinstance(obj, PredicateSubgroup) and obj.kind == "PJ":
-            obj_enum = enumerate_PJ(d, obj.J, cap=cap)
-            result["J"] = sorted(obj.J)
-        elif isinstance(obj, PredicateSubgroup):
-            obj_enum = enumerate_MV(d, obj.V, cap=cap)
-            result["V"] = sorted(obj.V)
+        d, kind = doc["d"], doc["kind"]
+        result: dict = {"d": d, "kind": kind}
+        lines = [f"depth {d} subgroup ({kind})"]
+        if kind == "PJ":
+            result["J"] = sorted(set(doc["J"]))
+            obj_enum = enumerate_PJ(d, result["J"], cap=cap)
+        elif kind == "MV":
+            result["V"] = sorted(set(doc["V"]))
+            obj_enum = enumerate_MV(d, result["V"], cap=cap)
         else:
             obj_enum = obj
         result["order"] = obj_enum.order

@@ -1,12 +1,14 @@
-"""Bit-packed linear algebra over GF(2) and parity-constrained subgroups.
+"""Bit-packed linear algebra over GF(2) and parity-defined subgroups.
 
-Vectors are Python ints (bit k = coordinate k).  This backs the fast path
-for subgroups cut out by parity functionals of the portrait bits: such a
-subgroup coincides, as a set, with the solution space of its parity checks,
-so orders and indices reduce to rank computations instead of enumeration.
+Vectors are Python ints (bit k = coordinate k).  LinearSubgroup is the one
+representation of a subgroup cut out by parity functionals of the portrait
+bits (P_J, M_V, the full group's derived subgroup and what the pattern
+pipeline derives from them): as a set it is the solution space of its
+parity checks, so membership is a few popcounts and orders are ranks.
 
-Every fast-path result feeding a verification verdict is cross-validated
-against explicit enumeration at small depth in the test suite.
+Every result feeding a verification verdict is cross-validated against
+enumeration at small depth, and membership against the label definitions,
+in the test suite.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ def in_span(v: int, reduced_basis: Sequence[int]) -> bool:
     return reduce_vector(v, reduced_basis) == 0
 
 
-def span_leq(inner: Sequence[int], outer_reduced: Sequence[int]) -> bool:
-    """Whether span(inner) is contained in the span of a reduced basis."""
-    return all(in_span(v, outer_reduced) for v in inner)
-
-
 def nullspace(rows: Iterable[int], n: int) -> list[int]:
     """Basis of { x in GF(2)^n : <row, x> = 0 for every row }."""
     basis = rref(rows)
@@ -105,35 +102,50 @@ def scatter_bits(v: int, positions: Sequence[int]) -> int:
 class LinearSubgroup:
     """A subgroup of the depth-d tree group whose element set is linear.
 
-    Stored as parity-check masks over the 2^d - 1 portrait bits; the member
-    portraits are exactly the common kernel of the checks.  Only families
-    known to be closed under the group operation (kernels of parity
-    homomorphisms and what the reduction pipeline derives from them) are
-    represented this way; closure is asserted by sampling in tests, not
-    enforced here.
+    Members are the portraits with every bit of `zero` clear and even
+    parity under each check mask.  `zero` stands for one unit check per bit
+    it holds: a level stabilizer is one mask, not one check per vertex
+    (2^23 of them for M_V at depth 24).  Only families known to be closed
+    under the group operation (kernels of parity homomorphisms and what the
+    reduction pipeline derives from them) are represented this way; closure
+    is asserted by sampling in tests, not enforced here.
     """
 
     depth: int
     checks: tuple[int, ...]
+    zero: int = 0
 
     @property
     def num_bits(self) -> int:
         return (1 << self.depth) - 1
 
     def log2_order(self) -> int:
-        return self.num_bits - rank(self.checks)
+        return self.num_bits - self.zero.bit_count() - rank(c & ~self.zero for c in self.checks)
 
     def order(self) -> int:
         return 1 << self.log2_order()
 
     def contains_bits(self, bits: int) -> bool:
-        return all((bits & m).bit_count() & 1 == 0 for m in self.checks)
+        return not bits & self.zero and all(
+            (bits & m).bit_count() & 1 == 0 for m in self.checks)
+
+    def contains(self, g) -> bool:
+        """Membership of a FiniteAutomorphism of the same depth."""
+        if g.depth != self.depth:
+            raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
+        return self.contains_bits(g.bits)
+
+    def __contains__(self, g) -> bool:
+        return self.contains(g)
 
     def basis(self) -> list[int]:
-        return nullspace(self.checks, self.num_bits)
+        # With zero's bits cleared from the checks, those bits are free
+        # columns, and their unit vectors are the only ones touching zero.
+        free = nullspace((c & ~self.zero for c in self.checks), self.num_bits)
+        return [v for v in free if not v & self.zero]
 
     def with_checks(self, extra: Iterable[int]) -> "LinearSubgroup":
-        return LinearSubgroup(self.depth, self.checks + tuple(extra))
+        return LinearSubgroup(self.depth, self.checks + tuple(extra), self.zero)
 
     def iter_bits(self) -> Iterator[int]:
         """All member portraits (meant for small solution spaces only)."""

@@ -23,7 +23,7 @@ from . import kernel
 from .errors import VerificationError
 from .heap import half_level_mask
 from .portrait import FiniteAutomorphism, generator, identity
-from .subgroups import maximal_subgroup
+from .subgroups import level_set_mask, maximal_subgroup
 
 
 @lru_cache(maxsize=None)
@@ -48,12 +48,7 @@ class JContext:
     levels: frozenset[int]
 
     def __post_init__(self):
-        if not self.levels:
-            raise ValueError("J must be nonempty")
-        if not self.levels <= set(range(self.depth)):
-            raise ValueError(
-                f"J must be contained in 0..{self.depth - 1}, got {sorted(self.levels)}"
-            )
+        level_set_mask(self.depth, self.levels)  # validates J
 
     @classmethod
     def make(cls, d: int, J: Iterable[int]) -> "JContext":
@@ -80,7 +75,7 @@ class JContext:
             )
 
     def subgroup(self):
-        """The predicate form of P_J at this context's depth."""
+        """P_J at this context's depth, as its parity check."""
         return maximal_subgroup(self.depth, self.levels)
 
     def half_mask(self, i: int) -> int:

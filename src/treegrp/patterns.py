@@ -21,7 +21,7 @@ t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -324,11 +324,6 @@ def pattern_appears(pat: FiniteAutomorphism, g: FiniteAutomorphism, w: str) -> b
 # cross-validated against enumeration at small depth in the tests.
 
 
-def linear_pattern_group(d: int, J: Iterable[int]) -> gf2.LinearSubgroup:
-    """P_J as a parity-constrained set: one check, the mask of levels in J."""
-    return gf2.LinearSubgroup(d, (level_set_mask(d, J),))
-
-
 def linear_essential_reduction(lin: gf2.LinearSubgroup
                                ) -> tuple[gf2.LinearSubgroup, bool]:
     """Reduction fixpoint computed on parity checks; returns (reduced,
@@ -348,25 +343,23 @@ def linear_essential_reduction(lin: gf2.LinearSubgroup
                 was_essential = True
             return current, was_essential
         was_essential = False
-        current = gf2.LinearSubgroup(d, tuple(gf2.rref(extended.checks)))
+        current = gf2.LinearSubgroup(d, tuple(gf2.rref(extended.checks)), current.zero)
 
 
 def linear_truncation_group(d: int, J: Iterable[int], n: int) -> gf2.LinearSubgroup:
     """Depth-n truncation group of the constrained group of P_J, as parity
     checks: the level-parity mask of J scattered to every subtree with at
     least d levels below it."""
-    base = linear_pattern_group(d, J)
+    j_mask = level_set_mask(d, J)
     if n < d:
         raise ValueError(f"truncation depth must be >= pattern size {d}, got {n}")
-    j_mask = base.checks[0]
     checks = [place(j_mask, v, d) for v in range((1 << (n - d + 1)) - 1)]
     return gf2.LinearSubgroup(n, tuple(checks))
 
 
 def linear_stabilizer_log2_order(lin: gf2.LinearSubgroup, n: int) -> int:
     """log2 of the order of the level-n stabilizer of a parity-cut subgroup."""
-    unit_checks = tuple(1 << k for k in range((1 << n) - 1))
-    return lin.with_checks(unit_checks).log2_order()
+    return replace(lin, zero=lin.zero | prefix_mask(n)).log2_order()
 
 
 def linear_hausdorff_dimension(lin: gf2.LinearSubgroup) -> Fraction:

@@ -1,21 +1,24 @@
 """Subgroups of the depth-d tree group: enumeration and structure.
 
-Two representations coexist:
+Two representations, one per question:
 
 * EnumeratedSubgroup: an explicit element set, built by breadth-first
   closure or listed directly when the structure is known, canonically
   ordered by the portrait byte encoding.
-* PredicateSubgroup: a membership test without enumeration, covering the
-  two distinguished families: level-parity kernels P_J and
-  last-level-stabilizer maximal subgroups M_V.
+* gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
+  and order read off the checks without enumeration.  The parity-defined
+  families are built here in that form: the level-parity kernels P_J
+  (maximal_subgroup), the maximal subgroups M_V of the level-(d-1)
+  stabilizer, and the full group's derived subgroup (in_derived_of_Gd).
 
 Structure known from the definitions is never recomputed by closure:
 
-* P_J is the solution set of its single parity check (the mask of the
-  levels in J), so enumerate_PJ lists it with the GF(2) Gray-code walk of
-  gf2.LinearSubgroup and attaches the Schreier generators of the index-2
-  kernel for the transversal {1, a_j0}, j0 = min J.  derived_subgroup then
-  starts from at most 2(d-1) generators instead of a greedy generating set.
+* P_J and M_V are the solution sets of their parity checks, so
+  enumerate_PJ and enumerate_MV list them with the GF(2) Gray-code walk of
+  gf2.LinearSubgroup.  enumerate_PJ attaches the Schreier generators of the
+  index-2 kernel for the transversal {1, a_j0}, j0 = min J, so
+  derived_subgroup starts from at most 2(d-1) generators instead of a
+  greedy generating set.
 * [S, S] is the normal closure in S of the commutators of S's generators,
   so derived_subgroup folds it from generators inside kernel.close, which
   conjugates each generator it accepts by S's generators.  It never lists
@@ -26,7 +29,8 @@ Structure known from the definitions is never recomputed by closure:
 
 Enumeration-backed operations respect a hard element cap (default 2^26,
 overridable per call or via the TREEGRP_CAP environment variable) and fail
-loudly when it is exceeded.
+loudly when it is exceeded.  Orders known up front are checked against the
+cap by their exponent, so the check works at every depth.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded
-from .heap import check_word, heap_index, level_mask, prefix_mask
-from .portrait import FiniteAutomorphism, generator, generators
+from .heap import check_word, heap_index, level_mask, prefix_mask, vertex_word
+from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
 
 DEFAULT_CAP = 1 << 26
 
@@ -64,6 +68,17 @@ def resolve_cap(cap: int | None = None) -> int:
     if value < 1:
         raise ValueError(message)
     return value
+
+
+def check_order_cap(log2_order: int, cap: int, what: str, advice: str = "") -> None:
+    """Raise EnumerationCapExceeded when an order 2^log2_order exceeds cap.
+
+    Compares exponents (2^k > cap iff k >= cap.bit_length()) and names the
+    order as 2^k, so the order is never built or printed in decimal.
+    """
+    if log2_order >= cap.bit_length():
+        hint = f"{what} has order 2^{log2_order}" + (f"; {advice}" if advice else "")
+        raise EnumerationCapExceeded(cap, hint=hint)
 
 
 class EnumeratedSubgroup:
@@ -172,13 +187,9 @@ _FULL_GROUP_CACHE: dict[int, EnumeratedSubgroup] = {}
 def full_group(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     """The whole depth-d group, order 2^(2^d - 1)."""
     cap = resolve_cap(cap)
-    order = 1 << ((1 << d) - 1)
     # Cap check precedes the cache so behavior does not depend on what
     # earlier calls happen to have enumerated.
-    if order > cap:
-        raise EnumerationCapExceeded(
-            cap, order, hint=f"full depth-{d} group has order 2^{(1 << d) - 1}"
-        )
+    check_order_cap((1 << d) - 1, cap, f"the full depth-{d} group")
     if d not in _FULL_GROUP_CACHE:
         _FULL_GROUP_CACHE[d] = close(generators(d), cap=cap)
     return _FULL_GROUP_CACHE[d]
@@ -307,35 +318,7 @@ def is_transitive_on_level(s: EnumeratedSubgroup, n: int) -> bool:
     return len(orbit(s, "0" * n)) == 1 << n
 
 
-# -- predicate-defined subgroups ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredicateSubgroup:
-    """A subgroup given by a membership predicate instead of an element list.
-
-    kind is "PJ" (kernel of the level-parity functional over J) or "MV"
-    (last-level stabilizer cut by the parity over the vertex set V).
-    """
-
-    depth: int
-    kind: str
-    J: frozenset[int] = frozenset()
-    V: frozenset[str] = frozenset()
-
-    def contains(self, g: FiniteAutomorphism) -> bool:
-        if g.depth != self.depth:
-            raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
-        if self.kind == "PJ":
-            return g.alpha(self.J) == 0
-        if self.kind == "MV":
-            if g.bits & prefix_mask(self.depth - 1):
-                return False
-            return beta_V(g, self.V) == 0
-        raise ValueError(f"unknown predicate kind {self.kind!r}")
-
-    def __contains__(self, g: FiniteAutomorphism) -> bool:
-        return self.contains(g)
+# -- parity-defined subgroups ------------------------------------------------
 
 
 def level_set_mask(d: int, J: Iterable[int]) -> int:
@@ -351,11 +334,9 @@ def level_set_mask(d: int, J: Iterable[int]) -> int:
     return mask
 
 
-def maximal_subgroup(d: int, J: Iterable[int]) -> PredicateSubgroup:
+def maximal_subgroup(d: int, J: Iterable[int]) -> gf2.LinearSubgroup:
     """The index-2 subgroup P_J = kernel of the parity functional over levels J."""
-    J = frozenset(J)
-    level_set_mask(d, J)  # validates J
-    return PredicateSubgroup(d, "PJ", J=J)
+    return gf2.LinearSubgroup(d, (level_set_mask(d, J),))
 
 
 def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphism, ...]:
@@ -377,28 +358,28 @@ def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphi
     return tuple(gens)
 
 
+def _list_linear(lin: gf2.LinearSubgroup, cap: int | None, what: str,
+                 builder: str) -> Iterator[int]:
+    """The member portraits of a parity-defined subgroup, by the Gray-code
+    walk over its checks' nullspace, once its order is known to fit under
+    the cap."""
+    check_order_cap(lin.log2_order(), resolve_cap(cap), what,
+                    f"use {builder} for membership without enumeration")
+    return lin.iter_bits()
+
+
 def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> EnumeratedSubgroup:
     """Explicit element set of P_J; order 2^(2^d - 2).  Needs d <= 4.
 
-    P_J is the solution set of one parity check, so its members are listed
-    by the Gray-code walk over the check's nullspace, with no closure.  The
-    result carries the Schreier generators of P_J (at most 2(d-1)).
+    The result carries the Schreier generators of P_J (at most 2(d-1)).
     """
     J = frozenset(J)
-    mask = level_set_mask(d, J)
-    cap = resolve_cap(cap)
-    order_pj = 1 << ((1 << d) - 2)
-    if order_pj > cap:
-        raise EnumerationCapExceeded(
-            cap, order_pj,
-            hint="use maximal_subgroup(d, J) for membership without enumeration",
-        )
-    return EnumeratedSubgroup.from_element_bits(
-        d, gf2.LinearSubgroup(d, (mask,)).iter_bits(), _pj_schreier_generators(d, J)
-    )
+    bits = _list_linear(maximal_subgroup(d, J), cap, f"P_J for J={sorted(J)}",
+                        "maximal_subgroup(d, J)")
+    return EnumeratedSubgroup.from_element_bits(d, bits, _pj_schreier_generators(d, J))
 
 
-def M_V(d: int, V: Iterable[str]) -> PredicateSubgroup:
+def M_V(d: int, V: Iterable[str]) -> gf2.LinearSubgroup:
     """Maximal subgroup of the level-(d-1) stabilizer cut out by the parity over V."""
     V = frozenset(V)
     if not V:
@@ -406,20 +387,14 @@ def M_V(d: int, V: Iterable[str]) -> PredicateSubgroup:
     for w in V:
         if len(w) != d - 1:
             raise ValueError(f"vertex {w!r} is not on level {d - 1}")
-    return PredicateSubgroup(d, "MV", V=V)
+    mask = sum(1 << heap_index(w) for w in V)
+    return gf2.LinearSubgroup(d, (mask,), zero=prefix_mask(d - 1))
 
 
 def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> EnumeratedSubgroup:
-    """Explicit element set of M_V, order 2^(2^(d-1) - 1), listed like P_J from
-    its parity checks: one unit check per bit on levels 0..d-2, and V's mask."""
-    cap = resolve_cap(cap)
-    order_mv = 1 << ((1 << (d - 1)) - 1)
-    if order_mv > cap:
-        raise EnumerationCapExceeded(cap, order_mv, hint="use M_V(d, V)")
-    checks = [1 << k for k in range(prefix_mask(d - 1).bit_length())]
-    checks.append(sum(1 << heap_index(w) for w in M_V(d, V).V))
+    """Explicit element set of M_V, order 2^(2^(d-1) - 1)."""
     return EnumeratedSubgroup.from_element_bits(
-        d, gf2.LinearSubgroup(d, tuple(checks)).iter_bits())
+        d, _list_linear(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)"))
 
 
 def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:
@@ -476,7 +451,8 @@ def in_derived_of_Gd(g: FiniteAutomorphism) -> bool:
     subgroup is exactly their common kernel.  Cross-checked against the
     enumerated derived subgroup in the test suite.
     """
-    return all(g.alpha({j}) == 0 for j in range(g.depth))
+    d = g.depth
+    return gf2.LinearSubgroup(d, tuple(level_mask(j) for j in range(d))).contains(g)
 
 
 @dataclass
@@ -556,31 +532,55 @@ def all_subgroups_depth2() -> list[EnumeratedSubgroup]:
 # -- JSON wire format ---------------------------------------------------------
 
 
-def subgroup_to_json(s: EnumeratedSubgroup | PredicateSubgroup) -> dict:
-    """Serialize to the subgroup JSON schema (hex portraits, level/vertex sets)."""
+def subgroup_to_json(s: EnumeratedSubgroup | gf2.LinearSubgroup) -> dict:
+    """Serialize to the subgroup JSON schema (hex portraits, level/vertex sets).
+
+    A parity-defined subgroup has a JSON form only in the two shapes that
+    maximal_subgroup and M_V build.
+    """
+    d = s.depth
     if isinstance(s, EnumeratedSubgroup):
         gens = s.generators or generating_set(s)
-        return {
-            "d": s.depth,
-            "kind": "generated",
-            "generators": [g.to_hex() for g in gens],
-        }
-    if s.kind == "PJ":
-        return {"d": s.depth, "kind": "PJ", "J": sorted(s.J)}
-    if s.kind == "MV":
-        return {"d": s.depth, "kind": "MV", "V": sorted(s.V)}
-    raise ValueError(f"no JSON form for predicate kind {s.kind!r}")
+        return {"d": d, "kind": "generated", "generators": [g.to_hex() for g in gens]}
+    if len(s.checks) == 1:
+        (check,) = s.checks
+        if not s.zero:
+            J = [j for j in range(d) if check & level_mask(j)]
+            if J and check == level_set_mask(d, J):
+                return {"d": d, "kind": "PJ", "J": J}
+        elif s.zero == prefix_mask(d - 1) and check and not check & ~level_mask(d - 1):
+            first = (1 << (d - 1)) - 1
+            bits = format(check >> first, "b")[::-1]
+            V = [vertex_word(first + k) for k, c in enumerate(bits) if c == "1"]
+            return {"d": d, "kind": "MV", "V": V}
+    raise ValueError("no JSON form for this parity-defined subgroup")
+
+
+def _require_list_of(doc: dict, key: str, kind: type) -> list:
+    value = doc[key]
+    if not isinstance(value, list) or not all(
+            isinstance(x, kind) and not isinstance(x, bool) for x in value):
+        noun = "integers" if kind is int else "strings"
+        raise ValueError(f"{key!r} must be a list of {noun}, got {value!r}")
+    return value
 
 
 def subgroup_from_json(doc: dict, cap: int | None = None
-                       ) -> EnumeratedSubgroup | PredicateSubgroup:
+                       ) -> EnumeratedSubgroup | gf2.LinearSubgroup:
+    """Parse the subgroup JSON schema; a malformed document raises ValueError
+    (or KeyError for a missing field)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a subgroup file holds a JSON object, got {type(doc).__name__}")
     d = doc["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DEPTH:
+        raise ValueError(f"'d' must be an integer in 1..{MAX_DEPTH}, got {d!r}")
     kind = doc["kind"]
     if kind == "generated":
-        gens = [FiniteAutomorphism.from_hex(h, d) for h in doc["generators"]]
+        gens = [FiniteAutomorphism.from_hex(h, d)
+                for h in _require_list_of(doc, "generators", str)]
         return close(gens, depth=d, cap=cap)
     if kind == "PJ":
-        return maximal_subgroup(d, doc["J"])
+        return maximal_subgroup(d, _require_list_of(doc, "J", int))
     if kind == "MV":
-        return M_V(d, doc["V"])
+        return M_V(d, _require_list_of(doc, "V", str))
     raise ValueError(f"unknown subgroup kind {kind!r}")

@@ -46,6 +46,7 @@ from .subgroups import (
     _derived_from_generators,
     _pj_schreier_generators,
     all_subgroups_depth2,
+    check_order_cap,
     conjugate_label_check,
     derived_subgroup,
     enumerate_PJ,
@@ -82,11 +83,7 @@ def derived_of_full(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     depend on what earlier calls happen to have enumerated.
     """
     cap = resolve_cap(cap)
-    order = 1 << ((1 << d) - 1 - d)
-    if order > cap:
-        raise EnumerationCapExceeded(
-            cap, order, hint=f"[G({d}), G({d})] has order 2^{(1 << d) - 1 - d}"
-        )
+    check_order_cap((1 << d) - 1 - d, cap, f"[G({d}), G({d})]")
     if d not in _DERIVED_FULL_CACHE:
         _DERIVED_FULL_CACHE[d] = _derived_from_generators(
             d, [a.bits for a in generators(d)], cap)
@@ -189,7 +186,7 @@ def _classify_row_enumerated(d: int, J: frozenset[int],
 
 
 def _classify_row_gf2(d: int, J: frozenset[int], max_dim: Fraction) -> ClassificationRow:
-    lin = pt.linear_pattern_group(d, J)
+    lin = maximal_subgroup(d, J)
     reduced, essential = pt.linear_essential_reduction(lin)
     dimension = pt.linear_hausdorff_dimension(reduced)
     a_top_bits = generator(d, d - 1).bits

@@ -265,6 +265,69 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+# Results recorded before P_J and M_V moved onto gf2.LinearSubgroup; the
+# first three files are the README's examples.
+_PINNED_ANALYZE = [
+    ({"d": 3, "kind": "PJ", "J": [2], "role": "pattern_group"},
+     {"J": [2], "d": 3, "dimension": {"den": 4, "num": 3}, "essential": True,
+      "index_in_full_group": 2, "kind": "PJ", "order": 64, "reduced_order": 64,
+      "role": "pattern_group"}),
+    ({"d": 2, "kind": "generated", "generators": ["01", "02"]},
+     {"d": 2, "index_in_full_group": 1, "kind": "generated", "order": 8}),
+    ({"d": 3, "kind": "MV", "V": ["00", "01", "10", "11"]},
+     {"V": ["00", "01", "10", "11"], "d": 3, "index_in_full_group": 16, "kind": "MV",
+      "order": 8}),
+    ({"d": 4, "kind": "MV", "V": ["101", "000", "011", "000"], "role": "pattern_group"},
+     {"V": ["000", "011", "101"], "d": 4, "dimension": {"den": 1, "num": 0},
+      "essential": False, "index_in_full_group": 256, "kind": "MV", "order": 128,
+      "reduced_order": 1, "role": "pattern_group"}),
+]
+
+
+@pytest.mark.parametrize("doc,expected", _PINNED_ANALYZE)
+def test_analyze_json_matches_pinned_output(runner, tmp_path, doc, expected):
+    path = tmp_path / "subgroup.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["analyze", "--file", str(path), "--format", "json",
+                               "--no-timestamp"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {
+        "command": "analyze", "config": {"cap": None, "file": str(path)},
+        "result": expected, "schema": 1,
+    }
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": "3", "kind": "PJ", "J": [2]},
+    {"d": True, "kind": "PJ", "J": [0]},
+    {"d": 0, "kind": "PJ", "J": [0]},
+    {"d": 25, "kind": "PJ", "J": [0]},
+    {"d": 3, "kind": "PJ", "J": 5},
+    {"d": 3, "kind": "PJ", "J": [True]},
+    {"d": 2, "kind": "MV", "V": "01"},
+    {"d": 3, "kind": "MV", "V": [0]},
+    {"d": 3, "kind": "generated", "generators": "01"},
+    {"d": 3, "kind": "PJ"},
+    [1, 2],
+    "PJ",
+])
+def test_analyze_malformed_subgroup_document_exits_2(runner, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["analyze", "--file", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "--file" in res.output
+
+
+def test_analyze_pj_beyond_the_cap_exits_3(runner, tmp_path):
+    # P_J at d=14 has order 2^16382, far too many digits to print in decimal.
+    path = tmp_path / "pj14.json"
+    path.write_text(json.dumps({"d": 14, "kind": "PJ", "J": [2]}))
+    res = runner.invoke(main, ["analyze", "--file", str(path)])
+    assert res.exit_code == 3, res.output
+    assert "2^16382" in res.output
+
+
 @pytest.mark.parametrize("suite,samples", [("ni", "-5"), ("aux", "0")])
 def test_verify_rejects_samples_below_one(runner, suite, samples):
     res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--samples", samples])

@@ -114,3 +114,35 @@ def test_linear_subgroup_refuses_huge_listing():
     lin = gf2.LinearSubgroup(6, ())
     with pytest.raises(ValueError):
         list(lin.iter_bits())
+
+
+def test_zero_mask_equals_explicit_unit_checks():
+    rng = random.Random(251)
+    for _ in range(300):
+        d = rng.randrange(1, 5)
+        n = (1 << d) - 1
+        checks = tuple(rng.getrandbits(n) for _ in range(rng.randrange(0, 4)))
+        zero = rng.getrandbits(n) & rng.getrandbits(n)
+        lin = gf2.LinearSubgroup(d, checks, zero)
+        units = gf2.LinearSubgroup(d, checks + tuple(1 << k for k in range(n) if zero >> k & 1))
+        assert lin.log2_order() == units.log2_order()
+        assert lin.basis() == units.basis()
+        if d <= 3:
+            assert list(lin.iter_bits()) == list(units.iter_bits())
+            for b in range(1 << n):
+                assert lin.contains_bits(b) == units.contains_bits(b)
+        else:
+            assert sorted(lin.iter_bits()) == sorted(units.iter_bits())
+            for _ in range(200):
+                b = rng.getrandbits(n) & ~(zero if rng.getrandbits(1) else 0)
+                assert lin.contains_bits(b) == units.contains_bits(b)
+
+
+def test_linear_subgroup_contains_checks_depth():
+    from treegrp.portrait import generator
+
+    lin = gf2.LinearSubgroup(3, (1,))
+    assert lin.contains(generator(3, 1)) and generator(3, 1) in lin
+    assert not lin.contains(generator(3, 0))
+    with pytest.raises(ValueError):
+        lin.contains(generator(2, 1))

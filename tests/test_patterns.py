@@ -24,7 +24,7 @@ from treegrp.patterns import (
     is_level_transitive,
     linear_essential_reduction,
     linear_hausdorff_dimension,
-    linear_pattern_group,
+    linear_stabilizer_log2_order,
     linear_truncation_group,
     pattern_appears,
     psi_image_index,
@@ -38,6 +38,7 @@ from treegrp.subgroups import (
     enumerate_PJ,
     full_group,
     level_stabilizer,
+    maximal_subgroup,
     verify_closed,
 )
 
@@ -383,7 +384,7 @@ def test_pattern_appears_range_error():
 def test_linear_pipeline_matches_enumeration_everywhere():
     for d in (2, 3, 4):
         for J in nonempty_level_sets(d):
-            lin = linear_pattern_group(d, J)
+            lin = maximal_subgroup(d, J)
             pj = enumerate_PJ(d, J)
             assert lin.order() == pj.order
             assert set(lin.iter_bits()) == set(pj.element_bits)
@@ -415,10 +416,23 @@ def test_linear_projective_consistency_beyond_enumeration():
             assert proj == gf2.rref(small.basis())
 
 
+def test_linear_stabilizer_order_equals_unit_check_form():
+    # The level-n stabilizer as a zero mask against one unit check per bit
+    # on levels 0..n-1, for P_J and its reduction.
+    for d in range(1, 7):
+        for J in nonempty_level_sets(d):
+            lin = maximal_subgroup(d, J)
+            systems = [lin, linear_essential_reduction(lin)[0]] if d >= 2 else [lin]
+            for s in systems:
+                for n in range(d + 1):
+                    units = s.with_checks(1 << k for k in range((1 << n) - 1))
+                    assert linear_stabilizer_log2_order(s, n) == units.log2_order()
+
+
 def test_depth5_linear_classification_counts():
     essential_count = 0
     for J in nonempty_level_sets(5):
-        lin = linear_pattern_group(5, J)
+        lin = maximal_subgroup(5, J)
         red, was_ess = linear_essential_reduction(lin)
         dim = linear_hausdorff_dimension(red)
         if was_ess:

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from treegrp import kernel
+from treegrp import gf2, kernel, verify
 from treegrp.errors import EnumerationCapExceeded
-from treegrp.heap import heap_index
+from treegrp.heap import heap_index, level_mask, prefix_mask
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
 from treegrp.subgroups import (
     DEFAULT_CAP,
@@ -25,6 +25,7 @@ from treegrp.subgroups import (
     conjugate_label_check,
     derived_subgroup,
     derived_subgroup_allpairs,
+    enumerate_MV,
     enumerate_PJ,
     full_group,
     generating_set,
@@ -395,6 +396,72 @@ def test_mv_conjugation_law_exhaustive_depth3(g3):
             assert conjugated == expected
 
 
+def level_words(n):
+    return [format(v, "b").zfill(n) if n else "" for v in range(1 << n)]
+
+
+def membership_samples(d, seed, count=60):
+    """Random portraits, random level-(d-1) stabilizer members, and such
+    members with one random bit above the last level set."""
+    rng = random.Random(seed)
+    first = (1 << (d - 1)) - 1
+    out = []
+    for _ in range(count):
+        stab = rng.getrandbits(1 << (d - 1)) << first
+        out += [FiniteAutomorphism.random(d, rng).bits, stab,
+                stab | 1 << rng.randrange(first)]
+    return [FiniteAutomorphism(d, b) for b in out]
+
+
+def test_pj_membership_is_the_level_parity():
+    for d in (1, 2, 3):
+        for J in nonempty_level_sets(d):
+            pj = maximal_subgroup(d, J)
+            for b in full_group(d).element_bits:
+                g = FiniteAutomorphism(d, b)
+                assert pj.contains(g) == (g.alpha(J) == 0)
+                assert (g in pj) == pj.contains(g)
+    for d, seed in ((8, 1201), (16, 1202)):
+        rng = random.Random(seed)
+        samples = membership_samples(d, seed)
+        for _ in range(12):
+            J = {j for j in range(d) if rng.getrandbits(1)} or {d - 1}
+            pj = maximal_subgroup(d, J)
+            assert {pj.contains(g) for g in samples} == {True, False}
+            for g in samples:
+                assert pj.contains(g) == (g.alpha(J) == 0)
+
+
+def test_mv_membership_is_the_stabilizer_and_beta_parity():
+    def by_definition(g, V):
+        return not g.bits & prefix_mask(g.depth - 1) and beta_V(g, V) == 0
+
+    for d in (1, 2, 3):
+        words = level_words(d - 1)
+        for mask in range(1, 1 << len(words)):
+            V = {words[i] for i in range(len(words)) if (mask >> i) & 1}
+            mv = M_V(d, V)
+            for b in full_group(d).element_bits:
+                g = FiniteAutomorphism(d, b)
+                assert mv.contains(g) == by_definition(g, V)
+    for d, seed in ((8, 1203), (16, 1204)):
+        rng = random.Random(seed)
+        samples = membership_samples(d, seed)
+        for size in (1, 2, 5, 64):
+            V = {format(rng.getrandbits(d - 1), "b").zfill(d - 1) for _ in range(size)}
+            mv = M_V(d, V)
+            assert {mv.contains(g) for g in samples} == {True, False}
+            for g in samples:
+                assert mv.contains(g) == by_definition(g, V)
+
+
+def test_mv_order_from_its_checks():
+    for d in (2, 3, 8, 24):
+        mv = M_V(d, {"0" * (d - 1)})
+        assert mv.log2_order() == (1 << (d - 1)) - 1
+    assert M_V(24, {"1" * 23}).contains(identity(24))
+
+
 # -- conjugation label law ---------------------------------------------------------------
 
 
@@ -573,6 +640,59 @@ def test_pj_and_mv_json_roundtrip():
 def test_subgroup_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         subgroup_from_json({"d": 2, "kind": "nonsense"})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_PJ(14, {2}),
+    lambda: full_group(14),
+    lambda: verify.derived_of_full(14),
+    lambda: enumerate_MV(15, {"0" * 14}),
+    lambda: enumerate_PJ(24, {23}),
+])
+def test_cap_checks_name_huge_orders_by_their_exponent(build):
+    # These orders have thousands of decimal digits; the cap check compares
+    # exponents and the message names the order as 2^k.
+    with pytest.raises(EnumerationCapExceeded) as err:
+        build()
+    assert err.value.reached is None
+    assert "has order 2^" in str(err.value)
+
+
+def test_cap_check_compares_exponents_exactly():
+    # 2^k > cap iff k >= cap.bit_length(): P_J at d=3 has 2^6 = 64 elements.
+    assert enumerate_PJ(3, {2}, cap=64).order == 64
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_PJ(3, {2}, cap=63)
+    assert enumerate_MV(3, {"00"}, cap=8).order == 8
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_MV(3, {"00"}, cap=7)
+
+
+def test_pj_and_mv_json_roundtrip_everywhere():
+    for d in (1, 2, 3, 4):
+        for J in nonempty_level_sets(d):
+            doc = subgroup_to_json(maximal_subgroup(d, J))
+            assert doc == {"d": d, "kind": "PJ", "J": sorted(J)}
+            assert subgroup_from_json(doc) == maximal_subgroup(d, J)
+    for d in (2, 3):
+        words = level_words(d - 1)
+        for mask in range(1, 1 << len(words)):
+            V = {words[i] for i in range(len(words)) if (mask >> i) & 1}
+            doc = subgroup_to_json(M_V(d, V))
+            assert doc == {"d": d, "kind": "MV", "V": sorted(V)}
+            assert subgroup_from_json(doc) == M_V(d, V)
+
+
+@pytest.mark.parametrize("lin", [
+    gf2.LinearSubgroup(3, (level_mask(1), level_mask(2))),  # two checks
+    gf2.LinearSubgroup(3, (1 << 4,)),  # part of a level
+    gf2.LinearSubgroup(3, ()),  # no check
+    gf2.LinearSubgroup(3, (1 << 3,), zero=1),  # zero is not the top prefix
+    gf2.LinearSubgroup(3, (level_mask(1),), zero=prefix_mask(2)),  # check off the last level
+])
+def test_subgroup_to_json_refuses_other_parity_subgroups(lin):
+    with pytest.raises(ValueError):
+        subgroup_to_json(lin)
 
 
 def test_enumerate_mv_matches_predicate_filter():
