@@ -6,7 +6,8 @@ subgroup/pattern-group file analysis (`analyze`).
 
 Exit codes: 0 success; 1 a verification check failed (a counterexample to
 something the library asserts, which a correct build never produces);
-2 usage error; 3 enumeration cap exceeded.
+2 usage error; 3 a resource limit: enumeration cap exceeded, or an index
+too long to print in decimal.
 
 JSON reports are versioned ("schema": 1) and byte-deterministic for a fixed
 configuration when --no-timestamp is passed.  The enumeration cap can be
@@ -27,14 +28,7 @@ from .errors import EnumerationCapExceeded, VerificationError
 from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
 from .portrait import FiniteAutomorphism, distance as metric_distance
-from .subgroups import (
-    enumerate_MV,
-    enumerate_PJ,
-    full_group,
-    index,
-    resolve_cap,
-    subgroup_from_json,
-)
+from .subgroups import enumerate_MV, enumerate_PJ, resolve_cap, subgroup_from_json
 
 SCHEMA_VERSION = 1
 
@@ -328,7 +322,17 @@ def analyze_cmd(path: str, fmt: str, no_timestamp: bool, cap: int | None):
         else:
             obj_enum = obj
         result["order"] = obj_enum.order
-        result["index_in_full_group"] = index(full_group(d, cap=cap), obj_enum)
+        # |G(d)| = 2^(2^d - 1) and |S| is a power of two, so the index is
+        # 2^k without listing G(d); from d = 14 its decimal form passes the
+        # interpreter's default limit on the digits of an int.
+        log2_index = (1 << d) - 1 - (obj_enum.order.bit_length() - 1)
+        try:
+            str(1 << log2_index)
+        except ValueError:
+            click.echo(f"resource limit: the index 2^{log2_index} of the subgroup "
+                       "has too many digits to print", err=True)
+            sys.exit(3)
+        result["index_in_full_group"] = 1 << log2_index
         lines.append(f"  order {result['order']}, index {result['index_in_full_group']}")
         if doc.get("role") == "pattern_group":
             pg = PatternGroup.from_subgroup(obj_enum)

@@ -16,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+#: log2 of the most members LinearSubgroup.iter_bits lists, whatever the
+#: enumeration cap.
+MAX_LIST_LOG2 = 26
+
 
 def rref(rows: Iterable[int]) -> list[int]:
     """Fully reduced row echelon basis, highest pivot first.
@@ -150,7 +154,7 @@ class LinearSubgroup:
     def iter_bits(self) -> Iterator[int]:
         """All member portraits (meant for small solution spaces only)."""
         basis = self.basis()
-        if len(basis) > 26:
+        if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
         n = len(basis)
         v = 0

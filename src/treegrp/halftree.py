@@ -23,6 +23,7 @@ from . import kernel
 from .errors import VerificationError
 from .heap import half_level_mask
 from .portrait import FiniteAutomorphism, generator, identity
+from .report import Report
 from .subgroups import level_set_mask, maximal_subgroup
 
 
@@ -111,26 +112,17 @@ def _check_pj_member(ctx: JContext, g: FiniteAutomorphism, name: str) -> None:
 
 
 @dataclass
-class IdentityCheckReport:
+class IdentityCheckReport(Report):
     """Result of exercising the product/inverse/commutator transformation laws."""
 
-    depth: int
-    levels: tuple[int, ...]
+    depth: int = field(metadata={"key": "d"})
+    levels: tuple[int, ...] = field(metadata={"key": "J"})
     pairs_checked: int = 0
     failures: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.depth,
-            "J": list(self.levels),
-            "pairs_checked": self.pairs_checked,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
 
 
 #: Bits of batch in one chunk of sample pairs (one pair where a portrait is
@@ -264,7 +256,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(Report):
     """One-sided membership verdict for [P_J, P_J].
 
     verdict NOT_IN_DERIVED carries the nonzero functional ("N0" or "N1") as
@@ -274,9 +266,6 @@ class CertificateVerdict:
 
     verdict: str
     certificate: str | None
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "certificate": self.certificate}
 
 
 def derived_membership_certificate(ctx: JContext,

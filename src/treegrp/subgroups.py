@@ -43,6 +43,7 @@ from . import gf2, kernel
 from .errors import EnumerationCapExceeded
 from .heap import check_word, heap_index, level_mask, prefix_mask, vertex_word
 from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
+from .report import Report
 
 DEFAULT_CAP = 1 << 26
 
@@ -362,9 +363,10 @@ def _list_linear(lin: gf2.LinearSubgroup, cap: int | None, what: str,
                  builder: str) -> Iterator[int]:
     """The member portraits of a parity-defined subgroup, by the Gray-code
     walk over its checks' nullspace, once its order is known to fit under
-    the cap."""
-    check_order_cap(lin.log2_order(), resolve_cap(cap), what,
-                    f"use {builder} for membership without enumeration")
+    the cap and under the listing limit 2^gf2.MAX_LIST_LOG2, which holds
+    whatever the cap."""
+    check_order_cap(lin.log2_order(), min(resolve_cap(cap), 1 << gf2.MAX_LIST_LOG2),
+                    what, f"use {builder} for membership without enumeration")
     return lin.iter_bits()
 
 
@@ -456,7 +458,7 @@ def in_derived_of_Gd(g: FiniteAutomorphism) -> bool:
 
 
 @dataclass
-class PresentationReport:
+class PresentationReport(Report):
     """Outcome of checking the standard presentation relations at depth d."""
 
     d: int
@@ -473,17 +475,6 @@ class PresentationReport:
             and not self.relation_failures
             and (not self.order_checked or self.order_expected == self.order_actual)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "involution_failures": self.involution_failures,
-            "relation_failures": [list(t) for t in self.relation_failures],
-            "order_checked": self.order_checked,
-            "order_expected": self.order_expected,
-            "order_actual": self.order_actual,
-            "passed": self.passed,
-        }
 
 
 def verify_presentation(d: int, cap: int | None = None) -> PresentationReport:

@@ -41,6 +41,7 @@ from .halftree import (
 )
 from .heap import level_mask
 from .portrait import FiniteAutomorphism, commutator, generator, generators
+from .report import Report
 from .subgroups import (
     EnumeratedSubgroup,
     _derived_from_generators,
@@ -91,7 +92,7 @@ def derived_of_full(d: int, cap: int | None = None) -> EnumeratedSubgroup:
 
 
 @dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Report):
     d: int
     J: tuple[int, ...]
     essential: bool
@@ -102,22 +103,9 @@ class ClassificationRow:
     bs_premise_fails: bool | None
     top_fg_verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "J": list(self.J),
-            "essential": self.essential,
-            "contains_a_dminus1": self.contains_a_dminus1,
-            "contains_derived_of_Gd": self.contains_derived_of_Gd,
-            "dimension": {"num": self.dimension.numerator, "den": self.dimension.denominator},
-            "is_max_dimension": self.is_max_dimension,
-            "bs_premise_fails": self.bs_premise_fails,
-            "top_fg_verdict": self.top_fg_verdict,
-        }
-
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(Report):
     d: int
     rows: list[ClassificationRow]
     max_dimension_count: int
@@ -127,16 +115,6 @@ class ClassificationReport:
     @property
     def passed(self) -> bool:
         return self.max_dimension_count == self.expected_max_count
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "rows": [r.to_dict() for r in self.rows],
-            "max_dimension_count": self.max_dimension_count,
-            "expected_max_count": self.expected_max_count,
-            "used_gf2": self.used_gf2,
-            "passed": self.passed,
-        }
 
 
 def _check_row_consistency(row: ClassificationRow) -> None:
@@ -256,25 +234,16 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
 
 
 @dataclass
-class NoAdadCase:
+class NoAdadCase(Report):
     J: tuple[int, ...]
     certificate_verdict: str
     certificate: str | None
     enumerated_checked: bool
     enumerated_excluded: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "J": list(self.J),
-            "certificate_verdict": self.certificate_verdict,
-            "certificate": self.certificate,
-            "enumerated_checked": self.enumerated_checked,
-            "enumerated_excluded": self.enumerated_excluded,
-        }
-
 
 @dataclass
-class NoAdadReport:
+class NoAdadReport(Report):
     d: int
     cases: list[NoAdadCase] = field(default_factory=list)
 
@@ -285,9 +254,6 @@ class NoAdadReport:
             and (not c.enumerated_checked or c.enumerated_excluded)
             for c in self.cases
         )
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "cases": [c.to_dict() for c in self.cases], "passed": self.passed}
 
 
 def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
@@ -323,34 +289,22 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
 
 
 @dataclass
-class TopFgCase:
+class TopFgCase(Report):
     J: tuple[int, ...]
     in_top_stabilizer: bool
     certificate: str | None
     enumerated_excluded: bool
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "J": list(self.J),
-            "in_top_stabilizer": self.in_top_stabilizer,
-            "certificate": self.certificate,
-            "enumerated_excluded": self.enumerated_excluded,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass
-class TopFgReport:
+class TopFgReport(Report):
     d: int
     cases: list[TopFgCase] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(c.verdict == VERDICT_NOT_TOP_FG for c in self.cases)
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "cases": [c.to_dict() for c in self.cases], "passed": self.passed}
 
 
 def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
@@ -387,31 +341,19 @@ def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
 
 
 @dataclass
-class NewRelationCase:
-    label: str
+class NewRelationCase(Report):
+    label: str = field(metadata={"key": "case"})
     J: tuple[int, ...] | None
-    order_p: int
-    order_stab: int
+    order_p: int = field(metadata={"key": "order_P"})
+    order_stab: int = field(metadata={"key": "order_P_top_stabilizer"})
     psi_index: int | None
     psi_depths: tuple[tuple[int, int], ...]
     stabilized: bool
     equality_holds: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.label,
-            "J": list(self.J) if self.J is not None else None,
-            "order_P": self.order_p,
-            "order_P_top_stabilizer": self.order_stab,
-            "psi_index": self.psi_index,
-            "psi_depths": [list(t) for t in self.psi_depths],
-            "stabilized": self.stabilized,
-            "equality_holds": self.equality_holds,
-        }
-
 
 @dataclass
-class NewRelationReport:
+class NewRelationReport(Report):
     d: int
     cases: list[NewRelationCase] = field(default_factory=list)
     incomplete: bool = False
@@ -419,14 +361,6 @@ class NewRelationReport:
     @property
     def passed(self) -> bool:
         return not self.incomplete and all(c.equality_holds for c in self.cases)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "cases": [c.to_dict() for c in self.cases],
-            "incomplete": self.incomplete,
-            "passed": self.passed,
-        }
 
 
 def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
@@ -472,7 +406,7 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
 
 
 @dataclass
-class AuxReport:
+class AuxReport(Report):
     d: int
     conjugation_pairs_checked: int = 0
     conjugation_failures: int = 0
@@ -489,18 +423,6 @@ class AuxReport:
             and self.pj_equivalences_hold
             and self.allowed_set_violations == 0
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "conjugation_pairs_checked": self.conjugation_pairs_checked,
-            "conjugation_failures": self.conjugation_failures,
-            "sweep_groups_processed": self.sweep_groups_processed,
-            "sweep_equivalences_hold": self.sweep_equivalences_hold,
-            "pj_equivalences_hold": self.pj_equivalences_hold,
-            "allowed_set_violations": self.allowed_set_violations,
-            "passed": self.passed,
-        }
 
 
 #: Candidate budget for transitivity probes: deeper truncation groups are

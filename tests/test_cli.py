@@ -351,3 +351,53 @@ def test_cap_below_one_or_malformed_is_a_usage_error(runner, monkeypatch, comman
     res = runner.invoke(main, [*command, "--d", "3", *cap_args])
     assert res.exit_code == 2
     assert ("--cap" if cap_args else "TREEGRP_CAP") in res.output
+
+
+@pytest.mark.parametrize("doc,cap,order,log2_index", [
+    # The cap fits the subgroup but not the 2^15 elements of G(4).
+    ({"d": 4, "kind": "PJ", "J": [3]}, 16384, 16384, 1),
+    ({"d": 4, "kind": "MV", "V": ["000"], "role": "pattern_group"}, 200, 128, 8),
+    # <a_0> at d = 13: the index 2^8190 still prints.
+    ({"d": 13, "kind": "generated", "generators": [generator(13, 0).to_hex()]}, None, 2,
+     8190),
+])
+def test_analyze_index_does_not_list_the_full_group(runner, tmp_path, doc, cap, order,
+                                                    log2_index):
+    path = tmp_path / "subgroup.json"
+    path.write_text(json.dumps(doc))
+    cap_args = [] if cap is None else ["--cap", str(cap)]
+    res = runner.invoke(main, ["analyze", "--file", str(path), "--format", "json",
+                               "--no-timestamp", *cap_args])
+    assert res.exit_code == 0, res.output
+    result = json.loads(res.output)["result"]
+    assert (result["order"], result["index_in_full_group"]) == (order, 1 << log2_index)
+
+
+def test_analyze_index_too_long_to_print_exits_3(runner, tmp_path):
+    path = tmp_path / "gen14.json"
+    path.write_text(json.dumps({"d": 14, "kind": "generated",
+                                "generators": [generator(14, 0).to_hex()]}))
+    res = runner.invoke(main, ["analyze", "--file", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "2^16382" in res.output
+
+
+@pytest.mark.parametrize("cap_args,env_cap", [
+    (["--cap", "2000000000"], None),
+    ([], "2000000000"),
+])
+def test_analyze_beyond_the_listing_limit_exits_3_whatever_the_cap(runner, tmp_path,
+                                                                   monkeypatch, cap_args,
+                                                                   env_cap):
+    # P_J at d=5 has 2^30 members: under the cap, over the listing limit.
+    if env_cap is None:
+        monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    else:
+        monkeypatch.setenv("TREEGRP_CAP", env_cap)
+    path = tmp_path / "pj5.json"
+    path.write_text(json.dumps({"d": 5, "kind": "PJ", "J": [4]}))
+    res = runner.invoke(main, ["analyze", "--file", str(path), *cap_args])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "2^30" in res.output

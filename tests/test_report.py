@@ -1,0 +1,69 @@
+"""The report schema: one serializer, and whole JSON documents pinned.
+
+The files under tests/data were written by the hand-written to_dict
+methods that treegrp.report replaced, so a renamed, dropped or reshaped
+key fails here before it reaches a user.
+"""
+
+import json
+from dataclasses import dataclass, field
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from treegrp.cli import main
+from treegrp.halftree import JContext, verify_ni_identities
+from treegrp.report import Report
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,args", [
+    ("classify_d2", ["classify", "--d", "2"]),
+    ("classify_d3_gf2", ["classify", "--d", "3", "--gf2"]),
+    ("verify_all_d2", ["verify", "--suite", "all", "--d", "2", "--samples", "20",
+                       "--seed", "1"]),
+])
+def test_cli_json_document_is_pinned(name, args):
+    res = CliRunner().invoke(main, args + ["--format", "json", "--no-timestamp"])
+    assert res.exit_code == 0, res.output
+    assert res.output == (DATA / f"{name}.json").read_text()
+
+
+def test_ni_identities_document_is_pinned():
+    doc = verify_ni_identities(JContext.make(3, {2}), samples=5, seed=2).to_dict()
+    # Compared as values, so a tuple left in place of a list also fails.
+    assert doc == json.loads((DATA / "ni_identities_d3.json").read_text())
+
+
+@dataclass(frozen=True)
+class _Leaf(Report):
+    name: str = field(metadata={"key": "leaf"})
+    ratio: Fraction
+    pairs: tuple[tuple[int, int], ...]
+
+
+@dataclass
+class _Tree(Report):
+    leaves: list[_Leaf]
+    notes: dict
+
+    @property
+    def passed(self) -> bool:
+        return len(self.leaves) == 2
+
+
+def test_report_serializes_its_fields():
+    leaf = _Leaf("x", Fraction(3, 4), ((0, 1), (2, 3)))
+    tree = _Tree([leaf, _Leaf("y", Fraction(2), ())], {"first": leaf, "n": (5,)})
+    leaf_doc = {"leaf": "x", "ratio": {"num": 3, "den": 4}, "pairs": [[0, 1], [2, 3]]}
+    assert leaf.to_dict() == leaf_doc
+    assert tree.to_dict() == {
+        "leaves": [leaf_doc, {"leaf": "y", "ratio": {"num": 2, "den": 1}, "pairs": []}],
+        "notes": {"first": leaf_doc, "n": [5]},
+        "passed": True,
+    }
+    assert "passed" not in leaf.to_dict()
+    assert json.loads(json.dumps(tree.to_dict())) == tree.to_dict()

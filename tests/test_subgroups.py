@@ -715,3 +715,15 @@ def test_enumerate_mv_refuses_orders_above_the_cap():
         enumerate_MV(4, {"000"}, cap=100)
     with pytest.raises(ValueError):
         enumerate_MV(3, {"0"})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_PJ(5, {4}, cap=1 << 40),
+    lambda: enumerate_MV(6, {"00000"}, cap=1 << 40),
+])
+def test_listing_limit_is_a_cap_refusal_whatever_the_cap(build):
+    # 2^30 and 2^31 members fit under the cap but not under the listing
+    # limit; the refusal comes before a single member is listed.
+    with pytest.raises(EnumerationCapExceeded) as err:
+        build()
+    assert err.value.cap == 1 << gf2.MAX_LIST_LOG2
