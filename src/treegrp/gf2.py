@@ -20,6 +20,9 @@ from typing import Iterable, Iterator, Sequence
 #: enumeration cap.
 MAX_LIST_LOG2 = 26
 
+#: log2 of the most members LinearSubgroup.iter_bits holds at once.
+_BLOCK_LOG2 = 12
+
 
 def rref(rows: Iterable[int]) -> list[int]:
     """Fully reduced row echelon basis, highest pivot first.
@@ -152,14 +155,22 @@ class LinearSubgroup:
         return LinearSubgroup(self.depth, self.checks + tuple(extra), self.zero)
 
     def iter_bits(self) -> Iterator[int]:
-        """All member portraits (meant for small solution spaces only)."""
+        """All member portraits, lazily (meant for small solution spaces only).
+
+        The span of the first _BLOCK_LOG2 basis vectors is built once, by
+        doubling; a Gray-code walk over the remaining vectors then yields
+        that block translated by each of their combinations in turn.
+        """
         basis = self.basis()
         if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
-        n = len(basis)
+        rest = basis[_BLOCK_LOG2:]
+        block = [0]
+        for b in basis[:_BLOCK_LOG2]:
+            block += [x ^ b for x in block]
+        yield from block
         v = 0
-        yield 0
-        for i in range(1, 1 << n):
-            # Gray-code walk: flip one basis vector per step.
-            v ^= basis[(i & -i).bit_length() - 1]
-            yield v
+        for i in range(1, 1 << len(rest)):
+            # Flip one remaining basis vector per block.
+            v ^= rest[(i & -i).bit_length() - 1]
+            yield from [x ^ v for x in block]

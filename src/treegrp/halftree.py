@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import islice, product
+from itertools import product
 from operator import xor
 from random import Random
 from typing import Iterable, Sequence
@@ -125,9 +125,8 @@ class IdentityCheckReport(Report):
         return not self.failures
 
 
-#: Bits of batch in one chunk of sample pairs (one pair where a portrait is
-#: wider).  It bounds the memory a run holds, whatever the number of pairs.
-_CHUNK_BITS = 1 << 16
+#: Bits of batch in one chunk of sample pairs (kernel.packed_chunks).
+_CHUNK_BITS = kernel.CHUNK_BITS
 
 
 def _batch(x: int, n: int, d: int) -> int:
@@ -176,13 +175,9 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
         # The same stream FiniteAutomorphism.random draws from.
         rng = Random(seed)
         pairs = ((rng.getrandbits(nbits), rng.getrandbits(nbits)) for _ in range(samples))
-    per_chunk = max(1, _CHUNK_BITS >> d)
     checked = 0
-    while chunk := list(islice(pairs, per_chunk)):
-        n = len(chunk)
+    for n, gs, hs, g, h in kernel.packed_chunks(pairs, d):
         checked += n
-        gs, hs = zip(*chunk)
-        g, h = kernel.pack(gs, d), kernel.pack(hs, d)
         gh = _batch(kernel.compose_batch(g, h, n, d), n, d)
         ginv = _batch(kernel.invert_batch(g, n, d), n, d)
         c = _batch(kernel.commutator_batch(g, h, n, d), n, d)

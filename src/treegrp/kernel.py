@@ -54,7 +54,8 @@ from __future__ import annotations
 
 from binascii import hexlify, unhexlify
 from functools import cache
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
 
@@ -168,6 +169,25 @@ def pack(xs: Sequence[int], d: int) -> int:
     for m, table in enumerate(_digit_tables()[:d]):
         out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
     return out
+
+
+#: Bits of batch in one chunk of a pair stream (one pair where a portrait is
+#: wider).  It bounds the memory a run holds, whatever the number of pairs.
+CHUNK_BITS = 1 << 16
+
+
+def packed_chunks(pairs: Iterable[tuple[int, int]], d: int
+                  ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+    """The stream of depth-d portrait pairs (x, y), cut into packed chunks.
+
+    Each chunk holds at most CHUNK_BITS bits of batch, and at least one
+    pair.  Yields (n, xs, ys, pack(xs), pack(ys)) for its n pairs.
+    """
+    pairs = iter(pairs)
+    per_chunk = max(1, CHUNK_BITS >> d)
+    while chunk := list(islice(pairs, per_chunk)):
+        xs, ys = zip(*chunk)
+        yield len(chunk), xs, ys, pack(xs, d), pack(ys, d)
 
 
 def half_parities(x: int, n: int, d: int) -> list[int]:

@@ -14,11 +14,11 @@ Two representations, one per question:
 Structure known from the definitions is never recomputed by closure:
 
 * P_J and M_V are the solution sets of their parity checks, so
-  enumerate_PJ and enumerate_MV list them with the GF(2) Gray-code walk of
-  gf2.LinearSubgroup.  enumerate_PJ attaches the Schreier generators of the
-  index-2 kernel for the transversal {1, a_j0}, j0 = min J, so
-  derived_subgroup starts from at most 2(d-1) generators instead of a
-  greedy generating set.
+  enumerate_PJ and enumerate_MV list them with gf2.LinearSubgroup's
+  blockwise walk over the checks' nullspace.  enumerate_PJ attaches the
+  Schreier generators of the index-2 kernel for the transversal
+  {1, a_j0}, j0 = min J, so derived_subgroup starts from at most 2(d-1)
+  generators instead of a greedy generating set.
 * [S, S] is the normal closure in S of the commutators of S's generators,
   so derived_subgroup folds it from generators inside kernel.close, which
   conjugates each generator it accepts by S's generators.  It never lists
@@ -361,7 +361,7 @@ def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphi
 
 def _list_linear(lin: gf2.LinearSubgroup, cap: int | None, what: str,
                  builder: str) -> Iterator[int]:
-    """The member portraits of a parity-defined subgroup, by the Gray-code
+    """The member portraits of a parity-defined subgroup, by the blockwise
     walk over its checks' nullspace, once its order is known to fit under
     the cap and under the listing limit 2^gf2.MAX_LIST_LOG2, which holds
     whatever the cap."""
@@ -443,6 +443,41 @@ def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
     for k, img in enumerate(_last_level_images(g.bits, d)):
         expected |= (h.bits >> img & 1) << (first + k)
     return h.conjugate_by(g).bits == expected
+
+
+def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(checked, failures) of the conjugation law over a stream of (h, g)
+    portrait pairs, each h stabilizing level d-1.
+
+    conjugate_label_check's law, on kernel batches: each chunk of the
+    stream (kernel.packed_chunks) is conjugated by one conjugate_batch call
+    and compared, as one int, with the packed expected portraits.  Those
+    are built without the kernel: the last-level images of g, walked off
+    its labels above the last level (so memoised on them), gather h's
+    last-level labels.  A chunk whose ints differ is recounted pair by pair.
+    """
+    top = prefix_mask(d - 1)
+    first = (1 << (d - 1)) - 1
+    images_of: dict[int, list[int]] = {}
+    checked = failures = 0
+    for n, hs, gs, h, g in kernel.packed_chunks(pairs, d):
+        expected = []
+        for hb, gb in zip(hs, gs):
+            if hb & top:
+                raise ValueError("h must stabilize level d-1")
+            key = gb & top
+            images = images_of.get(key)
+            if images is None:
+                images = images_of[key] = _last_level_images(key, d)
+            e = 0
+            for k, img in enumerate(images):
+                e |= (hb >> img & 1) << k
+            expected.append(e << first)
+        checked += n
+        if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):
+            failures += sum(kernel.conjugate(hb, gb, d) != e
+                            for hb, gb, e in zip(hs, gs, expected))
+    return checked, failures
 
 
 def in_derived_of_Gd(g: FiniteAutomorphism) -> bool:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
+from typing import Iterator
 
 from . import gf2, patterns as pt
 from .errors import EnumerationCapExceeded, VerificationError
@@ -48,7 +49,7 @@ from .subgroups import (
     _pj_schreier_generators,
     all_subgroups_depth2,
     check_order_cap,
-    conjugate_label_check,
+    conjugation_law_counts,
     derived_subgroup,
     enumerate_PJ,
     full_group,
@@ -461,6 +462,23 @@ def _three_way_equivalence_holds(pg: pt.PatternGroup, probe_depth_extra: int = 2
     return all(probes)
 
 
+def conjugation_pairs(d: int, samples: int, seed: int,
+                      cap: int | None = None) -> Iterator[tuple[int, int]]:
+    """The (h, g) portrait pairs of verify_auxiliary's conjugation law, h in
+    the level-(d-1) stabilizer: every pair through depth 3, `samples`
+    seeded random pairs above."""
+    if d <= 3:
+        grp = full_group(d, cap=cap)
+        stab = level_stabilizer(grp, d - 1).sorted_bits()
+        return ((h, g) for h in stab for g in grp.sorted_bits())
+    rng = Random(seed)
+    width = 1 << (d - 1)
+    nbits = (1 << d) - 1
+    # h's last-level labels first, then g as FiniteAutomorphism.random draws it.
+    return ((rng.getrandbits(width) << (width - 1), rng.getrandbits(nbits))
+            for _ in range(samples))
+
+
 def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
                      cap: int | None = None) -> AuxReport:
     """Conjugation label law, the depth-2 subgroup sweep, and the P_J
@@ -473,23 +491,8 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
     report = AuxReport(d)
 
     # Conjugation label law: exhaustive through depth 3, sampled above.
-    if d <= 3:
-        grp = full_group(d, cap=cap)
-        stab = level_stabilizer(grp, d - 1)
-        for h in stab:
-            for g in grp:
-                report.conjugation_pairs_checked += 1
-                if not conjugate_label_check(h, g):
-                    report.conjugation_failures += 1
-    else:
-        rng = Random(seed)
-        width = 1 << (d - 1)
-        for _ in range(samples):
-            h = FiniteAutomorphism(d, rng.getrandbits(width) << (width - 1))
-            g = FiniteAutomorphism.random(d, rng)
-            report.conjugation_pairs_checked += 1
-            if not conjugate_label_check(h, g):
-                report.conjugation_failures += 1
+    report.conjugation_pairs_checked, report.conjugation_failures = conjugation_law_counts(
+        d, conjugation_pairs(d, samples, seed, cap))
 
     # Exhaustive depth-2 sweep.
     for s in all_subgroups_depth2():

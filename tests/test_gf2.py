@@ -1,10 +1,12 @@
 """GF(2) linear algebra validated against exhaustive span enumeration."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from treegrp import gf2
+from treegrp.heap import level_mask
 
 
 def brute_span(rows):
@@ -108,6 +110,23 @@ def test_linear_subgroup_order_and_membership():
         assert sorted(lin.iter_bits()) == members
         for b in members:
             assert lin.contains_bits(b)
+
+
+def test_listing_beyond_one_block_has_every_member_once():
+    # 14 and 13 basis vectors: more than the 2^12-member block.
+    for checks in [(level_mask(2),), (level_mask(1), 0b101 << 7)]:
+        lin = gf2.LinearSubgroup(4, checks)
+        listed = list(lin.iter_bits())
+        assert len(listed) == len(set(listed)) == lin.order()
+        assert set(listed) == {b for b in range(1 << 15) if lin.contains_bits(b)}
+
+
+def test_listing_is_lazy_at_the_limit():
+    lin = gf2.LinearSubgroup(5, tuple(1 << k for k in range(5)))
+    assert lin.log2_order() == gf2.MAX_LIST_LOG2
+    head = list(islice(lin.iter_bits(), 3 * 4096 + 1))
+    assert len(set(head)) == len(head)
+    assert all(lin.contains_bits(b) for b in head)
 
 
 def test_linear_subgroup_refuses_huge_listing():

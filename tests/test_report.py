@@ -1,8 +1,10 @@
 """The report schema: one serializer, and whole JSON documents pinned.
 
-The files under tests/data were written by the hand-written to_dict
-methods that treegrp.report replaced, so a renamed, dropped or reshaped
-key fails here before it reaches a user.
+The files under tests/data were written before the change they guard
+(most by the hand-written to_dict methods that treegrp.report replaced,
+the aux documents by the per-pair conjugation check), so a renamed,
+dropped or reshaped key, or a changed count, fails here before it
+reaches a user.
 """
 
 import json
@@ -25,6 +27,9 @@ DATA = Path(__file__).parent / "data"
     ("classify_d3_gf2", ["classify", "--d", "3", "--gf2"]),
     ("verify_all_d2", ["verify", "--suite", "all", "--d", "2", "--samples", "20",
                        "--seed", "1"]),
+    ("verify_aux_d3", ["verify", "--suite", "aux", "--d", "3"]),
+    ("verify_aux_d4_seed3_samples4097", ["verify", "--suite", "aux", "--d", "4", "--seed", "3",
+                                         "--samples", "4097"]),
 ])
 def test_cli_json_document_is_pinned(name, args):
     res = CliRunner().invoke(main, args + ["--format", "json", "--no-timestamp"])

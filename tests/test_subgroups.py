@@ -23,6 +23,7 @@ from treegrp.subgroups import (
     beta_V,
     close,
     conjugate_label_check,
+    conjugation_law_counts,
     derived_subgroup,
     derived_subgroup_allpairs,
     enumerate_MV,
@@ -521,6 +522,66 @@ def test_conjugate_label_check_fails_on_wrong_conjugate(monkeypatch):
 def test_conjugate_label_check_rejects_non_stabilizer():
     with pytest.raises(ValueError):
         conjugate_label_check(generator(3, 0), identity(3))
+
+
+def per_pair_conjugation_failures(d, pairs):
+    """The oracle's verdict on each (h, g) pair of the stream: 1 if it fails."""
+    return [not conjugate_label_check(FiniteAutomorphism(d, h), FiniteAutomorphism(d, g))
+            for h, g in pairs]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_conjugation_law_counts_equal_per_pair_oracle_exhaustive(d):
+    pairs = list(verify.conjugation_pairs(d, samples=10_000, seed=0))
+    assert len(pairs) == len(level_stabilizer(full_group(d), d - 1)) * (1 << ((1 << d) - 1))
+    failures = sum(per_pair_conjugation_failures(d, pairs))
+    assert conjugation_law_counts(d, iter(pairs)) == (len(pairs), failures)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
+    # The stream of `samples` pairs is the first `samples` of a longer one,
+    # so one oracle run covers every count; 4096 pairs fill one chunk at d = 4.
+    counts = [1, 4095, 4096, 4097, 10_000]
+    pairs = list(verify.conjugation_pairs(4, max(counts), seed))
+    rng = random.Random(seed)
+    assert pairs == [(rng.getrandbits(8) << 7, FiniteAutomorphism.random(4, rng).bits)
+                     for _ in range(max(counts))]
+    bad = per_pair_conjugation_failures(4, pairs)
+    for samples in counts:
+        got = conjugation_law_counts(4, verify.conjugation_pairs(4, samples, seed))
+        assert got == (samples, sum(bad[:samples])), samples
+
+
+def wrong_conjugate_batches(true_batch):
+    """The wrong conjugates of test_conjugate_label_check_fails_on_wrong_conjugate
+    on every sample of a batch; with n = 1 they are those functions."""
+    def last_bit(n, d):  # each sample's last last-level vertex
+        return sum(1 << ((n + j + 1 << (d - 1)) - 1) for j in range(n))
+
+    return {
+        "last-level bit flipped": lambda x, s, n, d: true_batch(x, s, n, d) ^ last_bit(n, d),
+        "root label set": lambda x, s, n, d: true_batch(x, s, n, d) | ((1 << n) - 1) << n,
+        "not conjugated": lambda x, s, n, d: x,
+    }
+
+
+@pytest.mark.parametrize("name", ["last-level bit flipped", "root label set", "not conjugated"])
+def test_conjugation_law_counts_equal_per_pair_oracle_on_broken_kernel(monkeypatch, name):
+    wrong = wrong_conjugate_batches(kernel.conjugate_batch)[name]
+    # Patching the batch op also breaks kernel.conjugate, which the oracle uses.
+    monkeypatch.setattr(kernel, "conjugate_batch", wrong)
+    for d, samples in [(2, 0), (3, 0), (4, 4097)]:
+        pairs = list(verify.conjugation_pairs(d, samples, seed=1))
+        failures = sum(per_pair_conjugation_failures(d, pairs))
+        assert failures > 0, (name, d)
+        assert conjugation_law_counts(d, iter(pairs)) == (len(pairs), failures), (name, d)
+
+
+def test_conjugation_law_counts_reject_non_stabilizer():
+    h, g = generator(3, 0).bits, identity(3).bits
+    with pytest.raises(ValueError, match="stabilize"):
+        conjugation_law_counts(3, [(0, 0), (h, g)])
 
 
 # -- derived subgroup of the full group ------------------------------------------------------
