@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the kernel and the layers above it on their hot paths.
 
-Covers breadth-first closure of the full depth-4 group, derived subgroups
-of a 16384-element index-2 subgroup and of the full depth-4 group (a normal
+Covers the coset closure of the full depth-4 group and of <a_0> at depth
+14 (two elements, each a 2 KiB portrait), derived subgroups of a
+16384-element index-2 subgroup and of the full depth-4 group (a normal
 closure folded from its four generators), and raw compose and invert
 throughput at depths 4, 8, 12 and 16, where each product is d - 1
 whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
@@ -63,6 +64,9 @@ def bench_kernel():
     gens4 = [g.bits for g in generators(4)]
     results["close G(4) [32768 els]"] = timeit(
         lambda: kernel.close(4, gens4, 1 << 26)
+    )
+    results["close <a_0> (d=14) [2 els]"] = timeit(
+        lambda: kernel.close(14, [gens4[0]], 10)
     )
 
     rng = random.Random(0)

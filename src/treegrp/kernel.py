@@ -48,6 +48,19 @@ compose, invert, conjugate and commutator are the n = 1 cases of the
 half_parities reads per-level half-tree parities off a batch by the
 inverse of the widening: each XOR-fold step translates every byte to the
 hex digit of its four XOR-ed bit pairs and unhexlifies, halving the int.
+
+Closure
+-------
+close is Dimino's coset closure (G. Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559, 1991, ch. 1).  Its elements are a list of
+whole right cosets of the subgroup H closed so far.  Accepting a generator
+g appends H·g; then, for each new coset's representative r in turn and
+each accepted generator s with r·s not yet present, it appends
+(H·r)·s = H·(r·s).  That coset is disjoint from the list: the list is a
+union of right cosets of H, so it either holds all of H·(r·s) or none of
+it.  Every element thus costs one product, x∘s = s XOR x pulled back along
+s, through the delta swaps above with s's masks built once, plus one
+membership probe per (representative, generator).
 """
 
 from __future__ import annotations
@@ -268,94 +281,56 @@ def commutator(x: int, y: int, d: int) -> int:
     return commutator_batch(x << 1, y << 1, 1, d) >> 1
 
 
-def _vertex_perm(g: int, d: int) -> list[int]:
-    """Action of g on all labeled vertices, as a heap-index permutation."""
-    n = (1 << d) - 1
-    perm = [0] * n
-    # Internal (non-last-level) vertices are the first 2^(d-1) - 1 indices.
-    for i in range((1 << (d - 1)) - 1):
-        b = (g >> i) & 1
-        base = 2 * perm[i] + 1
-        j = 2 * i + 1
-        perm[j] = base + b
-        perm[j + 1] = base + 1 - b
-    return perm
+def _right_masks(s: int, d: int) -> list[int]:
+    """The delta-swap masks of s in heap coordinates: x∘s is s ^ _pull(x, masks).
 
-
-def _rmul_tables(g: int, d: int) -> tuple[list[list[int]], int]:
-    """Byte-gather tables for the fixed bit permutation x -> x∘g.
-
-    Right multiplication by a fixed g is a fixed permutation of x's bits
-    followed by XOR with g, so it can be applied with one 256-entry table
-    lookup per portrait byte.
+    They are s's t-coordinate masks shifted down by one bit.  No mask has
+    bit 0 (t = 0 is no vertex), so the swaps act on x as they would on x << 1.
     """
-    n = (1 << d) - 1
-    perm = _vertex_perm(g, d)
-    inv = [0] * n
-    for u, p in enumerate(perm):
-        inv[p] = u
-    tables = []
-    for b in range((n + 7) >> 3):
-        base = b << 3
-        singles = [(1 << inv[base + k]) if base + k < n else 0 for k in range(8)]
-        tbl = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            tbl[v] = tbl[v ^ low] | singles[low.bit_length() - 1]
-        tables.append(tbl)
-    return tables, g
-
-
-def _rmul(x: int, tables: list[list[int]], g: int) -> int:
-    r = g
-    for b, tbl in enumerate(tables):
-        r ^= tbl[(x >> (b << 3)) & 255]
-    return r
+    return [m >> 1 for m in _swap_masks(s << 1, 1, d)]
 
 
 def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:
     """Subgroup generated by gens, as a set of portrait ints.
 
     gens is a work list folded in one generator at a time; a generator
-    already inside the current subgroup costs only a membership test.  Each
-    generator that is accepted (not yet inside) also queues its conjugate
-    s^-1 x s by every normalizer element s.  The result N is generated by the
-    accepted set A, and A^s lies in N for every s, so s normalizes N: N is
-    the normal closure of gens under the group the normalizer generates
+    already inside the current subgroup H costs only a membership test.  An
+    accepted generator g extends H to <H, g> by Dimino's coset closure (see
+    Closure above): append the coset H·g, then walk the new cosets'
+    representatives r in order and append (H·r)·s for every accepted s with
+    r·s not yet present.  Each accepted generator also queues its conjugate
+    s^-1 g s by every normalizer element s.  The result N is generated by
+    the accepted set A, and A^s lies in N for every s, so s normalizes N: N
+    is the normal closure of gens under the group the normalizer generates
     (finite groups need no inverse conjugators, since N^s <= N forces
     N^s = N).  Only accepted generators are conjugated, at most
     log2|N| * len(normalizer) conjugations.  The cap is checked on every
     insertion, so at most cap + 1 elements are ever held and
     EnumerationCapExceeded reports exactly cap + 1.
     """
-    els = {0}
-    accepted: list[tuple[list[list[int]], int]] = []
+    els = [0]  # whole right cosets of H, H itself first
+    seen = {0}
+    accepted: list[tuple[int, list[int]]] = []
     work = list(gens)
-    for gb in work:  # conjugates appended below are visited by this loop too
-        if gb in els:
+    for g in work:  # conjugates appended below are visited by this loop too
+        if g in seen:
             continue
-        tab = _rmul_tables(gb, d)
-        # Old elements are closed under old generators: only products with
-        # the new generator can leave the current set.
-        frontier = []
-        for x in list(els):
-            y = _rmul(x, *tab)
-            if y not in els:
-                els.add(y)
-                if len(els) > cap:
-                    raise EnumerationCapExceeded(cap, len(els))
-                frontier.append(y)
-        accepted.append(tab)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for tab2 in accepted:
-                    y = _rmul(x, *tab2)
-                    if y not in els:
-                        els.add(y)
-                        if len(els) > cap:
-                            raise EnumerationCapExceeded(cap, len(els))
-                        nxt.append(y)
-            frontier = nxt
-        work += [conjugate(gb, s, d) for s in normalizer]
-    return els
+        accepted.append((g, _right_masks(g, d)))
+        h = len(els)  # |H|: every coset is a run of h elements
+        # The coset H·1 = H is closed under the earlier generators, so only
+        # g acts on it; every later coset's representative meets them all.
+        start, steps = 0, accepted[-1:]
+        while start < len(els):
+            r = els[start]
+            for s, masks in steps:
+                if s ^ _pull(r, masks) in seen:
+                    continue
+                for x in els[start:start + h]:
+                    y = s ^ _pull(x, masks)
+                    seen.add(y)
+                    els.append(y)
+                    if len(els) > cap:
+                        raise EnumerationCapExceeded(cap, len(els))
+            start, steps = start + h, accepted
+        work += [conjugate(g, s, d) for s in normalizer]
+    return seen

@@ -2,8 +2,8 @@
 
 Two representations, one per question:
 
-* EnumeratedSubgroup: an explicit element set, built by breadth-first
-  closure or listed directly when the structure is known, canonically
+* EnumeratedSubgroup: an explicit element set, built by kernel.close's
+  coset closure or listed directly when the structure is known, canonically
   ordered by the portrait byte encoding.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
@@ -165,7 +165,7 @@ class EnumeratedSubgroup:
 
 def close(gens: Sequence[FiniteAutomorphism], *, depth: int | None = None,
           cap: int | None = None) -> EnumeratedSubgroup:
-    """Least subgroup containing the generators (breadth-first closure)."""
+    """Least subgroup containing the generators (kernel.close's coset closure)."""
     gens = list(gens)
     if gens:
         d = gens[0].depth

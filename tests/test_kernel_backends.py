@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -23,8 +24,8 @@ def gens_bits(d):
 @pytest.mark.parametrize("cap", [100, 200, 1000, 5000])
 def test_pure_close_stops_one_element_past_the_cap(cap):
     # The cap is checked on every insertion.  <a_0, a_1, a_2> has 128
-    # elements, so cap 200 is crossed by the first products with a_3 and the
-    # other caps in breadth-first rounds.
+    # elements, so cap 100 is crossed while a_2's cosets are appended, cap
+    # 200 inside the first coset of a_3 and the other caps in later ones.
     with pytest.raises(EnumerationCapExceeded) as err:
         kernel.close(4, gens_bits(4), cap)
     assert err.value.reached == cap + 1
@@ -113,6 +114,90 @@ def test_normal_closure_stops_one_element_past_the_cap(cap):
     assert err.value.reached == cap + 1
 
 
+def stabilizer_elements(rng, d, count):
+    """Random elements of St(d-2): labels on the last two levels only.
+
+    St(d-2) is a direct power of the order-8 depth-2 group, so a few of its
+    elements generate a small group at any depth."""
+    low = (1 << ((1 << (d - 2)) - 1)) - 1
+    return [rng.getrandbits((1 << d) - 1) & ~low for _ in range(count)]
+
+
+def test_coset_closure_matches_bfs():
+    # Bounded-order inputs at d = 5 and 6: every proper subset of a_0..a_3
+    # (at most 128 elements) and random elements of St(d-2).
+    rng = random.Random(139)
+    for d in (5, 6):
+        a = gens_bits(4)
+        cases = [[a[i] for i in range(4) if mask >> i & 1] for mask in range(15)]
+        cases += [stabilizer_elements(rng, d, k) for k in (1, 2, 2, 3, 3)]
+        cases += [[a[1]] + stabilizer_elements(rng, d, 2)]
+        for gens in cases:
+            assert kernel.close(d, gens, 1 << 26) == bfs_closure(d, gens), (d, gens)
+
+
+def test_coset_closure_skips_generated_elements():
+    # Repeats, the identity and an element already generated are skipped:
+    # the closure equals that of the distinct non-trivial generators.
+    rng = random.Random(149)
+    for d in (5, 6):
+        a = gens_bits(4)
+        x, y = stabilizer_elements(rng, d, 2)
+        a01 = kernel.compose(a[0], a[1], d)
+        xy = kernel.compose(x, y, d)
+        for gens, plain in (([a[0], a[0], a[1], a[1]], [a[0], a[1]]),
+                            ([0, a[2], 0], [a[2]]),
+                            ([a[0], a[1], a01, a[2]], [a[0], a[1], a[2]]),
+                            ([x, y, xy, x, 0], [x, y]),
+                            ([0], [])):
+            got = kernel.close(d, gens, 1 << 26)
+            assert got == kernel.close(d, plain, 1 << 26) == bfs_closure(d, plain), (d, gens)
+
+
+def test_normalizer_with_conjugates_inside_adds_nothing():
+    # Conjugating by the group's own generators, or by a_0 when a_0 is one of
+    # them, never leaves the closure: the normal closure is the plain one.
+    rng = random.Random(151)
+    for d in (5, 6):
+        a = gens_bits(4)
+        for gens in ([a[0], a[1]], [a[1], a[2], a[3]], stabilizer_elements(rng, d, 2)):
+            plain = bfs_closure(d, gens)
+            for normalizer in (gens, gens[:1], [0], [kernel.compose(gens[0], gens[-1], d)]):
+                got = kernel.close(d, gens, 1 << 26, normalizer=normalizer)
+                assert got == plain == saturate_then_close(d, gens, normalizer), (d, gens)
+
+
+@pytest.mark.parametrize("d, gens, normal", [(5, gens_bits(3), False), (4, gens_bits(3), False),
+                                             (4, gens_bits(4), True)])
+def test_cap_of_the_order_succeeds_and_one_less_fails_at_a_coset_boundary(d, gens, normal):
+    # The order's last element completes the last coset, so a cap one below
+    # the order raises there, with reached equal to the order.
+    if normal:  # [G(4), G(4)] as the normal closure of the commutators
+        seeds, normalizer = [kernel.commutator(x, y, d) for x in gens for y in gens], gens
+    else:
+        seeds, normalizer = gens, ()
+    order = len(kernel.close(d, seeds, 1 << 26, normalizer=normalizer))
+    assert order == (2048 if normal else 128)
+    assert len(kernel.close(d, seeds, order, normalizer=normalizer)) == order
+    with pytest.raises(EnumerationCapExceeded) as err:
+        kernel.close(d, seeds, order - 1, normalizer=normalizer)
+    assert err.value.reached == order
+
+
+def test_closure_of_a_deep_involution_stays_small():
+    # <a_0> at d = 14 is two elements; the closure keeps two portraits and
+    # a_0's 13 swap masks, each one portrait wide (2 KiB).
+    d = 14
+    tracemalloc.start()
+    try:
+        got = kernel.close(d, [1], 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {0, 1}
+    assert peak < 8 << 20, peak
+
+
 def words_below(d):
     """Every vertex that carries a label at depth d, root first."""
     return ["".join(w) for n in range(d) for w in product("01", repeat=n)]
@@ -165,14 +250,15 @@ def test_pure_kernel_matches_word_action():
 
 
 def test_closure_step_matches_word_action():
-    # close multiplies on the right through byte tables: _rmul(x, tables of g) = x∘g.
+    # close multiplies on the right through g's delta swaps in heap coordinates:
+    # g ^ _pull(x, _right_masks(g)) = x∘g.
     rng = random.Random(113)
     for d in range(1, 6):
         n = (1 << d) - 1
         for _ in range(20):
             x = FiniteAutomorphism(d, rng.getrandbits(n))
             g = FiniteAutomorphism(d, rng.getrandbits(n))
-            xg = kernel._rmul(x.bits, *kernel._rmul_tables(g.bits, d))
+            xg = g.bits ^ kernel._pull(x.bits, kernel._right_masks(g.bits, d))
             for u in words_below(d):
                 assert label(xg, u) == x.label(g.apply(u)) ^ g.label(u), (d, u)
 
