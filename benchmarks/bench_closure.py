@@ -13,8 +13,11 @@ kernel-free pattern-layer calls, all at d=4: the essentiality test of P_{3}
 (one pass) and P_{0} (several passes), and the depth-5 truncation group of
 the reduced P_{1}.  The half-tree law check `verify_ni_identities_for` is
 timed on the level sets `verify --suite ni` checks: every J containing the
-top level at d=4 (10,000 pairs) and J = {7} at d=8 (1,500 pairs).  Run
-after `pip install -e .`:
+top level at d=4 (10,000 pairs) and J = {7} at d=8 (1,500 pairs).  Two
+rows time whole verify suites at d=4: `verify_not_top_fg` (which reads
+`verify_no_adad`'s cases) and `verify_auxiliary` (10,000 sampled
+conjugation pairs, the depth-2 sweep and the 15 P_J).  Run after
+`pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -37,6 +40,7 @@ from treegrp.subgroups import (
     derived_subgroup,
     enumerate_PJ,
 )
+from treegrp.verify import verify_auxiliary, verify_not_top_fg
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
@@ -140,6 +144,14 @@ def bench_halftree():
     return results
 
 
+def bench_verify():
+    """Best-of-3 seconds of the verify-suite rows."""
+    return {
+        "verify_not_top_fg(4)": timeit(lambda: verify_not_top_fg(4)),
+        "verify_auxiliary(4)": timeit(lambda: verify_auxiliary(4)),
+    }
+
+
 def main():
     kernel_rows = bench_kernel()
     width = max(len(s) for s in kernel_rows) + 2
@@ -154,7 +166,7 @@ def main():
         print(f"{label:<{width}}{per_call * 1e6:>13.2f} us per call")
 
     print()
-    patterns = bench_patterns() | bench_halftree()
+    patterns = bench_patterns() | bench_halftree() | bench_verify()
     width = max(len(s) for s in patterns) + 2
     for label, seconds in patterns.items():
         print(f"{label:<{width}}{seconds:>10.4f} s (best)")

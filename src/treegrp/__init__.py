@@ -35,7 +35,6 @@ from .patterns import (
     hausdorff_dimension,
     is_essential,
     is_finite,
-    is_level_transitive,
     pattern_appears,
     psi_image_index,
     truncation_group,

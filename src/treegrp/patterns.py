@@ -158,15 +158,13 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
 
 
 def dimension_in_allowed_set(p: PatternGroup) -> bool:
-    """Dimension lies in {0, 1/2^(d-1), ..., 1}, with 0 iff finite and 1 only
-    for the full pattern group."""
+    """Dimension lies in {0, 1/2^(d-1), ..., 1}, and is 1 only for the full
+    pattern group."""
     p = _ensure_essential(p)
     d = p.depth
     dim = hausdorff_dimension(p)
     denom = 1 << (d - 1)
     if not (0 <= dim <= 1 and (dim * denom).denominator == 1):
-        return False
-    if dim == 0 and not is_finite(p):
         return False
     if dim == 1 and p.group != full_group(d):
         return False
@@ -177,16 +175,6 @@ def is_finite(p: PatternGroup) -> bool:
     """Whether the constrained group defined by P is finite (dimension zero)."""
     p = _ensure_essential(p)
     return level_stabilizer(p.group, p.depth - 1).order == 1
-
-
-def is_level_transitive(p: PatternGroup) -> bool:
-    """Whether the constrained group acts transitively on every tree level.
-
-    For constrained groups this is equivalent to being infinite, hence to
-    positive dimension; the orbit-level cross-check lives in the
-    verification suites.
-    """
-    return not is_finite(p)
 
 
 @dataclass(frozen=True)

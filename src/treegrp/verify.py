@@ -12,16 +12,18 @@ scratch at desk scale:
   certificate always, enumerated derived subgroup where feasible, and the
   two arms must agree.
 * verify_not_top_fg: the finite-generation obstruction: [a_0, a_{d-1}]
-  stabilizes the top level yet avoids [P_J, P_J], so the constrained group
-  of every maximal-dimension P_J is not topologically finitely generated
-  (by the imported sufficient condition on P_{d-1} vs [P, P], which is
-  used as a black box, not re-proved).
+  stabilizes the top level yet avoids [P_J, P_J] (as verify_no_adad's cases
+  find), so the constrained group of every maximal-dimension P_J is not
+  topologically finitely generated (by the imported sufficient condition on
+  P_{d-1} vs [P, P], which is used as a black box, not re-proved).
 * verify_new_relation: the exact bookkeeping identity
   2|P| = |P_{d-1}|^2 * [HxH : H_1] with the embedding index computed
   independently and required to stabilize across two consecutive depths.
 * verify_auxiliary: conjugation label law, the finite/transitive/positive-
   dimension equivalence on the exhaustive depth-2 subgroup sweep and on all
-  P_J, and the allowed-dimension-set law on everything encountered.
+  P_J (the dimension from the stabilizer order against orbits of the
+  truncation groups, built under the enumeration cap), and the
+  allowed-dimension-set law on everything encountered.
 
 A genuine counterexample raises VerificationError; reports never bury one.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterator
 
@@ -40,7 +43,7 @@ from .halftree import (
     JContext,
     derived_membership_certificate,
 )
-from .heap import level_mask
+from .heap import prefix_mask
 from .portrait import FiniteAutomorphism, commutator, generator, generators
 from .report import Report
 from .subgroups import (
@@ -164,16 +167,25 @@ def _classify_row_enumerated(d: int, J: frozenset[int],
     )
 
 
+@lru_cache(maxsize=None)
+def _generator_commutators(d: int) -> tuple[int, ...]:
+    """The d(d - 1)/2 portraits [a_i, a_j], i < j."""
+    return tuple(commutator(generator(d, i), generator(d, j)).bits
+                 for i in range(d) for j in range(i + 1, d))
+
+
+def _contains_derived_of_full(lin: gf2.LinearSubgroup) -> bool:
+    """Whether a normal subgroup of G(d) cut out by parity checks contains
+    [G(d), G(d)]: that is the normal closure of the commutators [a_i, a_j],
+    so it is enough to test those."""
+    return all(lin.contains_bits(c) for c in _generator_commutators(lin.depth))
+
+
 def _classify_row_gf2(d: int, J: frozenset[int], max_dim: Fraction) -> ClassificationRow:
     lin = maximal_subgroup(d, J)
     reduced, essential = pt.linear_essential_reduction(lin)
     dimension = pt.linear_hausdorff_dimension(reduced)
     a_top_bits = generator(d, d - 1).bits
-    # The derived subgroup of the full group is the common kernel of the
-    # single-level parities, so containment is a span membership question.
-    level_basis = gf2.rref([level_mask(j) for j in range(d)])
-    j_mask = lin.checks[0]
-    contains_derived = gf2.in_span(j_mask, level_basis)
     is_max = dimension == max_dim
     bs_fails: bool | None = None
     verdict = VERDICT_UNKNOWN
@@ -189,7 +201,7 @@ def _classify_row_gf2(d: int, J: frozenset[int], max_dim: Fraction) -> Classific
         J=tuple(sorted(J)),
         essential=essential,
         contains_a_dminus1=lin.contains_bits(a_top_bits),
-        contains_derived_of_Gd=contains_derived,
+        contains_derived_of_Gd=_contains_derived_of_full(lin),
         dimension=dimension,
         is_max_dimension=is_max,
         bs_premise_fails=bs_fails,
@@ -311,31 +323,26 @@ class TopFgReport(Report):
 def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
     """Finite-generation obstruction for every maximal-dimension P_J.
 
-    Confirms [a_0, a_{d-1}] stabilizes the top level of P_J while both the
-    certificate and the enumerated derived subgroup exclude it from
-    [P_J, P_J]; the "not topologically finitely generated" verdict then
-    follows from the imported sufficient condition (P_{d-1} not inside
+    Reads verify_no_adad's cases, whose certificate and enumerated derived
+    subgroup both exclude [a_0, a_{d-1}] from [P_J, P_J], and adds that the
+    commutator stabilizes the top level (the certificate has already checked
+    that it lies in P_J); the "not topologically finitely generated" verdict
+    then follows from the imported sufficient condition (P_{d-1} not inside
     [P, P]), which this suite does not re-prove.
     """
     if not 2 <= d <= 4:
         raise ValueError("enumerated premise check needs 2 <= d <= 4")
-    report = TopFgReport(d)
     c = commutator(generator(d, 0), generator(d, d - 1))
-    for J in _top_level_sets(d):
-        pj = enumerate_PJ(d, J, cap=cap)
-        stab = level_stabilizer(pj, d - 1)
-        in_stab = stab.contains(c)
-        ctx = JContext.for_top_level(d, J)
-        cert = derived_membership_certificate(ctx, c)
-        dp = derived_subgroup(pj, cap=cap)
-        excluded = not dp.contains(c)
-        if not (in_stab and cert.verdict == NOT_IN_DERIVED and excluded):
-            raise VerificationError(
-                f"finite-generation premise failed for d={d}, J={sorted(J)}: "
-                f"in_stab={in_stab}, certificate={cert.verdict}, excluded={excluded}"
-            )
+    in_stab = not c.bits & prefix_mask(d - 1)
+    if not in_stab:
+        raise VerificationError(
+            f"finite-generation premise failed for d={d}: [a_0, a_{d - 1}] "
+            f"moves a vertex above level {d - 1}"
+        )
+    report = TopFgReport(d)
+    for case in verify_no_adad(d, cap).cases:
         report.cases.append(
-            TopFgCase(tuple(sorted(J)), in_stab, cert.certificate, excluded,
+            TopFgCase(case.J, in_stab, case.certificate, case.enumerated_excluded,
                       VERDICT_NOT_TOP_FG)
         )
     return report
@@ -432,34 +439,32 @@ class AuxReport(Report):
 #: next level would exceed this.
 PROBE_CANDIDATE_BUDGET = 1 << 21
 
+#: Transitivity probes reach this many levels past the pattern depth.
+PROBE_DEPTH_EXTRA = 2
 
-def _three_way_equivalence_holds(pg: pt.PatternGroup, probe_depth_extra: int = 2) -> bool:
-    """finite <=> not level-transitive <=> dimension zero, with transitivity
-    cross-checked on orbits of the truncation groups.
 
-    Probes levels d .. d+probe_depth_extra while the truncation-group
+def _three_way_equivalence_holds(pg: pt.PatternGroup, cap: int | None = None) -> bool:
+    """dimension zero <=> finite <=> not level-transitive, by two routes:
+    the dimension from the order of the level stabilizer, transitivity from
+    orbits of the truncation groups.
+
+    Probes levels d .. d+PROBE_DEPTH_EXTRA while the truncation-group
     construction stays within the candidate budget; level d (the pattern
-    group itself) is always probed.
+    group itself) is always probed.  A finite constrained group must lose
+    transitivity at a probed level.
     """
     reduced = pt.essential_reduction(pg)
     dim = pt.hausdorff_dimension(reduced)
-    finite = pt.is_finite(reduced)
-    transitive = pt.is_level_transitive(reduced)
-    if (dim == 0) != finite or transitive == finite:
-        return False
     d = reduced.depth
     probes = []
     current = reduced.group
-    for n in range(d, d + probe_depth_extra + 1):
+    for n in range(d, d + PROBE_DEPTH_EXTRA + 1):
         if n > d:
             if 2 * current.order * current.order > PROBE_CANDIDATE_BUDGET:
                 break
-            current = pt.truncation_group(reduced, n).group
+            current = pt.truncation_group(reduced, n, cap).group
         probes.append(is_transitive_on_level(current, n))
-    if finite:
-        # A finite constrained group must lose transitivity at a probed level.
-        return not all(probes)
-    return all(probes)
+    return all(probes) == (dim != 0)
 
 
 def conjugation_pairs(d: int, samples: int, seed: int,
@@ -498,7 +503,7 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
     for s in all_subgroups_depth2():
         reduced = pt.essential_reduction(pt.PatternGroup.from_subgroup(s))
         report.sweep_groups_processed += 1
-        if not _three_way_equivalence_holds(reduced):
+        if not _three_way_equivalence_holds(reduced, cap):
             report.sweep_equivalences_hold = False
         if not pt.dimension_in_allowed_set(reduced):
             report.allowed_set_violations += 1
@@ -508,7 +513,7 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
         reduced = pt.essential_reduction(
             pt.PatternGroup.from_subgroup(enumerate_PJ(d, J, cap=cap))
         )
-        if not _three_way_equivalence_holds(reduced):
+        if not _three_way_equivalence_holds(reduced, cap):
             report.pj_equivalences_hold = False
         if not pt.dimension_in_allowed_set(reduced):
             report.allowed_set_violations += 1

@@ -215,6 +215,23 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     assert "FAIL" in res.output
 
 
+@pytest.mark.parametrize("cap,code", [(1024, 0), (1023, 3)])
+def test_topfg_needs_only_what_noadad_enumerates(runner, cap, code):
+    for suite in ("topfg", "noadad"):
+        res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--cap", str(cap)])
+        assert res.exit_code == code, (suite, res.output)
+
+
+@pytest.mark.parametrize("d,cap", [(3, 300), (3, 2000), (3, 20000), (2, 1000)])
+def test_aux_cap_flag_reaches_the_truncation_probes(runner, monkeypatch, d, cap):
+    args = ["verify", "--suite", "aux", "--d", str(d)]
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    by_flag = runner.invoke(main, [*args, "--cap", str(cap)])
+    monkeypatch.setenv("TREEGRP_CAP", str(cap))
+    by_env = runner.invoke(main, args)
+    assert by_flag.exit_code == by_env.exit_code == 3, (by_flag.output, by_env.output)
+
+
 # -- analyze ------------------------------------------------------------------------
 
 

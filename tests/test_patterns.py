@@ -21,7 +21,6 @@ from treegrp.patterns import (
     hausdorff_dimension,
     is_essential,
     is_finite,
-    is_level_transitive,
     linear_essential_reduction,
     linear_hausdorff_dimension,
     linear_stabilizer_log2_order,
@@ -37,6 +36,7 @@ from treegrp.subgroups import (
     close,
     enumerate_PJ,
     full_group,
+    is_transitive_on_level,
     level_stabilizer,
     maximal_subgroup,
     verify_closed,
@@ -238,14 +238,20 @@ def test_dimension_allowed_set_on_depth2_sweep():
     assert seen == {Fraction(0), Fraction(1, 2), Fraction(1)}
 
 
+def transitive_one_level_down(p):
+    """Level transitivity read off orbits of the depth-(d+1) truncation group."""
+    n = p.depth + 1
+    return is_transitive_on_level(truncation_group(p, n).group, n)
+
+
 def test_finiteness_and_transitivity():
     trivial = PatternGroup.from_subgroup(close([], depth=2))
-    assert is_finite(trivial) and not is_level_transitive(trivial)
+    assert is_finite(trivial) and not transitive_one_level_down(trivial)
     for d in (2, 3):
         full = PatternGroup.from_subgroup(full_group(d))
-        assert not is_finite(full) and is_level_transitive(full)
+        assert not is_finite(full) and transitive_one_level_down(full)
         p = pj_pattern(d, {d - 1})
-        assert not is_finite(p) and is_level_transitive(p)
+        assert not is_finite(p) and transitive_one_level_down(p)
 
 
 # -- truncation groups ------------------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from treegrp import patterns, subgroups, verify
+from treegrp import gf2, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.heap import half_level_mask
 from treegrp.subgroups import (
     derived_subgroup,
     derived_subgroup_allpairs,
@@ -117,6 +118,38 @@ def test_not_top_fg_small_depths():
             assert case.verdict == VERDICT_NOT_TOP_FG
     with pytest.raises(ValueError):
         verify_not_top_fg(5)
+
+
+def test_not_top_fg_reads_no_adad_cases(monkeypatch):
+    def listed(*args, **kwargs):
+        raise AssertionError("verify_not_top_fg listed P_J")
+
+    monkeypatch.setattr(verify, "enumerate_PJ", listed)
+    for d in (2, 3, 4):
+        topfg = verify_not_top_fg(d).cases
+        noadad = verify_no_adad(d).cases
+        assert [(c.J, c.certificate, c.enumerated_excluded) for c in topfg] == [
+            (c.J, c.certificate, c.enumerated_excluded) for c in noadad]
+
+
+def test_contains_derived_of_full_by_generator_commutators():
+    for d in range(2, 7):
+        for J in verify._nonempty_level_sets(d):
+            assert verify._contains_derived_of_full(subgroups.maximal_subgroup(d, J))
+    for d in (3, 4, 5):
+        half = gf2.LinearSubgroup(d, (half_level_mask(d - 1, 0),))
+        assert not verify._contains_derived_of_full(half)
+
+
+def test_three_way_equivalence_can_fail(monkeypatch):
+    full = patterns.PatternGroup.from_subgroup(full_group(2))
+    assert verify._three_way_equivalence_holds(full)
+    with monkeypatch.context() as m:
+        m.setattr(patterns, "hausdorff_dimension", lambda p: Fraction(0))
+        assert not verify._three_way_equivalence_holds(full)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "is_transitive_on_level", lambda s, n: False)
+        assert not verify._three_way_equivalence_holds(full)
 
 
 def test_new_relation_frozen_values():
