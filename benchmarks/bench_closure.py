@@ -7,17 +7,19 @@ Covers the coset closure of the full depth-4 group and of <a_0> at depth
 closure folded from its four generators), and raw compose and invert
 throughput at depths 4, 8, 12 and 16, where each product is d - 1
 whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and four
-kernel-free pattern-layer calls, all at d=4: the essentiality test of P_{3}
-(a full pass over an essential group), the essential reductions of P_{3}
-(one pass) and P_{0} (several passes), and the depth-5 truncation group of
-the reduced P_{1}.  The half-tree law check `verify_ni_identities_for` is
-timed on the level sets `verify --suite ni` checks: every J containing the
-top level at d=4 (10,000 pairs) and J = {7} at d=8 (1,500 pairs).  Two
-rows time whole verify suites at d=4: `verify_not_top_fg` (which reads
-`verify_no_adad`'s cases) and `verify_auxiliary` (10,000 sampled
-conjugation pairs, the depth-2 sweep and the 15 P_J).  Run after
-`pip install -e .`:
+kernel-free word action, on full-length words at depths 4 and 24, and five
+kernel-free pattern-layer calls.  Four are at d=4: the essentiality test of
+P_{3} (a full pass over an essential group), the essential reductions of
+P_{3} (one pass) and P_{0} (several passes), and the depth-5 truncation
+group of the reduced P_{1}.  The fifth is the embedding index of the full
+depth-3 pattern group, the relation suite's heaviest case (its depth-4
+truncation group keeps all 32,768 assemblies).  The half-tree law check
+`verify_ni_identities_for` is timed on the level sets `verify --suite ni`
+checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
+at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
+`verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
+`verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
+the 15 P_J).  Run after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -31,6 +33,7 @@ from treegrp.patterns import (
     PatternGroup,
     essential_reduction,
     is_essential,
+    psi_image_index,
     truncation_group,
 )
 from treegrp.portrait import FiniteAutomorphism, generators
@@ -39,6 +42,7 @@ from treegrp.subgroups import (
     _derived_from_generators,
     derived_subgroup,
     enumerate_PJ,
+    full_group,
 )
 from treegrp.verify import verify_auxiliary, verify_not_top_fg
 
@@ -121,12 +125,15 @@ def bench_patterns():
     p0 = PatternGroup.from_subgroup(enumerate_PJ(4, {0}))
     p3 = PatternGroup.from_subgroup(enumerate_PJ(4, {3}))
     reduced_p1 = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(4, {1})))
+    full3 = PatternGroup.from_subgroup(full_group(3))
     return {
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
         "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0)),
         "truncation_group(reduced P_{1}, 5), d=4":
             timeit(lambda: truncation_group(reduced_p1, 5)),
+        "psi_image_index(full pattern group), d=3":
+            timeit(lambda: psi_image_index(full3)),
     }
 
 

@@ -17,6 +17,7 @@ either must be an integer of at least 1, or the run is a usage error.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -227,10 +228,13 @@ def _ni_suite(d: int, samples: int, seed: int) -> dict:
 
 
 def _suite_runners(d: int, samples: int, seed: int, cap: int | None):
+    # noadad and topfg read the same report, so `--suite all` builds it once.
+    no_adad = functools.cache(lambda: vf.verify_no_adad(d, cap=cap))
     return {
         "ni": lambda: _ni_suite(d, samples, seed),
-        "noadad": lambda: {"name": "noadad", **vf.verify_no_adad(d, cap=cap).to_dict()},
-        "topfg": lambda: {"name": "topfg", **vf.verify_not_top_fg(d, cap=cap).to_dict()},
+        "noadad": lambda: {"name": "noadad", **no_adad().to_dict()},
+        "topfg": lambda: {"name": "topfg",
+                          **vf.verify_not_top_fg(d, cap=cap, no_adad=no_adad()).to_dict()},
         "relation": lambda: {"name": "relation", **vf.verify_new_relation(d, cap=cap).to_dict()},
         "aux": lambda: {"name": "aux", **vf.verify_auxiliary(d, samples=samples, seed=seed, cap=cap).to_dict()},
     }

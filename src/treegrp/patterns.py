@@ -17,6 +17,13 @@ that child's placed prefix mask and looking the result up in the placed set.
 The test is exact because place(t, v, k) is injective and lands exactly on
 the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
 t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
+
+Truncation groups are built one level at a time as a join: the shallower
+group's elements are classed by their top d - 1 levels, and each allowed
+root pattern picks its two sections from the classes of its two child
+subpatterns, so each step does work in proportion to the elements it
+outputs, not to the 2|H|^2 (root bit, section, section) assemblies.  The
+enumeration cap still bounds that assembly count.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 from . import gf2
 from .errors import EnumerationCapExceeded
-from .heap import place, prefix_mask
+from .heap import gather, place, prefix_mask
 from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
@@ -188,28 +195,36 @@ class TruncationGroup:
 
 def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
                       member_bits: frozenset[int], cap: int) -> frozenset[int]:
-    """Depth-(m+1) truncation group from the depth-m one.
+    """Depth-(m+1) truncation group from the depth-m one, m >= d.
 
     An element belongs iff both its sections lie in the depth-m group and
-    its root size-d pattern is allowed; candidates are all (root bit,
-    section, section) assemblies.
+    its root size-d pattern p is allowed.  p is the root bit and the top
+    d - 1 levels of the two sections, so the group is a join: the depth-m
+    elements are classed by their top d - 1 levels, placed once under each
+    child, and each allowed p contributes its root bit with every section in
+    the class of its child-1 subpattern beside every section in the class of
+    its child-2 subpattern.  Distinct p give disjoint outputs (an output's
+    root pattern is its p), so nothing is built twice or thrown away and the
+    work is proportional to the output.  The cap is still checked against
+    the 2|H|^2 (root bit, section, section) assemblies, before any work.
     """
     candidates = 2 * len(h_bits) * len(h_bits)
     if candidates > cap:
         raise EnumerationCapExceeded(
             cap, candidates, hint=f"depth-{m + 1} truncation group candidate set"
         )
-    root_pattern = prefix_mask(d)
-    rights = [place(b1, 2, m) for b1 in h_bits]
-    out = set()
-    for b0 in h_bits:
-        left = place(b0, 1, m)
-        for right in rights:
-            body = left | right
-            for root in (0, 1):
-                g = body | root
-                if g & root_pattern in member_bits:
-                    out.add(g)
+    top = prefix_mask(d - 1)
+    lefts: dict[int, list[int]] = {}
+    rights: dict[int, list[int]] = {}
+    for b in h_bits:
+        lefts.setdefault(b & top, []).append(place(b, 1, m))
+        rights.setdefault(b & top, []).append(place(b, 2, m))
+    out: list[int] = []
+    for p in member_bits:
+        rs = rights.get(gather(p, 2, d - 1), ())
+        for left in lefts.get(gather(p, 1, d - 1), ()):
+            left |= p & 1
+            out.extend([left | right for right in rs])
     return frozenset(out)
 
 

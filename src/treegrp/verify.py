@@ -320,7 +320,8 @@ class TopFgReport(Report):
         return all(c.verdict == VERDICT_NOT_TOP_FG for c in self.cases)
 
 
-def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
+def verify_not_top_fg(d: int, cap: int | None = None, *,
+                      no_adad: NoAdadReport | None = None) -> TopFgReport:
     """Finite-generation obstruction for every maximal-dimension P_J.
 
     Reads verify_no_adad's cases, whose certificate and enumerated derived
@@ -328,10 +329,14 @@ def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
     commutator stabilizes the top level (the certificate has already checked
     that it lies in P_J); the "not topologically finitely generated" verdict
     then follows from the imported sufficient condition (P_{d-1} not inside
-    [P, P]), which this suite does not re-prove.
+    [P, P]), which this suite does not re-prove.  `no_adad` is a report
+    verify_no_adad(d) has already returned, so a caller running both suites
+    runs noadad once; without it, verify_no_adad(d, cap) runs here.
     """
     if not 2 <= d <= 4:
         raise ValueError("enumerated premise check needs 2 <= d <= 4")
+    if no_adad is not None and (no_adad.d != d or not no_adad.passed):
+        raise ValueError(f"no_adad must be a passed verify_no_adad report at depth {d}")
     c = commutator(generator(d, 0), generator(d, d - 1))
     in_stab = not c.bits & prefix_mask(d - 1)
     if not in_stab:
@@ -340,7 +345,9 @@ def verify_not_top_fg(d: int, cap: int | None = None) -> TopFgReport:
             f"moves a vertex above level {d - 1}"
         )
     report = TopFgReport(d)
-    for case in verify_no_adad(d, cap).cases:
+    if no_adad is None:
+        no_adad = verify_no_adad(d, cap)
+    for case in no_adad.cases:
         report.cases.append(
             TopFgCase(case.J, in_stab, case.certificate, case.enumerated_excluded,
                       VERDICT_NOT_TOP_FG)
@@ -433,10 +440,11 @@ class AuxReport(Report):
         )
 
 
-#: Candidate budget for transitivity probes: deeper truncation groups are
-#: built from section pairs, so the candidate count is 2|H|^2 and explodes
-#: quickly; probing stops (never silently wrong, just shallower) when the
-#: next level would exceed this.
+#: Candidate budget for transitivity probes: a level past H holds up to
+#: 2|H|^2 elements, the (root bit, section, section) assemblies the
+#: enumeration cap is checked against, and that bound explodes quickly;
+#: probing stops (never silently wrong, just shallower) when the next level's
+#: bound would exceed this.
 PROBE_CANDIDATE_BUDGET = 1 << 21
 
 #: Transitivity probes reach this many levels past the pattern depth.

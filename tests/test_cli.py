@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from treegrp import verify
 from treegrp.cli import main
 from treegrp.portrait import FiniteAutomorphism, generator
 
@@ -418,3 +419,18 @@ def test_analyze_beyond_the_listing_limit_exits_3_whatever_the_cap(runner, tmp_p
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
     assert "2^30" in res.output
+
+
+@pytest.mark.parametrize("suite", ["all", "topfg", "noadad"])
+def test_verify_runs_noadad_once(runner, monkeypatch, suite):
+    calls = []
+    real = verify.verify_no_adad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "verify_no_adad", counted)
+    res = runner.invoke(main, ["verify", "--suite", suite, "--d", "3", "--samples", "10"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1

@@ -2,7 +2,8 @@
 
 Brute-force oracles: the reduction is re-run here as a literal filter
 iteration over element lists; truncation groups are compared against a
-filter of the full deeper group by subpattern membership; the embedding
+filter of the full deeper group by subpattern membership and against a scan
+of every (root bit, section, section) candidate one level up; the embedding
 index is held against the order bookkeeping identity.
 """
 
@@ -13,9 +14,10 @@ import pytest
 
 from treegrp import gf2
 from treegrp.errors import EnumerationCapExceeded
-from treegrp.heap import gather, prefix_mask
+from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
     PatternGroup,
+    _extend_one_level,
     dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
@@ -95,6 +97,22 @@ def oracle_truncation_bits(pattern, n):
         g = FiniteAutomorphism(n, b)
         if all(g.subpattern(v, d).bits in member for v in vertices):
             out.add(b)
+    return out
+
+
+def candidate_scan_bits(h_bits, m, d, member_bits):
+    """Depth-(m+1) truncation group by testing every (root bit, section,
+    section) assembly of depth-m elements for an allowed root pattern."""
+    root_pattern = prefix_mask(d)
+    rights = [place(b1, 2, m) for b1 in h_bits]
+    out = set()
+    for b0 in h_bits:
+        left = place(b0, 1, m)
+        for right in rights:
+            for root in (0, 1):
+                g = root | left | right
+                if g & root_pattern in member_bits:
+                    out.add(g)
     return out
 
 
@@ -301,6 +319,69 @@ def test_truncation_refuses_non_essential_patterns():
 def test_truncation_cap_guard():
     with pytest.raises(EnumerationCapExceeded):
         truncation_group(pj_pattern(3, {2}), 5, cap=1 << 20)
+
+
+def test_truncation_groups_of_depth2_reductions_match_bruteforce_filter():
+    # The essential reductions of all ten depth-2 subgroups, none of them a
+    # P_J; equal reductions (four are trivial) are filtered once.
+    reduced = {}
+    for s in all_subgroups_depth2():
+        p = essential_reduction(PatternGroup.from_subgroup(s))
+        reduced.setdefault(p.group.element_bits, p)
+    for p in reduced.values():
+        for n in (3, 4):
+            assert truncation_group(p, n).group.element_bits == oracle_truncation_bits(p, n)
+
+
+def test_join_matches_candidate_scan():
+    # Depth 5 for the reduced P_{1} and P_{0,1} at d = 4 (256 elements each)
+    # and for the d = 3 reductions of order 1 and 16; the order-64 ones at
+    # d = 3 stop at depth 4, since their depth-5 scan has 2^25 candidates.
+    cases = [essential_reduction(pj_pattern(4, J)) for J in ({1}, {0, 1})]
+    cases += [essential_reduction(pj_pattern(3, J)) for J in nonempty_level_sets(3)]
+    for p in cases:
+        d, member = p.depth, p.group.element_bits
+        h = member
+        for m in range(d, 5):
+            if 2 * len(h) * len(h) > 1 << 17:
+                break
+            joined = _extend_one_level(h, m, d, member, 1 << 17)
+            assert joined == candidate_scan_bits(h, m, d, member)
+            h = joined
+
+
+def test_join_with_child_subpatterns_in_no_section_class():
+    # a_1 swaps at vertex "0", so its child-1 subpattern is the root swap;
+    # the only section here is the identity, so a_1 joins nothing.
+    g = generator(2, 1).bits
+    out = _extend_one_level(frozenset({0}), 2, 2, frozenset({0, g}), 8)
+    assert out == candidate_scan_bits({0}, 2, 2, {0, g}) == {0}
+
+
+@pytest.mark.parametrize("d, J, n, reached", [
+    (2, {1}, 3, 32), (2, {1}, 4, 512), (3, {2}, 4, 8192)])
+def test_truncation_cap_boundary(d, J, n, reached):
+    p = pj_pattern(d, J)
+    assert truncation_group(p, n, cap=reached).truncation_depth == n
+    with pytest.raises(EnumerationCapExceeded) as err:
+        truncation_group(p, n, cap=reached - 1)
+    assert err.value.reached == reached
+    assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
+                              f"(reached {reached}); depth-{n} truncation group "
+                              "candidate set")
+
+
+@pytest.mark.parametrize("d, J, reached", [(2, {1}, 32), (3, {2}, 8192)])
+def test_psi_index_cap_boundary(d, J, reached):
+    # The index stabilizes at n = d, so the deepest level built is d + 1.
+    p = pj_pattern(d, J)
+    assert psi_image_index(p, cap=reached).stabilized
+    with pytest.raises(EnumerationCapExceeded) as err:
+        psi_image_index(p, cap=reached - 1)
+    assert err.value.reached == reached
+    assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
+                              f"(reached {reached}); depth-{d + 1} truncation group "
+                              "candidate set")
 
 
 def test_truncation_image_depths():

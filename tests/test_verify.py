@@ -132,6 +132,18 @@ def test_not_top_fg_reads_no_adad_cases(monkeypatch):
             (c.J, c.certificate, c.enumerated_excluded) for c in noadad]
 
 
+def test_not_top_fg_takes_a_no_adad_report():
+    for d in (2, 3, 4):
+        report = verify_no_adad(d)
+        assert verify_not_top_fg(d, no_adad=report) == verify_not_top_fg(d)
+    with pytest.raises(ValueError, match="no_adad"):
+        verify_not_top_fg(3, no_adad=verify_no_adad(2))
+    failed = verify_no_adad(3)
+    failed.cases[0].enumerated_excluded = False
+    with pytest.raises(ValueError, match="no_adad"):
+        verify_not_top_fg(3, no_adad=failed)
+
+
 def test_contains_derived_of_full_by_generator_commutators():
     for d in range(2, 7):
         for J in verify._nonempty_level_sets(d):
