@@ -7,13 +7,15 @@ Covers the coset closure of the full depth-4 group and of <a_0> at depth
 closure folded from its four generators), and raw compose and invert
 throughput at depths 4, 8, 12 and 16, where each product is d - 1
 whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and five
-kernel-free pattern-layer calls.  Four are at d=4: the essentiality test of
-P_{3} (a full pass over an essential group), the essential reductions of
-P_{3} (one pass) and P_{0} (several passes), and the depth-5 truncation
-group of the reduced P_{1}.  The fifth is the embedding index of the full
-depth-3 pattern group, the relation suite's heaviest case (its depth-4
-truncation group keeps all 32,768 assemblies).  The half-tree law check
+kernel-free word action, on full-length words at depths 4 and 24, and six
+kernel-free pattern-layer calls.  Five are at d=4: the essentiality test of
+P_{3} (a full pass over an essential group), the set-filter essential
+reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
+P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
+cross-checked by its essentiality and dimension), and the depth-5
+truncation group of the reduced P_{1}.  The sixth is the embedding index
+of the full depth-3 pattern group, the relation suite's heaviest case (its
+depth-4 truncation group keeps all 32,768 assemblies).  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
 checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
 at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
@@ -44,7 +46,12 @@ from treegrp.subgroups import (
     enumerate_PJ,
     full_group,
 )
-from treegrp.verify import verify_auxiliary, verify_not_top_fg
+from treegrp.verify import (
+    _nonempty_level_sets,
+    _reduced_pj,
+    verify_auxiliary,
+    verify_not_top_fg,
+)
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
@@ -130,6 +137,8 @@ def bench_patterns():
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
         "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0)),
+        "reduce by rank, list 15 reduced P_J, d=4":
+            timeit(lambda: [_reduced_pj(4, J, None) for J in _nonempty_level_sets(4)]),
         "truncation_group(reduced P_{1}, 5), d=4":
             timeit(lambda: truncation_group(reduced_p1, 5)),
         "psi_image_index(full pattern group), d=3":

@@ -34,8 +34,6 @@ from .patterns import (
     essential_reduction,
     hausdorff_dimension,
     is_essential,
-    is_finite,
-    pattern_appears,
     psi_image_index,
     truncation_group,
 )

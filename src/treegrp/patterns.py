@@ -85,11 +85,17 @@ def _children_placed(portraits: set[int] | frozenset[int], k: int
     )
 
 
-def is_essential(p: PatternGroup) -> EssentialityResult:
+def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
+                 ) -> EssentialityResult:
     """Whether every child subpattern of every allowed pattern extends in P.
 
     On failure the witness is a pair (g, i): the size-(d-1) pattern of g at
     first-level vertex i matches no truncation of a member of P.
+
+    `tested`, if given, are the members tested in place of all of P.  When
+    P is closed under XOR, as a parity-check solution set is, a basis is
+    enough: truncation and the child masks are then linear, so the members
+    that pass form an XOR-closed set.
     """
     d = p.depth
     if d < 2:
@@ -97,7 +103,7 @@ def is_essential(p: PatternGroup) -> EssentialityResult:
     member_bits = p.group.element_bits
     top = prefix_mask(d - 1)
     (lm, left), (rm, right) = _children_placed({b & top for b in member_bits}, d - 1)
-    bad = next((b for b in member_bits
+    bad = next((b for b in (member_bits if tested is None else tested)
                 if b & lm not in left or b & rm not in right), None)
     if bad is None:
         return EssentialityResult(True, None)
@@ -168,20 +174,19 @@ def dimension_in_allowed_set(p: PatternGroup) -> bool:
     """Dimension lies in {0, 1/2^(d-1), ..., 1}, and is 1 only for the full
     pattern group."""
     p = _ensure_essential(p)
+    return is_allowed_dimension(p, hausdorff_dimension(p))
+
+
+def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
+    """dimension_in_allowed_set for an essential P whose dimension `dim` is
+    already known."""
     d = p.depth
-    dim = hausdorff_dimension(p)
     denom = 1 << (d - 1)
     if not (0 <= dim <= 1 and (dim * denom).denominator == 1):
         return False
     if dim == 1 and p.group != full_group(d):
         return False
     return True
-
-
-def is_finite(p: PatternGroup) -> bool:
-    """Whether the constrained group defined by P is finite (dimension zero)."""
-    p = _ensure_essential(p)
-    return level_stabilizer(p.group, p.depth - 1).order == 1
 
 
 @dataclass(frozen=True)
@@ -311,11 +316,6 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
             return PsiImageIndex(True, idx, tuple(indices))
         prev_idx = idx
     return PsiImageIndex(False, None, tuple(indices))
-
-
-def pattern_appears(pat: FiniteAutomorphism, g: FiniteAutomorphism, w: str) -> bool:
-    """Whether the size-k pattern `pat` appears at vertex w in g."""
-    return g.subpattern(w, pat.depth) == pat
 
 
 # -- GF(2) fast path for level-parity pattern groups -------------------------

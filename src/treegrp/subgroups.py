@@ -359,15 +359,24 @@ def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphi
     return tuple(gens)
 
 
-def _list_linear(lin: gf2.LinearSubgroup, cap: int | None, what: str,
-                 builder: str) -> Iterator[int]:
-    """The member portraits of a parity-defined subgroup, by the blockwise
-    walk over its checks' nullspace, once its order is known to fit under
-    the cap and under the listing limit 2^gf2.MAX_LIST_LOG2, which holds
-    whatever the cap."""
+def _listable(lin: gf2.LinearSubgroup, cap: int | None, what: str,
+              builder: str) -> gf2.LinearSubgroup:
+    """lin, once its order is known to fit under the cap and under the
+    listing limit 2^gf2.MAX_LIST_LOG2, which holds whatever the cap; its
+    member portraits are then lin.iter_bits(), the blockwise walk over its
+    checks' nullspace."""
     check_order_cap(lin.log2_order(), min(resolve_cap(cap), 1 << gf2.MAX_LIST_LOG2),
                     what, f"use {builder} for membership without enumeration")
-    return lin.iter_bits()
+    return lin
+
+
+def listable_PJ(d: int, J: Iterable[int], cap: int | None = None) -> gf2.LinearSubgroup:
+    """maximal_subgroup(d, J) after the cap check enumerate_PJ makes before
+    listing it, so a caller that lists only a subgroup of P_J keeps that
+    contract."""
+    J = frozenset(J)
+    return _listable(maximal_subgroup(d, J), cap, f"P_J for J={sorted(J)}",
+                     "maximal_subgroup(d, J)")
 
 
 def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> EnumeratedSubgroup:
@@ -376,9 +385,8 @@ def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> Enumerated
     The result carries the Schreier generators of P_J (at most 2(d-1)).
     """
     J = frozenset(J)
-    bits = _list_linear(maximal_subgroup(d, J), cap, f"P_J for J={sorted(J)}",
-                        "maximal_subgroup(d, J)")
-    return EnumeratedSubgroup.from_element_bits(d, bits, _pj_schreier_generators(d, J))
+    return EnumeratedSubgroup.from_element_bits(
+        d, listable_PJ(d, J, cap).iter_bits(), _pj_schreier_generators(d, J))
 
 
 def M_V(d: int, V: Iterable[str]) -> gf2.LinearSubgroup:
@@ -396,7 +404,7 @@ def M_V(d: int, V: Iterable[str]) -> gf2.LinearSubgroup:
 def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> EnumeratedSubgroup:
     """Explicit element set of M_V, order 2^(2^(d-1) - 1)."""
     return EnumeratedSubgroup.from_element_bits(
-        d, _list_linear(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)"))
+        d, _listable(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)").iter_bits())
 
 
 def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:

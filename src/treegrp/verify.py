@@ -23,7 +23,10 @@ scratch at desk scale:
   dimension equivalence on the exhaustive depth-2 subgroup sweep and on all
   P_J (the dimension from the stabilizer order against orbits of the
   truncation groups, built under the enumeration cap), and the
-  allowed-dimension-set law on everything encountered.
+  allowed-dimension-set law on everything encountered.  The sweep reduces
+  by the enumerated set filter; each P_J is reduced by rank and only the
+  reduction is listed, which must be essential and match the rank
+  dimension (classify_maximal still reduces P_J by the set filter).
 
 A genuine counterexample raises VerificationError; reports never bury one.
 """
@@ -58,6 +61,7 @@ from .subgroups import (
     full_group,
     is_transitive_on_level,
     level_stabilizer,
+    listable_PJ,
     maximal_subgroup,
     resolve_cap,
 )
@@ -454,15 +458,21 @@ PROBE_DEPTH_EXTRA = 2
 def _three_way_equivalence_holds(pg: pt.PatternGroup, cap: int | None = None) -> bool:
     """dimension zero <=> finite <=> not level-transitive, by two routes:
     the dimension from the order of the level stabilizer, transitivity from
-    orbits of the truncation groups.
+    orbits of the truncation groups (_transitivity_matches)."""
+    reduced = pt.essential_reduction(pg)
+    return _transitivity_matches(reduced, pt.hausdorff_dimension(reduced), cap)
+
+
+def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
+                          cap: int | None) -> bool:
+    """Whether the constrained group of the essential `reduced`, whose
+    dimension is `dim`, is level-transitive exactly when dim is nonzero.
 
     Probes levels d .. d+PROBE_DEPTH_EXTRA while the truncation-group
     construction stays within the candidate budget; level d (the pattern
     group itself) is always probed.  A finite constrained group must lose
     transitivity at a probed level.
     """
-    reduced = pt.essential_reduction(pg)
-    dim = pt.hausdorff_dimension(reduced)
     d = reduced.depth
     probes = []
     current = reduced.group
@@ -473,6 +483,34 @@ def _three_way_equivalence_holds(pg: pt.PatternGroup, cap: int | None = None) ->
             current = pt.truncation_group(reduced, n, cap).group
         probes.append(is_transitive_on_level(current, n))
     return all(probes) == (dim != 0)
+
+
+def _reduced_pj(d: int, J: frozenset[int],
+                cap: int | None) -> tuple[pt.PatternGroup, Fraction]:
+    """The essential reduction of P_J and its dimension, reduced by rank and
+    listed alone: P_J itself is never listed, though its order is checked
+    against the cap as enumerate_PJ checks it.
+
+    The enumerated route cross-checks the rank route: the listed group must
+    pass is_essential (tested on the basis of the reduced checks, which the
+    listing spans), and its dimension from the order of its level
+    stabilizer must equal linear_hausdorff_dimension of the reduced checks;
+    otherwise VerificationError.
+    """
+    checks, _ = pt.linear_essential_reduction(listable_PJ(d, J, cap))
+    group = EnumeratedSubgroup.from_element_bits(d, checks.iter_bits())
+    if not pt.is_essential(pt.PatternGroup.from_subgroup(group),
+                           tested=checks.basis()).essential:
+        raise VerificationError(
+            f"the rank reduction of P_J for d={d}, J={sorted(J)} is not essential")
+    reduced = pt.PatternGroup(d, group, essential=True)
+    dim = pt.hausdorff_dimension(reduced)
+    by_rank = pt.linear_hausdorff_dimension(checks)
+    if dim != by_rank:
+        raise VerificationError(
+            f"reduced P_J for d={d}, J={sorted(J)} has dimension {dim} from its "
+            f"listing but {by_rank} by rank")
+    return reduced, dim
 
 
 def conjugation_pairs(d: int, samples: int, seed: int,
@@ -496,7 +534,12 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
                      cap: int | None = None) -> AuxReport:
     """Conjugation label law, the depth-2 subgroup sweep, and the P_J
     equivalences at depth d.  `samples` (at least 1) is the number of
-    sampled conjugation pairs at d = 4; below that every pair is checked."""
+    sampled conjugation pairs at d = 4; below that every pair is checked.
+
+    The ten sweep groups are reduced by the set filter (essential_reduction),
+    each P_J by rank with only its reduction listed (_reduced_pj, which
+    cross-checks the two routes).  Each group's dimension is computed once.
+    """
     if not 2 <= d <= 4:
         raise ValueError("auxiliary suite needs 2 <= d <= 4")
     if d == 4 and samples < 1:
@@ -507,22 +550,22 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
     report.conjugation_pairs_checked, report.conjugation_failures = conjugation_law_counts(
         d, conjugation_pairs(d, samples, seed, cap))
 
-    # Exhaustive depth-2 sweep.
+    def check(reduced: pt.PatternGroup, dim: Fraction) -> bool:
+        """The three-way equivalence; counts an allowed-set violation."""
+        holds = _transitivity_matches(reduced, dim, cap)
+        if not pt.is_allowed_dimension(reduced, dim):
+            report.allowed_set_violations += 1
+        return holds
+
+    # Exhaustive depth-2 sweep, reduced by the enumerated route.
     for s in all_subgroups_depth2():
         reduced = pt.essential_reduction(pt.PatternGroup.from_subgroup(s))
         report.sweep_groups_processed += 1
-        if not _three_way_equivalence_holds(reduced, cap):
+        if not check(reduced, pt.hausdorff_dimension(reduced)):
             report.sweep_equivalences_hold = False
-        if not pt.dimension_in_allowed_set(reduced):
-            report.allowed_set_violations += 1
 
-    # All maximal subgroups at depth d.
+    # All maximal subgroups at depth d, reduced by rank.
     for J in _nonempty_level_sets(d):
-        reduced = pt.essential_reduction(
-            pt.PatternGroup.from_subgroup(enumerate_PJ(d, J, cap=cap))
-        )
-        if not _three_way_equivalence_holds(reduced, cap):
+        if not check(*_reduced_pj(d, J, cap)):
             report.pj_equivalences_hold = False
-        if not pt.dimension_in_allowed_set(reduced):
-            report.allowed_set_violations += 1
     return report

@@ -29,7 +29,6 @@ from treegrp.patterns import (
     dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
-    is_finite,
     psi_image_index,
 )
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators
@@ -44,6 +43,8 @@ from treegrp.subgroups import (
     level_stabilizer,
 )
 from treegrp.verify import _three_way_equivalence_holds, classify_maximal
+
+from test_patterns import is_finite
 
 
 @pytest.fixture()

@@ -233,6 +233,19 @@ def test_aux_cap_flag_reaches_the_truncation_probes(runner, monkeypatch, d, cap)
     assert by_flag.exit_code == by_env.exit_code == 3, (by_flag.output, by_env.output)
 
 
+@pytest.mark.parametrize("suite", ["aux", "all"])
+def test_aux_at_depth4_refuses_a_cap_below_the_sweep_probes(runner, monkeypatch, suite):
+    # The depth-2 sweep's depth-4 truncation probe (2 * 128^2 candidates)
+    # refuses first, before the P_J arm (order 2^14) is reached.
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--cap", "16383",
+                               "--format", "json", "--no-timestamp"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == ("resource limit: enumeration cap of 16383 elements exceeded "
+                          "(reached 32768); depth-4 truncation group candidate set\n")
+
+
 # -- analyze ------------------------------------------------------------------------
 
 

@@ -17,23 +17,23 @@ from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
     PatternGroup,
+    _ensure_essential,
     _extend_one_level,
     dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
     is_essential,
-    is_finite,
     linear_essential_reduction,
     linear_hausdorff_dimension,
     linear_stabilizer_log2_order,
     linear_truncation_group,
-    pattern_appears,
     psi_image_index,
     truncation_group,
     truncation_image,
 )
 from treegrp.portrait import FiniteAutomorphism, generator, identity
 from treegrp.subgroups import (
+    EnumeratedSubgroup,
     all_subgroups_depth2,
     close,
     enumerate_PJ,
@@ -54,6 +54,21 @@ def nonempty_level_sets(d):
 
 def pj_pattern(d, J):
     return PatternGroup.from_subgroup(enumerate_PJ(d, J))
+
+
+def is_finite(p):
+    """Whether the constrained group defined by P is finite (dimension zero).
+
+    Test-only: no verdict reads finiteness off this order; the aux suite
+    holds the dimension against orbits of the truncation groups instead.
+    """
+    p = _ensure_essential(p)
+    return level_stabilizer(p.group, p.depth - 1).order == 1
+
+
+def pattern_appears(pat, g, w):
+    """Whether the size-k pattern `pat` appears at vertex w in g (test-only)."""
+    return g.subpattern(w, pat.depth) == pat
 
 
 def oracle_reduction_bits(group, d):
@@ -481,6 +496,21 @@ def test_linear_pipeline_matches_enumeration_everywhere():
             red = essential_reduction(p)
             assert set(red_lin.iter_bits()) == set(red.group.element_bits)
             assert linear_hausdorff_dimension(red_lin) == hausdorff_dimension(red)
+
+
+def test_essentiality_tested_on_a_basis_matches_every_member():
+    # A parity-check solution set is closed under XOR, so the members that
+    # pass the child-extension test do too: testing a basis decides it.
+    for d in (2, 3, 4):
+        for J in nonempty_level_sets(d):
+            lin = maximal_subgroup(d, J)
+            for group in (lin, linear_essential_reduction(lin)[0]):
+                p = PatternGroup.from_subgroup(
+                    EnumeratedSubgroup.from_element_bits(d, group.iter_bits()))
+                essential = is_essential(p).essential
+                assert is_essential(p, tested=group.basis()).essential == essential
+                # P_J is essential exactly when d - 1 is in J; reductions always are.
+                assert essential == (group is not lin or d - 1 in J)
 
 
 def test_linear_truncation_groups_match_enumeration():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treegrp import gf2, patterns, subgroups, verify
-from treegrp.errors import EnumerationCapExceeded
+from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import half_level_mask
 from treegrp.subgroups import (
     derived_subgroup,
@@ -224,6 +224,73 @@ def test_auxiliary_sampling_needs_at_least_one_pair():
         with pytest.raises(ValueError, match="samples"):
             verify_auxiliary(4, samples=samples)
     assert verify_auxiliary(2, samples=0).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_auxiliary_reduces_pj_by_rank_only(monkeypatch, d):
+    # The set-filter reduction sees the 10 sweep groups and no P_J; each
+    # P_J's rank reduction, listed, is its set-filter reduction.
+    reduce_by_filter = patterns.essential_reduction
+    filtered = []
+    listed = {}
+
+    def counting_reduction(p):
+        filtered.append(p.group)
+        return reduce_by_filter(p)
+
+    reduce_by_rank = verify._reduced_pj
+
+    def recording_reduced_pj(d, J, cap):
+        listed[J] = reduce_by_rank(d, J, cap)
+        return listed[J]
+
+    monkeypatch.setattr(patterns, "essential_reduction", counting_reduction)
+    monkeypatch.setattr(verify, "_reduced_pj", recording_reduced_pj)
+    assert verify_auxiliary(d, samples=500).passed
+    assert filtered == subgroups.all_subgroups_depth2()
+    assert len(listed) == (1 << d) - 1
+    for J, (reduced, dim) in listed.items():
+        expected = reduce_by_filter(
+            patterns.PatternGroup.from_subgroup(subgroups.enumerate_PJ(d, J)))
+        assert reduced.essential is True
+        assert reduced.group.element_bits == expected.group.element_bits, sorted(J)
+        assert dim == patterns.hausdorff_dimension(expected)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_auxiliary_cross_check_catches_an_unreduced_pj(monkeypatch, d):
+    monkeypatch.setattr(patterns, "linear_essential_reduction", lambda lin: (lin, True))
+    with pytest.raises(VerificationError, match="not essential"):
+        verify_auxiliary(d, samples=500)
+    # P_J is essential exactly when d - 1 is in J; every other one is caught.
+    for J in verify._nonempty_level_sets(d):
+        if d - 1 in J:
+            assert verify._reduced_pj(d, J, None)[0].order == 1 << ((1 << d) - 2)
+        else:
+            with pytest.raises(VerificationError, match="not essential"):
+                verify._reduced_pj(d, J, None)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_auxiliary_cross_check_catches_a_wrong_rank_dimension(monkeypatch, d):
+    rank_dimension = patterns.linear_hausdorff_dimension
+    monkeypatch.setattr(patterns, "linear_hausdorff_dimension",
+                        lambda lin: rank_dimension(lin) + Fraction(1, 1 << (d - 1)))
+    with pytest.raises(VerificationError, match="by rank"):
+        verify_auxiliary(d, samples=500)
+
+
+def test_auxiliary_pj_arm_keeps_the_cap_check_of_enumerate_pj():
+    # P_J at d=4 has order 2^14: the aux arm refuses a smaller cap with
+    # enumerate_PJ's own message, though it lists only the reduction.
+    hint = ("P_J for J=[0, 3] has order 2^14; use maximal_subgroup(d, J) "
+            "for membership without enumeration")
+    for refuse in (subgroups.listable_PJ, verify._reduced_pj, subgroups.enumerate_PJ):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            refuse(4, frozenset({0, 3}), 16383)
+        assert str(err.value) == f"enumeration cap of 16383 elements exceeded; {hint}"
+    reduced, dim = verify._reduced_pj(4, frozenset({0, 3}), 16384)
+    assert (reduced.order, dim) == (16384, Fraction(7, 8))
 
 
 def test_derived_of_full_from_generators_matches_derived_subgroup():
