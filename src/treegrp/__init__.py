@@ -17,12 +17,9 @@ from .halftree import (
     CertificateVerdict,
     JContext,
     N,
-    commutator_parity,
     derived_membership_certificate,
     verify_ni_identities,
     verify_ni_identities_for,
-    word_parities,
-    word_to_element,
 )
 from .kernel import backend_name, has_c_kernel
 from .patterns import (
@@ -30,7 +27,6 @@ from .patterns import (
     PatternGroup,
     PsiImageIndex,
     TruncationGroup,
-    dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
     is_essential,
@@ -57,23 +53,16 @@ from .subgroups import (
     all_subgroups_depth2,
     beta_V,
     close,
-    conjugate_label_check,
-    contains,
     derived_subgroup,
-    derived_subgroup_allpairs,
     enumerate_PJ,
     full_group,
     generating_set,
-    in_derived_of_Gd,
-    index,
     is_transitive_on_level,
     level_stabilizer,
     maximal_subgroup,
     orbit,
-    order,
     subgroup_from_json,
     subgroup_to_json,
-    verify_presentation,
 )
 from .verify import (
     ClassificationReport,

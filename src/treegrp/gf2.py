@@ -2,9 +2,9 @@
 
 Vectors are Python ints (bit k = coordinate k).  LinearSubgroup is the one
 representation of a subgroup cut out by parity functionals of the portrait
-bits (P_J, M_V, the full group's derived subgroup and what the pattern
-pipeline derives from them): as a set it is the solution space of its
-parity checks, so membership is a few popcounts and orders are ranks.
+bits (P_J, M_V and what the pattern pipeline derives from them): as a set
+it is the solution space of its parity checks, so membership is a few
+popcounts and orders are ranks.
 
 Every result feeding a verification verdict is cross-validated against
 enumeration at small depth, and membership against the label definitions,
@@ -65,10 +65,6 @@ def rank(rows: Iterable[int]) -> int:
     return len(rref(rows))
 
 
-def in_span(v: int, reduced_basis: Sequence[int]) -> bool:
-    return reduce_vector(v, reduced_basis) == 0
-
-
 def nullspace(rows: Iterable[int], n: int) -> list[int]:
     """Basis of { x in GF(2)^n : <row, x> = 0 for every row }."""
     basis = rref(rows)
@@ -95,13 +91,6 @@ def gather_bits(v: int, positions: Sequence[int]) -> int:
     out = 0
     for k, p in enumerate(positions):
         out |= ((v >> p) & 1) << k
-    return out
-
-
-def scatter_bits(v: int, positions: Sequence[int]) -> int:
-    out = 0
-    for k, p in enumerate(positions):
-        out |= ((v >> k) & 1) << p
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import kernel
 from .errors import VerificationError
 from .heap import half_level_mask
-from .portrait import FiniteAutomorphism, generator, identity
+from .portrait import FiniteAutomorphism
 from .report import Report
 from .subgroups import level_set_mask, maximal_subgroup
 
@@ -220,32 +220,6 @@ def verify_ni_identities(ctx: JContext, samples: int = 10_000,
     return verify_ni_identities_for([ctx], samples, seed, exhaustive)[0]
 
 
-def commutator_parity(g: FiniteAutomorphism, h: FiniteAutomorphism,
-                      ctx: JContext) -> tuple[int, int]:
-    """(N_0, N_1) of [g, h] for two P_J members; always (0, 0).
-
-    Computed twice, directly on the commutator's portrait and through the
-    commutator transformation law, and cross-checked, so a bug in either
-    route cannot silently produce the expected zero pair.
-    """
-    _check_pj_member(ctx, g, "g")
-    _check_pj_member(ctx, h, "h")
-    from .portrait import commutator
-
-    c = commutator(g, h)
-    direct = (N(c, ctx, 0), N(c, ctx, 1))
-    ag, ah = g.root_activity, h.root_activity
-    via_law = tuple(
-        N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i) ^ N(h, ctx, i ^ ag)
-        for i in (0, 1)
-    )
-    if direct != via_law:
-        raise RuntimeError(
-            f"half-tree parity routes disagree on a commutator: {direct} vs {via_law}"
-        )
-    return direct
-
-
 NOT_IN_DERIVED = "NOT_IN_DERIVED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -277,37 +251,3 @@ def derived_membership_certificate(ctx: JContext,
     if N(x, ctx, 1):
         return CertificateVerdict(NOT_IN_DERIVED, "N1")
     return CertificateVerdict(INCONCLUSIVE, None)
-
-
-def word_parities(word: Sequence[int], ctx: JContext) -> tuple[int, int]:
-    """(N_0, N_1) of a product of standard generators, read off the word.
-
-    An occurrence of a generator with index in J' counts toward N_0 or N_1
-    according to the root activity of the suffix to its right (letters act
-    rightmost-first): activity 0 means an even occurrence (N_0), activity 1
-    an odd one (N_1).  Must agree with evaluating N on the composed product;
-    the test suite holds the two routes against each other.
-    """
-    d = ctx.depth
-    jprime = ctx.jprime
-    n0 = n1 = 0
-    suffix_root_activity = 0
-    for idx in reversed(word):
-        if not 0 <= idx < d:
-            raise ValueError(f"generator index must be in 0..{d - 1}, got {idx}")
-        if idx in jprime:
-            if suffix_root_activity:
-                n1 ^= 1
-            else:
-                n0 ^= 1
-        if idx == 0:
-            suffix_root_activity ^= 1
-    return n0, n1
-
-
-def word_to_element(word: Sequence[int], d: int) -> FiniteAutomorphism:
-    """Compose a generator word left to right (rightmost letter acts first)."""
-    acc = identity(d)
-    for idx in word:
-        acc = acc * generator(d, idx)
-    return acc

@@ -170,16 +170,9 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
     return Fraction(log2, 1 << (d - 1))
 
 
-def dimension_in_allowed_set(p: PatternGroup) -> bool:
-    """Dimension lies in {0, 1/2^(d-1), ..., 1}, and is 1 only for the full
-    pattern group."""
-    p = _ensure_essential(p)
-    return is_allowed_dimension(p, hausdorff_dimension(p))
-
-
 def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
-    """dimension_in_allowed_set for an essential P whose dimension `dim` is
-    already known."""
+    """Whether `dim`, the dimension of the essential P, lies in
+    {0, 1/2^(d-1), ..., 1}, and is 1 only for the full pattern group."""
     d = p.depth
     denom = 1 << (d - 1)
     if not (0 <= dim <= 1 and (dim * denom).denominator == 1):

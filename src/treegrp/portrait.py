@@ -145,9 +145,6 @@ class FiniteAutomorphism:
             b ^= low
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return self.bits == 0
-
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: "FiniteAutomorphism") -> "FiniteAutomorphism":

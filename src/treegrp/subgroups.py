@@ -8,8 +8,8 @@ Two representations, one per question:
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
-  (maximal_subgroup), the maximal subgroups M_V of the level-(d-1)
-  stabilizer, and the full group's derived subgroup (in_derived_of_Gd).
+  (maximal_subgroup) and the maximal subgroups M_V of the level-(d-1)
+  stabilizer.
 
 Structure known from the definitions is never recomputed by closure:
 
@@ -36,14 +36,12 @@ cap by their exponent, so the check works at every depth.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded
 from .heap import check_word, heap_index, level_mask, prefix_mask, vertex_word
 from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
-from .report import Report
 
 DEFAULT_CAP = 1 << 26
 
@@ -159,9 +157,6 @@ class EnumeratedSubgroup:
     def __repr__(self):
         return f"EnumeratedSubgroup(depth={self.depth}, order={self.order})"
 
-    def is_subgroup_of(self, other: "EnumeratedSubgroup") -> bool:
-        return self.depth == other.depth and self._bits <= other._bits
-
 
 def close(gens: Sequence[FiniteAutomorphism], *, depth: int | None = None,
           cap: int | None = None) -> EnumeratedSubgroup:
@@ -208,24 +203,6 @@ def verify_closed(s: EnumeratedSubgroup) -> bool:
         return kernel.close(s.depth, s.sorted_bits(), len(s)) == s._bits
     except EnumerationCapExceeded:
         return False
-
-
-def order(s: EnumeratedSubgroup) -> int:
-    return s.order
-
-
-def contains(s: EnumeratedSubgroup, g: FiniteAutomorphism) -> bool:
-    return s.contains(g)
-
-
-def index(s: EnumeratedSubgroup, t: EnumeratedSubgroup) -> int:
-    """[S : T], after verifying T really is a subgroup of S."""
-    if not t.is_subgroup_of(s):
-        raise ValueError("index undefined: T is not contained in S")
-    q, r = divmod(s.order, t.order)
-    if r:
-        raise ValueError("element counts violate Lagrange; corrupted subgroup data")
-    return q
 
 
 def level_stabilizer(s: EnumeratedSubgroup, n: int) -> EnumeratedSubgroup:
@@ -278,19 +255,6 @@ def derived_subgroup(s: EnumeratedSubgroup, cap: int | None = None) -> Enumerate
     was built from, else a greedy generating set) by _derived_from_generators."""
     gens = [g.bits for g in (s.generators or generating_set(s))]
     return _derived_from_generators(s.depth, gens, cap)
-
-
-def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
-    """Oracle form of the derived subgroup: close all |S|^2 commutators.
-
-    Quadratic in the group order; used to validate derived_subgroup on
-    small groups, never as the production path.
-    """
-    d = s.depth
-    bits = list(s.element_bits)
-    comms = {kernel.commutator(x, y, d) for x in bits for y in bits}
-    closed = kernel.close(d, sorted(comms), resolve_cap(cap))
-    return EnumeratedSubgroup.from_element_bits(d, closed)
 
 
 def orbit(s: EnumeratedSubgroup, v: str) -> set[str]:
@@ -432,34 +396,14 @@ def _last_level_images(g_bits: int, d: int) -> list[int]:
     return images
 
 
-def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
-    """Check the conjugation law on last-level labels.
-
-    For h stabilizing level d-1, the conjugate h^g must also stabilize
-    level d-1 and carry, at each last-level vertex v, the label of h at
-    g(v).  Returns whether that holds (it always should).  The expected
-    portrait is built from g's images of the last level, so a conjugate
-    with any label above the last level fails the comparison too.
-    """
-    d = h.depth
-    if g.depth != d:
-        raise ValueError(f"depth mismatch: {h.depth} vs {g.depth}")
-    if h.bits & prefix_mask(d - 1):
-        raise ValueError("h must stabilize level d-1")
-    first = (1 << (d - 1)) - 1
-    expected = 0
-    for k, img in enumerate(_last_level_images(g.bits, d)):
-        expected |= (h.bits >> img & 1) << (first + k)
-    return h.conjugate_by(g).bits == expected
-
-
 def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """(checked, failures) of the conjugation law over a stream of (h, g)
-    portrait pairs, each h stabilizing level d-1.
+    portrait pairs, each h stabilizing level d-1: h^g stabilizes level d-1
+    and carries, at each last-level vertex v, the label of h at g(v).
 
-    conjugate_label_check's law, on kernel batches: each chunk of the
-    stream (kernel.packed_chunks) is conjugated by one conjugate_batch call
-    and compared, as one int, with the packed expected portraits.  Those
+    The law is checked on kernel batches: each chunk of the stream
+    (kernel.packed_chunks) is conjugated by one conjugate_batch call and
+    compared, as one int, with the packed expected portraits.  Those
     are built without the kernel: the last-level images of g, walked off
     its labels above the last level (so memoised on them), gather h's
     last-level labels.  A chunk whose ints differ is recounted pair by pair.
@@ -486,65 +430,6 @@ def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[in
             failures += sum(kernel.conjugate(hb, gb, d) != e
                             for hb, gb, e in zip(hs, gs, expected))
     return checked, failures
-
-
-def in_derived_of_Gd(g: FiniteAutomorphism) -> bool:
-    """Membership in the derived subgroup of the full depth-d group.
-
-    The abelianization of the full group is elementary abelian of rank d,
-    realized by the d single-level parity functionals, so the derived
-    subgroup is exactly their common kernel.  Cross-checked against the
-    enumerated derived subgroup in the test suite.
-    """
-    d = g.depth
-    return gf2.LinearSubgroup(d, tuple(level_mask(j) for j in range(d))).contains(g)
-
-
-@dataclass
-class PresentationReport(Report):
-    """Outcome of checking the standard presentation relations at depth d."""
-
-    d: int
-    involution_failures: list[int] = field(default_factory=list)
-    relation_failures: list[tuple[int, int, int]] = field(default_factory=list)
-    order_checked: bool = False
-    order_expected: int | None = None
-    order_actual: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.involution_failures
-            and not self.relation_failures
-            and (not self.order_checked or self.order_expected == self.order_actual)
-        )
-
-
-def verify_presentation(d: int, cap: int | None = None) -> PresentationReport:
-    """Check a_i^2 = 1 and [a_j^(a_i), a_k] = 1 (i < j, i < k), plus the
-    group order for depths small enough to enumerate."""
-    if d < 2:
-        raise ValueError("presentation check needs depth >= 2")
-    report = PresentationReport(d)
-    gens = generators(d)
-    e = FiniteAutomorphism.identity(d)
-    for i, a in enumerate(gens):
-        if a * a != e:
-            report.involution_failures.append(i)
-    from .portrait import commutator as comm
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            conj = gens[i] * gens[j] * gens[i]
-            for k in range(i + 1, d):
-                if comm(conj, gens[k]) != e:
-                    report.relation_failures.append((i, j, k))
-    expected = 1 << ((1 << d) - 1)
-    if expected <= resolve_cap(cap):
-        report.order_checked = True
-        report.order_expected = expected
-        report.order_actual = full_group(d, cap=cap).order
-    return report
 
 
 def all_subgroups_depth2() -> list[EnumeratedSubgroup]:

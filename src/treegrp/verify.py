@@ -455,14 +455,6 @@ PROBE_CANDIDATE_BUDGET = 1 << 21
 PROBE_DEPTH_EXTRA = 2
 
 
-def _three_way_equivalence_holds(pg: pt.PatternGroup, cap: int | None = None) -> bool:
-    """dimension zero <=> finite <=> not level-transitive, by two routes:
-    the dimension from the order of the level stabilizer, transitivity from
-    orbits of the truncation groups (_transitivity_matches)."""
-    reduced = pt.essential_reduction(pg)
-    return _transitivity_matches(reduced, pt.hausdorff_dimension(reduced), cap)
-
-
 def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
                           cap: int | None) -> bool:
     """Whether the constrained group of the essential `reduced`, whose

@@ -1,0 +1,55 @@
+"""Reference implementations that tests hold production code against.
+
+Each one computes its answer the slow, direct way, independently of the
+route the library takes: the derived subgroup from all |S|^2 commutators,
+the conjugation law one pair at a time off g's last-level images, and the
+inverse of gf2.gather_bits.
+"""
+
+from typing import Sequence
+
+from treegrp import kernel
+from treegrp.heap import prefix_mask
+from treegrp.portrait import FiniteAutomorphism
+from treegrp.subgroups import EnumeratedSubgroup, _last_level_images, resolve_cap
+
+
+def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
+    """Oracle form of the derived subgroup: close all |S|^2 commutators.
+
+    Quadratic in the group order; used to validate derived_subgroup on
+    small groups, never as the production path.
+    """
+    d = s.depth
+    bits = list(s.element_bits)
+    comms = {kernel.commutator(x, y, d) for x in bits for y in bits}
+    closed = kernel.close(d, sorted(comms), resolve_cap(cap))
+    return EnumeratedSubgroup.from_element_bits(d, closed)
+
+
+def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
+    """Check the conjugation law on last-level labels.
+
+    For h stabilizing level d-1, the conjugate h^g must also stabilize
+    level d-1 and carry, at each last-level vertex v, the label of h at
+    g(v).  Returns whether that holds (it always should).  The expected
+    portrait is built from g's images of the last level, so a conjugate
+    with any label above the last level fails the comparison too.
+    """
+    d = h.depth
+    if g.depth != d:
+        raise ValueError(f"depth mismatch: {h.depth} vs {g.depth}")
+    if h.bits & prefix_mask(d - 1):
+        raise ValueError("h must stabilize level d-1")
+    first = (1 << (d - 1)) - 1
+    expected = 0
+    for k, img in enumerate(_last_level_images(g.bits, d)):
+        expected |= (h.bits >> img & 1) << (first + k)
+    return h.conjugate_by(g).bits == expected
+
+
+def scatter_bits(v: int, positions: Sequence[int]) -> int:
+    out = 0
+    for k, p in enumerate(positions):
+        out |= ((v >> k) & 1) << p
+    return out

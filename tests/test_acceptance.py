@@ -26,9 +26,9 @@ from treegrp.halftree import (
 )
 from treegrp.patterns import (
     PatternGroup,
-    dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
+    is_allowed_dimension,
     psi_image_index,
 )
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators
@@ -36,14 +36,14 @@ from treegrp.subgroups import (
     all_subgroups_depth2,
     close,
     derived_subgroup,
-    derived_subgroup_allpairs,
     enumerate_PJ,
     full_group,
-    in_derived_of_Gd,
     level_stabilizer,
+    maximal_subgroup,
 )
-from treegrp.verify import _three_way_equivalence_holds, classify_maximal
+from treegrp.verify import _contains_derived_of_full, _transitivity_matches, derived_of_full
 
+from oracles import derived_subgroup_allpairs
 from test_patterns import is_finite
 
 
@@ -183,15 +183,12 @@ def test_criterion_6_oracle_equivalences(criterion):
             gens = [FiniteAutomorphism.random(3, rng) for _ in range(rng.randrange(1, 4))]
             s = close(gens)
             assert derived_subgroup(s) == derived_subgroup_allpairs(s)
-        for d in (2, 3):
-            dg = derived_subgroup(full_group(d))
-            for b in full_group(d).element_bits:
-                assert in_derived_of_Gd(FiniteAutomorphism(d, b)) == (b in dg.element_bits)
-        dg4 = derived_subgroup(full_group(4))
-        rng = random.Random(607)
-        for _ in range(10_000):
-            g = FiniteAutomorphism.random(4, rng)
-            assert in_derived_of_Gd(g) == (g.bits in dg4.element_bits)
+        for d in (2, 3, 4):
+            derived_bits = derived_of_full(d).element_bits
+            for bits in range(1, 1 << d):
+                J = frozenset(j for j in range(d) if (bits >> j) & 1)
+                assert _contains_derived_of_full(maximal_subgroup(d, J)) == (
+                    derived_bits <= enumerate_PJ(d, J).element_bits), (d, sorted(J))
 
 
 def test_criterion_7_possible_dimension_values_and_equivalences(criterion):
@@ -206,14 +203,15 @@ def test_criterion_7_possible_dimension_values_and_equivalences(criterion):
             assert (dim == 0) == is_finite(reduced)
             if dim == 1:
                 assert reduced.group == full_group(2)
-            assert dimension_in_allowed_set(reduced)
-            assert _three_way_equivalence_holds(pg)
+            assert is_allowed_dimension(reduced, dim)
+            assert _transitivity_matches(reduced, dim, None)
         assert dims == {Fraction(0), Fraction(1, 2), Fraction(1)}
         for d in (3, 4):
             for bits in range(1, 1 << d):
                 J = frozenset(j for j in range(d) if (bits >> j) & 1)
-                pg = PatternGroup.from_subgroup(enumerate_PJ(d, J))
-                assert _three_way_equivalence_holds(pg), (d, sorted(J))
+                reduced = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(d, J)))
+                assert _transitivity_matches(reduced, hausdorff_dimension(reduced), None), \
+                    (d, sorted(J))
 
 
 def test_criterion_8_performance(criterion):

@@ -2,7 +2,6 @@
 
 import random
 
-from treegrp import gf2
 from treegrp.heap import (
     gather,
     in_range,
@@ -12,6 +11,8 @@ from treegrp.heap import (
     vertex_word,
 )
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism
+
+from oracles import scatter_bits
 
 MAX_TESTED_DEPTH = 8
 
@@ -58,7 +59,7 @@ def test_place_matches_scatter_over_positions():
     rng = random.Random(11)
     for v, k in subtrees(MAX_TESTED_DEPTH):
         x = rng.getrandbits((1 << k) - 1)
-        assert place(x, v, k) == gf2.scatter_bits(x, block_positions(v, k))
+        assert place(x, v, k) == scatter_bits(x, block_positions(v, k))
 
 
 def test_prefix_mask_is_union_of_level_masks():

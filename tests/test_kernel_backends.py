@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -310,3 +311,28 @@ def test_benchmark_env_record_names_the_pure_kernel():
     assert ready["ready"] is True
     assert ready["backend"] == "pure"
     assert ready["has_c_kernel"] is False
+
+
+def test_benchmark_tracer_installs_and_the_worker_names_resolve():
+    # perfbench/tracing.py looks up every traced name with a plain getattr, and
+    # perfbench/worker.py calls the names below; tier-1 does not collect perfbench.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(treegrp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, str(root / "perfbench"), os.environ.get("PYTHONPATH")) if p)}
+    script = textwrap.dedent("""
+        import tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        import treegrp
+        from treegrp import halftree
+        for fn in (treegrp.backend_name, treegrp.has_c_kernel,
+                   halftree.verify_ni_identities, halftree.JContext.make):
+            assert callable(fn), fn
+        assert "treegrp.halftree.verify_ni_identities" in tracer.bindings
+        print("installed")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"

@@ -19,9 +19,9 @@ from treegrp.patterns import (
     PatternGroup,
     _ensure_essential,
     _extend_one_level,
-    dimension_in_allowed_set,
     essential_reduction,
     hausdorff_dimension,
+    is_allowed_dimension,
     is_essential,
     linear_essential_reduction,
     linear_hausdorff_dimension,
@@ -261,8 +261,8 @@ def test_dimension_allowed_set_on_depth2_sweep():
     seen = set()
     for s in all_subgroups_depth2():
         red = essential_reduction(PatternGroup.from_subgroup(s))
-        assert dimension_in_allowed_set(red)
         dim = hausdorff_dimension(red)
+        assert is_allowed_dimension(red, dim)
         seen.add(dim)
         assert dim in {Fraction(0), Fraction(1, 2), Fraction(1)}
         assert (dim == 0) == is_finite(red)

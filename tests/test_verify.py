@@ -7,12 +7,7 @@ import pytest
 from treegrp import gf2, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import half_level_mask
-from treegrp.subgroups import (
-    derived_subgroup,
-    derived_subgroup_allpairs,
-    full_group,
-    index,
-)
+from treegrp.subgroups import derived_subgroup, full_group
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
     VERDICT_UNKNOWN,
@@ -23,6 +18,8 @@ from treegrp.verify import (
     verify_no_adad,
     verify_not_top_fg,
 )
+
+from oracles import derived_subgroup_allpairs
 
 
 @pytest.mark.parametrize("cap", [-5, 0])
@@ -154,14 +151,13 @@ def test_contains_derived_of_full_by_generator_commutators():
 
 
 def test_three_way_equivalence_can_fail(monkeypatch):
-    full = patterns.PatternGroup.from_subgroup(full_group(2))
-    assert verify._three_way_equivalence_holds(full)
-    with monkeypatch.context() as m:
-        m.setattr(patterns, "hausdorff_dimension", lambda p: Fraction(0))
-        assert not verify._three_way_equivalence_holds(full)
+    full = patterns.essential_reduction(patterns.PatternGroup.from_subgroup(full_group(2)))
+    dim = patterns.hausdorff_dimension(full)
+    assert verify._transitivity_matches(full, dim, None)
+    assert not verify._transitivity_matches(full, Fraction(0), None)
     with monkeypatch.context() as m:
         m.setattr(verify, "is_transitive_on_level", lambda s, n: False)
-        assert not verify._three_way_equivalence_holds(full)
+        assert not verify._transitivity_matches(full, dim, None)
 
 
 def test_new_relation_frozen_values():
@@ -298,7 +294,8 @@ def test_derived_of_full_from_generators_matches_derived_subgroup():
         full = full_group(d)
         derived = derived_of_full(d)
         assert derived == derived_subgroup(full)
-        assert index(full, derived) == 1 << d
+        assert derived.element_bits <= full.element_bits
+        assert full.order // derived.order == 1 << d
     for d in (2, 3):
         assert derived_of_full(d) == derived_subgroup_allpairs(full_group(d))
 
