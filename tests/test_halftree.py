@@ -2,8 +2,10 @@
 derived-subgroup certificate.
 
 Oracles: the transformation laws are evaluated on both sides from raw
-portraits; the certificate is held against the enumerated derived subgroup,
-for soundness and for silence on every member.
+portraits; the parity pair of a commutator is read off its portrait and
+through the commutator law, the two held against each other; the
+certificate is held against the enumerated derived subgroup, for soundness
+and for silence on every member.
 """
 
 import random
@@ -346,6 +348,50 @@ def test_certificate_inconclusive_on_identity_and_commutators():
             for x in derived_subgroup(enumerate_PJ(d, J)):
                 v = derived_membership_certificate(ctx, x)
                 assert v.verdict == INCONCLUSIVE, (d, sorted(J), x)
+
+
+# -- commutator parity ----------------------------------------------------------------
+
+
+def commutator_parity(g, h, ctx):
+    """(N_0, N_1) of [g, h], read off the commutator's portrait and through
+    the commutator transformation law; the two routes must agree."""
+    c = commutator(g, h)
+    direct = (N(c, ctx, 0), N(c, ctx, 1))
+    ag, ah = g.root_activity, h.root_activity
+    via_law = tuple(
+        N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i) ^ N(h, ctx, i ^ ag)
+        for i in (0, 1)
+    )
+    assert direct == via_law, (direct, via_law)
+    assert derived_membership_certificate(ctx, c).verdict == INCONCLUSIVE
+    return direct
+
+
+def test_commutator_parity_exhaustive_p1_depth2():
+    ctx = JContext.for_top_level(2, {1})
+    p1 = enumerate_PJ(2, {1})
+    for g in p1:
+        for h in p1:
+            assert commutator_parity(g, h, ctx) == (0, 0)
+
+
+def test_commutator_parity_sampled_depth3():
+    rng = random.Random(502)
+    ctx = JContext.for_top_level(3, {2})
+    for _ in range(10_000):
+        g = sample_pj_member(rng, 3, {2})
+        h = sample_pj_member(rng, 3, {2})
+        assert commutator_parity(g, h, ctx) == (0, 0)
+
+
+def test_commutator_parity_sampled_depth4():
+    rng = random.Random(503)
+    ctx = JContext.for_top_level(4, {2, 3})
+    for _ in range(100_000):
+        g = sample_pj_member(rng, 4, {2, 3})
+        h = sample_pj_member(rng, 4, {2, 3})
+        assert commutator_parity(g, h, ctx) == (0, 0)
 
 
 def test_certificate_soundness_against_enumerated_derived():
