@@ -21,7 +21,9 @@ checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
 at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
 `verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
 `verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
-the 15 P_J).  Run after `pip install -e .`:
+the 15 P_J).  A last row times `classify_maximal(4)` (15 rows read off the
+parity checks, each cross-checked by enumeration) with the cache of
+[G(4), G(4)] cleared before each run.  Run after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -47,8 +49,10 @@ from treegrp.subgroups import (
     full_group,
 )
 from treegrp.verify import (
+    _DERIVED_FULL_CACHE,
     _nonempty_level_sets,
     _reduced_pj,
+    classify_maximal,
     verify_auxiliary,
     verify_not_top_fg,
 )
@@ -161,10 +165,16 @@ def bench_halftree():
 
 
 def bench_verify():
-    """Best-of-3 seconds of the verify-suite rows."""
+    """Best-of-3 seconds of the verify-suite and classify rows."""
+
+    def classify_uncached():
+        _DERIVED_FULL_CACHE.clear()
+        classify_maximal(4)
+
     return {
         "verify_not_top_fg(4)": timeit(lambda: verify_not_top_fg(4)),
         "verify_auxiliary(4)": timeit(lambda: verify_auxiliary(4)),
+        "classify_maximal(4), caches cleared": timeit(classify_uncached),
     }
 
 

@@ -175,8 +175,8 @@ def elem_distance(d: int, lhs: str, rhs: str):
 @main.command("classify")
 @click.option("--d", "d", type=int, required=True)
 @click.option("--gf2", "use_gf2", is_flag=True,
-              help="parity-rank fast path for depth 5, where it is required; "
-                   "ignored at depth <= 4, which always enumerates")
+              help="read the rows off parity ranks alone, as depth 5 requires; "
+                   "ignored at depth <= 4, where enumeration cross-checks the ranks")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
 @_cap_option

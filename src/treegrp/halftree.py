@@ -125,10 +125,6 @@ class IdentityCheckReport(Report):
         return not self.failures
 
 
-#: Bits of batch in one chunk of sample pairs (kernel.packed_chunks).
-_CHUNK_BITS = kernel.CHUNK_BITS
-
-
 def _batch(x: int, n: int, d: int) -> int:
     """x itself, after checking it is a batch of n depth-d portraits."""
     if x < 0 or x >> (n << d) or x & ((1 << n) - 1):

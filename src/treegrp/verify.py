@@ -4,10 +4,13 @@ Each suite re-derives one of the package's headline structural facts from
 scratch at desk scale:
 
 * classify_maximal: for every nonempty level set J, decide essentiality of
-  P_J, reduce, and compute the exact dimension; assert that the maximal
-  possible dimension 1 - 1/2^(d-1) occurs exactly for the 2^(d-1) sets J
-  containing the top level, equivalently for the P_J omitting the top
-  generator, all of which contain the derived subgroup of the full group.
+  P_J, reduce, and compute the exact dimension, all by rank on P_J's
+  parity check; assert that the maximal possible dimension 1 - 1/2^(d-1)
+  occurs exactly for the 2^(d-1) sets J containing the top level,
+  equivalently for the P_J omitting the top generator, all of which
+  contain the derived subgroup of the full group.  At d <= 4 every row
+  field is cross-checked by enumeration; d = 5 (use_gf2) reads the ranks
+  alone.
 * verify_no_adad: [a_0, a_{d-1}] lies outside [P_J, P_J]: parity
   certificate always, enumerated derived subgroup where feasible, and the
   two arms must agree.
@@ -26,14 +29,14 @@ scratch at desk scale:
   allowed-dimension-set law on everything encountered.  The sweep reduces
   by the enumerated set filter; each P_J is reduced by rank and only the
   reduction is listed, which must be essential and match the rank
-  dimension (classify_maximal still reduces P_J by the set filter).
+  dimension, as in classify_maximal.
 
 A genuine counterexample raises VerificationError; reports never bury one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -47,7 +50,7 @@ from .halftree import (
     derived_membership_certificate,
 )
 from .heap import prefix_mask
-from .portrait import FiniteAutomorphism, commutator, generator, generators
+from .portrait import commutator, generator, generators
 from .report import Report
 from .subgroups import (
     EnumeratedSubgroup,
@@ -56,7 +59,6 @@ from .subgroups import (
     all_subgroups_depth2,
     check_order_cap,
     conjugation_law_counts,
-    derived_subgroup,
     enumerate_PJ,
     full_group,
     is_transitive_on_level,
@@ -144,33 +146,6 @@ def _check_row_consistency(row: ClassificationRow) -> None:
         raise VerificationError(f"classification row {row.to_dict()}: " + "; ".join(problems))
 
 
-def _classify_row_enumerated(d: int, J: frozenset[int],
-                             a_top: FiniteAutomorphism,
-                             derived_full_bits: frozenset[int],
-                             max_dim: Fraction,
-                             cap: int | None) -> ClassificationRow:
-    pj = enumerate_PJ(d, J, cap=cap)
-    essential = pt.is_essential(pt.PatternGroup.from_subgroup(pj)).essential
-    reduced = pt.essential_reduction(pt.PatternGroup(d, pj, essential))
-    dimension = pt.hausdorff_dimension(reduced)
-    dp = derived_subgroup(pj, cap=cap)
-    stab = level_stabilizer(pj, d - 1)
-    bs_fails = not stab.element_bits <= dp.element_bits
-    is_max = dimension == max_dim
-    verdict = VERDICT_NOT_TOP_FG if (essential and is_max and bs_fails) else VERDICT_UNKNOWN
-    return ClassificationRow(
-        d=d,
-        J=tuple(sorted(J)),
-        essential=essential,
-        contains_a_dminus1=pj.contains(a_top),
-        contains_derived_of_Gd=derived_full_bits <= pj.element_bits,
-        dimension=dimension,
-        is_max_dimension=is_max,
-        bs_premise_fails=bs_fails,
-        top_fg_verdict=verdict,
-    )
-
-
 @lru_cache(maxsize=None)
 def _generator_commutators(d: int) -> tuple[int, ...]:
     """The d(d - 1)/2 portraits [a_i, a_j], i < j."""
@@ -185,31 +160,81 @@ def _contains_derived_of_full(lin: gf2.LinearSubgroup) -> bool:
     return all(lin.contains_bits(c) for c in _generator_commutators(lin.depth))
 
 
-def _classify_row_gf2(d: int, J: frozenset[int], max_dim: Fraction) -> ClassificationRow:
-    lin = maximal_subgroup(d, J)
-    reduced, essential = pt.linear_essential_reduction(lin)
-    dimension = pt.linear_hausdorff_dimension(reduced)
-    a_top_bits = generator(d, d - 1).bits
-    is_max = dimension == max_dim
+def _listed_reduction(checks: gf2.LinearSubgroup,
+                      J: frozenset[int]) -> tuple[pt.PatternGroup, Fraction]:
+    """The rank reduction `checks` of P_J, listed, and its dimension; the
+    listing must pass is_essential (tested on the basis of `checks`, which
+    spans it) and its stabilizer dimension must equal the rank dimension,
+    or VerificationError."""
+    d = checks.depth
+    group = EnumeratedSubgroup.from_element_bits(d, checks.iter_bits())
+    if not pt.is_essential(pt.PatternGroup.from_subgroup(group),
+                           tested=checks.basis()).essential:
+        raise VerificationError(
+            f"the rank reduction of P_J for d={d}, J={sorted(J)} is not essential")
+    reduced = pt.PatternGroup(d, group, essential=True)
+    dim = pt.hausdorff_dimension(reduced)
+    by_rank = pt.linear_hausdorff_dimension(checks)
+    if dim != by_rank:
+        raise VerificationError(
+            f"reduced P_J for d={d}, J={sorted(J)} has dimension {dim} from its "
+            f"listing but {by_rank} by rank")
+    return reduced, dim
+
+
+def _classify_row(d: int, J: frozenset[int], cap: int | None,
+                  derived_full_bits: frozenset[int] | None) -> ClassificationRow:
+    """One row, read off P_J's parity check.  `derived_full_bits`, the
+    listed [G(d), G(d)], is given at d <= 4, where enumeration cross-checks
+    every field and a disagreement raises VerificationError: (a) the listed
+    reduction is essential with the rank dimension; (b) a P_J the ranks keep
+    lists to P_J's order, one they reduce fails is_essential when listed;
+    (c) [G(d), G(d)] is tested against the listed P_J; (d) the listed
+    St_{P_J}(d-1) against [P_J, P_J] folded from the Schreier generators.
+    At d = 5 the generator commutators give contains_derived_of_Gd, and the
+    certificate gives bs_premise_fails on essential rows with d - 1 in J.
+    """
+    enumerate_arm = derived_full_bits is not None
+    lin = listable_PJ(d, J, cap) if enumerate_arm else maximal_subgroup(d, J)
+    checks, essential = pt.linear_essential_reduction(lin)
+    dimension = pt.linear_hausdorff_dimension(checks)
     bs_fails: bool | None = None
-    verdict = VERDICT_UNKNOWN
-    if essential:
-        ctx = JContext.for_top_level(d, J) if d - 1 in J else None
-        if ctx is not None:
-            cert = derived_membership_certificate(ctx, commutator(generator(d, 0), generator(d, d - 1)))
+    if enumerate_arm:
+        reduced, _ = _listed_reduction(checks, J)
+        if essential:
+            pj = reduced.group
+            agrees = pj.order == lin.order()
+        else:
+            pj = EnumeratedSubgroup.from_element_bits(d, lin.iter_bits())
+            agrees = not pt.is_essential(pt.PatternGroup.from_subgroup(pj),
+                                         tested=lin.basis()).essential
+        if not agrees:
+            raise VerificationError(
+                f"the rank route says P_J for d={d}, J={sorted(J)} has "
+                f"essential={essential}, and its listing disagrees")
+        contains_derived = derived_full_bits <= pj.element_bits
+        stab = replace(lin, zero=lin.zero | prefix_mask(d - 1)).iter_bits()
+        schreier = [g.bits for g in _pj_schreier_generators(d, J)]
+        bs_fails = not set(stab) <= _derived_from_generators(d, schreier, cap).element_bits
+    else:
+        contains_derived = _contains_derived_of_full(lin)
+        if essential and d - 1 in J:
+            cert = derived_membership_certificate(
+                JContext.for_top_level(d, J),
+                commutator(generator(d, 0), generator(d, d - 1)))
             bs_fails = cert.verdict == NOT_IN_DERIVED
-            if is_max and bs_fails:
-                verdict = VERDICT_NOT_TOP_FG
+    is_max = dimension == 1 - Fraction(1, 1 << (d - 1))
     return ClassificationRow(
         d=d,
         J=tuple(sorted(J)),
         essential=essential,
-        contains_a_dminus1=lin.contains_bits(a_top_bits),
-        contains_derived_of_Gd=_contains_derived_of_full(lin),
+        contains_a_dminus1=lin.contains_bits(generator(d, d - 1).bits),
+        contains_derived_of_Gd=contains_derived,
         dimension=dimension,
         is_max_dimension=is_max,
         bs_premise_fails=bs_fails,
-        top_fg_verdict=verdict,
+        top_fg_verdict=(VERDICT_NOT_TOP_FG if essential and is_max and bs_fails
+                        else VERDICT_UNKNOWN),
     )
 
 
@@ -224,24 +249,13 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
                 else f"the full depth-{d} group has order 2^{(1 << d) - 1}; "
                      "enumeration reaches depth 4 (depth 5 with use_gf2)")
         raise EnumerationCapExceeded(resolve_cap(cap), hint=hint)
-    max_dim = 1 - Fraction(1, 1 << (d - 1))
-    rows = []
-    if d == 5 and use_gf2:
-        for J in _nonempty_level_sets(d):
-            rows.append(_classify_row_gf2(d, J, max_dim))
-        used_gf2 = True
-    else:
-        a_top = generator(d, d - 1)
-        derived_full_bits = derived_of_full(d, cap=cap).element_bits
-        for J in _nonempty_level_sets(d):
-            rows.append(
-                _classify_row_enumerated(d, J, a_top, derived_full_bits, max_dim, cap)
-            )
-        used_gf2 = False
+    derived_full_bits = derived_of_full(d, cap=cap).element_bits if d <= 4 else None
+    rows = [_classify_row(d, J, cap, derived_full_bits)
+            for J in _nonempty_level_sets(d)]
     for row in rows:
         _check_row_consistency(row)
     max_count = sum(r.is_max_dimension for r in rows)
-    report = ClassificationReport(d, rows, max_count, 1 << (d - 1), used_gf2)
+    report = ClassificationReport(d, rows, max_count, 1 << (d - 1), d == 5)
     if not report.passed:
         raise VerificationError(
             f"expected {report.expected_max_count} maximal-dimension pattern groups "
@@ -480,29 +494,10 @@ def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
 def _reduced_pj(d: int, J: frozenset[int],
                 cap: int | None) -> tuple[pt.PatternGroup, Fraction]:
     """The essential reduction of P_J and its dimension, reduced by rank and
-    listed alone: P_J itself is never listed, though its order is checked
-    against the cap as enumerate_PJ checks it.
-
-    The enumerated route cross-checks the rank route: the listed group must
-    pass is_essential (tested on the basis of the reduced checks, which the
-    listing spans), and its dimension from the order of its level
-    stabilizer must equal linear_hausdorff_dimension of the reduced checks;
-    otherwise VerificationError.
-    """
+    listed alone (_listed_reduction): P_J itself is never listed, though its
+    order is checked against the cap as enumerate_PJ checks it."""
     checks, _ = pt.linear_essential_reduction(listable_PJ(d, J, cap))
-    group = EnumeratedSubgroup.from_element_bits(d, checks.iter_bits())
-    if not pt.is_essential(pt.PatternGroup.from_subgroup(group),
-                           tested=checks.basis()).essential:
-        raise VerificationError(
-            f"the rank reduction of P_J for d={d}, J={sorted(J)} is not essential")
-    reduced = pt.PatternGroup(d, group, essential=True)
-    dim = pt.hausdorff_dimension(reduced)
-    by_rank = pt.linear_hausdorff_dimension(checks)
-    if dim != by_rank:
-        raise VerificationError(
-            f"reduced P_J for d={d}, J={sorted(J)} has dimension {dim} from its "
-            f"listing but {by_rank} by rank")
-    return reduced, dim
+    return _listed_reduction(checks, J)
 
 
 def conjugation_pairs(d: int, samples: int, seed: int,

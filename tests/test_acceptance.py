@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from treegrp import kernel
+from treegrp import gf2, kernel
 from treegrp.halftree import (
     NOT_IN_DERIVED,
     JContext,
@@ -31,6 +31,7 @@ from treegrp.patterns import (
     is_allowed_dimension,
     psi_image_index,
 )
+from treegrp.heap import prefix_mask
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators
 from treegrp.subgroups import (
     all_subgroups_depth2,
@@ -189,6 +190,15 @@ def test_criterion_6_oracle_equivalences(criterion):
                 J = frozenset(j for j in range(d) if (bits >> j) & 1)
                 assert _contains_derived_of_full(maximal_subgroup(d, J)) == (
                     derived_bits <= enumerate_PJ(d, J).element_bits), (d, sorted(J))
+            # Every P_J contains [G(d), G(d)]; of the level stabilizers
+            # St(k), k = 1..d-1, only St(1) does, so a wrong True fails here.
+            contains = []
+            for k in range(1, d):
+                stab = gf2.LinearSubgroup(d, (), zero=prefix_mask(k))
+                listed = derived_bits <= frozenset(stab.iter_bits())
+                assert _contains_derived_of_full(stab) == listed, (d, k)
+                contains.append(listed)
+            assert contains == [k == 1 for k in range(1, d)], d
 
 
 def test_criterion_7_possible_dimension_values_and_equivalences(criterion):

@@ -1,6 +1,7 @@
 """CLI contract: outputs, exit codes, JSON determinism, file inputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -119,6 +120,30 @@ def test_classify_json_is_deterministic(runner):
 def test_classify_json_has_timestamp_by_default(runner):
     res = runner.invoke(main, ["classify", "--d", "2", "--format", "json"])
     assert "generated_at" in json.loads(res.output)
+
+
+_CLASSIFY_D4_REFUSALS = {
+    "derived": "[G(4), G(4)] has order 2^11",
+    "pj": ("P_J for J=[0] has order 2^14; use maximal_subgroup(d, J) "
+           "for membership without enumeration"),
+}
+
+
+@pytest.mark.parametrize("cap,refusal", [
+    (1, "derived"), (2047, "derived"), (2048, "pj"), (16383, "pj"), (16384, None)])
+def test_classify_depth4_cap_refusals_are_pinned(runner, monkeypatch, cap, refusal):
+    # [G(4), G(4)] is listed before the first row, then each row checks P_J.
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    res = runner.invoke(main, ["classify", "--d", "4", "--cap", str(cap),
+                               "--format", "json", "--no-timestamp"])
+    if refusal is None:
+        assert res.exit_code == 0 and res.stderr == ""
+        pinned = (Path(__file__).parent / "data" / "classify_d4.json").read_text()
+        assert json.loads(res.stdout)["report"] == json.loads(pinned)["report"]
+    else:
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == (f"resource limit: enumeration cap of {cap} elements "
+                              f"exceeded; {_CLASSIFY_D4_REFUSALS[refusal]}\n")
 
 
 def test_cap_env_var_is_honored(runner, monkeypatch):

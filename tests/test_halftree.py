@@ -15,7 +15,6 @@ import pytest
 
 from treegrp import kernel
 from treegrp.halftree import (
-    _CHUNK_BITS,
     INCONCLUSIVE,
     NOT_IN_DERIVED,
     JContext,
@@ -252,7 +251,7 @@ CHUNK_CONTEXTS = [{1, 5}, {0, 1, 5}, {5}, {0, 2, 3, 5}]
 
 
 def test_multi_chunk_run_equals_per_context_reports():
-    per_chunk = _CHUNK_BITS >> 6
+    per_chunk = kernel.CHUNK_BITS >> 6
     samples = 3 * per_chunk + 5  # four chunks, the last one short
     contexts = [JContext.make(6, J) for J in CHUNK_CONTEXTS]
     reports = verify_ni_identities_for(contexts, samples=samples, seed=41)
@@ -263,7 +262,7 @@ def test_multi_chunk_run_equals_per_context_reports():
 
 def test_multi_chunk_failures_stop_at_ten_across_chunks(monkeypatch):
     monkeypatch.setattr(kernel, "compose_batch", flip_vertex_0_rarely(kernel.compose_batch))
-    per_chunk = _CHUNK_BITS >> 6
+    per_chunk = kernel.CHUNK_BITS >> 6
     samples, seed = 5 * per_chunk, 43
     contexts = [JContext.make(6, J) for J in CHUNK_CONTEXTS]
     reports = verify_ni_identities_for(contexts, samples=samples, seed=seed)

@@ -2,7 +2,9 @@
 
 The files under tests/data were written before the change they guard
 (most by the hand-written to_dict methods that treegrp.report replaced,
-the aux documents by the per-pair conjugation check), so a renamed,
+the aux documents by the per-pair conjugation check, the depth-4 and
+depth-5 classify documents by the two classify row builders that
+verify._classify_row replaced), so a renamed,
 dropped or reshaped key, or a changed count, fails here before it
 reaches a user.
 """
@@ -30,6 +32,8 @@ DATA = Path(__file__).parent / "data"
     ("verify_aux_d3", ["verify", "--suite", "aux", "--d", "3"]),
     ("verify_aux_d4_seed3_samples4097", ["verify", "--suite", "aux", "--d", "4", "--seed", "3",
                                          "--samples", "4097"]),
+    ("classify_d4", ["classify", "--d", "4"]),
+    ("classify_d5_gf2", ["classify", "--d", "5", "--gf2"]),
 ])
 def test_cli_json_document_is_pinned(name, args):
     res = CliRunner().invoke(main, args + ["--format", "json", "--no-timestamp"])

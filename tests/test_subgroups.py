@@ -656,20 +656,23 @@ def test_contains_rejects_depth_mismatch_in_both_representations():
 
 
 def test_generating_set_check_survives_optimize_flag(run_optimized):
-    # A closure that loses elements must still be caught when asserts are stripped.
+    # A set that is not a subgroup outgrows the cap of |S| as it closes; the
+    # refusal is kernel.close's cap check, not an assert, so -O keeps it.
     proc = run_optimized("""
-        from treegrp import kernel
-        from treegrp.subgroups import EnumeratedSubgroup, full_group, generating_set
+        from treegrp.errors import EnumerationCapExceeded
+        from treegrp.portrait import generator
+        from treegrp.subgroups import EnumeratedSubgroup, enumerate_PJ, generating_set
 
-        s = EnumeratedSubgroup.from_element_bits(3, full_group(3).element_bits)
-        kernel.close = lambda d, gens, cap: {0, gens[0]}
-        try:
-            generating_set(s)
-        except RuntimeError:
-            print("raised")
+        for d, bits in [(2, {0, generator(2, 0).bits, generator(2, 1).bits}),
+                        (2, {generator(2, 0).bits}),
+                        (3, enumerate_PJ(3, {2}).element_bits | {generator(3, 2).bits})]:
+            try:
+                generating_set(EnumeratedSubgroup.from_element_bits(d, bits))
+            except EnumerationCapExceeded:
+                print("raised")
     """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 def test_depth2_has_exactly_ten_subgroups():

@@ -87,6 +87,43 @@ def test_classify_report_roundtrips_to_dict():
     assert all(set(r["dimension"]) == {"num", "den"} for r in doc["rows"])
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_classify_cross_check_catches_an_unreduced_pj(monkeypatch, d):
+    # Arm (a): the rank route keeps every P_J, and the listing of a P_J
+    # without the top level fails is_essential.
+    monkeypatch.setattr(patterns, "linear_essential_reduction", lambda lin: (lin, True))
+    with pytest.raises(VerificationError, match="not essential"):
+        classify_maximal(d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("said_essential", [False, True])
+def test_classify_cross_check_catches_an_over_reduced_pj(monkeypatch, d, said_essential):
+    # Every P_J reduced to the trivial group, which is essential with
+    # dimension 0 both by rank and listed, so arm (a) passes; arm (b) sees
+    # that an essential P_J was reduced, or that the kept one is not P_J.
+    def over_reduce(lin):
+        return gf2.LinearSubgroup(lin.depth, (), zero=(1 << lin.num_bits) - 1), said_essential
+
+    monkeypatch.setattr(patterns, "linear_essential_reduction", over_reduce)
+    with pytest.raises(VerificationError,
+                       match=f"essential={said_essential}, and its listing disagrees"):
+        classify_maximal(d)
+
+
+def test_classify_reduces_by_rank_only(monkeypatch):
+    calls = []
+    for module in (patterns, subgroups, verify):
+        for name in ("essential_reduction", "derived_subgroup"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name, **kwargs:
+                                    calls.append(name) or fn(*args, **kwargs))
+    for d in (2, 3, 4):
+        assert classify_maximal(d).passed
+    assert calls == []
+
+
 def test_no_adad_both_arms_small_depths():
     for d in (2, 3):
         report = verify_no_adad(d)
