@@ -7,13 +7,15 @@ Covers the coset closure of the full depth-4 group and of <a_0> at depth
 closure folded from its four generators), and raw compose and invert
 throughput at depths 4, 8, 12 and 16, where each product is d - 1
 whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and six
-kernel-free pattern-layer calls.  Five are at d=4: the essentiality test of
+kernel-free word action, on full-length words at depths 4 and 24, and seven
+kernel-free pattern-layer calls.  Six are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the set-filter essential
 reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
 P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
-cross-checked by its essentiality and dimension), and the depth-5
-truncation group of the reduced P_{1}.  The sixth is the embedding index
+cross-checked by its essentiality and dimension), the depth-5 truncation
+group of the reduced P_{1}, and the aux suite's transitivity probes
+(`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
+groups and the 15 reduced P_J.  The seventh is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case (its
 depth-4 truncation group keeps all 32,768 assemblies).  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
@@ -36,6 +38,7 @@ from treegrp.halftree import JContext, verify_ni_identities_for
 from treegrp.patterns import (
     PatternGroup,
     essential_reduction,
+    hausdorff_dimension,
     is_essential,
     psi_image_index,
     truncation_group,
@@ -44,6 +47,7 @@ from treegrp.portrait import FiniteAutomorphism, generators
 from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
     _derived_from_generators,
+    all_subgroups_depth2,
     derived_subgroup,
     enumerate_PJ,
     full_group,
@@ -52,6 +56,7 @@ from treegrp.verify import (
     _DERIVED_FULL_CACHE,
     _nonempty_level_sets,
     _reduced_pj,
+    _transitivity_matches,
     classify_maximal,
     verify_auxiliary,
     verify_not_top_fg,
@@ -137,6 +142,10 @@ def bench_patterns():
     p3 = PatternGroup.from_subgroup(enumerate_PJ(4, {3}))
     reduced_p1 = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(4, {1})))
     full3 = PatternGroup.from_subgroup(full_group(3))
+    sweep = [essential_reduction(PatternGroup.from_subgroup(s))
+             for s in all_subgroups_depth2()]
+    probed = [(p, hausdorff_dimension(p)) for p in sweep]
+    probed += [_reduced_pj(4, J, None) for J in _nonempty_level_sets(4)]
     return {
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
@@ -145,6 +154,8 @@ def bench_patterns():
             timeit(lambda: [_reduced_pj(4, J, None) for J in _nonempty_level_sets(4)]),
         "truncation_group(reduced P_{1}, 5), d=4":
             timeit(lambda: truncation_group(reduced_p1, 5)),
+        "aux transitivity probes, 25 groups, d=4":
+            timeit(lambda: [_transitivity_matches(p, dim, None) for p, dim in probed]),
         "psi_image_index(full pattern group), d=3":
             timeit(lambda: psi_image_index(full3)),
     }

@@ -27,11 +27,13 @@ from .patterns import (
     PatternGroup,
     PsiImageIndex,
     TruncationGroup,
+    TruncationLevel,
     essential_reduction,
     hausdorff_dimension,
     is_essential,
     psi_image_index,
     truncation_group,
+    truncation_orbits,
 )
 from .portrait import (
     MAX_DEPTH,

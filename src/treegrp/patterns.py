@@ -23,14 +23,20 @@ group's elements are classed by their top d - 1 levels, and each allowed
 root pattern picks its two sections from the classes of its two child
 subpatterns, so each step does work in proportion to the elements it
 outputs, not to the 2|H|^2 (root bit, section, section) assemblies.  The
-enumeration cap still bounds that assembly count.
+enumeration cap still bounds that assembly count.  The same join, run on
+per-class counts and per-class orbits of the left path instead of on
+elements, gives |H(n)| and the orbit of 0^n under H(n) without listing
+H(n) (truncation_orbits); its work per level is bounded by |P| times the
+orbit size, whatever |H(n)| is.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import gf2
 from .errors import EnumerationCapExceeded
@@ -40,7 +46,6 @@ from .subgroups import (
     EnumeratedSubgroup,
     full_group,
     level_set_mask,
-    level_stabilizer,
     resolve_cap,
 )
 
@@ -160,7 +165,8 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
     """
     p = _ensure_essential(p)
     d = p.depth
-    stab_order = level_stabilizer(p.group, d - 1).order
+    mask = prefix_mask(d - 1)
+    stab_order = sum(1 for b in p.group.element_bits if not b & mask)
     log2 = stab_order.bit_length() - 1
     if 1 << log2 != stab_order:
         raise RuntimeError(
@@ -191,6 +197,27 @@ class TruncationGroup:
     group: EnumeratedSubgroup
 
 
+def _root_joins(member_bits: frozenset[int], d: int
+                ) -> Iterator[tuple[int, int, int, int]]:
+    """(class, root bit, child-1 class, child-2 class) of each allowed root
+    pattern p, the join rule of every truncation level: p's top d - 1
+    levels are the class of each element it builds, and the classes of its
+    two sections are its child subpatterns, the top d - 1 levels of each."""
+    top = prefix_mask(d - 1)
+    for p in member_bits:
+        yield p & top, p & 1, gather(p, 1, d - 1), gather(p, 2, d - 1)
+
+
+def _check_candidates(order: int, m: int, cap: int) -> None:
+    """The enumeration cap on the 2|H(m)|^2 (root bit, section, section)
+    assemblies of level m + 1."""
+    candidates = 2 * order * order
+    if candidates > cap:
+        raise EnumerationCapExceeded(
+            cap, candidates, hint=f"depth-{m + 1} truncation group candidate set"
+        )
+
+
 def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
                       member_bits: frozenset[int], cap: int) -> frozenset[int]:
     """Depth-(m+1) truncation group from the depth-m one, m >= d.
@@ -206,11 +233,7 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
     work is proportional to the output.  The cap is still checked against
     the 2|H|^2 (root bit, section, section) assemblies, before any work.
     """
-    candidates = 2 * len(h_bits) * len(h_bits)
-    if candidates > cap:
-        raise EnumerationCapExceeded(
-            cap, candidates, hint=f"depth-{m + 1} truncation group candidate set"
-        )
+    _check_candidates(len(h_bits), m, cap)
     top = prefix_mask(d - 1)
     lefts: dict[int, list[int]] = {}
     rights: dict[int, list[int]] = {}
@@ -218,10 +241,10 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
         lefts.setdefault(b & top, []).append(place(b, 1, m))
         rights.setdefault(b & top, []).append(place(b, 2, m))
     out: list[int] = []
-    for p in member_bits:
-        rs = rights.get(gather(p, 2, d - 1), ())
-        for left in lefts.get(gather(p, 1, d - 1), ()):
-            left |= p & 1
+    for _, root, c1, c2 in _root_joins(member_bits, d):
+        rs = rights.get(c2, ())
+        for left in lefts.get(c1, ()):
+            left |= root
             out.extend([left | right for right in rs])
     return frozenset(out)
 
@@ -244,6 +267,62 @@ def truncation_group(p: PatternGroup, n: int, cap: int | None = None) -> Truncat
     for m in range(d, n):
         h = _extend_one_level(h, m, d, member_bits, cap)
     return TruncationGroup(d, n, EnumeratedSubgroup.from_element_bits(n, h))
+
+
+class TruncationLevel(NamedTuple):
+    """|H(n)| and the orbit of the vertex 0^n under H(n), the depth-n
+    truncation group."""
+
+    depth: int
+    order: int
+    orbit: frozenset[str]
+
+
+def truncation_orbits(p: PatternGroup, cap: int | None = None
+                      ) -> Iterator[TruncationLevel]:
+    """TruncationLevel for n = d, d + 1, ..., without listing H(n).
+
+    g sends 0^n to the word whose symbol k is g's label at 0^k, so the orbit
+    is the set of left-path label vectors.  Level d is read off P's listing;
+    each deeper level runs truncation_group's join on each class of top
+    d - 1 levels, keeping its element count N and its left-path vectors:
+    an allowed root pattern p adds N[c1] * N[c2] elements to its class, and,
+    when N[c2] > 0, the vectors p's root bit followed by a vector of class
+    c1.  The cap is checked where truncation_group checks it, against the
+    2|H(n)|^2 assemblies, only when level n + 1 is asked for.
+    """
+    p = _ensure_essential(p)
+    d = p.depth
+    member_bits = p.group.element_bits
+    path = [(1 << k) - 1 for k in range(d)]  # heap indices of 0^k, k < d
+    path_mask = sum(1 << i for i in path)
+    order = len(member_bits)
+    orbit = {gf2.gather_bits(b, path) for b in {b & path_mask for b in member_bits}}
+    joins = None
+    for n in itertools.count(d):
+        yield TruncationLevel(n, order, frozenset(
+            format(f, f"0{n}b")[::-1] for f in orbit))
+        _check_candidates(order, n, resolve_cap(cap))
+        if joins is None:
+            # Per-class state only once a deeper level is wanted: a caller
+            # that stops at level d passes over P's listing once.
+            joins = list(_root_joins(member_bits, d))
+            top = prefix_mask(d - 1)
+            counts = Counter(b & top for b in member_bits)
+            vectors: dict[int, set[int]] = {}
+            for b in {b & (top | path_mask) for b in member_bits}:
+                vectors.setdefault(b & top, set()).add(gf2.gather_bits(b, path))
+        next_counts: Counter[int] = Counter()
+        next_vectors: dict[int, set[int]] = {}
+        for cls, root, c1, c2 in joins:
+            joined = counts[c1] * counts[c2]
+            if joined:
+                next_counts[cls] += joined
+                next_vectors.setdefault(cls, set()).update(
+                    root | q << 1 for q in vectors[c1])
+        counts, vectors = next_counts, next_vectors
+        order = sum(counts.values())
+        orbit = set().union(*vectors.values())
 
 
 def truncation_image(p: PatternGroup, m: int) -> EnumeratedSubgroup:

@@ -24,12 +24,13 @@ scratch at desk scale:
   independently and required to stabilize across two consecutive depths.
 * verify_auxiliary: conjugation label law, the finite/transitive/positive-
   dimension equivalence on the exhaustive depth-2 subgroup sweep and on all
-  P_J (the dimension from the stabilizer order against orbits of the
-  truncation groups, built under the enumeration cap), and the
-  allowed-dimension-set law on everything encountered.  The sweep reduces
-  by the enumerated set filter; each P_J is reduced by rank and only the
-  reduction is listed, which must be essential and match the rank
-  dimension, as in classify_maximal.
+  P_J (the dimension from the stabilizer order against the orbits of 0^n
+  under the truncation groups, which are counted class by class from the
+  listed pattern group, never listed, with the enumeration cap still
+  checked on their assemblies), and the allowed-dimension-set law on
+  everything encountered.  The sweep reduces by the enumerated set filter;
+  each P_J is reduced by rank and only the reduction is listed, which must
+  be essential and match the rank dimension, as in classify_maximal.
 
 A genuine counterexample raises VerificationError; reports never bury one.
 """
@@ -61,7 +62,6 @@ from .subgroups import (
     conjugation_law_counts,
     enumerate_PJ,
     full_group,
-    is_transitive_on_level,
     level_stabilizer,
     listable_PJ,
     maximal_subgroup,
@@ -462,7 +462,9 @@ class AuxReport(Report):
 #: 2|H|^2 elements, the (root bit, section, section) assemblies the
 #: enumeration cap is checked against, and that bound explodes quickly;
 #: probing stops (never silently wrong, just shallower) when the next level's
-#: bound would exceed this.
+#: bound would exceed this.  The probes count H rather than list it, but the
+#: cap still bounds those assemblies, and this value fixes which levels are
+#: probed, so the verdicts and the cap refusals do not depend on the route.
 PROBE_CANDIDATE_BUDGET = 1 << 21
 
 #: Transitivity probes reach this many levels past the pattern depth.
@@ -474,20 +476,21 @@ def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
     """Whether the constrained group of the essential `reduced`, whose
     dimension is `dim`, is level-transitive exactly when dim is nonzero.
 
-    Probes levels d .. d+PROBE_DEPTH_EXTRA while the truncation-group
-    construction stays within the candidate budget; level d (the pattern
-    group itself) is always probed.  A finite constrained group must lose
-    transitivity at a probed level.
+    Probes levels d .. d+PROBE_DEPTH_EXTRA while the next level's 2|H|^2
+    assemblies stay within the candidate budget; level d (the pattern group
+    itself) is always probed.  Each level's order and orbit of 0^n come from
+    truncation_orbits, which counts the truncation groups instead of listing
+    them and reads only the listed `reduced`, so this route shares nothing
+    with the stabilizer count or the rank route that gave `dim`.  A finite
+    constrained group must lose transitivity at a probed level.
     """
     d = reduced.depth
     probes = []
-    current = reduced.group
-    for n in range(d, d + PROBE_DEPTH_EXTRA + 1):
-        if n > d:
-            if 2 * current.order * current.order > PROBE_CANDIDATE_BUDGET:
-                break
-            current = pt.truncation_group(reduced, n, cap).group
-        probes.append(is_transitive_on_level(current, n))
+    for level in pt.truncation_orbits(reduced, cap):
+        probes.append(len(level.orbit) == 1 << level.depth)
+        if (level.depth == d + PROBE_DEPTH_EXTRA
+                or 2 * level.order * level.order > PROBE_CANDIDATE_BUDGET):
+            break
     return all(probes) == (dim != 0)
 
 

@@ -30,6 +30,7 @@ from treegrp.patterns import (
     psi_image_index,
     truncation_group,
     truncation_image,
+    truncation_orbits,
 )
 from treegrp.portrait import FiniteAutomorphism, generator, identity
 from treegrp.subgroups import (
@@ -41,8 +42,10 @@ from treegrp.subgroups import (
     is_transitive_on_level,
     level_stabilizer,
     maximal_subgroup,
+    orbit,
     verify_closed,
 )
+from treegrp.verify import PROBE_CANDIDATE_BUDGET, PROBE_DEPTH_EXTRA, _reduced_pj
 
 
 def nonempty_level_sets(d):
@@ -384,6 +387,61 @@ def test_truncation_cap_boundary(d, J, n, reached):
     assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
                               f"(reached {reached}); depth-{n} truncation group "
                               "candidate set")
+
+
+@pytest.mark.parametrize("d, J, n, reached", [
+    (2, {1}, 3, 32), (2, {1}, 4, 512), (3, {2}, 4, 8192)])
+def test_truncation_orbits_cap_boundary(d, J, n, reached):
+    # The same refusal as truncation_group's, raised only when level n is
+    # asked for: the levels before it come out under the smaller cap.
+    p = pj_pattern(d, J)
+    levels = truncation_orbits(p, cap=reached)
+    assert [next(levels).depth for _ in range(d, n + 1)] == list(range(d, n + 1))
+    levels = truncation_orbits(p, cap=reached - 1)
+    assert [next(levels).depth for _ in range(d, n)] == list(range(d, n))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        next(levels)
+    assert err.value.reached == reached
+    assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
+                              f"(reached {reached}); depth-{n} truncation group "
+                              "candidate set")
+
+
+def test_truncation_orbits_match_listed_truncation_groups():
+    # Every group the aux suite probes, at every level its probe reaches:
+    # the counted order and orbit of 0^n equal those of the listed H(n).
+    cases = [essential_reduction(PatternGroup.from_subgroup(s))
+             for s in all_subgroups_depth2()]
+    cases += [_reduced_pj(d, J, None)[0]
+              for d in (2, 3, 4) for J in nonempty_level_sets(d)]
+    probed = 0
+    for p in cases:
+        d = p.depth
+        for n, level in enumerate(truncation_orbits(p), start=d):
+            h = truncation_group(p, n).group
+            assert level.depth == n
+            assert level.order == h.order
+            assert level.orbit == orbit(h, "0" * n)
+            probed += n > d
+            if (n == d + PROBE_DEPTH_EXTRA
+                    or 2 * level.order * level.order > PROBE_CANDIDATE_BUDGET):
+                break
+    # 24 of these levels past d are the ones verify --suite aux --d 4 probes.
+    assert probed == 40
+
+
+@pytest.mark.parametrize("members", [{0b000, 0b010, 0b100, 0b001}, {0b000, 0b010, 0b100}])
+def test_truncation_orbits_join_on_uneven_classes(members):
+    # In a group every class of top d - 1 levels that occurs has the same
+    # size, so a count that read one child class twice would pass on every
+    # group.  These member sets are no groups: classed by the root bit, the
+    # first has three members with root 0 and one with root 1, the second
+    # none with root 1, which the child-1 class of 0b010 and the child-2
+    # class of 0b100 then name.  The join must still match truncation_group.
+    p = PatternGroup(2, EnumeratedSubgroup.from_element_bits(2, members), essential=True)
+    for n, level in zip(range(2, 5), truncation_orbits(p)):
+        h = truncation_group(p, n).group
+        assert (level.depth, level.order, level.orbit) == (n, h.order, orbit(h, "0" * n))
 
 
 @pytest.mark.parametrize("d, J, reached", [(2, {1}, 32), (3, {2}, 8192)])

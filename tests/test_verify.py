@@ -187,14 +187,33 @@ def test_contains_derived_of_full_by_generator_commutators():
         assert not verify._contains_derived_of_full(half)
 
 
+def _orbits_cut_at(depths):
+    """truncation_orbits with the orbit at each level in `depths` cut to
+    the vertex 0^n alone, a non-transitive orbit."""
+    real = patterns.truncation_orbits
+
+    def cut(p, cap=None):
+        for level in real(p, cap):
+            if level.depth in depths:
+                level = level._replace(orbit=frozenset({"0" * level.depth}))
+            yield level
+    return cut
+
+
 def test_three_way_equivalence_can_fail(monkeypatch):
     full = patterns.essential_reduction(patterns.PatternGroup.from_subgroup(full_group(2)))
     dim = patterns.hausdorff_dimension(full)
     assert verify._transitivity_matches(full, dim, None)
     assert not verify._transitivity_matches(full, Fraction(0), None)
     with monkeypatch.context() as m:
-        m.setattr(verify, "is_transitive_on_level", lambda s, n: False)
+        m.setattr(patterns, "truncation_orbits", _orbits_cut_at({2, 3, 4}))
         assert not verify._transitivity_matches(full, dim, None)
+    # Levels 3 and 4 of the full group are within the probe budget, so one
+    # lost orbit past the pattern depth is read and decides the match.
+    for n in (3, 4):
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "truncation_orbits", _orbits_cut_at({n}))
+            assert not verify._transitivity_matches(full, dim, None)
 
 
 def test_new_relation_frozen_values():
