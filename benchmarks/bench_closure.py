@@ -16,8 +16,9 @@ cross-checked by its essentiality and dimension), the depth-5 truncation
 group of the reduced P_{1}, and the aux suite's transitivity probes
 (`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
 groups and the 15 reduced P_J.  The seventh is the embedding index
-of the full depth-3 pattern group, the relation suite's heaviest case (its
-depth-4 truncation group keeps all 32,768 assemblies).  The half-tree law check
+of the full depth-3 pattern group, the relation suite's heaviest case: it
+counts the 32,768 elements of the depth-4 truncation group class by class
+(`truncation_orbits`) instead of listing them.  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
 checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
 at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:

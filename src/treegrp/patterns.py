@@ -27,7 +27,9 @@ enumeration cap still bounds that assembly count.  The same join, run on
 per-class counts and per-class orbits of the left path instead of on
 elements, gives |H(n)| and the orbit of 0^n under H(n) without listing
 H(n) (truncation_orbits); its work per level is bounded by |P| times the
-orbit size, whatever |H(n)| is.
+orbit size, whatever |H(n)| is.  The embedding index reads its orders off
+those counted levels too: |H(n+1)_1| is |H(n+1)| over the number of first
+symbols in the orbit of 0^(n+1), so no truncation group is listed for it.
 """
 
 from __future__ import annotations
@@ -325,15 +327,6 @@ def truncation_orbits(p: PatternGroup, cap: int | None = None
         orbit = set().union(*vectors.values())
 
 
-def truncation_image(p: PatternGroup, m: int) -> EnumeratedSubgroup:
-    """Image of P under truncation to depth m < pattern size."""
-    if not 1 <= m < p.depth:
-        raise ValueError(f"truncation image depth must be in 1..{p.depth - 1}")
-    return EnumeratedSubgroup.from_element_bits(
-        m, {b & prefix_mask(m) for b in p.group.element_bits}
-    )
-
-
 class PsiImageIndex(NamedTuple):
     """Index of the first-level stabilizer, embedded by its section pair,
     inside the square of the one-level-shallower truncation group."""
@@ -348,7 +341,13 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
     """Stabilized value of [H(n) x H(n) : psi(H(n+1)_1)] over successive n.
 
     psi sends a first-level-stabilizing element to its pair of sections and
-    is injective, so the index is |H(n)|^2 / |H(n+1)_1|.  Stops as soon as
+    is injective, so the index is |H(n)|^2 / |H(n+1)_1|.  Both orders are
+    counted, not listed: |H(d - 1)| is the number of truncations of P's
+    members, the deeper |H(n)| come from truncation_orbits, and H(n+1)_1 is
+    the stabilizer of the vertex 0, so by orbit-stabilizer its order is
+    |H(n+1)| over the number of first symbols in the orbit of 0^(n+1).
+    Level n + 1 is asked for only when index n needs it, so the cap is
+    checked on the same assemblies as truncation_group's.  Stops as soon as
     two consecutive depths agree; if the budget runs out first, returns an
     explicit unstabilized result instead of a guess.
     """
@@ -357,36 +356,22 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
     if max_depth is None:
         max_depth = d + 2
     cap = resolve_cap(cap)
-    member_bits = p.group.element_bits
-
-    levels: dict[int, frozenset[int]] = {
-        d - 1: truncation_image(p, d - 1).element_bits,
-        d: member_bits,
-    }
-
-    def level(m: int) -> frozenset[int]:
-        if m not in levels:
-            levels[m] = _extend_one_level(level(m - 1), m - 1, d, member_bits, cap)
-        return levels[m]
-
+    top = prefix_mask(d - 1)
+    order = len({b & top for b in p.group.element_bits})
+    levels = truncation_orbits(p, cap)
     indices: list[tuple[int, int]] = []
     prev_idx: int | None = None
     for n in range(d - 1, max_depth + 1):
-        h_n = level(n)
-        h_next = level(n + 1)
-        # First-level stabilizer of H(n+1); its section pairs must land in H(n).
-        stab = [b for b in h_next if not b & 1]
-        (lm, left), (rm, right) = _children_placed(h_n, n)
-        if not all(b & lm in left and b & rm in right for b in stab):
-            raise RuntimeError("section of a truncation-group element escaped "
-                               "the shallower truncation group")
-        idx, rem = divmod(len(h_n) * len(h_n), len(stab))
+        level = next(levels)
+        stab_order = level.order // len({w[0] for w in level.orbit})
+        idx, rem = divmod(order * order, stab_order)
         if rem:
             raise RuntimeError("stabilizer order does not divide the product order")
         indices.append((n, idx))
         if prev_idx == idx:
             return PsiImageIndex(True, idx, tuple(indices))
         prev_idx = idx
+        order = level.order
     return PsiImageIndex(False, None, tuple(indices))
 
 

@@ -98,10 +98,6 @@ class EnumeratedSubgroup:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def trivial(cls, d: int) -> "EnumeratedSubgroup":
-        return cls(d, frozenset({0}), (), _trusted=True)
-
-    @classmethod
     def from_element_bits(cls, depth: int, bits: Iterable[int],
                           gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
         """Wrap an element set already known to be closed (kernels, filters).
@@ -254,7 +250,7 @@ def _derived_from_generators(d: int, gens: Sequence[int],
 def derived_subgroup(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
     """Commutator subgroup [S, S], folded from S's generators (the ones it
     was built from, else a greedy generating set) by _derived_from_generators."""
-    gens = [g.bits for g in (s.generators or generating_set(s))]
+    gens = [g.bits for g in generating_set(s)]
     return _derived_from_generators(s.depth, gens, cap)
 
 
@@ -460,7 +456,7 @@ def subgroup_to_json(s: EnumeratedSubgroup | gf2.LinearSubgroup) -> dict:
     """
     d = s.depth
     if isinstance(s, EnumeratedSubgroup):
-        gens = s.generators or generating_set(s)
+        gens = generating_set(s)
         return {"d": d, "kind": "generated", "generators": [g.to_hex() for g in gens]}
     if len(s.checks) == 1:
         (check,) = s.checks

@@ -20,8 +20,10 @@ scratch at desk scale:
   topologically finitely generated (by the imported sufficient condition on
   P_{d-1} vs [P, P], which is used as a black box, not re-proved).
 * verify_new_relation: the exact bookkeeping identity
-  2|P| = |P_{d-1}|^2 * [HxH : H_1] with the embedding index computed
-  independently and required to stabilize across two consecutive depths.
+  2|P| = |P_{d-1}|^2 * [HxH : H_1] with the embedding index read off the
+  counted truncation levels (orders and orbits of 0^n, never a listing),
+  still independently of |P| and |P_{d-1}|, and required to stabilize
+  across two consecutive depths.
 * verify_auxiliary: conjugation label law, the finite/transitive/positive-
   dimension equivalence on the exhaustive depth-2 subgroup sweep and on all
   P_J (the dimension from the stabilizer order against the orbits of 0^n

@@ -4,7 +4,8 @@ Brute-force oracles: the reduction is re-run here as a literal filter
 iteration over element lists; truncation groups are compared against a
 filter of the full deeper group by subpattern membership and against a scan
 of every (root bit, section, section) candidate one level up; the embedding
-index is held against the order bookkeeping identity.
+index is read off the listed truncation groups and held against the order
+bookkeeping identity.
 """
 
 import random
@@ -29,7 +30,6 @@ from treegrp.patterns import (
     linear_truncation_group,
     psi_image_index,
     truncation_group,
-    truncation_image,
     truncation_orbits,
 )
 from treegrp.portrait import FiniteAutomorphism, generator, identity
@@ -45,7 +45,12 @@ from treegrp.subgroups import (
     orbit,
     verify_closed,
 )
-from treegrp.verify import PROBE_CANDIDATE_BUDGET, PROBE_DEPTH_EXTRA, _reduced_pj
+from treegrp.verify import (
+    PROBE_CANDIDATE_BUDGET,
+    PROBE_DEPTH_EXTRA,
+    _reduced_pj,
+    _top_level_sets,
+)
 
 
 def nonempty_level_sets(d):
@@ -457,15 +462,46 @@ def test_psi_index_cap_boundary(d, J, reached):
                               "candidate set")
 
 
-def test_truncation_image_depths():
-    p = pj_pattern(3, {2})
-    img = truncation_image(p, 2)
-    assert img.element_bits == {b & 0b111 for b in p.group.element_bits}
-    with pytest.raises(ValueError):
-        truncation_image(p, 3)
-
-
 # -- embedding index ------------------------------------------------------------------------
+
+
+def listed_psi_index(p, max_depth=None):
+    """psi_image_index from listed truncation groups: |H(n)|^2 over the
+    number of root-fixing elements of H(n+1), with H(d - 1) the truncations
+    of P's members; each root-fixing element's two sections must lie in
+    H(n)."""
+    d = p.depth
+    max_depth = d + 2 if max_depth is None else max_depth
+
+    def listed(n):
+        if n < d:
+            return {b & prefix_mask(n) for b in p.group.element_bits}
+        return truncation_group(p, n).group.element_bits
+
+    per_depth = []
+    for n in range(d - 1, max_depth + 1):
+        h, stab = listed(n), [b for b in listed(n + 1) if not b & 1]
+        assert all(gather(b, v, n) in h for b in stab for v in (1, 2))
+        idx, rem = divmod(len(h) ** 2, len(stab))
+        assert rem == 0
+        per_depth.append((n, idx))
+        if len(per_depth) > 1 and per_depth[-2][1] == idx:
+            return True, idx, tuple(per_depth)
+    return False, None, tuple(per_depth)
+
+
+def test_psi_index_matches_listed_truncation_groups():
+    # The relation suite's cases at d = 2 and 3, the ten depth-2 sweep
+    # reductions and one max_depth cut: the counted index and its per-depth
+    # values equal those read off the listed truncation groups.
+    cases = [(pj_pattern(d, J), None) for d in (2, 3) for J in _top_level_sets(d)]
+    cases += [(PatternGroup.from_subgroup(full_group(d)), None) for d in (2, 3)]
+    cases += [(essential_reduction(PatternGroup.from_subgroup(s)), None)
+              for s in all_subgroups_depth2()]
+    cases.append((pj_pattern(3, {2}), 2))  # one index, unstabilized
+    for p, max_depth in cases:
+        assert tuple(psi_image_index(p, max_depth=max_depth)) == \
+            listed_psi_index(p, max_depth)
 
 
 def test_psi_index_is_two_for_maximal_cases():

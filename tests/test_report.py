@@ -6,7 +6,9 @@ the aux documents by the per-pair conjugation check, the depth-4 and
 depth-5 classify documents by the two classify row builders that
 verify._classify_row replaced, the depth-4 verify-all document, the
 benchmark's own op, by the aux probes that listed each truncation group
-before patterns.truncation_orbits counted them), so a renamed,
+before patterns.truncation_orbits counted them, the depth-3 verify-all
+document, the one that covers the relation suite at d = 3, by the
+embedding index that listed its truncation groups), so a renamed,
 dropped or reshaped key, or a changed count, fails here before it
 reaches a user.
 """
@@ -37,6 +39,7 @@ DATA = Path(__file__).parent / "data"
     ("classify_d4", ["classify", "--d", "4"]),
     ("classify_d5_gf2", ["classify", "--d", "5", "--gf2"]),
     ("verify_all_d4_seed5", ["verify", "--suite", "all", "--d", "4", "--seed", "5"]),
+    ("verify_all_d3", ["verify", "--suite", "all", "--d", "3"]),
 ])
 def test_cli_json_document_is_pinned(name, args):
     res = CliRunner().invoke(main, args + ["--format", "json", "--no-timestamp"])
