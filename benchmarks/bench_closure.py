@@ -7,7 +7,7 @@ Covers the coset closure of the full depth-4 group and of <a_0> at depth
 closure folded from its four generators), and raw compose and invert
 throughput at depths 4, 8, 12 and 16, where each product is d - 1
 whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and seven
+kernel-free word action, on full-length words at depths 4 and 24, and nine
 kernel-free pattern-layer calls.  Six are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the set-filter essential
 reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
@@ -18,7 +18,9 @@ group of the reduced P_{1}, and the aux suite's transitivity probes
 groups and the 15 reduced P_J.  The seventh is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
-(`truncation_orbits`) instead of listing them.  The half-tree law check
+(`truncation_orbits`) instead of listing them.  The last two reduce every
+P_J on its parity checks (`linear_essential_reduction`), the 31 at d=5 and
+the 255 at d=8.  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
 checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
 at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
@@ -41,6 +43,7 @@ from treegrp.patterns import (
     essential_reduction,
     hausdorff_dimension,
     is_essential,
+    linear_essential_reduction,
     psi_image_index,
     truncation_group,
 )
@@ -52,6 +55,7 @@ from treegrp.subgroups import (
     derived_subgroup,
     enumerate_PJ,
     full_group,
+    maximal_subgroup,
 )
 from treegrp.verify import (
     _DERIVED_FULL_CACHE,
@@ -147,6 +151,7 @@ def bench_patterns():
              for s in all_subgroups_depth2()]
     probed = [(p, hausdorff_dimension(p)) for p in sweep]
     probed += [_reduced_pj(4, J, None) for J in _nonempty_level_sets(4)]
+    pjs = {d: [maximal_subgroup(d, J) for J in _nonempty_level_sets(d)] for d in (5, 8)}
     return {
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
@@ -159,6 +164,10 @@ def bench_patterns():
             timeit(lambda: [_transitivity_matches(p, dim, None) for p, dim in probed]),
         "psi_image_index(full pattern group), d=3":
             timeit(lambda: psi_image_index(full3)),
+    } | {
+        f"reduce all {len(lins)} P_J by rank, d={d}":
+            timeit(lambda lins=lins: [linear_essential_reduction(lin) for lin in lins])
+        for d, lins in pjs.items()
     }
 
 

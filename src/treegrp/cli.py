@@ -316,6 +316,8 @@ def analyze_cmd(path: str, fmt: str, no_timestamp: bool, cap: int | None):
         except (KeyError, ValueError) as e:
             raise click.UsageError(f"--file: {e}")
         d, kind = doc["d"], doc["kind"]
+        if doc.get("role") == "pattern_group" and d < 2:
+            raise click.UsageError(f"--file: a pattern group needs depth >= 2, got d={d}")
         result: dict = {"d": d, "kind": kind}
         lines = [f"depth {d} subgroup ({kind})"]
         if kind == "PJ":

@@ -6,9 +6,9 @@ bits (P_J, M_V and what the pattern pipeline derives from them): as a set
 it is the solution space of its parity checks, so membership is a few
 popcounts and orders are ranks.
 
-Every result feeding a verification verdict is cross-validated against
-enumeration at small depth, and membership against the label definitions,
-in the test suite.
+At d <= 4, classify and the aux suite list every rank-reduced P_J at run
+time and cross-check it before a verdict reads it; the test suite holds
+membership against the label definitions.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ def nullspace(rows: Iterable[int], n: int) -> list[int]:
     return out
 
 
-def dual_checks(span_basis: Iterable[int], n: int) -> list[int]:
-    """Parity checks whose common kernel is exactly span(span_basis)."""
-    return nullspace(span_basis, n)
-
-
 def gather_bits(v: int, positions: Sequence[int]) -> int:
     out = 0
     for k, p in enumerate(positions):
@@ -139,9 +134,6 @@ class LinearSubgroup:
         # columns, and their unit vectors are the only ones touching zero.
         free = nullspace((c & ~self.zero for c in self.checks), self.num_bits)
         return [v for v in free if not v & self.zero]
-
-    def with_checks(self, extra: Iterable[int]) -> "LinearSubgroup":
-        return LinearSubgroup(self.depth, self.checks + tuple(extra), self.zero)
 
     def iter_bits(self) -> Iterator[int]:
         """All member portraits, lazily (meant for small solution spaces only).

@@ -46,7 +46,6 @@ from .heap import gather, place, prefix_mask
 from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
-    full_group,
     level_set_mask,
     resolve_cap,
 )
@@ -185,7 +184,8 @@ def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
     denom = 1 << (d - 1)
     if not (0 <= dim <= 1 and (dim * denom).denominator == 1):
         return False
-    if dim == 1 and p.group != full_group(d):
+    # A subgroup of G(d) is G(d) exactly when its order is 2^(2^d - 1).
+    if dim == 1 and p.order != 1 << ((1 << d) - 1):
         return False
     return True
 
@@ -377,33 +377,38 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
 
 # -- GF(2) fast path for level-parity pattern groups -------------------------
 #
-# P_J and everything the reduction pipeline derives from it are solution
-# sets of parity checks on the portrait bits, so essentiality and dimension
-# reduce to rank computations.  This extends the classification one depth
-# beyond enumeration reach; every result it feeds into a verdict is
-# cross-validated against enumeration at small depth in the tests.
+# P_J and what the reduction derives from it are parity-check solution sets,
+# so essentiality and dimension are ranks.  classify and the aux suite list
+# each rank-reduced P_J at run time at d <= 4 and cross-check its
+# essentiality and dimension; classify's d = 5 rows rest on the ranks alone.
 
 
 def linear_essential_reduction(lin: gf2.LinearSubgroup
                                ) -> tuple[gf2.LinearSubgroup, bool]:
     """Reduction fixpoint computed on parity checks; returns (reduced,
-    was_already_essential)."""
+    was_already_essential).
+
+    A round row-reduces the checks modulo `zero`, highest pivot first.  As
+    the pivots are distinct highest bits, the checks of the depth-(d - 1)
+    truncation are the rows with no bit on level d - 1 plus the `zero` bits
+    above it; placed under both children, they join the checks and `zero`.
+    Each round's set lies inside the last, so the fixpoint is reached when
+    popcount(zero) + rank stops growing.
+    """
     d = lin.depth
-    top_mask = prefix_mask(d - 1)
-    was_essential: bool | None = None
-    current = lin
+    top = prefix_mask(d - 1)
+    checks, zero = lin.checks, lin.zero
+    codim, rounds = -1, 0
     while True:
-        basis = current.basis()
-        trunc_basis = gf2.rref([v & top_mask for v in basis])
-        trunc_checks = gf2.dual_checks(trunc_basis, top_mask.bit_length())
-        new_checks = [place(c, v, d - 1) for c in trunc_checks for v in (1, 2)]
-        extended = current.with_checks(new_checks)
-        if extended.log2_order() == current.log2_order():
-            if was_essential is None:
-                was_essential = True
-            return current, was_essential
-        was_essential = False
-        current = gf2.LinearSubgroup(d, tuple(gf2.rref(extended.checks)), current.zero)
+        rows = gf2.rref(c & ~zero for c in checks)
+        if zero.bit_count() + len(rows) == codim:
+            break
+        codim, rounds = zero.bit_count() + len(rows), rounds + 1
+        zero |= place(zero & top, 1, d - 1) | place(zero & top, 2, d - 1)
+        checks = rows + [place(c, v, d - 1) for c in rows if c <= top for v in (1, 2)]
+    if rounds == 1:
+        return lin, True
+    return gf2.LinearSubgroup(d, tuple(rows), zero), False
 
 
 def linear_truncation_group(d: int, J: Iterable[int], n: int) -> gf2.LinearSubgroup:

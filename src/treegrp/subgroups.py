@@ -88,7 +88,7 @@ class EnumeratedSubgroup:
     def __init__(self, depth: int, bits: frozenset[int],
                  gens: tuple[FiniteAutomorphism, ...] = (), _trusted: bool = False):
         if not _trusted:
-            raise TypeError("use close() / from_elements() to build subgroups")
+            raise TypeError("use close() / from_element_bits() to build subgroups")
         self.depth = depth
         self.generators = gens
         self._bits = bits

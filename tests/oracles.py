@@ -2,14 +2,15 @@
 
 Each one computes its answer the slow, direct way, independently of the
 route the library takes: the derived subgroup from all |S|^2 commutators,
-the conjugation law one pair at a time off g's last-level images, and the
-inverse of gf2.gather_bits.
+the conjugation law one pair at a time off g's last-level images, the
+inverse of gf2.gather_bits, and the parity-check essential reduction by way
+of a basis of the group.
 """
 
 from typing import Sequence
 
-from treegrp import kernel
-from treegrp.heap import prefix_mask
+from treegrp import gf2, kernel
+from treegrp.heap import place, prefix_mask
 from treegrp.portrait import FiniteAutomorphism
 from treegrp.subgroups import EnumeratedSubgroup, _last_level_images, resolve_cap
 
@@ -53,3 +54,28 @@ def scatter_bits(v: int, positions: Sequence[int]) -> int:
     for k, p in enumerate(positions):
         out |= ((v >> k) & 1) << p
     return out
+
+
+def linear_essential_reduction_by_basis(lin: gf2.LinearSubgroup
+                                        ) -> tuple[gf2.LinearSubgroup, bool]:
+    """Oracle form of patterns.linear_essential_reduction, by basis space.
+
+    Each round lists a basis of the group, row-reduces its truncations to
+    the top d - 1 levels, takes their nullspace as the truncation's checks
+    and places those under both children, until the order stops falling.
+    """
+    d = lin.depth
+    top_mask = prefix_mask(d - 1)
+    was_essential: bool | None = None
+    current = lin
+    while True:
+        trunc_basis = gf2.rref([v & top_mask for v in current.basis()])
+        trunc_checks = gf2.nullspace(trunc_basis, top_mask.bit_length())
+        new_checks = [place(c, v, d - 1) for c in trunc_checks for v in (1, 2)]
+        extended = gf2.LinearSubgroup(d, current.checks + tuple(new_checks), current.zero)
+        if extended.log2_order() == current.log2_order():
+            if was_essential is None:
+                was_essential = True
+            return current, was_essential
+        was_essential = False
+        current = gf2.LinearSubgroup(d, tuple(gf2.rref(extended.checks)), current.zero)

@@ -375,6 +375,27 @@ def test_analyze_malformed_subgroup_document_exits_2(runner, tmp_path, doc):
     assert "--file" in res.output
 
 
+@pytest.mark.parametrize("doc", [
+    {"d": 1, "kind": "generated", "generators": ["01"]},
+    {"d": 1, "kind": "PJ", "J": [0]},
+])
+def test_analyze_depth1_pattern_group_exits_2(runner, tmp_path, monkeypatch, doc):
+    # The same files without the pattern-group role are valid subgroups.
+    path = tmp_path / "depth1.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["analyze", "--file", str(path)]).exit_code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pattern-group call on a depth-1 file")
+
+    for name in ("is_essential", "essential_reduction", "hausdorff_dimension"):
+        monkeypatch.setattr(f"treegrp.cli.{name}", refuse)
+    path.write_text(json.dumps(doc | {"role": "pattern_group"}))
+    res = runner.invoke(main, ["analyze", "--file", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "--file" in res.output and "d=1" in res.output
+
+
 def test_analyze_pj_beyond_the_cap_exits_3(runner, tmp_path):
     # P_J at d=14 has order 2^16382, far too many digits to print in decimal.
     path = tmp_path / "pj14.json"

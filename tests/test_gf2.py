@@ -83,7 +83,7 @@ def test_dual_of_dual_recovers_span():
     for _ in range(100):
         n, rows = random_system(rng)
         basis = gf2.rref(rows)
-        checks = gf2.dual_checks(basis, n)
+        checks = gf2.nullspace(basis, n)
         assert gf2.rref(gf2.nullspace(checks, n)) == basis
 
 

@@ -5,7 +5,8 @@ iteration over element lists; truncation groups are compared against a
 filter of the full deeper group by subpattern membership and against a scan
 of every (root bit, section, section) candidate one level up; the embedding
 index is read off the listed truncation groups and held against the order
-bookkeeping identity.
+bookkeeping identity.  The parity-check reduction is held against the
+basis-space reference in tests/oracles.py.
 """
 
 import random
@@ -51,6 +52,8 @@ from treegrp.verify import (
     _reduced_pj,
     _top_level_sets,
 )
+
+from oracles import linear_essential_reduction_by_basis
 
 
 def nonempty_level_sets(d):
@@ -277,6 +280,15 @@ def test_dimension_allowed_set_on_depth2_sweep():
         if dim == 1:
             assert red.group == full_group(2)
     assert seen == {Fraction(0), Fraction(1, 2), Fraction(1)}
+
+
+def test_allowed_dimension_one_compares_the_order_with_the_full_group():
+    # A trivial depth-5 group claimed at dimension 1 is refused by its
+    # order, without listing the 2^31 elements of G(5).
+    trivial5 = PatternGroup(5, EnumeratedSubgroup.from_element_bits(5, [0]))
+    assert not is_allowed_dimension(trivial5, Fraction(1))
+    assert is_allowed_dimension(PatternGroup.from_subgroup(full_group(2)), Fraction(1))
+    assert not is_allowed_dimension(pj_pattern(2, {1}), Fraction(1))
 
 
 def transitive_one_level_down(p):
@@ -636,8 +648,61 @@ def test_linear_stabilizer_order_equals_unit_check_form():
             systems = [lin, linear_essential_reduction(lin)[0]] if d >= 2 else [lin]
             for s in systems:
                 for n in range(d + 1):
-                    units = s.with_checks(1 << k for k in range((1 << n) - 1))
+                    units = gf2.LinearSubgroup(
+                        d, s.checks + tuple(1 << k for k in range((1 << n) - 1)), s.zero)
                     assert linear_stabilizer_log2_order(s, n) == units.log2_order()
+
+
+def same_solution_set(a, b):
+    # Equal orders and a basis of a inside b: a and b are the same set.
+    return (a.depth == b.depth and a.log2_order() == b.log2_order()
+            and all(b.contains_bits(v) for v in a.basis()))
+
+
+def random_zero_systems(seed, count):
+    """Seeded parity-check systems at d = 2..6 whose `zero` is a random
+    subset of a random prefix of levels, as level stabilizers have."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randrange(2, 7)
+        n = (1 << d) - 1
+        checks = tuple(rng.getrandbits(n) & rng.getrandbits(n)
+                       for _ in range(rng.randrange(0, 2 * d)))
+        zero = rng.getrandbits(n) & prefix_mask(rng.randrange(0, d + 1))
+        yield gf2.LinearSubgroup(d, checks, zero)
+
+
+def test_linear_reduction_matches_basis_reference_on_every_pj():
+    for d in range(2, 8):
+        for J in nonempty_level_sets(d):
+            lin = maximal_subgroup(d, J)
+            red, was_ess = linear_essential_reduction(lin)
+            ref, ref_ess = linear_essential_reduction_by_basis(lin)
+            assert was_ess == ref_ess, (d, sorted(J))
+            assert same_solution_set(red, ref), (d, sorted(J))
+
+
+def test_linear_reduction_matches_basis_reference_on_random_zero_systems():
+    for lin in random_zero_systems(263, 600):
+        red, was_ess = linear_essential_reduction(lin)
+        ref, ref_ess = linear_essential_reduction_by_basis(lin)
+        assert was_ess == ref_ess, lin
+        assert same_solution_set(red, ref), lin
+        if was_ess:
+            assert red is lin
+
+
+def test_linear_reduction_stays_in_check_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction left check space")
+
+    monkeypatch.setattr(gf2, "nullspace", refuse)
+    monkeypatch.setattr(gf2.LinearSubgroup, "basis", refuse)
+    for d in range(2, 8):
+        for J in nonempty_level_sets(d):
+            linear_essential_reduction(maximal_subgroup(d, J))
+    for lin in random_zero_systems(269, 100):
+        linear_essential_reduction(lin)
 
 
 def test_depth5_linear_classification_counts():

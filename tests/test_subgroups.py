@@ -7,10 +7,11 @@ of the single-level P_{j} is held against enumeration exhaustively.
 
 import json
 import random
+import re
 
 import pytest
 
-from treegrp import gf2, kernel, verify
+from treegrp import gf2, kernel, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import heap_index, level_mask, prefix_mask
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
@@ -66,6 +67,15 @@ def test_full_group_orders():
 def test_close_trivial_cases():
     assert close([], depth=3).order == 1
     assert close([generator(2, 0)]).order == 2
+
+
+def test_direct_construction_names_builders_that_exist():
+    with pytest.raises(TypeError, match=r"from_element_bits\(\)") as info:
+        EnumeratedSubgroup(2, frozenset({0}))
+    names = re.findall(r"(\w+)\(\)", str(info.value))
+    assert names
+    for name in names:
+        assert hasattr(subgroups, name) or hasattr(EnumeratedSubgroup, name), name
 
 
 def test_close_is_idempotent_and_order_independent():

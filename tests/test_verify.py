@@ -1,5 +1,6 @@
 """Verification suites: report structure, frozen values, and error paths."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -370,7 +371,11 @@ def test_classify_never_lists_the_full_group(monkeypatch):
     def refuse(d, cap=None):
         raise AssertionError("full_group called")
 
-    for module in (subgroups, verify, patterns):
+    # Every treegrp module that binds full_group, so a new import is caught.
+    binders = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("treegrp") and getattr(m, "full_group", None) is full_group]
+    assert subgroups in binders and verify in binders
+    for module in binders:
         monkeypatch.setattr(module, "full_group", refuse)
     monkeypatch.setattr(verify, "_DERIVED_FULL_CACHE", {})
     report = classify_maximal(4)
