@@ -58,17 +58,32 @@ g appends H·g; then, for each new coset's representative r in turn and
 each accepted generator s with r·s not yet present, it appends
 (H·r)·s = H·(r·s).  That coset is disjoint from the list: the list is a
 union of right cosets of H, so it either holds all of H·(r·s) or none of
-it.  Every element thus costs one product, x∘s = s XOR x pulled back along
-s, through the delta swaps above with s's masks built once, plus one
-membership probe per (representative, generator).
+it.  A product x∘s is s XOR x pulled back along s, through the delta swaps
+above with s's masks, and one coset takes them all at once.  Its portraits
+go side by side into one int in fixed slots of ceil((2^d - 1)/8) bytes
+(sample-major, unlike the level-major batches); s's masks, each repeated
+in every slot, make the d-1 swaps act on every slot, since masks that fit
+the portrait never reach the slot's top bit; and XOR-ing s into every slot
+finishes the products, which are read back slot by slot.  A coset goes
+through in chunks of at most CHUNK_BITS bits of slots, so the transient
+ints stay bounded (a portrait wider than a chunk is a chunk alone).  The
+conjugates s^-1 g s of an accepted g by every normalizer element s come
+from one such pass over the packed normalizer, its inverses and its masks.
+Each coset then costs O(d) operations on chunk-wide ints plus one
+membership probe per (representative, generator), in place of a
+Python-level product per element.  The cap is checked before a coset is
+built, so a refused closure never holds more than cap elements.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
 from binascii import hexlify, unhexlify
-from functools import cache
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from functools import cache, lru_cache
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
 
@@ -184,8 +199,9 @@ def pack(xs: Sequence[int], d: int) -> int:
     return out
 
 
-#: Bits of batch in one chunk of a pair stream (one pair where a portrait is
-#: wider).  It bounds the memory a run holds, whatever the number of pairs.
+#: Bits of batch in one chunk of a pair stream, and of packed slots in one
+#: chunk of a coset in close (one portrait where a portrait is wider).  It
+#: bounds the transient memory, whatever the number of pairs or coset size.
 CHUNK_BITS = 1 << 16
 
 
@@ -286,8 +302,58 @@ def _right_masks(s: int, d: int) -> list[int]:
 
     They are s's t-coordinate masks shifted down by one bit.  No mask has
     bit 0 (t = 0 is no vertex), so the swaps act on x as they would on x << 1.
+    Below d = 4 the t-coordinate masks also widen the last level's labels
+    past the portrait; those bits are cut off, so the masks fit the 2^d - 1
+    portrait bits and, broadcast to every slot of a packed coset, stay in it.
     """
-    return [m >> 1 for m in _swap_masks(s << 1, 1, d)]
+    portrait = (1 << ((1 << d) - 1)) - 1
+    return [m >> 1 & portrait for m in _swap_masks(s << 1, 1, d)]
+
+
+_ORDER = sys.byteorder
+#: struct formats of the slot widths that are one machine word.
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=64)
+def _slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
+    """pack, unpack and broadcast for n depth-d portraits in slots of one int.
+
+    A slot is w = ceil((2^d - 1) / 8) bytes, portrait i is slot i and the
+    bytes are in sys.byteorder, so pack(xs) is the int whose bytes are
+    those of xs[0], xs[1], ... each in w bytes, and unpack(x) reads them
+    back.  broadcast(x) puts x in every slot.  The top bit of every slot is
+    clear, so delta swaps whose masks fit the portrait never cross a slot.
+    One slot is the portrait itself.
+    """
+    if n == 1:
+        return itemgetter(0), lambda x: (x,), lambda x: x
+    w = ((1 << d) + 6) >> 3
+    size = n * w
+    if w in _WORD_FORMATS:  # struct packs and unpacks machine words in C
+        layout = struct.Struct(f"={n}{_WORD_FORMATS[w]}")
+        ones = int.from_bytes((1).to_bytes(w, _ORDER) * n, _ORDER)
+
+        def pack(xs):
+            return int.from_bytes(layout.pack(*xs), _ORDER)
+
+        def unpack(x):
+            return layout.unpack(x.to_bytes(size, _ORDER))
+
+        def broadcast(x):
+            return x * ones  # one word times the slot repunit: linear in n
+    else:
+        def pack(xs):
+            return int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(w), repeat(_ORDER))),
+                                  _ORDER)
+
+        def unpack(x):
+            b = x.to_bytes(size, _ORDER)
+            return [int.from_bytes(b[i:i + w], _ORDER) for i in range(0, size, w)]
+
+        def broadcast(x):  # x times the repunit would grow as w^2 n
+            return int.from_bytes(x.to_bytes(w, _ORDER) * n, _ORDER)
+    return pack, unpack, broadcast
 
 
 def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:
@@ -298,16 +364,24 @@ def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> 
     accepted generator g extends H to <H, g> by Dimino's coset closure (see
     Closure above): append the coset H·g, then walk the new cosets'
     representatives r in order and append (H·r)·s for every accepted s with
-    r·s not yet present.  Each accepted generator also queues its conjugate
-    s^-1 g s by every normalizer element s.  The result N is generated by
-    the accepted set A, and A^s lies in N for every s, so s normalizes N: N
-    is the normal closure of gens under the group the normalizer generates
-    (finite groups need no inverse conjugators, since N^s <= N forces
-    N^s = N).  Only accepted generators are conjugated, at most
-    log2|N| * len(normalizer) conjugations.  The cap is checked on every
-    insertion, so at most cap + 1 elements are ever held and
-    EnumerationCapExceeded reports exactly cap + 1.
+    r·s not yet present, a chunk of at most CHUNK_BITS bits of packed slots
+    at a time.  Each accepted generator also queues its conjugates s^-1 g s
+    by every normalizer element s, all from one packed pass.  The result N
+    is generated by the accepted set A, and A^s lies in N for every s, so s
+    normalizes N: N is the normal closure of gens under the group the
+    normalizer generates (finite groups need no inverse conjugators, since
+    N^s <= N forces N^s = N).  Only accepted generators are conjugated, at
+    most log2|N| packed passes.  The cap is checked before each coset is
+    built, so a closure that would pass it raises EnumerationCapExceeded,
+    reporting exactly cap + 1, while it holds at most cap elements.
     """
+    per_chunk = max(1, CHUNK_BITS >> max(d, 3))  # slots of max(2^d, 8) bits
+    if normalizer:
+        k = len(normalizer)
+        pack_n, unpack_n, broadcast_n = _slot_codec(k, d)
+        conjugators = pack_n(normalizer)
+        conjugator_masks = [pack_n(ms) for ms in zip(*(_right_masks(s, d) for s in normalizer))]
+        inverses = _push(conjugators, conjugator_masks)
     els = [0]  # whole right cosets of H, H itself first
     seen = {0}
     accepted: list[tuple[int, list[int]]] = []
@@ -315,8 +389,14 @@ def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> 
     for g in work:  # conjugates appended below are visited by this loop too
         if g in seen:
             continue
-        accepted.append((g, _right_masks(g, d)))
+        g_masks = _right_masks(g, d)
+        accepted.append((g, g_masks))
         h = len(els)  # |H|: every coset is a run of h elements
+        # h and per_chunk are powers of two (every subgroup of the 2-group
+        # of depth-d portraits has 2-power order), so a coset is a whole
+        # number of chunks of n slots.
+        n = min(h, per_chunk)
+        pack, unpack, broadcast = _slot_codec(n, d)
         # The coset H·1 = H is closed under the earlier generators, so only
         # g acts on it; every later coset's representative meets them all.
         start, steps = 0, accepted[-1:]
@@ -325,12 +405,15 @@ def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> 
             for s, masks in steps:
                 if s ^ _pull(r, masks) in seen:
                     continue
-                for x in els[start:start + h]:
-                    y = s ^ _pull(x, masks)
-                    seen.add(y)
-                    els.append(y)
-                    if len(els) > cap:
-                        raise EnumerationCapExceeded(cap, len(els))
+                if len(els) + h > cap:
+                    raise EnumerationCapExceeded(cap, cap + 1)
+                wide_s, wide_masks = broadcast(s), [broadcast(m) for m in masks]
+                for lo in range(start, start + h, n):
+                    ys = unpack(wide_s ^ _pull(pack(els[lo:lo + n]), wide_masks))
+                    seen.update(ys)
+                    els += ys
             start, steps = start + h, accepted
-        work += [conjugate(g, s, d) for s in normalizer]
+        if normalizer:  # s^-1 g s = (s^-1∘g)∘s in every slot, as in conjugate_batch
+            inv_s_g = broadcast_n(g) ^ _pull(inverses, [broadcast_n(m) for m in g_masks])
+            work += unpack_n(conjugators ^ _pull(inv_s_g, conjugator_masks))
     return seen

@@ -22,13 +22,30 @@ def gens_bits(d):
     return [1 << ((1 << i) - 1) for i in range(d)]
 
 
-@pytest.mark.parametrize("cap", [100, 200, 1000, 5000])
+@pytest.mark.parametrize("cap", [100, 200, 1000, 5000, 16384, 20000])
 def test_pure_close_stops_one_element_past_the_cap(cap):
-    # The cap is checked on every insertion.  <a_0, a_1, a_2> has 128
-    # elements, so cap 100 is crossed while a_2's cosets are appended, cap
-    # 200 inside the first coset of a_3 and the other caps in later ones.
+    # The cap is checked before each coset is built, and a refused closure
+    # reports cap + 1 wherever inside that coset the cap falls.  <a_0, a_1,
+    # a_2> has 128 elements, so cap 100 falls inside one of a_2's cosets,
+    # cap 200 inside the first coset of a_3 and the other caps in later
+    # ones, each of 128 elements.
     with pytest.raises(EnumerationCapExceeded) as err:
         kernel.close(4, gens_bits(4), cap)
+    assert err.value.reached == cap + 1
+
+
+@pytest.mark.parametrize("cap", [16384, 20000])
+def test_cap_inside_a_coset_of_several_chunks(cap):
+    # St(1) in G(4) is G(3) x G(3), generated by a_1, a_2, a_3 and their
+    # conjugates by a_0; with a_0 last, its one new coset has 16384
+    # elements, four chunks of 4096 two-byte slots.  The closure is all of
+    # G(4), every 15-bit portrait.  A cap of 16384 or 20000 falls in that
+    # coset, which is refused before it is built.
+    a = gens_bits(4)
+    gens = a[1:] + [kernel.conjugate(x, a[0], 4) for x in a[1:]] + [a[0]]
+    assert kernel.close(4, gens, 1 << 15) == set(range(1 << 15))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        kernel.close(4, gens, cap)
     assert err.value.reached == cap + 1
 
 
@@ -137,6 +154,44 @@ def test_coset_closure_matches_bfs():
             assert kernel.close(d, gens, 1 << 26) == bfs_closure(d, gens), (d, gens)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8])
+def test_packed_slot_closure_matches_references(d):
+    # One-byte slots (d <= 3) and slots wider than a machine word (d = 7, 8).
+    rng = random.Random(163 + d)
+    a = gens_bits(min(d, 4))
+    if d <= 3:
+        n = (1 << d) - 1
+        cases = [a] + [[rng.getrandbits(n) for _ in range(rng.randrange(1, 4))]
+                       for _ in range(8)]
+        normal = [([rng.getrandbits(n) for _ in range(rng.randrange(1, 3))],
+                   [rng.getrandbits(n) for _ in range(rng.randrange(1, 4))]) for _ in range(8)]
+    else:  # bounded orders: proper subsets of a_0..a_3 and elements of St(d-2)
+        cases = [[a[i] for i in range(4) if mask >> i & 1] for mask in (3, 6, 7, 11, 13, 14)]
+        cases += [stabilizer_elements(rng, d, k) for k in (1, 2, 3)]
+        cases += [[a[i]] + stabilizer_elements(rng, d, 1) for i in (1, 2, 3)]
+        normal = [(stabilizer_elements(rng, d, 1), [a[0]]), ([a[2]], [a[0], a[1]]),
+                  ([a[3]], [a[1]] + stabilizer_elements(rng, d, 1)),
+                  (stabilizer_elements(rng, d, 2), [a[0], 0, a[0]])]
+    for gens in cases:
+        assert kernel.close(d, gens, 1 << 26) == bfs_closure(d, gens), (d, gens)
+    for seeds, normalizer in normal:
+        got = kernel.close(d, seeds, 1 << 26, normalizer=normalizer)
+        assert got == saturate_then_close(d, seeds, normalizer), (d, seeds, normalizer)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_slot_codec_round_trips(d):
+    # Every slot width from one byte to 32 bytes, with slot counts that are
+    # and are not powers of two (a normalizer has any length).
+    rng = random.Random(167 + d)
+    full = (1 << ((1 << d) - 1)) - 1
+    for n in (1, 2, 3, 5, 16):
+        pack, unpack, broadcast = kernel._slot_codec(n, d)
+        xs = [rng.getrandbits((1 << d) - 1) for _ in range(n - 1)] + [full]
+        assert list(unpack(pack(xs))) == xs
+        assert list(unpack(broadcast(full))) == [full] * n
+
+
 def test_coset_closure_skips_generated_elements():
     # Repeats, the identity and an element already generated are skipped:
     # the closure equals that of the distinct non-trivial generators.
@@ -183,6 +238,30 @@ def test_cap_of_the_order_succeeds_and_one_less_fails_at_a_coset_boundary(d, gen
     with pytest.raises(EnumerationCapExceeded) as err:
         kernel.close(d, seeds, order - 1, normalizer=normalizer)
     assert err.value.reached == order
+
+
+def label_at(j, v):
+    """The portrait with one label, at vertex v of level j."""
+    return 1 << ((1 << j) - 1 + v)
+
+
+def test_closure_packs_a_deep_coset_a_chunk_at_a_time():
+    # At d = 12 a slot is 512 B and a chunk 16 slots.  Labels on four level-10
+    # vertices and on four level-11 vertices outside their subtrees commute:
+    # 256 elements, mostly 512 B, whose last cosets (128 each) span eight
+    # chunks.  The packed products then hold a few chunks beside the result;
+    # packing a whole coset at once would hold about twice the result.
+    d = 12
+    gens = [label_at(10, v) for v in range(4)] + [label_at(11, 2047 - v) for v in range(4)]
+    tracemalloc.start()
+    try:
+        got = kernel.close(d, gens, 1 << 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 256
+    held = sys.getsizeof(got) + sum(map(sys.getsizeof, got))
+    assert peak < 1.6 * held, (peak, held)
 
 
 def test_closure_of_a_deep_involution_stays_small():
@@ -248,6 +327,20 @@ def test_pure_kernel_matches_word_action():
                 lambda w: inverse_action(y, x.apply(y.apply(w))), d)
             assert kernel.commutator(x.bits, y.bits, d) == action_portrait(
                 lambda w: inverse_action(x, inverse_action(y, x.apply(y.apply(w)))), d)
+
+
+def test_right_masks_fit_the_portrait():
+    # Below d = 4 the t-coordinate masks widen the last level's labels past
+    # the portrait; broadcast to packed slots those bits would reach the
+    # next slot.  The all-ones portrait has every label set.
+    rng = random.Random(157)
+    for d in range(1, 11):
+        n = (1 << d) - 1
+        for s in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            masks = kernel._right_masks(s, d)
+            assert all(m >> n == 0 for m in masks), (d, s)
+            x = rng.getrandbits(n)
+            assert s ^ kernel._pull(x, masks) == kernel.compose(x, s, d), (d, s, x)
 
 
 def test_closure_step_matches_word_action():
