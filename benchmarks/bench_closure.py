@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Time the kernel and the layers above it on their hot paths.
 
-Covers the coset closure of the full depth-4 group and of <a_0> at depth
-14 (two elements, each a 2 KiB portrait), derived subgroups of a
-16384-element index-2 subgroup and of the full depth-4 group (a normal
-closure folded from its four generators), and raw compose and invert
-throughput at depths 4, 8, 12 and 16, where each product is d - 1
-whole-portrait delta swaps.  It also times FiniteAutomorphism.apply, the
+Covers the coset closure of the full depth-4 group and of <a_13> at depth
+14 (two elements, each a 2 KiB portrait; a closure runs at the depth its
+inputs occupy, so a generator must reach level 13 to be measured there),
+derived subgroups of a 16384-element index-2 subgroup and of the full
+depth-4 group (a normal closure folded from its four generators), raw
+compose and invert throughput at depths 4, 8, 12 and 16, where each
+product is d - 1 whole-portrait delta swaps, and kernel.pack of one full
+chunk of portraits at depths 4, 6 and 12.  It also times FiniteAutomorphism.apply, the
 kernel-free word action, on full-length words at depths 4 and 24, and nine
 kernel-free pattern-layer calls.  Six are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the set-filter essential
@@ -26,7 +28,8 @@ checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
 at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
 `verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
 `verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
-the 15 P_J).  A last row times `classify_maximal(4)` (15 rows read off the
+the 15 P_J), and one times that suite's conjugation law alone
+(`conjugation_law_counts` on the same 10,000 pairs).  A last row times `classify_maximal(4)` (15 rows read off the
 parity checks, each cross-checked by enumeration) with the cache of
 [G(4), G(4)] cleared before each run.  Run after `pip install -e .`:
 
@@ -52,6 +55,7 @@ from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
     _derived_from_generators,
     all_subgroups_depth2,
+    conjugation_law_counts,
     derived_subgroup,
     enumerate_PJ,
     full_group,
@@ -63,12 +67,16 @@ from treegrp.verify import (
     _reduced_pj,
     _transitivity_matches,
     classify_maximal,
+    conjugation_pairs,
     verify_auxiliary,
     verify_not_top_fg,
 )
 
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
+
+# Depths of the pack rows; each packs one full chunk of portraits.
+PACK_DEPTHS = [4, 6, 12]
 
 # (depth, pairs checked) for the half-tree law rows.
 NI_DEPTHS = [(4, 10_000), (8, 1_500)]
@@ -94,8 +102,9 @@ def bench_kernel():
     results["close G(4) [32768 els]"] = timeit(
         lambda: kernel.close(4, gens4, 1 << 26)
     )
-    results["close <a_0> (d=14) [2 els]"] = timeit(
-        lambda: kernel.close(14, [gens4[0]], 10)
+    a13 = generators(14)[13].bits
+    results["close <a_13> (d=14) [2 els]"] = timeit(
+        lambda: kernel.close(14, [a13], 10)
     )
 
     rng = random.Random(0)
@@ -113,6 +122,11 @@ def bench_kernel():
 
         results[f"compose x{count} (d={d})"] = timeit(compose_burst)
         results[f"invert x{count} (d={d})"] = timeit(invert_burst)
+
+    for d in PACK_DEPTHS:
+        n = kernel.CHUNK_BITS >> d
+        xs = [rng.getrandbits((1 << d) - 1) for _ in range(n)]
+        results[f"pack x{n} (d={d})"] = timeit(lambda xs=xs, d=d: kernel.pack(xs, d))
 
     _FULL_GROUP_CACHE.clear()
     pj = enumerate_PJ(4, {3})
@@ -192,9 +206,12 @@ def bench_verify():
         _DERIVED_FULL_CACHE.clear()
         classify_maximal(4)
 
+    pairs = list(conjugation_pairs(4, 10_000, 0))
     return {
         "verify_not_top_fg(4)": timeit(lambda: verify_not_top_fg(4)),
         "verify_auxiliary(4)": timeit(lambda: verify_auxiliary(4)),
+        "conjugation_law_counts(4), 10,000 pairs":
+            timeit(lambda: conjugation_law_counts(4, pairs)),
         "classify_maximal(4), caches cleared": timeit(classify_uncached),
     }
 
@@ -206,7 +223,7 @@ def main():
     print(header)
     print("-" * len(header))
     for label, best in kernel_rows.items():
-        print(f"{label:<{width}}{best:>16.4f}")
+        print(f"{label:<{width}}{best:>16.6f}")
 
     print()
     for label, per_call in bench_apply().items():

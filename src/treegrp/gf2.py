@@ -14,7 +14,10 @@ membership against the label definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+from . import kernel
 
 #: log2 of the most members LinearSubgroup.iter_bits lists, whatever the
 #: enumeration cap.
@@ -140,18 +143,29 @@ class LinearSubgroup:
 
         The span of the first _BLOCK_LOG2 basis vectors is built once, by
         doubling; a Gray-code walk over the remaining vectors then yields
-        that block translated by each of their combinations in turn.
+        that block translated by each of their combinations in turn.  Both
+        run on kernel.slot_codec: a doubling is one XOR of the packed block
+        with the new vector in every slot, and so is each translate.
         """
         basis = self.basis()
         if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
-        rest = basis[_BLOCK_LOG2:]
-        block = [0]
+        return chain.from_iterable(self._blocks(basis))
+
+    def _blocks(self, basis: list[int]) -> Iterator[Sequence[int]]:
+        d = self.depth
+        block: list[int] = [0]
         for b in basis[:_BLOCK_LOG2]:
-            block += [x ^ b for x in block]
-        yield from block
+            pack, unpack, broadcast = kernel.slot_codec(len(block), d)
+            block += unpack(pack(block) ^ broadcast(b))
+        yield block
+        rest = basis[_BLOCK_LOG2:]
+        if not rest:
+            return
+        pack, unpack, broadcast = kernel.slot_codec(len(block), d)
+        packed = pack(block)
         v = 0
         for i in range(1, 1 << len(rest)):
             # Flip one remaining basis vector per block.
             v ^= rest[(i & -i).bit_length() - 1]
-            yield from [x ^ v for x in block]
+            yield unpack(packed ^ broadcast(v))

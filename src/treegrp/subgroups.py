@@ -400,28 +400,37 @@ def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[in
 
     The law is checked on kernel batches: each chunk of the stream
     (kernel.packed_chunks) is conjugated by one conjugate_batch call and
-    compared, as one int, with the packed expected portraits.  Those
-    are built without the kernel: the last-level images of g, walked off
-    its labels above the last level (so memoised on them), gather h's
-    last-level labels.  A chunk whose ints differ is recounted pair by pair.
+    compared, as one int, with the packed expected portraits.  Those are
+    built without the kernel's swap arithmetic.  A chunk's pairs are
+    grouped by g's labels above the last level, which fix g's last-level
+    images (walked off those labels and memoised on them).  Each group's
+    h go side by side into kernel.slot_codec slots, and each last-level
+    vertex v takes, in every slot at once, the bit at g(v): 2^(d-1)
+    operations on the group's int, whatever its size.  A chunk whose ints
+    differ is recounted pair by pair.
     """
     top = prefix_mask(d - 1)
     first = (1 << (d - 1)) - 1
     images_of: dict[int, list[int]] = {}
     checked = failures = 0
     for n, hs, gs, h, g in kernel.packed_chunks(pairs, d):
-        expected = []
-        for hb, gb in zip(hs, gs):
-            if hb & top:
-                raise ValueError("h must stabilize level d-1")
-            key = gb & top
+        if any(map(top.__and__, hs)):
+            raise ValueError("h must stabilize level d-1")
+        groups: dict[int, list[int]] = {}
+        for i, gb in enumerate(gs):
+            groups.setdefault(gb & top, []).append(i)
+        expected = [0] * n
+        for key, idx in groups.items():
             images = images_of.get(key)
             if images is None:
                 images = images_of[key] = _last_level_images(key, d)
+            pack, unpack, broadcast = kernel.slot_codec(len(idx), d)
+            x, ones = pack([hs[i] for i in idx]), broadcast(1)
             e = 0
-            for k, img in enumerate(images):
-                e |= (hb >> img & 1) << k
-            expected.append(e << first)
+            for v, img in enumerate(images, first):
+                e |= (x >> img & ones) << v
+            for i, ei in zip(idx, unpack(e)):
+                expected[i] = ei
         checked += n
         if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):
             failures += sum(kernel.conjugate(hb, gb, d) != e

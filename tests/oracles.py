@@ -4,10 +4,13 @@ Each one computes its answer the slow, direct way, independently of the
 route the library takes: the derived subgroup from all |S|^2 commutators,
 the conjugation law one pair at a time off g's last-level images, the
 inverse of gf2.gather_bits, and the parity-check essential reduction by way
-of a basis of the group.
+of a basis of the group.  Three are the library's earlier bodies, which
+built one portrait at a time what kernel.slot_codec now builds slot-packed:
+kernel.pack's rows, gf2.LinearSubgroup.iter_bits's blocks and
+subgroups.conjugation_law_counts's expected portraits.
 """
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from treegrp import gf2, kernel
 from treegrp.heap import place, prefix_mask
@@ -79,3 +82,73 @@ def linear_essential_reduction_by_basis(lin: gf2.LinearSubgroup
             return current, was_essential
         was_essential = False
         current = gf2.LinearSubgroup(d, tuple(gf2.rref(extended.checks)), current.zero)
+
+
+def pack_by_rows(xs: Sequence[int], d: int) -> int:
+    """Oracle form of kernel.pack: each portrait's t-coordinate row is
+    written by its own to_bytes, last sample first."""
+    n = len(xs)
+    row = max(1, (1 << d) >> 3)
+    rows = b"".join((x << 1).to_bytes(row, "big") for x in reversed(xs))
+    blocks = []
+    for m in range(d - 1, 2, -1):
+        w = 1 << (m - 3)
+        lo = row - 2 * w
+        if w <= n:
+            block = bytearray(n * w)
+            for i in range(w):
+                block[i::w] = rows[lo + i::row]
+        else:
+            block = b"".join(rows[r:r + w] for r in range(lo, n * row, row))
+        blocks.append(block)
+    out = int.from_bytes(b"".join(blocks), "big") << (n << 3)
+    low = rows[row - 1::row]
+    for m, table in enumerate(kernel._digit_tables()[:d]):
+        out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
+    return out
+
+
+def iter_bits_by_lists(lin: gf2.LinearSubgroup) -> Iterator[int]:
+    """Oracle form of gf2.LinearSubgroup.iter_bits: the same block and Gray
+    code walk, each member XOR-ed on its own."""
+    basis = lin.basis()
+    if len(basis) > gf2.MAX_LIST_LOG2:
+        raise ValueError(f"solution space of dimension {len(basis)} too large to list")
+    rest = basis[gf2._BLOCK_LOG2:]
+    block = [0]
+    for b in basis[:gf2._BLOCK_LOG2]:
+        block += [x ^ b for x in block]
+    yield from block
+    v = 0
+    for i in range(1, 1 << len(rest)):
+        v ^= rest[(i & -i).bit_length() - 1]
+        yield from [x ^ v for x in block]
+
+
+def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
+                                    ) -> tuple[int, int]:
+    """Oracle form of subgroups.conjugation_law_counts: each pair's expected
+    portrait gathered bit by bit off g's last-level images, then compared
+    chunk by chunk with the conjugates, as the library did before."""
+    top = prefix_mask(d - 1)
+    first = (1 << (d - 1)) - 1
+    images_of: dict[int, list[int]] = {}
+    checked = failures = 0
+    for n, hs, gs, h, g in kernel.packed_chunks(pairs, d):
+        expected = []
+        for hb, gb in zip(hs, gs):
+            if hb & top:
+                raise ValueError("h must stabilize level d-1")
+            key = gb & top
+            images = images_of.get(key)
+            if images is None:
+                images = images_of[key] = _last_level_images(key, d)
+            e = 0
+            for k, img in enumerate(images):
+                e |= (hb >> img & 1) << k
+            expected.append(e << first)
+        checked += n
+        if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):
+            failures += sum(kernel.conjugate(hb, gb, d) != e
+                            for hb, gb, e in zip(hs, gs, expected))
+    return checked, failures

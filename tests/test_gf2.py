@@ -6,9 +6,11 @@ from itertools import islice
 import pytest
 
 from treegrp import gf2
-from treegrp.heap import level_mask
+from treegrp.heap import level_mask, prefix_mask
+from treegrp.patterns import linear_essential_reduction
+from treegrp.subgroups import maximal_subgroup
 
-from oracles import scatter_bits
+from oracles import iter_bits_by_lists, scatter_bits
 
 
 def brute_span(rows):
@@ -121,6 +123,24 @@ def test_listing_beyond_one_block_has_every_member_once():
         listed = list(lin.iter_bits())
         assert len(listed) == len(set(listed)) == lin.order()
         assert set(listed) == {b for b in range(1 << 15) if lin.contains_bits(b)}
+
+
+def test_listing_yields_the_old_sequence_in_order():
+    # Every P_J and its reduction at d = 2..4, the two listings of more than
+    # one block above, and a two-block listing at d = 7, whose 16-byte slots
+    # are wider than a machine word.
+    lins = []
+    for d in (2, 3, 4):
+        for bits in range(1, 1 << d):
+            pj = maximal_subgroup(d, {j for j in range(d) if bits >> j & 1})
+            lins += [pj, linear_essential_reduction(pj)[0]]
+    lins += [gf2.LinearSubgroup(4, checks) for checks in [(level_mask(2),),
+                                                         (level_mask(1), 0b101 << 7)]]
+    free = sum(1 << (1 << j) - 1 + j for j in range(7)) | 0b1111111 << 120
+    lins.append(gf2.LinearSubgroup(7, (1 << 5 | 1 << 126,), zero=prefix_mask(7) & ~free))
+    assert lins[-1].log2_order() == 13
+    for lin in lins:
+        assert list(lin.iter_bits()) == list(iter_bits_by_lists(lin)), lin
 
 
 def test_listing_is_lazy_at_the_limit():

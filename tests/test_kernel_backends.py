@@ -186,7 +186,7 @@ def test_slot_codec_round_trips(d):
     rng = random.Random(167 + d)
     full = (1 << ((1 << d) - 1)) - 1
     for n in (1, 2, 3, 5, 16):
-        pack, unpack, broadcast = kernel._slot_codec(n, d)
+        pack, unpack, broadcast = kernel.slot_codec(n, d)
         xs = [rng.getrandbits((1 << d) - 1) for _ in range(n - 1)] + [full]
         assert list(unpack(pack(xs))) == xs
         assert list(unpack(broadcast(full))) == [full] * n
@@ -265,17 +265,44 @@ def test_closure_packs_a_deep_coset_a_chunk_at_a_time():
 
 
 def test_closure_of_a_deep_involution_stays_small():
-    # <a_0> at d = 14 is two elements; the closure keeps two portraits and
-    # a_0's 13 swap masks, each one portrait wide (2 KiB).
+    # <a_13> at d = 14 is two elements and occupies all 14 levels; the
+    # closure keeps two portraits and a_13's 13 swap masks, each one
+    # portrait wide (2 KiB).
     d = 14
+    a = 1 << ((1 << 13) - 1)
     tracemalloc.start()
     try:
-        got = kernel.close(d, [1], 10)
+        got = kernel.close(d, [a], 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == {0, 1}
+    assert got == {0, a}
     assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_closure_runs_at_the_depth_its_inputs_occupy(d):
+    # a_0..a_3 have labels only on the top four levels, so at depth 8 or 12
+    # they generate the same 32,768 ints as at depth 4, and a refused
+    # closure reports the same count.  The normal closure of [G(4), G(4)]
+    # by a_0..a_3 is the same set at every depth too.
+    a = gens_bits(4)
+    assert kernel.close(d, a, 1 << 26) == kernel.close(4, a, 1 << 26)
+    seeds = [kernel.commutator(x, y, 4) for x in a for y in a]
+    assert (kernel.close(d, seeds, 1 << 26, normalizer=a)
+            == kernel.close(4, seeds, 1 << 26, normalizer=a))
+    for cap in (100, 20000):
+        reached = []
+        for depth in (4, d):
+            with pytest.raises(EnumerationCapExceeded) as err:
+                kernel.close(depth, a, cap)
+            reached.append(err.value.reached)
+        assert reached == [cap + 1, cap + 1]
+    # The normalizer counts too: conjugating a_0 by a_1 puts labels on level
+    # 1, so the normal closure of a_0 under a_1 needs two levels, not one.
+    normal = kernel.close(d, [1], 1 << 26, normalizer=[2])
+    assert normal == saturate_then_close(2, [1], [2]) == kernel.close(2, [1], 1 << 26, [2])
+    assert len(normal) > 2
 
 
 def words_below(d):

@@ -9,6 +9,8 @@ import pytest
 from treegrp import kernel
 from treegrp.heap import half_level_mask
 
+from oracles import pack_by_rows
+
 BATCH_SIZES = [1, 2, 3, 7, 8, 9, 64]
 
 
@@ -46,6 +48,16 @@ def test_pack_round_trips_through_unpack(d):
             assert 0 <= x < 1 << (n << d) and not x & ((1 << n) - 1)
         # One portrait is its t coordinates, heap index + 1.
         assert kernel.pack(xs[:1], d) == xs[0] << 1
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_pack_equals_per_portrait_rows(d):
+    # Every slot width from one byte (d <= 3) to 2 KiB, with batch sizes
+    # that are and are not powers of two, up to one full chunk.
+    rng = random.Random(950 + d)
+    for n in (1, 2, 3, 255, kernel.CHUNK_BITS >> d):
+        for xs in batches(rng, n, d):
+            assert kernel.pack(xs, d) == pack_by_rows(xs, d), n
 
 
 @pytest.mark.parametrize("d", range(1, 13))

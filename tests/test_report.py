@@ -8,9 +8,10 @@ verify._classify_row replaced, the depth-4 verify-all document, the
 benchmark's own op, by the aux probes that listed each truncation group
 before patterns.truncation_orbits counted them, the depth-3 verify-all
 document, the one that covers the relation suite at d = 3, by the
-embedding index that listed its truncation groups), so a renamed,
-dropped or reshaped key, or a changed count, fails here before it
-reaches a user.
+embedding index that listed its truncation groups, the depth-6 ni and
+depth-8 noadad documents by the kernel.pack that wrote each portrait's
+row on its own), so a renamed, dropped or reshaped key, or a changed
+count, fails here before it reaches a user.
 """
 
 import json
@@ -40,6 +41,9 @@ DATA = Path(__file__).parent / "data"
     ("classify_d5_gf2", ["classify", "--d", "5", "--gf2"]),
     ("verify_all_d4_seed5", ["verify", "--suite", "all", "--d", "4", "--seed", "5"]),
     ("verify_all_d3", ["verify", "--suite", "all", "--d", "3"]),
+    ("verify_ni_d6_samples500_seed7", ["verify", "--suite", "ni", "--d", "6", "--samples", "500",
+                                       "--seed", "7"]),
+    ("verify_noadad_d8", ["verify", "--suite", "noadad", "--d", "8"]),
 ])
 def test_cli_json_document_is_pinned(name, args):
     res = CliRunner().invoke(main, args + ["--format", "json", "--no-timestamp"])

@@ -39,7 +39,11 @@ from treegrp.subgroups import (
     verify_closed,
 )
 
-from oracles import conjugate_label_check, derived_subgroup_allpairs
+from oracles import (
+    conjugate_label_check,
+    conjugation_law_counts_by_pairs,
+    derived_subgroup_allpairs,
+)
 
 
 def nonempty_level_sets(d):
@@ -557,6 +561,26 @@ def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
         assert got == (samples, sum(bad[:samples])), samples
 
 
+def test_conjugation_law_counts_equal_per_pair_oracle_at_depth_5():
+    # 3000 pairs span two chunks of 2048; at d = 5 nearly every g has its
+    # own labels above the last level, so most groups hold one pair.
+    pairs = list(verify.conjugation_pairs(5, 3000, seed=2))
+    expected = (len(pairs), sum(per_pair_conjugation_failures(5, pairs)))
+    assert conjugation_law_counts(5, iter(pairs)) == expected
+    assert conjugation_law_counts_by_pairs(5, iter(pairs)) == expected
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_conjugation_law_counts_on_a_chunk_sharing_one_g(d):
+    # One full chunk whose pairs all share g: one group, as wide as the chunk.
+    rng = random.Random(30 + d)
+    width, n = 1 << (d - 1), kernel.CHUNK_BITS >> d
+    g = rng.getrandbits((1 << d) - 1)
+    pairs = [(rng.getrandbits(width) << (width - 1), g) for _ in range(n)]
+    got = conjugation_law_counts(d, iter(pairs))
+    assert got == conjugation_law_counts_by_pairs(d, iter(pairs)) == (n, 0)
+
+
 def wrong_conjugate_batches(true_batch):
     """The wrong conjugates of test_conjugate_label_check_fails_on_wrong_conjugate
     on every sample of a batch; with n = 1 they are those functions."""
@@ -575,11 +599,12 @@ def test_conjugation_law_counts_equal_per_pair_oracle_on_broken_kernel(monkeypat
     wrong = wrong_conjugate_batches(kernel.conjugate_batch)[name]
     # Patching the batch op also breaks kernel.conjugate, which the oracle uses.
     monkeypatch.setattr(kernel, "conjugate_batch", wrong)
-    for d, samples in [(2, 0), (3, 0), (4, 4097)]:
+    for d, samples in [(2, 0), (3, 0), (4, 4097), (5, 2049)]:
         pairs = list(verify.conjugation_pairs(d, samples, seed=1))
         failures = sum(per_pair_conjugation_failures(d, pairs))
         assert failures > 0, (name, d)
         assert conjugation_law_counts(d, iter(pairs)) == (len(pairs), failures), (name, d)
+        assert conjugation_law_counts_by_pairs(d, iter(pairs)) == (len(pairs), failures), (name, d)
 
 
 def test_conjugation_law_counts_reject_non_stabilizer():
