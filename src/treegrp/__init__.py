@@ -40,20 +40,16 @@ from .portrait import (
     DistanceResult,
     FiniteAutomorphism,
     commutator,
-    compose,
     distance,
-    from_sections,
     generator,
     generators,
     identity,
-    invert,
 )
 from .subgroups import (
     DEFAULT_CAP,
     EnumeratedSubgroup,
     M_V,
     all_subgroups_depth2,
-    beta_V,
     close,
     derived_subgroup,
     enumerate_PJ,
@@ -64,7 +60,6 @@ from .subgroups import (
     maximal_subgroup,
     orbit,
     subgroup_from_json,
-    subgroup_to_json,
 )
 from .verify import (
     ClassificationReport,

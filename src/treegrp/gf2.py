@@ -51,10 +51,8 @@ def rref(rows: Iterable[int]) -> list[int]:
     return [basis[p] for p in sorted(basis, reverse=True)]
 
 
-def reduce_vector(v: int, basis: dict[int, int] | Sequence[int]) -> int:
-    """Residual of v after elimination against a reduced basis."""
-    if not isinstance(basis, dict):
-        basis = {b.bit_length() - 1: b for b in basis}
+def reduce_vector(v: int, basis: dict[int, int]) -> int:
+    """Residual of v after elimination against a reduced basis, keyed by pivot."""
     while v:
         p = v.bit_length() - 1
         b = basis.get(p)

@@ -29,15 +29,6 @@ def heap_index(word: str) -> int:
     return idx
 
 
-def vertex_word(index: int) -> str:
-    """Inverse of heap_index."""
-    if index < 0:
-        raise ValueError("negative heap index")
-    level = (index + 1).bit_length() - 1
-    offset = index - ((1 << level) - 1)
-    return format(offset, "b").zfill(level) if level else ""
-
-
 def level_of_index(index: int) -> int:
     return (index + 1).bit_length() - 1
 

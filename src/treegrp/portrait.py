@@ -10,11 +10,10 @@ Vertices are words over {0, 1}; treegrp.heap owns the heap-style layout of
 their labels in the portrait int (root at bit 0, the children of index i at
 2i+1 and 2i+2) and the raw-int helpers that read and build portraits.
 
-Composition order: ``compose(h, g)`` (equivalently ``h * g``) applies g
-first, i.e. (h*g)(w) = h(g(w)).  The label of h*g at vertex u is
-label_h(g(u)) XOR label_g(u).  Getting this orientation wrong is the classic
-bug in this domain; all code in this package sticks to "right factor acts
-first".
+Composition order: ``h * g`` applies g first, i.e. (h*g)(w) = h(g(w)).
+The label of h*g at vertex u is label_h(g(u)) XOR label_g(u).  Getting this
+orientation wrong is the classic bug in this domain; all code in this
+package sticks to "right factor acts first".
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .heap import (
     in_range,
     level_mask,
     level_of_index,
-    place,
-    prefix_mask,
-    vertex_word,
 )
 
 #: Largest supported element depth; the portrait of a depth-24 element
@@ -70,10 +66,6 @@ class FiniteAutomorphism:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, d: int) -> "FiniteAutomorphism":
-        return cls(d, 0)
-
-    @classmethod
     def generator(cls, d: int, i: int) -> "FiniteAutomorphism":
         """The standard generator a_i: single nontrivial label at vertex 0^i."""
         if not 0 <= i <= d - 1:
@@ -84,16 +76,6 @@ class FiniteAutomorphism:
     def random(cls, d: int, rng: random.Random) -> "FiniteAutomorphism":
         """Uniformly random element (independent fair portrait bits)."""
         return cls(d, rng.getrandbits((1 << d) - 1))
-
-    @classmethod
-    def from_labels(cls, d: int, labels: dict[str, int]) -> "FiniteAutomorphism":
-        bits = 0
-        for word, bit in labels.items():
-            if len(word) >= d:
-                raise ValueError(f"vertex {word!r} too deep for depth {d}")
-            if bit & 1:
-                bits |= 1 << heap_index(word)
-        return cls(d, bits)
 
     # -- serialization -----------------------------------------------------
 
@@ -125,25 +107,9 @@ class FiniteAutomorphism:
     def num_vertices(self) -> int:
         return (1 << self.depth) - 1
 
-    def label(self, v: str) -> int:
-        """The portrait bit at vertex v (the activity of the element at v)."""
-        if len(v) >= self.depth:
-            raise ValueError(f"vertex {v!r} too deep for depth {self.depth}")
-        return (self.bits >> heap_index(v)) & 1
-
     @property
     def root_activity(self) -> int:
         return self.bits & 1
-
-    def support(self) -> tuple[str, ...]:
-        """Vertex words carrying a nontrivial label."""
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(vertex_word(low.bit_length() - 1))
-            b ^= low
-        return tuple(out)
 
     # -- group operations --------------------------------------------------
 
@@ -156,12 +122,6 @@ class FiniteAutomorphism:
 
     def __invert__(self) -> "FiniteAutomorphism":
         return FiniteAutomorphism(self.depth, kernel.invert(self.bits, self.depth))
-
-    def conjugate_by(self, s: "FiniteAutomorphism") -> "FiniteAutomorphism":
-        """s^-1 * self * s."""
-        if s.depth != self.depth:
-            raise ValueError(f"depth mismatch: {self.depth} vs {s.depth}")
-        return FiniteAutomorphism(self.depth, kernel.conjugate(self.bits, s.bits, self.depth))
 
     # -- action on words ---------------------------------------------------
 
@@ -185,19 +145,13 @@ class FiniteAutomorphism:
             node = 2 * node + 1 + x
         return image
 
-    # -- sections and truncations ------------------------------------------
+    # -- sections and subpatterns ------------------------------------------
 
     def section(self, w: str) -> "FiniteAutomorphism":
         """The depth-(d-|w|) automorphism describing the action below vertex w."""
         if not len(check_word(w)) < self.depth:
             raise ValueError(f"section vertex {w!r} too deep for depth {self.depth}")
         return self.subpattern(w, self.depth - len(w))
-
-    def truncate(self, k: int) -> "FiniteAutomorphism":
-        """Forget all labels below level k-1; a homomorphism onto the depth-k group."""
-        if not 1 <= k <= self.depth:
-            raise ValueError(f"truncation depth must be in 1..{self.depth}, got {k}")
-        return FiniteAutomorphism(k, self.bits & prefix_mask(k))
 
     def subpattern(self, v: str, k: int) -> "FiniteAutomorphism":
         """The size-k pattern appearing at vertex v (section then truncate, in one gather)."""
@@ -224,21 +178,11 @@ class FiniteAutomorphism:
         return f"FiniteAutomorphism(depth={self.depth}, hex={self.to_hex()!r})"
 
 
-def from_sections(root_bit: int, g0: FiniteAutomorphism,
-                  g1: FiniteAutomorphism) -> FiniteAutomorphism:
-    """Assemble a depth-(m+1) element from a root label and two depth-m sections."""
-    if g0.depth != g1.depth:
-        raise ValueError(f"section depth mismatch: {g0.depth} vs {g1.depth}")
-    m = g0.depth
-    bits = (root_bit & 1) | place(g0.bits, 1, m) | place(g1.bits, 2, m)
-    return FiniteAutomorphism(m + 1, bits)
-
-
 # -- module-level operation spellings ---------------------------------------
 
 
 def identity(d: int) -> FiniteAutomorphism:
-    return FiniteAutomorphism.identity(d)
+    return FiniteAutomorphism(d, 0)
 
 
 def generator(d: int, i: int) -> FiniteAutomorphism:
@@ -248,15 +192,6 @@ def generator(d: int, i: int) -> FiniteAutomorphism:
 def generators(d: int) -> list[FiniteAutomorphism]:
     """The standard generating set a_0, ..., a_{d-1}."""
     return [FiniteAutomorphism.generator(d, i) for i in range(d)]
-
-
-def compose(h: FiniteAutomorphism, g: FiniteAutomorphism) -> FiniteAutomorphism:
-    """Product h∘g: g acts first."""
-    return h * g
-
-
-def invert(g: FiniteAutomorphism) -> FiniteAutomorphism:
-    return ~g
 
 
 def commutator(g: FiniteAutomorphism, h: FiniteAutomorphism) -> FiniteAutomorphism:

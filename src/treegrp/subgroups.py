@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded
-from .heap import check_word, heap_index, level_mask, prefix_mask, vertex_word
+from .heap import check_word, heap_index, level_mask, prefix_mask
 from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
 
 DEFAULT_CAP = 1 << 26
@@ -53,7 +53,7 @@ def resolve_cap(cap: int | None = None) -> int:
     integer of at least 1.
     """
     if cap is not None:
-        if cap < 1:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
         return cap
     env = os.environ.get("TREEGRP_CAP")
@@ -102,8 +102,7 @@ class EnumeratedSubgroup:
                           gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
         """Wrap an element set already known to be closed (kernels, filters).
 
-        Closure is the caller's responsibility; verify_closed() exists for
-        tests that want to pay for the check.
+        Closure is the caller's responsibility.
         """
         return cls(depth, frozenset(bits), gens, _trusted=True)
 
@@ -185,20 +184,6 @@ def full_group(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     if d not in _FULL_GROUP_CACHE:
         _FULL_GROUP_CACHE[d] = close(generators(d), cap=cap)
     return _FULL_GROUP_CACHE[d]
-
-
-def verify_closed(s: EnumeratedSubgroup) -> bool:
-    """Exact closure check: whether the element set is a subgroup.
-
-    Closes the elements themselves with the cap set to |S|.  kernel.close
-    folds generators in one at a time and skips any already generated, so
-    this is a greedy generating set drawn from S.  The closure contains S,
-    so it equals S exactly when S is closed; otherwise it outgrows the cap.
-    """
-    try:
-        return kernel.close(s.depth, s.sorted_bits(), len(s)) == s._bits
-    except EnumerationCapExceeded:
-        return False
 
 
 def level_stabilizer(s: EnumeratedSubgroup, n: int) -> EnumeratedSubgroup:
@@ -368,14 +353,6 @@ def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> Enumerated
         d, _listable(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)").iter_bits())
 
 
-def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:
-    """Total activity of g over the vertex set V, mod 2."""
-    acc = 0
-    for w in V:
-        acc ^= g.label(w)
-    return acc
-
-
 def _last_level_images(g_bits: int, d: int) -> list[int]:
     """Heap indices of g's images of the level-(d-1) vertices, in heap order.
 
@@ -455,30 +432,6 @@ def all_subgroups_depth2() -> list[EnumeratedSubgroup]:
 
 
 # -- JSON wire format ---------------------------------------------------------
-
-
-def subgroup_to_json(s: EnumeratedSubgroup | gf2.LinearSubgroup) -> dict:
-    """Serialize to the subgroup JSON schema (hex portraits, level/vertex sets).
-
-    A parity-defined subgroup has a JSON form only in the two shapes that
-    maximal_subgroup and M_V build.
-    """
-    d = s.depth
-    if isinstance(s, EnumeratedSubgroup):
-        gens = generating_set(s)
-        return {"d": d, "kind": "generated", "generators": [g.to_hex() for g in gens]}
-    if len(s.checks) == 1:
-        (check,) = s.checks
-        if not s.zero:
-            J = [j for j in range(d) if check & level_mask(j)]
-            if J and check == level_set_mask(d, J):
-                return {"d": d, "kind": "PJ", "J": J}
-        elif s.zero == prefix_mask(d - 1) and check and not check & ~level_mask(d - 1):
-            first = (1 << (d - 1)) - 1
-            bits = format(check >> first, "b")[::-1]
-            V = [vertex_word(first + k) for k, c in enumerate(bits) if c == "1"]
-            return {"d": d, "kind": "MV", "V": V}
-    raise ValueError("no JSON form for this parity-defined subgroup")
 
 
 def _require_list_of(doc: dict, key: str, kind: type) -> list:

@@ -8,14 +8,53 @@ of a basis of the group.  Three are the library's earlier bodies, which
 built one portrait at a time what kernel.slot_codec now builds slot-packed:
 kernel.pack's rows, gf2.LinearSubgroup.iter_bits's blocks and
 subgroups.conjugation_law_counts's expected portraits.
+
+The vertex-word helpers (vertex_word, from_labels, label, beta_V) and the
+closure check verify_closed serve only tests, so they live here rather
+than in the library.
 """
 
 from typing import Iterable, Iterator, Sequence
 
 from treegrp import gf2, kernel
-from treegrp.heap import place, prefix_mask
+from treegrp.errors import EnumerationCapExceeded
+from treegrp.heap import heap_index, place, prefix_mask
 from treegrp.portrait import FiniteAutomorphism
 from treegrp.subgroups import EnumeratedSubgroup, _last_level_images, resolve_cap
+
+
+def vertex_word(index: int) -> str:
+    """Inverse of heap.heap_index."""
+    level = (index + 1).bit_length() - 1
+    return format(index + 1 - (1 << level), "b").zfill(level) if level else ""
+
+
+def from_labels(d: int, labels: dict[str, int]) -> FiniteAutomorphism:
+    """The depth-d element whose label at each vertex word is labels[word] & 1."""
+    if any(len(w) >= d for w in labels):
+        raise ValueError(f"a vertex of {sorted(labels)} is too deep for depth {d}")
+    return FiniteAutomorphism(d, sum(1 << heap_index(w) for w, b in labels.items() if b & 1))
+
+
+def label(g: FiniteAutomorphism, v: str) -> int:
+    """The portrait bit of g at vertex v (the activity of g at v)."""
+    if len(v) >= g.depth:
+        raise ValueError(f"vertex {v!r} too deep for depth {g.depth}")
+    return g.bits >> heap_index(v) & 1
+
+
+def beta_V(g: FiniteAutomorphism, V: Iterable[str]) -> int:
+    """Total activity of g over the vertex set V, mod 2."""
+    return sum(label(g, w) for w in V) & 1
+
+
+def verify_closed(s: EnumeratedSubgroup) -> bool:
+    """Whether the element set is a subgroup: kernel.close of S itself under
+    the cap |S| equals S exactly when S is closed, and outgrows it otherwise."""
+    try:
+        return kernel.close(s.depth, s.sorted_bits(), len(s)) == s.element_bits
+    except EnumerationCapExceeded:
+        return False
 
 
 def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
@@ -49,7 +88,7 @@ def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
     expected = 0
     for k, img in enumerate(_last_level_images(g.bits, d)):
         expected |= (h.bits >> img & 1) << (first + k)
-    return h.conjugate_by(g).bits == expected
+    return kernel.conjugate(h.bits, g.bits, d) == expected
 
 
 def scatter_bits(v: int, positions: Sequence[int]) -> int:

@@ -26,6 +26,8 @@ from treegrp.halftree import (
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, identity
 from treegrp.subgroups import derived_subgroup, enumerate_PJ, maximal_subgroup
 
+from oracles import from_labels
+
 
 def top_level_sets(d):
     return [
@@ -76,7 +78,7 @@ def test_n_of_identity_vanishes():
 
 def test_n_counts_half_tree_labels():
     ctx = JContext.make(3, {0, 1, 2})
-    g = FiniteAutomorphism.from_labels(3, {"0": 1, "10": 1, "11": 1, "": 1})
+    g = from_labels(3, {"0": 1, "10": 1, "11": 1, "": 1})
     # level 0 is excluded (not in J'); halves split on the first symbol
     assert N(g, ctx, 0) == 1  # vertex "0"
     assert N(g, ctx, 1) == 0  # vertices "10", "11" cancel

@@ -8,11 +8,10 @@ from treegrp.heap import (
     level_mask,
     place,
     prefix_mask,
-    vertex_word,
 )
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism
 
-from oracles import scatter_bits
+from oracles import label, scatter_bits, vertex_word
 
 MAX_TESTED_DEPTH = 8
 
@@ -48,7 +47,7 @@ def test_gather_reads_labels_of_section_and_subpattern():
             w = vertex_word(v)
             expected = 0
             for u in range((1 << k) - 1):
-                expected |= g.label(w + vertex_word(u)) << u
+                expected |= label(g, w + vertex_word(u)) << u
             assert gather(g.bits, v, k) == expected
             assert g.subpattern(w, k).bits == expected
             if len(w) + k == depth:

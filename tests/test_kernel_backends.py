@@ -316,16 +316,14 @@ def label(bits, u):
 
 def action_portrait(act, d):
     """Portrait of the automorphism with word action act: its label at u is act(u0)'s last symbol."""
-    return FiniteAutomorphism.from_labels(
-        d, {u: act(u + "0")[-1] == "1" for u in words_below(d)}
-    ).bits
+    return sum(1 << heap_index(u) for u in words_below(d) if act(u + "0")[-1] == "1")
 
 
 def inverse_action(g, w):
     """g^-1(w), read symbol by symbol off g's labels without the kernel."""
     pre = ""
     for c in w:
-        pre += "1" if (c == "1") ^ g.label(pre) else "0"
+        pre += "1" if (c == "1") ^ label(g.bits, pre) else "0"
     return pre
 
 
@@ -333,8 +331,8 @@ def assert_product_laws(h, g, hg, ginv, vertices):
     """label_(h∘g)(u) = label_h(g(u)) ^ label_g(u) and label_(g^-1)(g(v)) = label_g(v)."""
     for u in vertices:
         gu = g.apply(u)
-        assert label(hg, u) == h.label(gu) ^ g.label(u), u
-        assert label(ginv, gu) == g.label(u), u
+        assert label(hg, u) == label(h.bits, gu) ^ label(g.bits, u), u
+        assert label(ginv, gu) == label(g.bits, u), u
 
 
 def test_pure_kernel_matches_word_action():
@@ -381,7 +379,7 @@ def test_closure_step_matches_word_action():
             g = FiniteAutomorphism(d, rng.getrandbits(n))
             xg = g.bits ^ kernel._pull(x.bits, kernel._right_masks(g.bits, d))
             for u in words_below(d):
-                assert label(xg, u) == x.label(g.apply(u)) ^ g.label(u), (d, u)
+                assert label(xg, u) == label(x.bits, g.apply(u)) ^ label(g.bits, u), (d, u)
 
 
 def sampled_vertices(rng, d, count):

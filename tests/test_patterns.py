@@ -44,7 +44,6 @@ from treegrp.subgroups import (
     level_stabilizer,
     maximal_subgroup,
     orbit,
-    verify_closed,
 )
 from treegrp.verify import (
     PROBE_CANDIDATE_BUDGET,
@@ -53,7 +52,7 @@ from treegrp.verify import (
     _top_level_sets,
 )
 
-from oracles import linear_essential_reduction_by_basis
+from oracles import linear_essential_reduction_by_basis, verify_closed
 
 
 def nonempty_level_sets(d):
@@ -86,7 +85,7 @@ def oracle_reduction_bits(group, d):
     """Literal fixpoint of the child-extension filter, on element objects."""
     current = {FiniteAutomorphism(d, b) for b in group.element_bits}
     while True:
-        truncations = {g.truncate(d - 1) for g in current}
+        truncations = {g.subpattern("", d - 1) for g in current}
         kept = {
             g for g in current
             if g.subpattern("0", d - 1) in truncations
@@ -165,7 +164,7 @@ def test_p0_at_depth2_not_essential_with_expected_witness():
     g, child = res.witness
     # the witness carries its nontrivial label at vertex "0" only: its
     # section there is a root swap, while every member truncates trivially
-    assert g.support() == ("0",)
+    assert g.bits == 1 << 1  # heap index 1 is vertex "0"
     assert child == 0
 
 

@@ -21,7 +21,6 @@ from treegrp.subgroups import (
     EnumeratedSubgroup,
     _last_level_images,
     all_subgroups_depth2,
-    beta_V,
     close,
     conjugation_law_counts,
     derived_subgroup,
@@ -35,14 +34,15 @@ from treegrp.subgroups import (
     orbit,
     resolve_cap,
     subgroup_from_json,
-    subgroup_to_json,
-    verify_closed,
 )
 
 from oracles import (
+    beta_V,
     conjugate_label_check,
     conjugation_law_counts_by_pairs,
     derived_subgroup_allpairs,
+    from_labels,
+    verify_closed,
 )
 
 
@@ -185,7 +185,7 @@ def test_stabilizer_is_kernel_of_truncation():
 
 
 def test_derived_of_abelian_is_trivial():
-    klein = close([generator(2, 1), FiniteAutomorphism.from_labels(2, {"1": 1})])
+    klein = close([generator(2, 1), from_labels(2, {"1": 1})])
     assert klein.order == 4
     assert derived_subgroup(klein).order == 1
 
@@ -400,7 +400,7 @@ def test_mv_conjugation_law_exhaustive_depth3(g3):
             g = FiniteAutomorphism(3, g_bits)
             g_inv_V = {(~g).apply(w) for w in V}
             target = M_V(3, g_inv_V)
-            conjugated = {h.conjugate_by(g).bits for h in members}
+            conjugated = {kernel.conjugate(h.bits, g_bits, 3) for h in members}
             expected = {b for b in stab_bits if target.contains(FiniteAutomorphism(3, b))}
             assert conjugated == expected
 
@@ -475,7 +475,7 @@ def test_mv_order_from_its_checks():
 
 
 def test_conjugate_label_check_identity_conjugator():
-    h = FiniteAutomorphism.from_labels(4, {"000": 1, "110": 1})
+    h = from_labels(4, {"000": 1, "110": 1})
     assert conjugate_label_check(h, identity(4))
 
 
@@ -722,25 +722,29 @@ def test_depth2_has_exactly_ten_subgroups():
 
 
 def test_generated_subgroup_json_roundtrip():
-    rng = random.Random(353)
-    s = random_small_subgroup(rng, 3)
-    doc = subgroup_to_json(s)
-    assert doc["kind"] == "generated" and doc["d"] == 3
-    json.dumps(doc)  # serializable
-    back = subgroup_from_json(doc)
-    assert back == s
+    for text, order in [
+        ('{"d": 3, "kind": "generated", "generators": []}', 1),
+        ('{"d": 2, "kind": "generated", "generators": ["02", "04"]}', 4),  # labels at "0", "1"
+        ('{"d": 3, "kind": "generated", "generators": ["02", "08"]}', 8),  # G(2) below "0"
+        ('{"d": 3, "kind": "generated", "generators": ["01", "02", "08"]}', 128),
+    ]:
+        doc = json.loads(text)
+        s = subgroup_from_json(doc)
+        gens = [FiniteAutomorphism.from_hex(h, doc["d"]) for h in doc["generators"]]
+        assert s.generators == tuple(gens)
+        assert s == close(gens, depth=doc["d"])
+        assert s.order == order
 
 
 def test_pj_and_mv_json_roundtrip():
-    pj = maximal_subgroup(4, {1, 3})
-    doc = subgroup_to_json(pj)
-    assert doc == {"d": 4, "kind": "PJ", "J": [1, 3]}
-    assert subgroup_from_json(doc) == pj
+    pj = subgroup_from_json(json.loads('{"d": 4, "kind": "PJ", "J": [1, 3]}'))
+    assert pj == maximal_subgroup(4, {1, 3})
+    assert pj.checks == (level_mask(1) | level_mask(3),) and not pj.zero
 
-    mv = M_V(3, {"01", "10"})
-    doc = subgroup_to_json(mv)
-    assert doc == {"d": 3, "kind": "MV", "V": ["01", "10"]}
-    assert subgroup_from_json(doc) == mv
+    mv = subgroup_from_json(json.loads('{"d": 3, "kind": "MV", "V": ["01", "10"]}'))
+    assert mv == M_V(3, {"01", "10"})
+    assert mv.checks == (1 << heap_index("01") | 1 << heap_index("10"),)
+    assert mv.zero == prefix_mask(2)
 
 
 def test_subgroup_json_rejects_unknown_kind():
@@ -777,28 +781,14 @@ def test_cap_check_compares_exponents_exactly():
 def test_pj_and_mv_json_roundtrip_everywhere():
     for d in (1, 2, 3, 4):
         for J in nonempty_level_sets(d):
-            doc = subgroup_to_json(maximal_subgroup(d, J))
-            assert doc == {"d": d, "kind": "PJ", "J": sorted(J)}
+            doc = {"d": d, "kind": "PJ", "J": sorted(J)}
             assert subgroup_from_json(doc) == maximal_subgroup(d, J)
     for d in (2, 3):
         words = level_words(d - 1)
         for mask in range(1, 1 << len(words)):
             V = {words[i] for i in range(len(words)) if (mask >> i) & 1}
-            doc = subgroup_to_json(M_V(d, V))
-            assert doc == {"d": d, "kind": "MV", "V": sorted(V)}
+            doc = {"d": d, "kind": "MV", "V": sorted(V)}
             assert subgroup_from_json(doc) == M_V(d, V)
-
-
-@pytest.mark.parametrize("lin", [
-    gf2.LinearSubgroup(3, (level_mask(1), level_mask(2))),  # two checks
-    gf2.LinearSubgroup(3, (1 << 4,)),  # part of a level
-    gf2.LinearSubgroup(3, ()),  # no check
-    gf2.LinearSubgroup(3, (1 << 3,), zero=1),  # zero is not the top prefix
-    gf2.LinearSubgroup(3, (level_mask(1),), zero=prefix_mask(2)),  # check off the last level
-])
-def test_subgroup_to_json_refuses_other_parity_subgroups(lin):
-    with pytest.raises(ValueError):
-        subgroup_to_json(lin)
 
 
 def test_enumerate_mv_matches_predicate_filter():

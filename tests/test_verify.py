@@ -31,6 +31,19 @@ def test_explicit_cap_below_one_is_refused(cap):
         subgroups.resolve_cap(cap)
 
 
+@pytest.mark.parametrize("cap", [2.5, 1e9, True, "5"])
+def test_explicit_cap_that_is_not_an_int_is_refused(cap):
+    # A float has no bit_length for the exponent check, True would pass as a
+    # cap of 1, and "5" cannot be compared with 1; all are the ValueError.
+    message = f"cap must be an integer of at least 1, got {cap!r}"
+    with pytest.raises(ValueError) as err:
+        classify_maximal(3, cap=cap)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        subgroups.resolve_cap(cap)
+    assert str(err.value) == message
+
+
 def test_classify_depth2_rows():
     report = classify_maximal(2)
     assert len(report.rows) == 3
