@@ -175,7 +175,7 @@ def bench_patterns():
         "truncation_group(reduced P_{1}, 5), d=4":
             timeit(lambda: truncation_group(reduced_p1, 5)),
         "aux transitivity probes, 25 groups, d=4":
-            timeit(lambda: [_transitivity_matches(p, dim, None) for p, dim in probed]),
+            timeit(lambda: [_transitivity_matches(p, dim) for p, dim in probed]),
         "psi_image_index(full pattern group), d=3":
             timeit(lambda: psi_image_index(full3)),
     } | {

@@ -22,14 +22,14 @@ Truncation groups are built one level at a time as a join: the shallower
 group's elements are classed by their top d - 1 levels, and each allowed
 root pattern picks its two sections from the classes of its two child
 subpatterns, so each step does work in proportion to the elements it
-outputs, not to the 2|H|^2 (root bit, section, section) assemblies.  The
-enumeration cap still bounds that assembly count.  The same join, run on
-per-class counts and per-class orbits of the left path instead of on
-elements, gives |H(n)| and the orbit of 0^n under H(n) without listing
-H(n) (truncation_orbits); its work per level is bounded by |P| times the
-orbit size, whatever |H(n)| is.  The embedding index reads its orders off
-those counted levels too: |H(n+1)_1| is |H(n+1)| over the number of first
-symbols in the orbit of 0^(n+1), so no truncation group is listed for it.
+outputs.  The same join, run on per-class counts and per-class orbits of
+the left path instead of on elements, gives |H(n)| and the orbit of 0^n
+under H(n) without listing H(n) (truncation_orbits, which takes no cap:
+its work per level is bounded by |P| times the orbit size, whatever |H(n)|
+is); truncation_group checks the cap against that count before it lists
+any level.  The embedding index reads its orders off those counted levels
+too: |H(n+1)_1| is |H(n+1)| over the number of first symbols in the orbit
+of 0^(n+1), so no truncation group is listed for it.
 """
 
 from __future__ import annotations
@@ -210,18 +210,8 @@ def _root_joins(member_bits: frozenset[int], d: int
         yield p & top, p & 1, gather(p, 1, d - 1), gather(p, 2, d - 1)
 
 
-def _check_candidates(order: int, m: int, cap: int) -> None:
-    """The enumeration cap on the 2|H(m)|^2 (root bit, section, section)
-    assemblies of level m + 1."""
-    candidates = 2 * order * order
-    if candidates > cap:
-        raise EnumerationCapExceeded(
-            cap, candidates, hint=f"depth-{m + 1} truncation group candidate set"
-        )
-
-
 def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
-                      member_bits: frozenset[int], cap: int) -> frozenset[int]:
+                      member_bits: frozenset[int]) -> frozenset[int]:
     """Depth-(m+1) truncation group from the depth-m one, m >= d.
 
     An element belongs iff both its sections lie in the depth-m group and
@@ -232,10 +222,8 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
     the class of its child-1 subpattern beside every section in the class of
     its child-2 subpattern.  Distinct p give disjoint outputs (an output's
     root pattern is its p), so nothing is built twice or thrown away and the
-    work is proportional to the output.  The cap is still checked against
-    the 2|H|^2 (root bit, section, section) assemblies, before any work.
+    work is proportional to the output.
     """
-    _check_candidates(len(h_bits), m, cap)
     top = prefix_mask(d - 1)
     lefts: dict[int, list[int]] = {}
     rights: dict[int, list[int]] = {}
@@ -257,17 +245,24 @@ def truncation_group(p: PatternGroup, n: int, cap: int | None = None) -> Truncat
 
     Built level by level from P (sections of members must be members one
     level down), which relies on essentiality for downward extendability;
-    non-essential input is refused rather than risking a wrong set.
+    non-essential input is refused rather than risking a wrong set.  For
+    n > d, |H(n)| is counted first (truncation_orbits) and checked against
+    the cap before any level is listed; as |H(m)| does not decrease with m
+    for essential P, that one check bounds every level the listing builds.
     """
     p = _ensure_essential(p)
     d = p.depth
     if n < d:
         raise ValueError(f"truncation depth must be >= pattern size {d}, got {n}")
     cap = resolve_cap(cap)
+    if n > d:
+        order = next(itertools.islice(truncation_orbits(p), n - d, None)).order
+        if order > cap:
+            raise EnumerationCapExceeded(cap, order, hint=f"depth-{n} truncation group")
     member_bits = p.group.element_bits
     h = member_bits
     for m in range(d, n):
-        h = _extend_one_level(h, m, d, member_bits, cap)
+        h = _extend_one_level(h, m, d, member_bits)
     return TruncationGroup(d, n, EnumeratedSubgroup.from_element_bits(n, h))
 
 
@@ -280,8 +275,7 @@ class TruncationLevel(NamedTuple):
     orbit: frozenset[str]
 
 
-def truncation_orbits(p: PatternGroup, cap: int | None = None
-                      ) -> Iterator[TruncationLevel]:
+def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
     """TruncationLevel for n = d, d + 1, ..., without listing H(n).
 
     g sends 0^n to the word whose symbol k is g's label at 0^k, so the orbit
@@ -290,8 +284,7 @@ def truncation_orbits(p: PatternGroup, cap: int | None = None
     d - 1 levels, keeping its element count N and its left-path vectors:
     an allowed root pattern p adds N[c1] * N[c2] elements to its class, and,
     when N[c2] > 0, the vectors p's root bit followed by a vector of class
-    c1.  The cap is checked where truncation_group checks it, against the
-    2|H(n)|^2 assemblies, only when level n + 1 is asked for.
+    c1.  Nothing is listed past P, so no cap applies.
     """
     p = _ensure_essential(p)
     d = p.depth
@@ -304,7 +297,6 @@ def truncation_orbits(p: PatternGroup, cap: int | None = None
     for n in itertools.count(d):
         yield TruncationLevel(n, order, frozenset(
             format(f, f"0{n}b")[::-1] for f in orbit))
-        _check_candidates(order, n, resolve_cap(cap))
         if joins is None:
             # Per-class state only once a deeper level is wanted: a caller
             # that stops at level d passes over P's listing once.
@@ -336,8 +328,7 @@ class PsiImageIndex(NamedTuple):
     per_depth: tuple[tuple[int, int], ...]
 
 
-def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
-                    cap: int | None = None) -> PsiImageIndex:
+def psi_image_index(p: PatternGroup, *, max_depth: int | None = None) -> PsiImageIndex:
     """Stabilized value of [H(n) x H(n) : psi(H(n+1)_1)] over successive n.
 
     psi sends a first-level-stabilizing element to its pair of sections and
@@ -346,19 +337,16 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None,
     members, the deeper |H(n)| come from truncation_orbits, and H(n+1)_1 is
     the stabilizer of the vertex 0, so by orbit-stabilizer its order is
     |H(n+1)| over the number of first symbols in the orbit of 0^(n+1).
-    Level n + 1 is asked for only when index n needs it, so the cap is
-    checked on the same assemblies as truncation_group's.  Stops as soon as
-    two consecutive depths agree; if the budget runs out first, returns an
-    explicit unstabilized result instead of a guess.
+    Stops as soon as two consecutive depths agree; if max_depth is reached
+    first, returns an explicit unstabilized result instead of a guess.
     """
     p = _ensure_essential(p)
     d = p.depth
     if max_depth is None:
         max_depth = d + 2
-    cap = resolve_cap(cap)
     top = prefix_mask(d - 1)
     order = len({b & top for b in p.group.element_bits})
-    levels = truncation_orbits(p, cap)
+    levels = truncation_orbits(p)
     indices: list[tuple[int, int]] = []
     prev_idx: int | None = None
     for n in range(d - 1, max_depth + 1):

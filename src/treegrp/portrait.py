@@ -81,6 +81,8 @@ class FiniteAutomorphism:
 
     @classmethod
     def from_bytes(cls, data: bytes, d: int) -> "FiniteAutomorphism":
+        if not 1 <= d <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {d}")
         n = (1 << d) - 1
         expected = (n + 7) // 8
         if len(data) != expected:

@@ -415,18 +415,18 @@ def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[in
     return checked, failures
 
 
-def all_subgroups_depth2() -> list[EnumeratedSubgroup]:
+def all_subgroups_depth2(cap: int | None = None) -> list[EnumeratedSubgroup]:
     """Every subgroup of the depth-2 group (ten of them).
 
     The depth-2 group has order 8, so all its subgroups are generated by at
     most two elements; closing all pairs is exhaustive.
     """
-    g2 = full_group(2)
+    g2 = full_group(2, cap=cap)
     els = [FiniteAutomorphism(2, b) for b in g2.sorted_bits()]
     seen: dict[frozenset[int], EnumeratedSubgroup] = {}
     for x in els:
         for y in els:
-            s = close([x, y])
+            s = close([x, y], cap=cap)
             seen.setdefault(s.element_bits, s)
     return sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))
 

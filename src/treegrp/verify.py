@@ -28,9 +28,9 @@ scratch at desk scale:
   dimension equivalence on the exhaustive depth-2 subgroup sweep and on all
   P_J (the dimension from the stabilizer order against the orbits of 0^n
   under the truncation groups, which are counted class by class from the
-  listed pattern group, never listed, with the enumeration cap still
-  checked on their assemblies), and the allowed-dimension-set law on
-  everything encountered.  The sweep reduces by the enumerated set filter;
+  listed pattern group, never listed, so the enumeration cap does not
+  apply to them), and the allowed-dimension-set law on everything
+  encountered.  The sweep reduces by the enumerated set filter;
   each P_J is reduced by rank and only the reduction is listed, which must
   be essential and match the rank dimension, as in classify_maximal.
 
@@ -409,7 +409,7 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
                  expect_index: int | None) -> None:
         pg = pt.PatternGroup.from_subgroup(group)
         stab = level_stabilizer(group, d - 1)
-        psi = pt.psi_image_index(pg, cap=cap)
+        psi = pt.psi_image_index(pg)
         if not psi.stabilized:
             report.cases.append(
                 NewRelationCase(label, tuple(sorted(J)) if J else None,
@@ -460,27 +460,22 @@ class AuxReport(Report):
         )
 
 
-#: Candidate budget for transitivity probes: a level past H holds up to
-#: 2|H|^2 elements, the (root bit, section, section) assemblies the
-#: enumeration cap is checked against, and that bound explodes quickly;
-#: probing stops (never silently wrong, just shallower) when the next level's
-#: bound would exceed this.  The probes count H rather than list it, but the
-#: cap still bounds those assemblies, and this value fixes which levels are
-#: probed, so the verdicts and the cap refusals do not depend on the route.
-PROBE_CANDIDATE_BUDGET = 1 << 21
+#: Transitivity probes stop (never silently wrong, just shallower) after
+#: the first level H with |H| above this.  H is counted, not listed, so this
+#: fixes which levels are probed, not what they cost in memory.
+PROBE_ORDER_LIMIT = 1 << 10
 
 #: Transitivity probes reach this many levels past the pattern depth.
 PROBE_DEPTH_EXTRA = 2
 
 
-def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
-                          cap: int | None) -> bool:
+def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction) -> bool:
     """Whether the constrained group of the essential `reduced`, whose
     dimension is `dim`, is level-transitive exactly when dim is nonzero.
 
-    Probes levels d .. d+PROBE_DEPTH_EXTRA while the next level's 2|H|^2
-    assemblies stay within the candidate budget; level d (the pattern group
-    itself) is always probed.  Each level's order and orbit of 0^n come from
+    Probes levels d .. d+PROBE_DEPTH_EXTRA, stopping after the first level
+    of order above PROBE_ORDER_LIMIT; level d (the pattern group itself) is
+    always probed.  Each level's order and orbit of 0^n come from
     truncation_orbits, which counts the truncation groups instead of listing
     them and reads only the listed `reduced`, so this route shares nothing
     with the stabilizer count or the rank route that gave `dim`.  A finite
@@ -488,10 +483,9 @@ def _transitivity_matches(reduced: pt.PatternGroup, dim: Fraction,
     """
     d = reduced.depth
     probes = []
-    for level in pt.truncation_orbits(reduced, cap):
+    for level in pt.truncation_orbits(reduced):
         probes.append(len(level.orbit) == 1 << level.depth)
-        if (level.depth == d + PROBE_DEPTH_EXTRA
-                or 2 * level.order * level.order > PROBE_CANDIDATE_BUDGET):
+        if level.depth == d + PROBE_DEPTH_EXTRA or level.order > PROBE_ORDER_LIMIT:
             break
     return all(probes) == (dim != 0)
 
@@ -544,13 +538,13 @@ def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,
 
     def check(reduced: pt.PatternGroup, dim: Fraction) -> bool:
         """The three-way equivalence; counts an allowed-set violation."""
-        holds = _transitivity_matches(reduced, dim, cap)
+        holds = _transitivity_matches(reduced, dim)
         if not pt.is_allowed_dimension(reduced, dim):
             report.allowed_set_violations += 1
         return holds
 
     # Exhaustive depth-2 sweep, reduced by the enumerated route.
-    for s in all_subgroups_depth2():
+    for s in all_subgroups_depth2(cap):
         reduced = pt.essential_reduction(pt.PatternGroup.from_subgroup(s))
         report.sweep_groups_processed += 1
         if not check(reduced, pt.hausdorff_dimension(reduced)):

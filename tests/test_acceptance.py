@@ -214,13 +214,13 @@ def test_criterion_7_possible_dimension_values_and_equivalences(criterion):
             if dim == 1:
                 assert reduced.group == full_group(2)
             assert is_allowed_dimension(reduced, dim)
-            assert _transitivity_matches(reduced, dim, None)
+            assert _transitivity_matches(reduced, dim)
         assert dims == {Fraction(0), Fraction(1, 2), Fraction(1)}
         for d in (3, 4):
             for bits in range(1, 1 << d):
                 J = frozenset(j for j in range(d) if (bits >> j) & 1)
                 reduced = essential_reduction(PatternGroup.from_subgroup(enumerate_PJ(d, J)))
-                assert _transitivity_matches(reduced, hausdorff_dimension(reduced), None), \
+                assert _transitivity_matches(reduced, hausdorff_dimension(reduced)), \
                     (d, sorted(J))
 
 

@@ -75,6 +75,12 @@ def test_elem_malformed_hex_exits_2_with_field_name(runner):
     assert "--lhs" in res.output
 
 
+def test_elem_depth_out_of_range_exits_2_before_building_a_portrait(runner):
+    res = runner.invoke(main, ["elem", "invert", "--d", "400000000", "--g", "00"])
+    assert res.exit_code == 2
+    assert "--g: depth must be in 1..24, got 400000000" in res.output
+
+
 def test_elem_word_too_long_exits_2(runner):
     res = runner.invoke(
         main, ["elem", "apply", "--d", "2", "--g", "00", "--w", "000"]
@@ -252,6 +258,26 @@ def test_topfg_needs_only_what_noadad_enumerates(runner, cap, code):
 
 @pytest.mark.parametrize("d,cap", [(3, 300), (3, 2000), (3, 20000), (2, 1000)])
 def test_aux_cap_flag_reaches_the_truncation_probes(runner, monkeypatch, d, cap):
+    # These caps sit below the truncation levels the probes count (up to
+    # 2^12 at d = 3) but above every aux listing, so they pass, by flag and
+    # by variable, with the results of the uncapped run.
+    args = ["verify", "--suite", "aux", "--d", str(d), "--format", "json", "--no-timestamp"]
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    default = runner.invoke(main, args)
+    by_flag = runner.invoke(main, [*args, "--cap", str(cap)])
+    monkeypatch.setenv("TREEGRP_CAP", str(cap))
+    by_env = runner.invoke(main, args)
+    assert default.exit_code == by_flag.exit_code == by_env.exit_code == 0, (
+        by_flag.output, by_env.output)
+    results = json.loads(default.stdout)["results"]
+    assert json.loads(by_flag.stdout)["results"] == results
+    assert json.loads(by_env.stdout)["results"] == results
+
+
+@pytest.mark.parametrize("d,cap", [(2, 7), (3, 127), (4, 16383)])
+def test_aux_cap_flag_reaches_the_aux_listings(runner, monkeypatch, d, cap):
+    # One below the largest listing: G(d) for the exhaustive conjugation
+    # pairs at d <= 3, a P_J (order 2^14) at d = 4.
     args = ["verify", "--suite", "aux", "--d", str(d)]
     monkeypatch.delenv("TREEGRP_CAP", raising=False)
     by_flag = runner.invoke(main, [*args, "--cap", str(cap)])
@@ -262,15 +288,27 @@ def test_aux_cap_flag_reaches_the_truncation_probes(runner, monkeypatch, d, cap)
 
 @pytest.mark.parametrize("suite", ["aux", "all"])
 def test_aux_at_depth4_refuses_a_cap_below_the_sweep_probes(runner, monkeypatch, suite):
-    # The depth-2 sweep's depth-4 truncation probe (2 * 128^2 candidates)
-    # refuses first, before the P_J arm (order 2^14) is reached.
+    # The depth-2 sweep probes levels up to the 32768 elements of H(4) for
+    # the full group, but counts them without listing them, so the P_J arm
+    # (order 2^14) is the first to refuse.
     monkeypatch.delenv("TREEGRP_CAP", raising=False)
     res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--cap", "16383",
                                "--format", "json", "--no-timestamp"])
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == ("resource limit: enumeration cap of 16383 elements exceeded "
-                          "(reached 32768); depth-4 truncation group candidate set\n")
+    assert res.stderr == ("resource limit: enumeration cap of 16383 elements exceeded; "
+                          "P_J for J=[0] has order 2^14; use maximal_subgroup(d, J) "
+                          "for membership without enumeration\n")
+
+
+def test_aux_cap_reaches_the_depth2_sweep(runner, monkeypatch):
+    # At d = 4 the conjugation pairs are sampled, so the first listing is
+    # the sweep's G(2), with 8 elements.
+    monkeypatch.delenv("TREEGRP_CAP", raising=False)
+    res = runner.invoke(main, ["verify", "--suite", "aux", "--d", "4", "--cap", "7"])
+    assert res.exit_code == 3
+    assert res.stderr == ("resource limit: enumeration cap of 7 elements exceeded; "
+                          "the full depth-2 group has order 2^3\n")
 
 
 # -- analyze ------------------------------------------------------------------------

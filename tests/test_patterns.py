@@ -3,9 +3,10 @@
 Brute-force oracles: the reduction is re-run here as a literal filter
 iteration over element lists; truncation groups are compared against a
 filter of the full deeper group by subpattern membership and against a scan
-of every (root bit, section, section) candidate one level up; the embedding
-index is read off the listed truncation groups and held against the order
-bookkeeping identity.  The parity-check reduction is held against the
+of every (root bit, section, section) candidate one level up, and the cap
+refuses a truncation group exactly when its order |H(n)| exceeds it,
+before any level is listed; the embedding index is read off the listed
+truncation groups and held against the order bookkeeping identity.  The parity-check reduction is held against the
 basis-space reference in tests/oracles.py.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from treegrp import gf2
+from treegrp import gf2, patterns
 from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
@@ -46,10 +47,11 @@ from treegrp.subgroups import (
     orbit,
 )
 from treegrp.verify import (
-    PROBE_CANDIDATE_BUDGET,
     PROBE_DEPTH_EXTRA,
+    PROBE_ORDER_LIMIT,
     _reduced_pj,
     _top_level_sets,
+    verify_new_relation,
 )
 
 from oracles import linear_essential_reduction_by_basis, verify_closed
@@ -379,7 +381,7 @@ def test_join_matches_candidate_scan():
         for m in range(d, 5):
             if 2 * len(h) * len(h) > 1 << 17:
                 break
-            joined = _extend_one_level(h, m, d, member, 1 << 17)
+            joined = _extend_one_level(h, m, d, member)
             assert joined == candidate_scan_bits(h, m, d, member)
             h = joined
 
@@ -388,39 +390,76 @@ def test_join_with_child_subpatterns_in_no_section_class():
     # a_1 swaps at vertex "0", so its child-1 subpattern is the root swap;
     # the only section here is the identity, so a_1 joins nothing.
     g = generator(2, 1).bits
-    out = _extend_one_level(frozenset({0}), 2, 2, frozenset({0, g}), 8)
+    out = _extend_one_level(frozenset({0}), 2, 2, frozenset({0, g}))
     assert out == candidate_scan_bits({0}, 2, 2, {0, g}) == {0}
 
 
 @pytest.mark.parametrize("d, J, n, reached", [
-    (2, {1}, 3, 32), (2, {1}, 4, 512), (3, {2}, 4, 8192)])
+    (2, {1}, 3, 16), (2, {1}, 4, 256), (3, {2}, 4, 4096)])
 def test_truncation_cap_boundary(d, J, n, reached):
+    # reached is |H(n)|, the order of the group the call lists.
     p = pj_pattern(d, J)
-    assert truncation_group(p, n, cap=reached).truncation_depth == n
+    assert truncation_group(p, n, cap=reached).group.order == reached
     with pytest.raises(EnumerationCapExceeded) as err:
         truncation_group(p, n, cap=reached - 1)
     assert err.value.reached == reached
     assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
-                              f"(reached {reached}); depth-{n} truncation group "
-                              "candidate set")
+                              f"(reached {reached}); depth-{n} truncation group")
+
+
+def test_truncation_cap_refusal_lists_no_level(monkeypatch):
+    # |H(n)| is counted, not listed, so a refused call never joins a level;
+    # at depth d the group is P itself, returned whatever the cap.
+    def no_listing(*args):
+        raise AssertionError("a level was listed")
+    monkeypatch.setattr(patterns, "_extend_one_level", no_listing)
+    p = pj_pattern(3, {2})
+    for n, order in ((4, 4096), (5, 1 << 24)):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            truncation_group(p, n, cap=order - 1)
+        assert err.value.reached == order
+    assert truncation_group(p, 3, cap=1).group == p.group
 
 
 @pytest.mark.parametrize("d, J, n, reached", [
     (2, {1}, 3, 32), (2, {1}, 4, 512), (3, {2}, 4, 8192)])
-def test_truncation_orbits_cap_boundary(d, J, n, reached):
-    # The same refusal as truncation_group's, raised only when level n is
-    # asked for: the levels before it come out under the smaller cap.
+def test_truncation_orbits_cap_boundary(monkeypatch, d, J, n, reached):
+    # reached is the retired 2|H(n-1)|^2 candidate count, which used to
+    # refuse level n; here it is twice |H(n)|.  The counted levels now meet
+    # no cap, not even a default of 1, and truncation_group's cap bounds
+    # |H(n)| only, so reached - 1 lets level n be listed.
     p = pj_pattern(d, J)
-    levels = truncation_orbits(p, cap=reached)
-    assert [next(levels).depth for _ in range(d, n + 1)] == list(range(d, n + 1))
-    levels = truncation_orbits(p, cap=reached - 1)
-    assert [next(levels).depth for _ in range(d, n)] == list(range(d, n))
+    monkeypatch.setenv("TREEGRP_CAP", "1")
+    levels = truncation_orbits(p)
+    counted = [next(levels) for _ in range(d, n + 1)]
+    assert [level.depth for level in counted] == list(range(d, n + 1))
+    assert counted[-1].order == reached // 2
+    assert truncation_group(p, n, cap=reached - 1).group.order == reached // 2
+
+
+@pytest.mark.parametrize("d, J, reached", [(2, {1}, 32), (3, {2}, 8192)])
+def test_psi_index_cap_boundary(monkeypatch, d, J, reached):
+    # The index stabilizes at n = d, so the deepest level counted is d + 1,
+    # whose retired candidate count reached used to refuse under a smaller
+    # cap.  The count meets no cap, not even a default of 1.
+    p = pj_pattern(d, J)
+    uncapped = psi_image_index(p)
+    monkeypatch.setenv("TREEGRP_CAP", "1")
+    index = psi_image_index(p)
+    assert index.stabilized
+    assert index.per_depth[-1][0] == d
+    assert index == uncapped
+
+
+def test_relation_suite_cap_bounds_only_its_listings():
+    # The embedding index counts its truncation levels (up to |H(4)| = 2^12
+    # at d = 3) without listing them, so only the listed groups meet the
+    # cap; the largest is G(3), with 128 elements.
+    assert verify_new_relation(3, cap=128).passed
     with pytest.raises(EnumerationCapExceeded) as err:
-        next(levels)
-    assert err.value.reached == reached
-    assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
-                              f"(reached {reached}); depth-{n} truncation group "
-                              "candidate set")
+        verify_new_relation(3, cap=127)
+    assert str(err.value) == ("enumeration cap of 127 elements exceeded; "
+                              "the full depth-3 group has order 2^7")
 
 
 def test_truncation_orbits_match_listed_truncation_groups():
@@ -439,8 +478,7 @@ def test_truncation_orbits_match_listed_truncation_groups():
             assert level.order == h.order
             assert level.orbit == orbit(h, "0" * n)
             probed += n > d
-            if (n == d + PROBE_DEPTH_EXTRA
-                    or 2 * level.order * level.order > PROBE_CANDIDATE_BUDGET):
+            if n == d + PROBE_DEPTH_EXTRA or level.order > PROBE_ORDER_LIMIT:
                 break
     # 24 of these levels past d are the ones verify --suite aux --d 4 probes.
     assert probed == 40
@@ -458,19 +496,6 @@ def test_truncation_orbits_join_on_uneven_classes(members):
     for n, level in zip(range(2, 5), truncation_orbits(p)):
         h = truncation_group(p, n).group
         assert (level.depth, level.order, level.orbit) == (n, h.order, orbit(h, "0" * n))
-
-
-@pytest.mark.parametrize("d, J, reached", [(2, {1}, 32), (3, {2}, 8192)])
-def test_psi_index_cap_boundary(d, J, reached):
-    # The index stabilizes at n = d, so the deepest level built is d + 1.
-    p = pj_pattern(d, J)
-    assert psi_image_index(p, cap=reached).stabilized
-    with pytest.raises(EnumerationCapExceeded) as err:
-        psi_image_index(p, cap=reached - 1)
-    assert err.value.reached == reached
-    assert str(err.value) == (f"enumeration cap of {reached - 1} elements exceeded "
-                              f"(reached {reached}); depth-{d + 1} truncation group "
-                              "candidate set")
 
 
 # -- embedding index ------------------------------------------------------------------------

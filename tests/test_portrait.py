@@ -106,6 +106,14 @@ def test_depth_zero_rejected():
         identity(MAX_DEPTH + 1)
 
 
+@pytest.mark.parametrize("d", [-1, 0, MAX_DEPTH + 1, 10**6])
+def test_from_hex_checks_the_depth_first(d):
+    # Checked before the portrait size 2^d - 1 is computed, which for a
+    # huge d would build an int of d bits.
+    with pytest.raises(ValueError, match=rf"^depth must be in 1\.\.{MAX_DEPTH}, got {d}$"):
+        FiniteAutomorphism.from_hex("00", d)
+
+
 def test_generator_single_label_at_leftmost_spine():
     assert generator(2, 0).bits == 1  # root only
     assert generator(4, 3).bits == 1 << 7  # vertex 000, heap index 7

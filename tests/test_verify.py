@@ -206,8 +206,8 @@ def _orbits_cut_at(depths):
     the vertex 0^n alone, a non-transitive orbit."""
     real = patterns.truncation_orbits
 
-    def cut(p, cap=None):
-        for level in real(p, cap):
+    def cut(p):
+        for level in real(p):
             if level.depth in depths:
                 level = level._replace(orbit=frozenset({"0" * level.depth}))
             yield level
@@ -217,17 +217,17 @@ def _orbits_cut_at(depths):
 def test_three_way_equivalence_can_fail(monkeypatch):
     full = patterns.essential_reduction(patterns.PatternGroup.from_subgroup(full_group(2)))
     dim = patterns.hausdorff_dimension(full)
-    assert verify._transitivity_matches(full, dim, None)
-    assert not verify._transitivity_matches(full, Fraction(0), None)
+    assert verify._transitivity_matches(full, dim)
+    assert not verify._transitivity_matches(full, Fraction(0))
     with monkeypatch.context() as m:
         m.setattr(patterns, "truncation_orbits", _orbits_cut_at({2, 3, 4}))
-        assert not verify._transitivity_matches(full, dim, None)
+        assert not verify._transitivity_matches(full, dim)
     # Levels 3 and 4 of the full group are within the probe budget, so one
     # lost orbit past the pattern depth is read and decides the match.
     for n in (3, 4):
         with monkeypatch.context() as m:
             m.setattr(patterns, "truncation_orbits", _orbits_cut_at({n}))
-            assert not verify._transitivity_matches(full, dim, None)
+            assert not verify._transitivity_matches(full, dim)
 
 
 def test_new_relation_frozen_values():
