@@ -24,8 +24,10 @@ counts the 32,768 elements of the depth-4 truncation group class by class
 P_J on its parity checks (`linear_essential_reduction`), the 31 at d=5 and
 the 255 at d=8.  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
-checks: every J containing the top level at d=4 (10,000 pairs) and J = {7}
-at d=8 (1,500 pairs).  Two rows time whole verify suites at d=4:
+checks: every J containing the top level at d=4 (10,000 pairs), and J =
+{d-1} at d=8 (1,500 pairs), d=12 (50 pairs) and d=14 (7 pairs), the depths
+and pair counts of the `ni-depth` benchmark's library ops above d=8.  Two
+rows time whole verify suites at d=4:
 `verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
 `verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
 the 15 P_J), and one times that suite's conjugation law alone
@@ -79,7 +81,7 @@ KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
 PACK_DEPTHS = [4, 6, 12]
 
 # (depth, pairs checked) for the half-tree law rows.
-NI_DEPTHS = [(4, 10_000), (8, 1_500)]
+NI_DEPTHS = [(4, 10_000), (8, 1_500), (12, 50), (14, 7)]
 
 # (depth, calls timed) for the apply rows.
 APPLY_DEPTHS = [(4, 20_000), (24, 16)]

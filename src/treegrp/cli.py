@@ -28,7 +28,7 @@ from . import verify as vf
 from .errors import EnumerationCapExceeded, VerificationError
 from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
-from .portrait import FiniteAutomorphism, distance as metric_distance
+from .portrait import MAX_DEPTH, FiniteAutomorphism, distance as metric_distance
 from .subgroups import enumerate_MV, enumerate_PJ, resolve_cap, subgroup_from_json
 
 SCHEMA_VERSION = 1
@@ -99,7 +99,9 @@ def elem():
     """Arithmetic on single elements (portraits given as lowercase hex)."""
 
 
-_common_d = click.option("--d", "d", type=int, required=True, help="element depth")
+# Range-checked before any hex is parsed, so a bad depth is reported as --d's.
+_common_d = click.option("--d", "d", type=click.IntRange(1, MAX_DEPTH), required=True,
+                         help="element depth")
 
 
 @elem.command("compose")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import product, repeat
 from operator import xor
 from random import Random
 from typing import Iterable, Sequence
@@ -146,8 +146,9 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     All contexts share one depth and one stream of element pairs: every
     ordered pair with exhaustive=True (meant for d <= 3), otherwise
     `samples` seeded random pairs, at least one.  The stream is cut into
-    chunks that are packed into kernel batches, so each chunk's products,
-    inverses and commutators are three batch calls.  The laws are then
+    chunks that are packed into kernel batches, and each chunk's products,
+    inverses and commutators come from one kernel.law_batches call, which
+    builds each operand's delta-swap masks once.  The laws are then
     checked for every sample at once on 2n-bit vectors whose bit 2j + i is
     N_i of sample j: per level set, N is the XOR of the kernel's level
     half parities over J', and N_(i + alpha) is N with each sample's pair
@@ -168,15 +169,13 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     if exhaustive:
         pairs = product(range(1 << nbits), repeat=2)
     else:
-        # The same stream FiniteAutomorphism.random draws from.
-        rng = Random(seed)
-        pairs = ((rng.getrandbits(nbits), rng.getrandbits(nbits)) for _ in range(samples))
+        # The same stream FiniteAutomorphism.random draws from: g, then h.
+        draws = map(Random(seed).getrandbits, repeat(nbits, 2 * samples))
+        pairs = zip(draws, draws)
     checked = 0
     for n, gs, hs, g, h in kernel.packed_chunks(pairs, d):
         checked += n
-        gh = _batch(kernel.compose_batch(g, h, n, d), n, d)
-        ginv = _batch(kernel.invert_batch(g, n, d), n, d)
-        c = _batch(kernel.commutator_batch(g, h, n, d), n, d)
+        gh, ginv, c = (_batch(x, n, d) for x in kernel.law_batches(g, h, n, d))
         parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
         ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
         evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample

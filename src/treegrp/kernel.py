@@ -43,7 +43,10 @@ it for the batch, and the delta swaps, which never cross a slice, act on
 every sample at once: a batch costs the d-1 mask steps and d-1 swaps of one
 portrait, on an int n times as wide.  Only the byte sizes scale with n.
 compose, invert, conjugate and commutator are the n = 1 cases of the
-*_batch functions, which take batches built by pack.
+*_batch functions, which take batches built by pack.  law_batches returns
+the product, the first operand's inverse and the commutator of two batches
+in one call, with each operand's masks built once and that inverse reused
+inside the commutator: it is the half-tree law check's one call per chunk.
 
 half_parities reads per-level half-tree parities off a batch by the
 inverse of the widening: each XOR-fold step translates every byte to the
@@ -285,15 +288,31 @@ def conjugate_batch(x: int, s: int, n: int, d: int) -> int:
     return s ^ _pull(x ^ _pull(inv_s, _swap_masks(x, n, d)), ms)
 
 
-def commutator_batch(x: int, y: int, n: int, d: int) -> int:
-    """x_j^-1 y_j^-1 x_j y_j for two batches.
+def _commutator(x: int, y: int, mx: list[int], my: list[int], inv_x: int) -> int:
+    """x^-1 y^-1 x y from the masks of x and y and the inverse of x.
 
     Pulling back along y^-1 is pushing forward along y, so x^-1∘y^-1 is
-    push_y(y XOR x^-1) and only the masks of x and y are built.
+    push_y(y XOR x^-1) and only the masks of x and y are needed.
     """
-    mx, my = _swap_masks(x, n, d), _swap_masks(y, n, d)
-    inv_x_inv_y = _push(y ^ _push(x, mx), my)
-    return y ^ _pull(x ^ _pull(inv_x_inv_y, mx), my)
+    return y ^ _pull(x ^ _pull(_push(y ^ inv_x, my), mx), my)
+
+
+def commutator_batch(x: int, y: int, n: int, d: int) -> int:
+    """x_j^-1 y_j^-1 x_j y_j for two batches."""
+    mx = _swap_masks(x, n, d)
+    return _commutator(x, y, mx, _swap_masks(y, n, d), _push(x, mx))
+
+
+def law_batches(g: int, h: int, n: int, d: int) -> tuple[int, int, int]:
+    """g_j∘h_j, g_j^-1 and g_j^-1 h_j^-1 g_j h_j for two batches.
+
+    The same batches as compose_batch(g, h), invert_batch(g) and
+    commutator_batch(g, h), from one mask build per operand and one push
+    of g.
+    """
+    mg, mh = _swap_masks(g, n, d), _swap_masks(h, n, d)
+    inv_g = _push(g, mg)
+    return h ^ _pull(g, mh), inv_g, _commutator(g, h, mg, mh, inv_g)
 
 
 def compose(h: int, g: int, d: int) -> int:

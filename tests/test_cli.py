@@ -78,7 +78,15 @@ def test_elem_malformed_hex_exits_2_with_field_name(runner):
 def test_elem_depth_out_of_range_exits_2_before_building_a_portrait(runner):
     res = runner.invoke(main, ["elem", "invert", "--d", "400000000", "--g", "00"])
     assert res.exit_code == 2
-    assert "--g: depth must be in 1..24, got 400000000" in res.output
+    assert "Invalid value for '--d': 400000000 is not in the range 1<=x<=24" in res.output
+
+
+def test_elem_depth_is_checked_before_the_hex_is_parsed(runner):
+    # An odd-length hex would fail fromhex(); the depth error comes first.
+    res = runner.invoke(main, ["elem", "compose", "--d", "0", "--lhs", "0", "--rhs", "0"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--d': 0 is not in the range 1<=x<=24" in res.output
+    assert "fromhex" not in res.output
 
 
 def test_elem_word_too_long_exits_2(runner):

@@ -161,14 +161,36 @@ def reference_ni_failures(ctx, samples, seed, limit=10):
     return failures
 
 
+#: Where each batch op's result sits in kernel.law_batches' triple.
+LAW_OUTPUT = {"compose": 0, "invert": 1, "commutator": 2}
+
+
+def break_kernel(monkeypatch, broken, fault):
+    """Put one of the three law products through fault, on both paths.
+
+    The batch path takes g∘h, g^-1 and [g, h] of a chunk from one
+    kernel.law_batches call, and only the `broken` entry of its triple goes
+    through fault.  The single ops are the n = 1 case of the batch ops and
+    call them through the kernel module, so patching `broken`_batch breaks
+    its single op too, and the object path of reference_ni_failures sees
+    the same fault.  A fault reads the first operand, g in both calls, as
+    args[0], and n, d as args[-2], args[-1].
+    """
+    batch = f"{broken}_batch"
+    monkeypatch.setattr(kernel, batch, fault(getattr(kernel, batch)))
+    i, laws = LAW_OUTPUT[broken], kernel.law_batches
+
+    def broken_laws(*args):
+        out = list(laws(*args))
+        out[i] = fault(lambda *_: out[i])(*args)
+        return tuple(out)
+
+    monkeypatch.setattr(kernel, "law_batches", broken_laws)
+
+
 def flip_vertex_0(original):
     """A batch kernel op that flips the label at vertex "0" (level 1, half 0)
-    of each sample whose first operand has it.
-
-    The single ops are the n = 1 case of the batch ops and call them through
-    the kernel module, so patching a batch op breaks its single op too, and
-    the object path of reference_ni_failures sees the same fault.
-    """
+    of each sample whose first operand has it."""
     def flipped(*args):
         out = original(*args)
         n = args[-2]
@@ -177,11 +199,16 @@ def flip_vertex_0(original):
     return flipped
 
 
+def out_of_range(original):
+    """A batch kernel op that sets one bit above the batch: n * 2^d, for n
+    samples of depth d."""
+    return lambda *args: original(*args) | 1 << (args[-2] << args[-1])
+
+
 @pytest.mark.parametrize("broken, law", [("compose", "product"), ("invert", "inverse"),
                                          ("commutator", "commutator")])
 def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, law):
-    batch = f"{broken}_batch"
-    monkeypatch.setattr(kernel, batch, flip_vertex_0(getattr(kernel, batch)))
+    break_kernel(monkeypatch, broken, flip_vertex_0)
     ctx = JContext.make(3, {1, 2})
     failures = reference_ni_failures(ctx, samples=200, seed=11)
     assert failures
@@ -192,9 +219,7 @@ def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, l
 
 
 def test_identities_reject_out_of_range_portraits(monkeypatch):
-    original = kernel.compose_batch
-    monkeypatch.setattr(kernel, "compose_batch",
-                        lambda h, g, n, d: original(h, g, n, d) | 1 << (n << d))
+    break_kernel(monkeypatch, "compose", out_of_range)
     with pytest.raises(ValueError, match="out of range"):
         verify_ni_identities(JContext.make(3, {2}), samples=1)
 
@@ -215,8 +240,7 @@ def test_shared_stream_reports_equal_single_context_reports(d):
 
 @pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
 def test_shared_stream_reports_broken_kernel_for_each_level_set(monkeypatch, broken):
-    batch = f"{broken}_batch"
-    monkeypatch.setattr(kernel, batch, flip_vertex_0(getattr(kernel, batch)))
+    break_kernel(monkeypatch, broken, flip_vertex_0)
     contexts = [JContext.make(3, J) for J in top_level_sets(3)]
     reports = verify_ni_identities_for(contexts, samples=200, seed=11)
     for ctx, rep in zip(contexts, reports):
@@ -228,10 +252,7 @@ def test_shared_stream_reports_broken_kernel_for_each_level_set(monkeypatch, bro
 
 @pytest.mark.parametrize("broken", ["compose", "invert", "commutator"])
 def test_shared_stream_rejects_out_of_range_portraits(monkeypatch, broken):
-    original = getattr(kernel, f"{broken}_batch")
-    # One bit above the batch: n * 2^d, for n samples of depth d.
-    monkeypatch.setattr(kernel, f"{broken}_batch",
-                        lambda *args: original(*args) | 1 << (args[-2] << args[-1]))
+    break_kernel(monkeypatch, broken, out_of_range)
     with pytest.raises(ValueError, match="out of range"):
         verify_ni_identities_for([JContext.make(3, J) for J in top_level_sets(3)], samples=1)
 
@@ -263,7 +284,7 @@ def test_multi_chunk_run_equals_per_context_reports():
 
 
 def test_multi_chunk_failures_stop_at_ten_across_chunks(monkeypatch):
-    monkeypatch.setattr(kernel, "compose_batch", flip_vertex_0_rarely(kernel.compose_batch))
+    break_kernel(monkeypatch, "compose", flip_vertex_0_rarely)
     per_chunk = kernel.CHUNK_BITS >> 6
     samples, seed = 5 * per_chunk, 43
     contexts = [JContext.make(6, J) for J in CHUNK_CONTEXTS]

@@ -1,6 +1,7 @@
 """Batches of portraits in the kernel's level-major layout: pack against a
-reference unpack, the batch ops against the single ops, and the level half
-parities and root swap mask against heap-mask popcounts."""
+reference unpack, the batch ops against the single ops, law_batches against
+the three batch ops it stands for, and the level half parities and root
+swap mask against heap-mask popcounts."""
 
 import random
 
@@ -74,6 +75,19 @@ def test_batch_ops_equal_single_ops(d):
                 kernel.conjugate(a, b, d) for a, b in zip(xs, ys)]
             assert unpack(kernel.commutator_batch(x, y, n, d), n, d) == [
                 kernel.commutator(a, b, d) for a, b in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_law_batches_equal_the_three_batch_ops(d):
+    # Below d = 4 the masks widen past the portrait; one full chunk is the
+    # batch the half-tree law check hands over.
+    rng = random.Random(750 + d)
+    for n in BATCH_SIZES + [kernel.CHUNK_BITS >> d]:
+        for xs, ys in zip(batches(rng, n, d), batches(rng, n, d)[::-1]):
+            x, y = kernel.pack(xs, d), kernel.pack(ys, d)
+            assert kernel.law_batches(x, y, n, d) == (
+                kernel.compose_batch(x, y, n, d), kernel.invert_batch(x, n, d),
+                kernel.commutator_batch(x, y, n, d)), n
 
 
 @pytest.mark.parametrize("d", range(1, 13))
