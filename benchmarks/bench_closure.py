@@ -9,15 +9,18 @@ depth-4 group (a normal closure folded from its four generators), raw
 compose and invert throughput at depths 4, 8, 12 and 16, where each
 product is d - 1 whole-portrait delta swaps, and kernel.pack of one full
 chunk of portraits at depths 4, 6 and 12.  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and nine
-kernel-free pattern-layer calls.  Six are at d=4: the essentiality test of
-P_{3} (a full pass over an essential group), the set-filter essential
+kernel-free word action, on full-length words at depths 4 and 24, and ten
+kernel-free pattern-layer calls.  Seven are at d=4: the essentiality test of
+P_{3} (a full pass over an essential group), the classify cross-check of
+the listed, rank-reduced P_{3} (`is_essential` on its basis and
+`hausdorff_dimension`, whose truncation set and stabilizer count read all
+16,384 members off `EnumeratedSubgroup.masked`), the set-filter essential
 reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
 P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
 cross-checked by its essentiality and dimension), the depth-5 truncation
 group of the reduced P_{1}, and the aux suite's transitivity probes
 (`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
-groups and the 15 reduced P_J.  The seventh is the embedding index
+groups and the 15 reduced P_J.  The eighth is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
 (`truncation_orbits`) instead of listing them.  The last two reduce every
@@ -167,9 +170,14 @@ def bench_patterns():
              for s in all_subgroups_depth2()]
     probed = [(p, hausdorff_dimension(p)) for p in sweep]
     probed += [_reduced_pj(4, J, None) for J in _nonempty_level_sets(4)]
+    listed_p3, _ = _reduced_pj(4, frozenset({3}), None)
+    p3_basis = linear_essential_reduction(maximal_subgroup(4, {3}))[0].basis()
     pjs = {d: [maximal_subgroup(d, J) for J in _nonempty_level_sets(d)] for d in (5, 8)}
     return {
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
+        "is_essential + hausdorff_dimension(listed reduced P_{3}), d=4":
+            timeit(lambda: (is_essential(listed_p3, tested=p3_basis),
+                            hausdorff_dimension(listed_p3)), repeats=20),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
         "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0)),
         "reduce by rank, list 15 reduced P_J, d=4":

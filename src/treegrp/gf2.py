@@ -139,31 +139,51 @@ class LinearSubgroup:
     def iter_bits(self) -> Iterator[int]:
         """All member portraits, lazily (meant for small solution spaces only).
 
-        The span of the first _BLOCK_LOG2 basis vectors is built once, by
-        doubling; a Gray-code walk over the remaining vectors then yields
-        that block translated by each of their combinations in turn.  Both
-        run on kernel.slot_codec: a doubling is one XOR of the packed block
-        with the new vector in every slot, and so is each translate.
+        The members come in the packed blocks of _blocks, each unpacked
+        when it is reached.
         """
-        basis = self.basis()
+        basis = self._listing_basis(None)
+        unpack = kernel.slot_codec(1 << min(len(basis), _BLOCK_LOG2), self.depth)[1]
+        return chain.from_iterable(map(unpack, self._blocks(basis)))
+
+    def packed(self, basis: list[int] | None = None) -> int:
+        """All members in the kernel.slot_codec(order, depth) slots of one
+        int, in iter_bits order: _blocks put end to end.  `basis`, if
+        given, is self.basis(), so a caller that needs it too computes it
+        once."""
+        basis = self._listing_basis(basis)
+        return kernel.slot_join(self._blocks(basis), 1 << min(len(basis), _BLOCK_LOG2),
+                                self.depth)
+
+    def _listing_basis(self, basis: list[int] | None) -> list[int]:
+        if basis is None:
+            basis = self.basis()
         if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
-        return chain.from_iterable(self._blocks(basis))
+        return basis
 
-    def _blocks(self, basis: list[int]) -> Iterator[Sequence[int]]:
+    def _blocks(self, basis: list[int]) -> Iterator[int]:
+        """The listing as packed blocks of 2^min(len(basis), _BLOCK_LOG2)
+        kernel.slot_codec slots each.
+
+        The span of the first _BLOCK_LOG2 basis vectors is built once, by
+        doubling: the block followed by the block XOR-ed with the new
+        vector in every slot.  A Gray-code walk over the remaining vectors
+        then yields that block translated by each of their combinations in
+        turn, one packed XOR each.
+        """
         d = self.depth
-        block: list[int] = [0]
+        block, n = 0, 1  # one slot is the portrait itself
         for b in basis[:_BLOCK_LOG2]:
-            pack, unpack, broadcast = kernel.slot_codec(len(block), d)
-            block += unpack(pack(block) ^ broadcast(b))
+            block = kernel.slot_join((block, block ^ kernel.slot_codec(n, d)[2](b)), n, d)
+            n <<= 1
         yield block
         rest = basis[_BLOCK_LOG2:]
         if not rest:
             return
-        pack, unpack, broadcast = kernel.slot_codec(len(block), d)
-        packed = pack(block)
+        broadcast = kernel.slot_codec(n, d)[2]
         v = 0
         for i in range(1, 1 << len(rest)):
             # Flip one remaining basis vector per block.
             v ^= rest[(i & -i).bit_length() - 1]
-            yield unpack(packed ^ broadcast(v))
+            yield block ^ broadcast(v)

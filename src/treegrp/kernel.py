@@ -81,7 +81,9 @@ below level L - 1 multiply among themselves as depth-L portraits, so
 slots of 2^L bits do the work that slots of 2^d bits would.
 
 slot_codec packs portraits into fixed byte slots of one int for close's
-cosets, the listing in gf2 and the expected portraits of
+cosets, the listing in gf2 (whose blocks slot_join puts end to end), the
+members of subgroups.EnumeratedSubgroup, whose masked(mask) is one AND of
+the broadcast mask and one unpack, and the expected portraits of
 subgroups.conjugation_law_counts, and pack's rows up to d = 6, where a
 slot is one machine word and one big-endian row once shifted into t
 coordinates.
@@ -392,6 +394,13 @@ def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
         def broadcast(x):  # x times the repunit would grow as w^2 n
             return int.from_bytes(x.to_bytes(w, _ORDER) * n, _ORDER)
     return pack, unpack, broadcast
+
+
+def slot_join(xs: Iterable[int], n: int, d: int) -> int:
+    """The slots of the packed ints xs, n depth-d slot_codec slots each, in
+    order as one int: the slot_codec(len(xs) * n, d) packing of them all."""
+    size = n * (((1 << d) + 6) >> 3)
+    return int.from_bytes(b"".join(x.to_bytes(size, _ORDER) for x in xs), _ORDER)
 
 
 def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:

@@ -18,6 +18,13 @@ The test is exact because place(t, v, k) is injective and lands exactly on
 the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
 t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 
+Every image of P's members under one mask (the truncations, the
+stabilizer count, the left-path labels and the classes of the truncation
+join) is read off the packed slots EnumeratedSubgroup.masked ANDs at once,
+not member by member; every member is still read.  A failed internal
+consistency check (a stabilizer order that is no power of two, an
+embedding index that is no integer) raises VerificationError.
+
 Truncation groups are built one level at a time as a join: the shallower
 group's elements are classed by their top d - 1 levels, and each allowed
 root pattern picks its two sections from the classes of its two child
@@ -41,7 +48,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from . import gf2
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, VerificationError
 from .heap import gather, place, prefix_mask
 from .portrait import FiniteAutomorphism
 from .subgroups import (
@@ -106,10 +113,9 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     d = p.depth
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
-    member_bits = p.group.element_bits
-    top = prefix_mask(d - 1)
-    (lm, left), (rm, right) = _children_placed({b & top for b in member_bits}, d - 1)
-    bad = next((b for b in (member_bits if tested is None else tested)
+    (lm, left), (rm, right) = _children_placed(set(p.group.masked(prefix_mask(d - 1))),
+                                               d - 1)
+    bad = next((b for b in (p.group.element_bits if tested is None else tested)
                 if b & lm not in left or b & rm not in right), None)
     if bad is None:
         return EssentialityResult(True, None)
@@ -166,15 +172,13 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
     """
     p = _ensure_essential(p)
     d = p.depth
-    mask = prefix_mask(d - 1)
-    stab_order = sum(1 for b in p.group.element_bits if not b & mask)
-    log2 = stab_order.bit_length() - 1
-    if 1 << log2 != stab_order:
-        raise RuntimeError(
+    stab_order = p.group.masked(prefix_mask(d - 1)).count(0)
+    if stab_order.bit_count() != 1:
+        raise VerificationError(
             f"stabilizer order {stab_order} is not a power of two; "
             "subgroup data is corrupted"
         )
-    return Fraction(log2, 1 << (d - 1))
+    return Fraction(stab_order.bit_length() - 1, 1 << (d - 1))
 
 
 def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
@@ -288,11 +292,11 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
     """
     p = _ensure_essential(p)
     d = p.depth
-    member_bits = p.group.element_bits
+    group = p.group
     path = [(1 << k) - 1 for k in range(d)]  # heap indices of 0^k, k < d
     path_mask = sum(1 << i for i in path)
-    order = len(member_bits)
-    orbit = {gf2.gather_bits(b, path) for b in {b & path_mask for b in member_bits}}
+    order = group.order
+    orbit = {gf2.gather_bits(b, path) for b in set(group.masked(path_mask))}
     joins = None
     for n in itertools.count(d):
         yield TruncationLevel(n, order, frozenset(
@@ -300,11 +304,11 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
         if joins is None:
             # Per-class state only once a deeper level is wanted: a caller
             # that stops at level d passes over P's listing once.
-            joins = list(_root_joins(member_bits, d))
+            joins = list(_root_joins(group.element_bits, d))
             top = prefix_mask(d - 1)
-            counts = Counter(b & top for b in member_bits)
+            counts = Counter(group.masked(top))
             vectors: dict[int, set[int]] = {}
-            for b in {b & (top | path_mask) for b in member_bits}:
+            for b in set(group.masked(top | path_mask)):
                 vectors.setdefault(b & top, set()).add(gf2.gather_bits(b, path))
         next_counts: Counter[int] = Counter()
         next_vectors: dict[int, set[int]] = {}
@@ -344,8 +348,7 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None) -> PsiImag
     d = p.depth
     if max_depth is None:
         max_depth = d + 2
-    top = prefix_mask(d - 1)
-    order = len({b & top for b in p.group.element_bits})
+    order = len(set(p.group.masked(prefix_mask(d - 1))))
     levels = truncation_orbits(p)
     indices: list[tuple[int, int]] = []
     prev_idx: int | None = None
@@ -354,7 +357,9 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None) -> PsiImag
         stab_order = level.order // len({w[0] for w in level.orbit})
         idx, rem = divmod(order * order, stab_order)
         if rem:
-            raise RuntimeError("stabilizer order does not divide the product order")
+            raise VerificationError(
+                f"|H({n + 1})_1| = {stab_order} does not divide |H({n})|^2 = "
+                f"{order * order}; subgroup data is corrupted")
         indices.append((n, idx))
         if prev_idx == idx:
             return PsiImageIndex(True, idx, tuple(indices))

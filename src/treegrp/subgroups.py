@@ -4,7 +4,10 @@ Two representations, one per question:
 
 * EnumeratedSubgroup: an explicit element set, built by kernel.close's
   coset closure or listed directly when the structure is known, canonically
-  ordered by the portrait byte encoding.
+  ordered by the portrait byte encoding.  It also keeps its members packed
+  in kernel.slot_codec slots (from the listing, or packed on first use), so
+  masked(mask), every member ANDed with one mask, is one AND and one unpack
+  instead of a pass member by member.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -14,11 +17,11 @@ Two representations, one per question:
 Structure known from the definitions is never recomputed by closure:
 
 * P_J and M_V are the solution sets of their parity checks, so
-  enumerate_PJ and enumerate_MV list them with gf2.LinearSubgroup's
-  blockwise walk over the checks' nullspace.  enumerate_PJ attaches the
-  Schreier generators of the index-2 kernel for the transversal
-  {1, a_j0}, j0 = min J, so derived_subgroup starts from at most 2(d-1)
-  generators instead of a greedy generating set.
+  enumerate_PJ and enumerate_MV list them from gf2.LinearSubgroup's
+  packed blocks of the checks' nullspace (EnumeratedSubgroup.from_linear).
+  enumerate_PJ attaches the Schreier generators of the index-2 kernel for
+  the transversal {1, a_j0}, j0 = min J, so derived_subgroup starts from
+  at most 2(d-1) generators instead of a greedy generating set.
 * [S, S] is the normal closure in S of the commutators of S's generators,
   so derived_subgroup folds it from generators inside kernel.close, which
   conjugates each generator it accepts by S's generators.  It never lists
@@ -83,17 +86,19 @@ def check_order_cap(log2_order: int, cap: int, what: str, advice: str = "") -> N
 class EnumeratedSubgroup:
     """An explicitly enumerated subgroup of the depth-d tree group."""
 
-    __slots__ = ("depth", "generators", "_bits", "_sorted", "_genset")
+    __slots__ = ("depth", "generators", "_bits", "_sorted", "_genset", "_packed")
 
     def __init__(self, depth: int, bits: frozenset[int],
                  gens: tuple[FiniteAutomorphism, ...] = (), _trusted: bool = False):
         if not _trusted:
-            raise TypeError("use close() / from_element_bits() to build subgroups")
+            raise TypeError(
+                "use close() / from_element_bits() / from_linear() to build subgroups")
         self.depth = depth
         self.generators = gens
         self._bits = bits
         self._sorted: list[int] | None = None
         self._genset: tuple[FiniteAutomorphism, ...] | None = gens or None
+        self._packed: int | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -105,6 +110,21 @@ class EnumeratedSubgroup:
         Closure is the caller's responsibility.
         """
         return cls(depth, frozenset(bits), gens, _trusted=True)
+
+    @classmethod
+    def from_linear(cls, lin: gf2.LinearSubgroup, basis: list[int] | None = None,
+                    gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
+        """List a parity-check subgroup: its members come packed in slots
+        (lin.packed) and are unpacked once, and the group keeps the slots.
+        `basis`, if given, is lin.basis().  The caller checks the order
+        against the cap."""
+        if basis is None:
+            basis = lin.basis()
+        packed = lin.packed(basis)
+        unpack = kernel.slot_codec(1 << len(basis), lin.depth)[1]
+        group = cls(lin.depth, frozenset(unpack(packed)), gens, _trusted=True)
+        group._packed = packed
+        return group
 
     # -- basic queries --------------------------------------------------------
 
@@ -133,6 +153,16 @@ class EnumeratedSubgroup:
             nb = ((1 << self.depth) - 1 + 7) // 8
             self._sorted = sorted(self._bits, key=lambda b: b.to_bytes(nb, "little"))
         return self._sorted
+
+    def masked(self, mask: int) -> Sequence[int]:
+        """Every member ANDed with mask, one entry per member in slot order:
+        one AND of the packed members (kernel.slot_codec slots, packed on
+        first use and kept) with mask in every slot, and one unpack.  The
+        result is not kept."""
+        pack, unpack, broadcast = kernel.slot_codec(len(self._bits), self.depth)
+        if self._packed is None:
+            self._packed = pack([*self._bits])
+        return unpack(self._packed & broadcast(mask & prefix_mask(self.depth)))
 
     def elements(self) -> Iterator[FiniteAutomorphism]:
         for b in self.sorted_bits():
@@ -308,9 +338,9 @@ def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphi
 def _listable(lin: gf2.LinearSubgroup, cap: int | None, what: str,
               builder: str) -> gf2.LinearSubgroup:
     """lin, once its order is known to fit under the cap and under the
-    listing limit 2^gf2.MAX_LIST_LOG2, which holds whatever the cap; its
-    member portraits are then lin.iter_bits(), the blockwise walk over its
-    checks' nullspace."""
+    listing limit 2^gf2.MAX_LIST_LOG2, which holds whatever the cap; it is
+    then listed by EnumeratedSubgroup.from_linear, from the packed blocks
+    of the walk over its checks' nullspace."""
     check_order_cap(lin.log2_order(), min(resolve_cap(cap), 1 << gf2.MAX_LIST_LOG2),
                     what, f"use {builder} for membership without enumeration")
     return lin
@@ -331,8 +361,8 @@ def enumerate_PJ(d: int, J: Iterable[int], cap: int | None = None) -> Enumerated
     The result carries the Schreier generators of P_J (at most 2(d-1)).
     """
     J = frozenset(J)
-    return EnumeratedSubgroup.from_element_bits(
-        d, listable_PJ(d, J, cap).iter_bits(), _pj_schreier_generators(d, J))
+    return EnumeratedSubgroup.from_linear(
+        listable_PJ(d, J, cap), gens=_pj_schreier_generators(d, J))
 
 
 def M_V(d: int, V: Iterable[str]) -> gf2.LinearSubgroup:
@@ -349,8 +379,8 @@ def M_V(d: int, V: Iterable[str]) -> gf2.LinearSubgroup:
 
 def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> EnumeratedSubgroup:
     """Explicit element set of M_V, order 2^(2^(d-1) - 1)."""
-    return EnumeratedSubgroup.from_element_bits(
-        d, _listable(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)").iter_bits())
+    return EnumeratedSubgroup.from_linear(
+        _listable(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)"))
 
 
 def _last_level_images(g_bits: int, d: int) -> list[int]:

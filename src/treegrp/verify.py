@@ -166,12 +166,13 @@ def _listed_reduction(checks: gf2.LinearSubgroup,
                       J: frozenset[int]) -> tuple[pt.PatternGroup, Fraction]:
     """The rank reduction `checks` of P_J, listed, and its dimension; the
     listing must pass is_essential (tested on the basis of `checks`, which
-    spans it) and its stabilizer dimension must equal the rank dimension,
-    or VerificationError."""
+    spans it and is computed once for the listing and the test) and its
+    stabilizer dimension must equal the rank dimension, or
+    VerificationError."""
     d = checks.depth
-    group = EnumeratedSubgroup.from_element_bits(d, checks.iter_bits())
-    if not pt.is_essential(pt.PatternGroup.from_subgroup(group),
-                           tested=checks.basis()).essential:
+    basis = checks.basis()
+    group = EnumeratedSubgroup.from_linear(checks, basis)
+    if not pt.is_essential(pt.PatternGroup.from_subgroup(group), tested=basis).essential:
         raise VerificationError(
             f"the rank reduction of P_J for d={d}, J={sorted(J)} is not essential")
     reduced = pt.PatternGroup(d, group, essential=True)
@@ -207,9 +208,10 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
             pj = reduced.group
             agrees = pj.order == lin.order()
         else:
-            pj = EnumeratedSubgroup.from_element_bits(d, lin.iter_bits())
+            basis = lin.basis()
+            pj = EnumeratedSubgroup.from_linear(lin, basis)
             agrees = not pt.is_essential(pt.PatternGroup.from_subgroup(pj),
-                                         tested=lin.basis()).essential
+                                         tested=basis).essential
         if not agrees:
             raise VerificationError(
                 f"the rank route says P_J for d={d}, J={sorted(J)} has "

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from treegrp import gf2, patterns
-from treegrp.errors import EnumerationCapExceeded
+from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
     PatternGroup,
@@ -267,6 +267,14 @@ def test_dimension_of_maximal_pattern_groups():
 def test_dimension_rejects_non_essential_input():
     with pytest.raises(ValueError):
         hausdorff_dimension(pj_pattern(2, {0}))
+
+
+def test_stabilizer_order_not_a_power_of_two_is_a_verification_failure():
+    # Three portraits that fix the root, marked essential: not a group, and
+    # the stabilizer count reads all three.
+    fake = EnumeratedSubgroup.from_element_bits(2, {0b000, 0b010, 0b100})
+    with pytest.raises(VerificationError, match="stabilizer order 3 is not a power of two"):
+        hausdorff_dimension(PatternGroup(2, fake, essential=True))
 
 
 def test_dimension_allowed_set_on_depth2_sweep():
@@ -566,6 +574,16 @@ def test_psi_index_bookkeeping_identity():
             res = psi_image_index(p)
             stab = level_stabilizer(p.group, d - 1)
             assert 2 * p.order == stab.order ** 2 * res.value
+
+
+def test_psi_index_with_inconsistent_counts_is_a_verification_failure(monkeypatch):
+    # Three times the true |H(2)| of G(2): the stabilizer order 12 does not
+    # divide |H(1)|^2 = 4.
+    real = patterns.truncation_orbits
+    monkeypatch.setattr(patterns, "truncation_orbits", lambda p: (
+        level._replace(order=3 * level.order) for level in real(p)))
+    with pytest.raises(VerificationError, match=r"\|H\(2\)_1\| = 12 does not divide"):
+        psi_image_index(PatternGroup.from_subgroup(full_group(2)))
 
 
 def test_psi_index_unstabilized_budget_reports_depths():

@@ -823,3 +823,39 @@ def test_listing_limit_is_a_cap_refusal_whatever_the_cap(build):
     with pytest.raises(EnumerationCapExceeded) as err:
         build()
     assert err.value.cap == 1 << gf2.MAX_LIST_LOG2
+
+
+# -- packed members -------------------------------------------------------------
+
+
+def _masked_groups(d):
+    """Groups at depth d from close and from gf2 listings, of one member and
+    of several.  A listing keeps the slots it was built in; a closure packs
+    its members on first use."""
+    rng = random.Random(431 + d)
+    groups = [close([], depth=d), close([generator(d, 0), generator(d, d - 1)])]
+    if d <= 3:
+        groups.append(close([FiniteAutomorphism.random(d, rng) for _ in range(2)]))
+    n = (1 << d) - 1
+    # Up to 14 free bits, so at d >= 4 the listing spans more than one block
+    # of 2^12 members.
+    free = sum(1 << k for k in rng.sample(range(n), min(n, 14)))
+    for lin in (gf2.LinearSubgroup(d, (), zero=prefix_mask(d)),
+                gf2.LinearSubgroup(d, (rng.getrandbits(n),), zero=prefix_mask(d) & ~free)):
+        groups.append(EnumeratedSubgroup.from_linear(lin))
+        assert groups[-1].element_bits == frozenset(lin.iter_bits())
+    return groups
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_masked_is_every_member_anded_with_the_mask(d):
+    # d = 1..8 spans the 1-, 2-, 4- and 8-byte struct slots and the
+    # byte-joined slots at d >= 7; a one-member group has the identity codec.
+    left_path = sum(1 << (1 << k) - 1 for k in range(d))
+    masks = [0, prefix_mask(d), prefix_mask(d - 1), left_path, -1]
+    groups = _masked_groups(d)
+    orders = sorted(g.order for g in groups)
+    assert orders[0] == 1 < orders[-1]
+    for group in groups:
+        for mask in masks:
+            assert sorted(group.masked(mask)) == sorted(b & mask for b in group.element_bits)

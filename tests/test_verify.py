@@ -4,10 +4,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from treegrp import gf2, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
-from treegrp.heap import half_level_mask
+from treegrp.cli import main
+from treegrp.heap import half_level_mask, prefix_mask
 from treegrp.subgroups import derived_subgroup, full_group
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
@@ -123,6 +125,28 @@ def test_classify_cross_check_catches_an_over_reduced_pj(monkeypatch, d, said_es
     with pytest.raises(VerificationError,
                        match=f"essential={said_essential}, and its listing disagrees"):
         classify_maximal(d)
+
+
+def test_listed_arm_reads_every_member(monkeypatch):
+    # Each listing loses one member that fixes level d - 1 (the largest such
+    # portrait), so the listed stabilizer count is no power of two or is
+    # off the rank one; both must surface as verification failures.
+    real = subgroups.EnumeratedSubgroup.from_linear.__func__
+
+    def dropping(cls, lin, basis=None, gens=()):
+        group = real(cls, lin, basis, gens)
+        top = prefix_mask(lin.depth - 1)
+        drop = max(b for b in group.element_bits if not b & top)
+        return cls.from_element_bits(lin.depth, group.element_bits - {drop}, gens)
+
+    monkeypatch.setattr(subgroups.EnumeratedSubgroup, "from_linear", classmethod(dropping))
+    with pytest.raises(VerificationError, match="stabilizer order 127 is not a power of two"):
+        verify._reduced_pj(4, frozenset({3}), None)
+    with pytest.raises(VerificationError):
+        classify_maximal(4)
+    res = CliRunner().invoke(main, ["classify", "--d", "4"])
+    assert res.exit_code == 1
+    assert "verification failure: " in res.output
 
 
 def test_classify_reduces_by_rank_only(monkeypatch):
