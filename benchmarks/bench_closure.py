@@ -7,8 +7,11 @@ inputs occupy, so a generator must reach level 13 to be measured there),
 derived subgroups of a 16384-element index-2 subgroup and of the full
 depth-4 group (a normal closure folded from its four generators), raw
 compose and invert throughput at depths 4, 8, 12 and 16, where each
-product is d - 1 whole-portrait delta swaps, and kernel.pack of one full
-chunk of portraits at depths 4, 6 and 12.  It also times FiniteAutomorphism.apply, the
+product is d - 1 whole-portrait delta swaps, kernel.pack of one full
+chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
+drawn and packed, with nothing checked on them (`kernel.sampled_chunks`):
+the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
+12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
 kernel-free word action, on full-length words at depths 4 and 24, and ten
 kernel-free pattern-layer calls.  Seven are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the classify cross-check of
@@ -34,7 +37,8 @@ rows time whole verify suites at d=4:
 `verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
 `verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
 the 15 P_J), and one times that suite's conjugation law alone
-(`conjugation_law_counts` on the same 10,000 pairs).  A last row times `classify_maximal(4)` (15 rows read off the
+(`conjugation_law_counts` on the same 10,000 pairs, drawn and packed
+beforehand).  A last row times `classify_maximal(4)` (15 rows read off the
 parity checks, each cross-checked by enumeration) with the cache of
 [G(4), G(4)] cleared before each run.  Run after `pip install -e .`:
 
@@ -82,6 +86,11 @@ KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
 
 # Depths of the pack rows; each packs one full chunk of portraits.
 PACK_DEPTHS = [4, 6, 12]
+
+# (stream, depth, pairs drawn) for the sampled stream rows: the pair counts
+# of the verify-all and ni-depth benchmark ops at each depth.
+SAMPLED_STREAMS = [("ni", 4, 10_000), ("conjugation", 4, 10_000), ("ni", 6, 5_000),
+                   ("ni", 8, 1_500), ("ni", 12, 50), ("ni", 14, 7)]
 
 # (depth, pairs checked) for the half-tree law rows.
 NI_DEPTHS = [(4, 10_000), (8, 1_500), (12, 50), (14, 7)]
@@ -132,6 +141,15 @@ def bench_kernel():
         n = kernel.CHUNK_BITS >> d
         xs = [rng.getrandbits((1 << d) - 1) for _ in range(n)]
         results[f"pack x{n} (d={d})"] = timeit(lambda xs=xs, d=d: kernel.pack(xs, d))
+
+    for stream, d, samples in SAMPLED_STREAMS:
+        level = d - 1 if stream == "conjugation" else 0
+
+        def draw(d=d, samples=samples, level=level):
+            for _ in kernel.sampled_chunks(random.Random(0), samples, d, level):
+                pass
+
+        results[f"draw {stream} stream x{samples} (d={d})"] = timeit(draw)
 
     _FULL_GROUP_CACHE.clear()
     pj = enumerate_PJ(4, {3})
@@ -216,12 +234,12 @@ def bench_verify():
         _DERIVED_FULL_CACHE.clear()
         classify_maximal(4)
 
-    pairs = list(conjugation_pairs(4, 10_000, 0))
+    chunks = list(conjugation_pairs(4, 10_000, 0))
     return {
         "verify_not_top_fg(4)": timeit(lambda: verify_not_top_fg(4)),
         "verify_auxiliary(4)": timeit(lambda: verify_auxiliary(4)),
         "conjugation_law_counts(4), 10,000 pairs":
-            timeit(lambda: conjugation_law_counts(4, pairs)),
+            timeit(lambda: conjugation_law_counts(4, chunks)),
         "classify_maximal(4), caches cleared": timeit(classify_uncached),
     }
 

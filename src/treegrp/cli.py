@@ -257,7 +257,7 @@ _SUITE_DEPTH_LIMITS = {
               required=True)
 @click.option("--d", "d", type=int, required=True)
 @click.option("--samples", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--no-timestamp", is_flag=True)
 @_cap_option

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import product, repeat
+from itertools import product
 from operator import xor
 from random import Random
 from typing import Iterable, Sequence
@@ -143,42 +143,45 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
                              exhaustive: bool = False) -> list[IdentityCheckReport]:
     """Exercise the three transformation laws for several level sets at once.
 
-    All contexts share one depth and one stream of element pairs: every
-    ordered pair with exhaustive=True (meant for d <= 3), otherwise
-    `samples` seeded random pairs, at least one.  The stream is cut into
-    chunks that are packed into kernel batches, and each chunk's products,
-    inverses and commutators come from one kernel.law_batches call, which
-    builds each operand's delta-swap masks once.  The laws are then
-    checked for every sample at once on 2n-bit vectors whose bit 2j + i is
-    N_i of sample j: per level set, N is the XOR of the kernel's level
-    half parities over J', and N_(i + alpha) is N with each sample's pair
-    swapped where its root is active.  Each failing pair is reported with
-    the first law it breaks, in stream order, at most 10 per report; the
-    reports come back in the order of `contexts`.
+    All contexts share one depth and one stream of element pairs (g, h):
+    every ordered pair with exhaustive=True (meant for d <= 3), otherwise
+    `samples` seeded random pairs, at least one, drawn as
+    FiniteAutomorphism.random draws g, then h, from Random(seed) (seed at
+    least 0).  The stream comes in packed chunks, kernel.packed_chunks or
+    kernel.sampled_chunks, and each chunk's products, inverses and
+    commutators come from one kernel.law_batches call, which builds each
+    operand's delta-swap masks once.  The laws are then checked for every
+    sample at once on 2n-bit vectors whose bit 2j + i is N_i of sample j:
+    per level set, N is the XOR of the kernel's level half parities over
+    J', and N_(i + alpha) is N with each sample's pair swapped where its
+    root is active.  Each failing pair is reported with the first law it
+    breaks, in stream order, at most 10 per report; a chunk's members are
+    read only when one of its pairs is reported.  The reports come back in
+    the order of `contexts`.
     """
     if not exhaustive and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not contexts:
         return []
     d = contexts[0].depth
     if any(ctx.depth != d for ctx in contexts):
         raise ValueError(f"contexts must share one depth, got {[c.depth for c in contexts]}")
-    nbits = (1 << d) - 1
     # The laws read J only through J', which J and J ∪ {0} share.
     found: dict[frozenset[int], list[dict]] = {ctx.jprime: [] for ctx in contexts}
     if exhaustive:
-        pairs = product(range(1 << nbits), repeat=2)
+        chunks = kernel.packed_chunks(product(range(1 << ((1 << d) - 1)), repeat=2), d)
     else:
-        # The same stream FiniteAutomorphism.random draws from: g, then h.
-        draws = map(Random(seed).getrandbits, repeat(nbits, 2 * samples))
-        pairs = zip(draws, draws)
+        chunks = kernel.sampled_chunks(Random(seed), samples, d)
     checked = 0
-    for n, gs, hs, g, h in kernel.packed_chunks(pairs, d):
+    for n, members, g, h in chunks:
         checked += n
         gh, ginv, c = (_batch(x, n, d) for x in kernel.law_batches(g, h, n, d))
         parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
         ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
         evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample
+        gs = hs = None
         for jprime, failures in found.items():
             if len(failures) >= 10:
                 continue
@@ -195,6 +198,8 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
             ]
             laws = [(law, (v | (v >> 1)) & evens) for law, v in laws]
             bad = laws[0][1] | laws[1][1] | laws[2][1]
+            if bad and gs is None:
+                gs, hs = members()
             while bad and len(failures) < 10:
                 low = bad & -bad
                 bad ^= low

@@ -52,6 +52,23 @@ half_parities reads per-level half-tree parities off a batch by the
 inverse of the widening: each XOR-fold step translates every byte to the
 hex digit of its four XOR-ed bit pairs and unhexlifies, halving the int.
 
+Sampled streams
+---------------
+sampled_chunks draws a chunk of seeded random pairs already packed, and
+relies on how CPython's random.Random.getrandbits(k) fills its result: it
+takes w = ceil(k/32) outputs of the generator as 32-bit words, the first
+as the lowest, and shifts the last word right by 32 w - k.  A run of draws
+is therefore one draw of all their words, getrandbits(32 W) with W the
+words' total, whose last word is not shifted.  Cut into fixed slots of
+each draw's w words, it gives every draw back once each slot's last word
+is shifted down, and that takes one shift and one AND per distinct shift
+on the whole chunk, with masks repeated pair by pair.  Shifted up by one
+bit, each full portrait's slot holds its t-coordinate row; those rows, read
+at a stride of one pair's words out of the chunk's big-endian bytes, are
+the rows pack reads levels off, so the batches are pack's, bit for bit.
+The chunk's members are unpacked, with one struct call where the slots
+are machine words, only when a caller asks for them.
+
 Closure
 -------
 close is Dimino's coset closure (G. Butler, Fundamental Algorithms for
@@ -87,6 +104,13 @@ the broadcast mask and one unpack, and the expected portraits of
 subgroups.conjugation_law_counts, and pack's rows up to d = 6, where a
 slot is one machine word and one big-endian row once shifted into t
 coordinates.
+
+The byte translation tables of _swap_masks, half_parities and pack
+(_hex_tables, _fold_table and _digit_tables) are worked out on all their
+bytes at once, as one int: each shift is followed by an AND with a
+per-byte mask, which keeps every byte's bits inside that byte.  A fresh
+process pays a few whole-int operations for them instead of a loop over
+the bits of every byte.
 """
 
 from __future__ import annotations
@@ -94,9 +118,10 @@ from __future__ import annotations
 import struct
 import sys
 from binascii import hexlify, unhexlify
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import itemgetter, lshift
+from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded
@@ -112,22 +137,34 @@ def has_c_kernel() -> bool:
     return False
 
 
-def _widen_nibble(v: int, copies: int) -> int:
-    """Nibble v with each bit widened to two: copies 1 gives (bit, 0), 3 gives (bit, bit)."""
-    return sum(copies << 2 * i for i in range(4) if v >> i & 1)
-
-
 _HEX_DIGITS = b"0123456789abcdef"
+
+
+def _bytes(count: int) -> int:
+    """The bytes 0 .. count-1 side by side as one int, each below the next."""
+    return int.from_bytes(bytes(range(count)), "big")
+
+
+def _each(byte: int, count: int) -> int:
+    """The byte repeated count times, as one int."""
+    return int.from_bytes(bytes((byte,)) * count, "big")
+
+
+#: Translates a byte holding a nibble value to that value's ASCII hex digit.
+_NIBBLE_DIGITS = _HEX_DIGITS.ljust(256, b"\0")
 
 
 @cache
 def _hex_tables() -> tuple[bytes, ...]:
     """Byte translations of an ASCII hex digit to its nibble zero-interleaved, and doubled."""
+    v = _bytes(16)
+    v = (v | v << 2) & _each(0x33, 16)
+    v = (v | v << 1) & _each(0x55, 16)  # nibble bit i at bit 2i
     tables = []
-    for copies in (1, 3):
+    for widened in (v, v | v << 1):
         table = bytearray(256)
-        for v, c in enumerate(_HEX_DIGITS):
-            table[c] = _widen_nibble(v, copies)
+        for c, b in zip(_HEX_DIGITS, widened.to_bytes(16, "big")):
+            table[c] = b
         tables.append(bytes(table))
     return tuple(tables)
 
@@ -135,8 +172,11 @@ def _hex_tables() -> tuple[bytes, ...]:
 @cache
 def _fold_table() -> bytes:
     """Byte translation of a byte to the ASCII hex digit of its four XOR-ed bit pairs."""
-    return bytes(_HEX_DIGITS[sum(((v >> 2 * i ^ v >> 2 * i + 1) & 1) << i for i in range(4))]
-                 for v in range(256))
+    v = _bytes(256)
+    v = (v ^ v >> 1) & _each(0x55, 256)  # pair i's XOR at bit 2i
+    v = (v | v >> 1) & _each(0x33, 256)
+    v = (v | v >> 2) & _each(0x0F, 256)
+    return v.to_bytes(256, "big").translate(_NIBBLE_DIGITS)
 
 
 @cache
@@ -144,7 +184,8 @@ def _digit_tables() -> tuple[bytes, ...]:
     """Byte translations of a byte to its bits [2^m, 2^(m+1)) as one digit in
     base 2^(2^m), for m = 0, 1, 2: the levels a t-coordinate portrait keeps
     in its lowest byte."""
-    return tuple(bytes(_HEX_DIGITS[v >> w & (1 << w) - 1] for v in range(256))
+    v = _bytes(256)
+    return tuple((v >> w & _each((1 << w) - 1, 256)).to_bytes(256, "big").translate(_NIBBLE_DIGITS)
                  for w in (1, 2, 4))
 
 
@@ -202,24 +243,35 @@ def pack(xs: Sequence[int], d: int) -> int:
         # (2-core x86 VM, Python 3.11: 16 rows at d = 12 in 24 us, 50 us
         # through the slot int; at d = 6, 1024 rows in 186 us, 73 us).
         rows = b"".join((x << 1).to_bytes(row, "big") for x in reversed(xs))
+    return _pack_rows(rows, n, d, row, row)
+
+
+def _pack_rows(rows: bytes, n: int, d: int, end: int, stride: int, level: int = 0) -> int:
+    """The batch of n depth-d portraits read off their big-endian
+    t-coordinate rows in `rows`, the last sample's first: sample n-1-r's
+    row ends at byte end + r*stride.  With level >= 3 only levels
+    level..d-1 are read, the rest being 0, so a row need only hold those.
+    """
+    first = max(level, 3)
     blocks = []
-    for m in range(d - 1, 2, -1):  # level m >= 3 is 2^(m-3) whole bytes of a row
+    for m in range(d - 1, first - 1, -1):  # level m >= 3 is 2^(m-3) whole bytes of a row
         w = 1 << (m - 3)
-        lo = row - 2 * w
+        lo = end - 2 * w
         # min(n, w) slice copies: one strided column per byte of the level
         # slice, or one run per sample.  On a 2-core x86 VM (Python 3.11)
         # columns pack d = 6, n = 1024 3.6x faster, runs d = 14, n = 4 23x.
         if w <= n:
             block = bytearray(n * w)
             for i in range(w):
-                block[i::w] = rows[lo + i::row]
+                block[i::w] = rows[lo + i::stride]
         else:
-            block = b"".join(rows[r:r + w] for r in range(lo, n * row, row))
+            block = b"".join(rows[r:r + w] for r in range(lo, n * stride, stride))
         blocks.append(block)
-    out = int.from_bytes(b"".join(blocks), "big") << (n << 3)
-    low = rows[row - 1::row]  # levels 0, 1 and 2 share each row's last byte
-    for m, table in enumerate(_digit_tables()[:d]):
-        out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
+    out = int.from_bytes(b"".join(blocks), "big") << (n << first)
+    if level == 0:
+        low = rows[end - 1::stride]  # levels 0, 1 and 2 share each row's last byte
+        for m, table in enumerate(_digit_tables()[:d]):
+            out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
     return out
 
 
@@ -229,18 +281,95 @@ def pack(xs: Sequence[int], d: int) -> int:
 CHUNK_BITS = 1 << 16
 
 
-def packed_chunks(pairs: Iterable[tuple[int, int]], d: int
-                  ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+#: A packed chunk of a pair stream: (n, members, pack(xs), pack(ys)) for its
+#: n pairs (x, y), where members() returns xs and ys.
+Chunk = tuple[int, Callable[[], tuple[Sequence[int], Sequence[int]]], int, int]
+
+
+def packed_chunks(pairs: Iterable[tuple[int, int]], d: int) -> Iterator[Chunk]:
     """The stream of depth-d portrait pairs (x, y), cut into packed chunks.
 
     Each chunk holds at most CHUNK_BITS bits of batch, and at least one
-    pair.  Yields (n, xs, ys, pack(xs), pack(ys)) for its n pairs.
+    pair.
     """
     pairs = iter(pairs)
     per_chunk = max(1, CHUNK_BITS >> d)
     while chunk := list(islice(pairs, per_chunk)):
         xs, ys = zip(*chunk)
-        yield len(chunk), xs, ys, pack(xs, d), pack(ys, d)
+        yield len(chunk), partial(tuple, (xs, ys)), pack(xs, d), pack(ys, d)
+
+
+def sampled_chunks(rng: Random, samples: int, d: int, level: int = 0) -> Iterator[Chunk]:
+    """packed_chunks of `samples` pairs (x, y) drawn from rng, each as
+    x = rng.getrandbits(2^d - 2^level) << (2^level - 1), then
+    y = rng.getrandbits(2^d - 1), with one getrandbits call per chunk.
+
+    x is a depth-d portrait for level 0 and, for 3 <= level < d, one with
+    labels on levels level..d-1 only.  See Sampled streams above.
+    """
+    wx, wy, fixups = _draw_layout(d, level)
+    stride = 4 * (wx + wy)  # bytes of one pair's words
+    per_chunk = max(1, CHUNK_BITS >> d)
+    for start in range(0, samples, per_chunk):
+        n = min(per_chunk, samples - start)
+        r = rng.getrandbits(8 * stride * n)
+        drawn = 0
+        for shift, wide in fixups:
+            drawn |= (r >> shift if shift else r) & wide
+        # Pair n-1-k is bytes [k stride, (k+1) stride) of a big-endian
+        # chunk: y's words, then x's.  Shifted by one bit, each full
+        # portrait's words hold its t-coordinate row.  An x above level 0
+        # is read unshifted: its row would end 2^level bits past its words.
+        rows = (drawn << 1).to_bytes(stride * n, "big")
+        if level:
+            x = _pack_rows(drawn.to_bytes(stride * n, "big"), n, d,
+                           stride + (1 << (level - 3)), stride, level)
+        else:
+            x = _pack_rows(rows, n, d, stride, stride)
+        yield (n, partial(_drawn_members, drawn, n, wx, wy, level), x,
+               _pack_rows(rows, n, d, 4 * wy, stride))
+
+
+@lru_cache(maxsize=8)
+def _draw_layout(d: int, level: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """32-bit words of sampled_chunks' draws x and y, and the (right shift,
+    mask) terms that put a full chunk's draws in place.
+
+    A draw of k bits is its w = ceil(k/32) words with the last one shifted
+    down by 32 w - k, so each draw keeps its words below the last as they
+    are and takes its last word's top k - 32 (w - 1) bits.  The masks span
+    a full chunk, which cuts any shorter chunk's draw to its own length.
+    """
+    if level and not 3 <= level < d:
+        raise ValueError(f"level must be 0 or in 3..{d - 1}, got {level}")
+    kx, ky = (1 << d) - (1 << level), (1 << d) - 1  # bits of each draw
+    wx, wy = (kx + 31) >> 5, (ky + 31) >> 5
+    masks: dict[int, int] = {}
+    for base, k, w in ((0, kx, wx), (32 * wx, ky, wy)):
+        last = base + 32 * (w - 1)
+        masks[0] = masks.get(0, 0) | ((1 << (last - base)) - 1) << base
+        masks[32 * w - k] = masks.get(32 * w - k, 0) | ((1 << (k - 32 * (w - 1))) - 1) << last
+    n = max(1, CHUNK_BITS >> d)
+    stride = 4 * (wx + wy)
+    return wx, wy, [(shift, int.from_bytes(mask.to_bytes(stride, "little") * n, "little"))
+                    for shift, mask in masks.items() if mask]
+
+
+def _drawn_members(drawn: int, n: int, wx: int, wy: int, level: int
+                   ) -> tuple[Sequence[int], Sequence[int]]:
+    """xs and ys of sampled_chunks' n pairs in `drawn`, wx and wy words each."""
+    b = drawn.to_bytes(4 * (wx + wy) * n, _ORDER)
+    fx, fy = _WORD_FORMATS.get(4 * wx), _WORD_FORMATS.get(4 * wy)
+    if fx and fy:  # one struct unpack of machine words
+        values = struct.unpack(f"={2 * n}{fx}" if fx == fy else "=" + (fx + fy) * n, b)
+        xs, ys = values[0::2], values[1::2]
+    else:
+        stride, cut = 4 * (wx + wy), 4 * wx
+        xs = [int.from_bytes(b[i:i + cut], _ORDER) for i in range(0, len(b), stride)]
+        ys = [int.from_bytes(b[i + cut:i + stride], _ORDER) for i in range(0, len(b), stride)]
+    if level:
+        xs = list(map(lshift, xs, repeat((1 << level) - 1)))
+    return xs, ys
 
 
 def half_parities(x: int, n: int, d: int) -> list[int]:

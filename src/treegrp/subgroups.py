@@ -400,27 +400,29 @@ def _last_level_images(g_bits: int, d: int) -> list[int]:
     return images
 
 
-def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+def conjugation_law_counts(d: int, chunks: Iterable[kernel.Chunk]) -> tuple[int, int]:
     """(checked, failures) of the conjugation law over a stream of (h, g)
     portrait pairs, each h stabilizing level d-1: h^g stabilizes level d-1
     and carries, at each last-level vertex v, the label of h at g(v).
 
-    The law is checked on kernel batches: each chunk of the stream
-    (kernel.packed_chunks) is conjugated by one conjugate_batch call and
-    compared, as one int, with the packed expected portraits.  Those are
-    built without the kernel's swap arithmetic.  A chunk's pairs are
-    grouped by g's labels above the last level, which fix g's last-level
-    images (walked off those labels and memoised on them).  Each group's
-    h go side by side into kernel.slot_codec slots, and each last-level
-    vertex v takes, in every slot at once, the bit at g(v): 2^(d-1)
-    operations on the group's int, whatever its size.  A chunk whose ints
-    differ is recounted pair by pair.
+    The stream comes as packed chunks (n, members, pack(hs), pack(gs)), from
+    kernel.packed_chunks or kernel.sampled_chunks, where members() returns
+    the chunk's hs and gs.  Each chunk is conjugated by one conjugate_batch
+    call and compared, as one int, with the packed expected portraits.
+    Those are built without the kernel's swap arithmetic.  A chunk's pairs
+    are grouped by g's labels above the last level, which fix g's
+    last-level images (walked off those labels and memoised on them).
+    Each group's h go side by side into kernel.slot_codec slots, and each
+    last-level vertex v takes, in every slot at once, the bit at g(v):
+    2^(d-1) operations on the group's int, whatever its size.  A chunk
+    whose ints differ is recounted pair by pair.
     """
     top = prefix_mask(d - 1)
     first = (1 << (d - 1)) - 1
     images_of: dict[int, list[int]] = {}
     checked = failures = 0
-    for n, hs, gs, h, g in kernel.packed_chunks(pairs, d):
+    for n, members, h, g in chunks:
+        hs, gs = members()
         if any(map(top.__and__, hs)):
             raise ValueError("h must stabilize level d-1")
         groups: dict[int, list[int]] = {}
@@ -434,9 +436,11 @@ def conjugation_law_counts(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[in
             pack, unpack, broadcast = kernel.slot_codec(len(idx), d)
             x, ones = pack([hs[i] for i in idx]), broadcast(1)
             e = 0
-            for v, img in enumerate(images, first):
-                e |= (x >> img & ones) << v
-            for i, ei in zip(idx, unpack(e)):
+            for k, img in enumerate(images):
+                e |= (x >> img & ones) << k
+            # Built in each slot's low 2^(d-1) bits, so the ints stay small
+            # when a group holds one pair, then lifted to the last level.
+            for i, ei in zip(idx, unpack(e << first)):
                 expected[i] = ei
         checked += n
         if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):

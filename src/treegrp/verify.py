@@ -45,7 +45,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator
 
-from . import gf2, patterns as pt
+from . import gf2, kernel, patterns as pt
 from .errors import EnumerationCapExceeded, VerificationError
 from .halftree import (
     NOT_IN_DERIVED,
@@ -502,20 +502,21 @@ def _reduced_pj(d: int, J: frozenset[int],
 
 
 def conjugation_pairs(d: int, samples: int, seed: int,
-                      cap: int | None = None) -> Iterator[tuple[int, int]]:
+                      cap: int | None = None) -> Iterator[kernel.Chunk]:
     """The (h, g) portrait pairs of verify_auxiliary's conjugation law, h in
-    the level-(d-1) stabilizer: every pair through depth 3, `samples`
-    seeded random pairs above."""
+    the level-(d-1) stabilizer, as conjugation_law_counts' packed chunks:
+    every pair through depth 3 (kernel.packed_chunks), `samples` seeded
+    random pairs above (kernel.sampled_chunks at level d-1).  Each sampled
+    pair draws from Random(seed), seed at least 0, h's last-level labels
+    as getrandbits(2^(d-1)), then g as FiniteAutomorphism.random does.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if d <= 3:
         grp = full_group(d, cap=cap)
         stab = level_stabilizer(grp, d - 1).sorted_bits()
-        return ((h, g) for h in stab for g in grp.sorted_bits())
-    rng = Random(seed)
-    width = 1 << (d - 1)
-    nbits = (1 << d) - 1
-    # h's last-level labels first, then g as FiniteAutomorphism.random draws it.
-    return ((rng.getrandbits(width) << (width - 1), rng.getrandbits(nbits))
-            for _ in range(samples))
+        return kernel.packed_chunks(((h, g) for h in stab for g in grp.sorted_bits()), d)
+    return kernel.sampled_chunks(Random(seed), samples, d, level=d - 1)
 
 
 def verify_auxiliary(d: int, samples: int = 10_000, seed: int = 0,

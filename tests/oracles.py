@@ -7,13 +7,17 @@ inverse of gf2.gather_bits, and the parity-check essential reduction by way
 of a basis of the group.  Three are the library's earlier bodies, which
 built one portrait at a time what kernel.slot_codec now builds slot-packed:
 kernel.pack's rows, gf2.LinearSubgroup.iter_bits's blocks and
-subgroups.conjugation_law_counts's expected portraits.
+subgroups.conjugation_law_counts's expected portraits.  Two more are the
+sampled pair streams one getrandbits call per draw, which
+kernel.sampled_chunks draws a chunk per call, and three are the kernel's
+byte translation tables built bit by bit.
 
 The vertex-word helpers (vertex_word, from_labels, label, beta_V) and the
 closure check verify_closed serve only tests, so they live here rather
 than in the library.
 """
 
+from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from treegrp import gf2, kernel
@@ -173,7 +177,8 @@ def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
     first = (1 << (d - 1)) - 1
     images_of: dict[int, list[int]] = {}
     checked = failures = 0
-    for n, hs, gs, h, g in kernel.packed_chunks(pairs, d):
+    for n, members, h, g in kernel.packed_chunks(pairs, d):
+        hs, gs = members()
         expected = []
         for hb, gb in zip(hs, gs):
             if hb & top:
@@ -191,3 +196,58 @@ def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
             failures += sum(kernel.conjugate(hb, gb, d) != e
                             for hb, gb, e in zip(hs, gs, expected))
     return checked, failures
+
+
+def ni_pairs_by_draws(d: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
+    """The (g, h) stream of halftree.verify_ni_identities_for, one draw at a
+    time: g, then h, as FiniteAutomorphism.random draws them."""
+    rng = Random(seed)
+    nbits = (1 << d) - 1
+    for _ in range(samples):
+        yield rng.getrandbits(nbits), rng.getrandbits(nbits)
+
+
+def conjugation_pairs_by_draws(d: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
+    """The sampled (h, g) stream of verify.conjugation_pairs, one draw at a
+    time: h's last-level labels, then g as FiniteAutomorphism.random draws it."""
+    rng = Random(seed)
+    width, nbits = 1 << (d - 1), (1 << d) - 1
+    for _ in range(samples):
+        yield rng.getrandbits(width) << (width - 1), rng.getrandbits(nbits)
+
+
+def stream_pairs(chunks) -> list[tuple[int, int]]:
+    """The pairs of a stream of packed chunks, in stream order."""
+    return [pair for _, members, _, _ in chunks for pair in zip(*members())]
+
+
+HEX_DIGITS = b"0123456789abcdef"
+
+
+def widen_nibble(v: int, copies: int) -> int:
+    """Nibble v with each bit widened to two: copies 1 gives (bit, 0), 3 gives (bit, bit)."""
+    return sum(copies << 2 * i for i in range(4) if v >> i & 1)
+
+
+def hex_tables_by_bits() -> tuple[bytes, ...]:
+    """kernel._hex_tables: an ASCII hex digit to its nibble zero-interleaved, and doubled."""
+    tables = []
+    for copies in (1, 3):
+        table = bytearray(256)
+        for v, c in enumerate(HEX_DIGITS):
+            table[c] = widen_nibble(v, copies)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def fold_table_by_bits() -> bytes:
+    """kernel._fold_table: a byte to the ASCII hex digit of its four XOR-ed bit pairs."""
+    return bytes(HEX_DIGITS[sum(((v >> 2 * i ^ v >> 2 * i + 1) & 1) << i for i in range(4))]
+                 for v in range(256))
+
+
+def digit_tables_by_bits() -> tuple[bytes, ...]:
+    """kernel._digit_tables: a byte to its bits [2^m, 2^(m+1)) as one
+    digit in base 2^(2^m), for m = 0, 1, 2."""
+    return tuple(bytes(HEX_DIGITS[v >> w & (1 << w) - 1] for v in range(256))
+                 for w in (1, 2, 4))

@@ -460,6 +460,15 @@ def test_verify_rejects_samples_below_one(runner, suite, samples):
     assert "--samples" in res.output
 
 
+@pytest.mark.parametrize("suite", ["ni", "aux", "all"])
+def test_verify_rejects_a_negative_seed(runner, suite):
+    # Random(-7) seeds as Random(7) does, so a negative seed would repeat
+    # another seed's pairs under its own name.
+    res = runner.invoke(main, ["verify", "--suite", suite, "--d", "4", "--seed", "-7"])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+
+
 @pytest.mark.parametrize("command", [["classify"], ["verify", "--suite", "noadad"]])
 @pytest.mark.parametrize("cap_args,env_cap", [
     (["--cap", "0"], None),

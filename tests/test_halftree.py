@@ -218,6 +218,18 @@ def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, l
     assert {f["law"] for f in rep.failures} == {law}
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_reported_pairs_are_the_per_draw_stream_pairs(monkeypatch, d):
+    # A chunk's members are read only for a reported pair: as one struct
+    # unpack of 32-bit words at d = 4, slot by slot at d = 8.
+    break_kernel(monkeypatch, "compose", flip_vertex_0)
+    ctx = JContext.make(d, {1, d - 1})
+    samples = (kernel.CHUNK_BITS >> d) + 3
+    rep = verify_ni_identities(ctx, samples=samples, seed=13)
+    assert len(rep.failures) == 10
+    assert rep.failures == reference_ni_failures(ctx, samples=samples, seed=13)
+
+
 def test_identities_reject_out_of_range_portraits(monkeypatch):
     break_kernel(monkeypatch, "compose", out_of_range)
     with pytest.raises(ValueError, match="out of range"):
@@ -316,6 +328,13 @@ def test_chunked_run_memory_does_not_grow_with_pairs():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_identities_reject_a_negative_seed(exhaustive):
+    with pytest.raises(ValueError, match="seed"):
+        verify_ni_identities_for([JContext.make(3, {2})], samples=5, seed=-7,
+                                 exhaustive=exhaustive)
 
 
 def test_shared_stream_needs_one_depth():

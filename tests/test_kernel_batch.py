@@ -1,7 +1,9 @@
 """Batches of portraits in the kernel's level-major layout: pack against a
-reference unpack, the batch ops against the single ops, law_batches against
-the three batch ops it stands for, and the level half parities and root
-swap mask against heap-mask popcounts."""
+reference unpack, sampled chunks against the per-draw streams packed, the
+batch ops against the single ops, law_batches against the three batch ops
+it stands for, the level half parities and root swap mask against
+heap-mask popcounts, and the byte translation tables against their per-bit
+definitions."""
 
 import random
 
@@ -10,7 +12,15 @@ import pytest
 from treegrp import kernel
 from treegrp.heap import half_level_mask
 
-from oracles import pack_by_rows
+from oracles import (
+    conjugation_pairs_by_draws,
+    digit_tables_by_bits,
+    fold_table_by_bits,
+    hex_tables_by_bits,
+    ni_pairs_by_draws,
+    pack_by_rows,
+    stream_pairs,
+)
 
 BATCH_SIZES = [1, 2, 3, 7, 8, 9, 64]
 
@@ -59,6 +69,44 @@ def test_pack_equals_per_portrait_rows(d):
     for n in (1, 2, 3, 255, kernel.CHUNK_BITS >> d):
         for xs in batches(rng, n, d):
             assert kernel.pack(xs, d) == pack_by_rows(xs, d), n
+
+
+@pytest.mark.parametrize("stream, d", [("ni", d) for d in range(1, 15)]
+                         + [("conjugation", d) for d in range(4, 8)])
+def test_sampled_chunks_equal_the_per_draw_stream_packed(stream, d):
+    # A wrong shift of a slot's last word, word order or pair stride shows
+    # in the batches or the members, at every slot width from one word to
+    # 512 and with one, whole and cut chunks.
+    oracle, level = {"ni": (ni_pairs_by_draws, 0),
+                     "conjugation": (conjugation_pairs_by_draws, d - 1)}[stream]
+    per_chunk = max(1, kernel.CHUNK_BITS >> d)
+    for samples in sorted({1, max(1, per_chunk - 1), per_chunk, per_chunk + 1,
+                           3 * per_chunk + 5}):
+        for seed in range(3):
+            got = list(kernel.sampled_chunks(random.Random(seed), samples, d, level))
+            want = list(kernel.packed_chunks(oracle(d, samples, seed), d))
+            assert [c[:1] + c[2:] for c in got] == [c[:1] + c[2:] for c in want], (samples, seed)
+            assert stream_pairs(got) == stream_pairs(want), (samples, seed)
+
+
+def test_sampled_chunks_at_depth_16():
+    # One pair is wider than a chunk: each chunk holds one.
+    got = list(kernel.sampled_chunks(random.Random(5), 2, 16))
+    want = list(kernel.packed_chunks(ni_pairs_by_draws(16, 2, 5), 16))
+    assert [c[:1] + c[2:] for c in got] == [c[:1] + c[2:] for c in want]
+    assert stream_pairs(got) == stream_pairs(want)
+
+
+@pytest.mark.parametrize("level", [-1, 1, 2, 6])
+def test_sampled_chunks_reject_levels_they_cannot_draw(level):
+    with pytest.raises(ValueError, match="level"):
+        next(kernel.sampled_chunks(random.Random(0), 1, 6, level))
+
+
+def test_translation_tables_equal_their_per_bit_definitions():
+    assert kernel._hex_tables() == hex_tables_by_bits()
+    assert kernel._fold_table() == fold_table_by_bits()
+    assert kernel._digit_tables() == digit_tables_by_bits()
 
 
 @pytest.mark.parametrize("d", range(1, 13))

@@ -42,6 +42,7 @@ from oracles import (
     conjugation_law_counts_by_pairs,
     derived_subgroup_allpairs,
     from_labels,
+    stream_pairs,
     verify_closed,
 )
 
@@ -540,10 +541,11 @@ def per_pair_conjugation_failures(d, pairs):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_conjugation_law_counts_equal_per_pair_oracle_exhaustive(d):
-    pairs = list(verify.conjugation_pairs(d, samples=10_000, seed=0))
+    pairs = stream_pairs(verify.conjugation_pairs(d, samples=10_000, seed=0))
     assert len(pairs) == len(level_stabilizer(full_group(d), d - 1)) * (1 << ((1 << d) - 1))
     failures = sum(per_pair_conjugation_failures(d, pairs))
-    assert conjugation_law_counts(d, iter(pairs)) == (len(pairs), failures)
+    got = conjugation_law_counts(d, verify.conjugation_pairs(d, samples=10_000, seed=0))
+    assert got == (len(pairs), failures)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -551,7 +553,7 @@ def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
     # The stream of `samples` pairs is the first `samples` of a longer one,
     # so one oracle run covers every count; 4096 pairs fill one chunk at d = 4.
     counts = [1, 4095, 4096, 4097, 10_000]
-    pairs = list(verify.conjugation_pairs(4, max(counts), seed))
+    pairs = stream_pairs(verify.conjugation_pairs(4, max(counts), seed))
     rng = random.Random(seed)
     assert pairs == [(rng.getrandbits(8) << 7, FiniteAutomorphism.random(4, rng).bits)
                      for _ in range(max(counts))]
@@ -564,9 +566,9 @@ def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
 def test_conjugation_law_counts_equal_per_pair_oracle_at_depth_5():
     # 3000 pairs span two chunks of 2048; at d = 5 nearly every g has its
     # own labels above the last level, so most groups hold one pair.
-    pairs = list(verify.conjugation_pairs(5, 3000, seed=2))
+    pairs = stream_pairs(verify.conjugation_pairs(5, 3000, seed=2))
     expected = (len(pairs), sum(per_pair_conjugation_failures(5, pairs)))
-    assert conjugation_law_counts(5, iter(pairs)) == expected
+    assert conjugation_law_counts(5, verify.conjugation_pairs(5, 3000, seed=2)) == expected
     assert conjugation_law_counts_by_pairs(5, iter(pairs)) == expected
 
 
@@ -577,7 +579,7 @@ def test_conjugation_law_counts_on_a_chunk_sharing_one_g(d):
     width, n = 1 << (d - 1), kernel.CHUNK_BITS >> d
     g = rng.getrandbits((1 << d) - 1)
     pairs = [(rng.getrandbits(width) << (width - 1), g) for _ in range(n)]
-    got = conjugation_law_counts(d, iter(pairs))
+    got = conjugation_law_counts(d, kernel.packed_chunks(pairs, d))
     assert got == conjugation_law_counts_by_pairs(d, iter(pairs)) == (n, 0)
 
 
@@ -600,17 +602,18 @@ def test_conjugation_law_counts_equal_per_pair_oracle_on_broken_kernel(monkeypat
     # Patching the batch op also breaks kernel.conjugate, which the oracle uses.
     monkeypatch.setattr(kernel, "conjugate_batch", wrong)
     for d, samples in [(2, 0), (3, 0), (4, 4097), (5, 2049)]:
-        pairs = list(verify.conjugation_pairs(d, samples, seed=1))
+        pairs = stream_pairs(verify.conjugation_pairs(d, samples, seed=1))
         failures = sum(per_pair_conjugation_failures(d, pairs))
         assert failures > 0, (name, d)
-        assert conjugation_law_counts(d, iter(pairs)) == (len(pairs), failures), (name, d)
+        got = conjugation_law_counts(d, verify.conjugation_pairs(d, samples, seed=1))
+        assert got == (len(pairs), failures), (name, d)
         assert conjugation_law_counts_by_pairs(d, iter(pairs)) == (len(pairs), failures), (name, d)
 
 
 def test_conjugation_law_counts_reject_non_stabilizer():
     h, g = generator(3, 0).bits, identity(3).bits
     with pytest.raises(ValueError, match="stabilize"):
-        conjugation_law_counts(3, [(0, 0), (h, g)])
+        conjugation_law_counts(3, kernel.packed_chunks([(0, 0), (h, g)], 3))
 
 
 # -- derived subgroup of the full group ------------------------------------------------------

@@ -316,6 +316,14 @@ def test_auxiliary_sampling_needs_at_least_one_pair():
     assert verify_auxiliary(2, samples=0).passed
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_conjugation_pairs_reject_a_negative_seed(d):
+    with pytest.raises(ValueError, match="seed"):
+        verify.conjugation_pairs(d, 10, -7)
+    with pytest.raises(ValueError, match="seed"):
+        verify_auxiliary(d, samples=10, seed=-7)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_auxiliary_reduces_pj_by_rank_only(monkeypatch, d):
     # The set-filter reduction sees the 10 sweep groups and no P_J; each
