@@ -40,12 +40,19 @@ the 15 P_J), and one times that suite's conjugation law alone
 (`conjugation_law_counts` on the same 10,000 pairs, drawn and packed
 beforehand).  A last row times `classify_maximal(4)` (15 rows read off the
 parity checks, each cross-checked by enumeration) with the cache of
-[G(4), G(4)] cleared before each run.  Run after `pip install -e .`:
+[G(4), G(4)] cleared before each run.  The start-up row is the median
+wall time of 15 fresh `python -c "import treegrp.cli"` processes less the
+median of 15 bare `python -c pass` ones, run alternately: what importing
+the CLI adds to every command.  Run after `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
 
+import os
 import random
+import statistics
+import subprocess
+import sys
 import time
 
 from treegrp import kernel
@@ -97,6 +104,9 @@ NI_DEPTHS = [(4, 10_000), (8, 1_500), (12, 50), (14, 7)]
 
 # (depth, calls timed) for the apply rows.
 APPLY_DEPTHS = [(4, 20_000), (24, 16)]
+
+# Fresh processes per side of the start-up row.
+START_UP_RUNS = 15
 
 
 def timeit(fn, repeats=3):
@@ -244,6 +254,21 @@ def bench_verify():
     }
 
 
+def bench_start_up():
+    """Median seconds `import treegrp.cli` adds to a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    times = {"import treegrp.cli": [], "pass": []}
+    for _ in range(START_UP_RUNS):
+        for code, runs in times.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            runs.append(time.perf_counter() - start)
+    cli, bare = (statistics.median(runs) for runs in times.values())
+    return {f"import treegrp.cli less bare python, median of {START_UP_RUNS}": cli - bare}
+
+
 def main():
     kernel_rows = bench_kernel()
     width = max(len(s) for s in kernel_rows) + 2
@@ -262,6 +287,8 @@ def main():
     width = max(len(s) for s in patterns) + 2
     for label, seconds in patterns.items():
         print(f"{label:<{width}}{seconds:>10.4f} s (best)")
+    for label, seconds in bench_start_up().items():
+        print(f"{label:<{width}}{seconds:>10.4f} s (median)")
 
 
 if __name__ == "__main__":

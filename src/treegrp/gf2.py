@@ -13,7 +13,6 @@ membership against the label definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -90,7 +89,6 @@ def gather_bits(v: int, positions: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class LinearSubgroup:
     """A subgroup of the depth-d tree group whose element set is linear.
 
@@ -103,9 +101,10 @@ class LinearSubgroup:
     is asserted by sampling in tests, not enforced here.
     """
 
-    depth: int
-    checks: tuple[int, ...]
-    zero: int = 0
+    def __init__(self, depth: int, checks: tuple[int, ...], zero: int = 0):
+        self.depth = depth
+        self.checks = checks
+        self.zero = zero
 
     @property
     def num_bits(self) -> int:

@@ -12,7 +12,6 @@ certifies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
 from operator import xor
@@ -35,7 +34,6 @@ def _half_mask(jprime: frozenset[int], i: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class JContext:
     """Depth plus level set J, with the derived data the parity functionals use.
 
@@ -45,11 +43,10 @@ class JContext:
     a separate method rather than a construction invariant.
     """
 
-    depth: int
-    levels: frozenset[int]
-
-    def __post_init__(self):
-        level_set_mask(self.depth, self.levels)  # validates J
+    def __init__(self, depth: int, levels: frozenset[int]):
+        level_set_mask(depth, levels)  # validates J
+        self.depth = depth
+        self.levels = levels
 
     @classmethod
     def make(cls, d: int, J: Iterable[int]) -> "JContext":
@@ -111,14 +108,17 @@ def _check_pj_member(ctx: JContext, g: FiniteAutomorphism, name: str) -> None:
         )
 
 
-@dataclass
 class IdentityCheckReport(Report):
     """Result of exercising the product/inverse/commutator transformation laws."""
 
-    depth: int = field(metadata={"key": "d"})
-    levels: tuple[int, ...] = field(metadata={"key": "J"})
-    pairs_checked: int = 0
-    failures: list[dict] = field(default_factory=list)
+    KEYS = {"depth": "d", "levels": "J"}
+
+    def __init__(self, depth: int, levels: tuple[int, ...], pairs_checked: int,
+                 failures: list[dict]):
+        self.depth = depth
+        self.levels = levels
+        self.pairs_checked = pairs_checked
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
@@ -224,7 +224,6 @@ NOT_IN_DERIVED = "NOT_IN_DERIVED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
 class CertificateVerdict(Report):
     """One-sided membership verdict for [P_J, P_J].
 
@@ -233,8 +232,9 @@ class CertificateVerdict(Report):
     which is expected for genuine members and possible for non-members.
     """
 
-    verdict: str
-    certificate: str | None
+    def __init__(self, verdict: str, certificate: str | None):
+        self.verdict = verdict
+        self.certificate = certificate
 
 
 def derived_membership_certificate(ctx: JContext,

@@ -10,11 +10,13 @@ index used by the dimension bookkeeping identity.
 
 All dimension arithmetic is exact (fractions.Fraction); no floats anywhere.
 Patterns are assembled from portrait ints with the subtree helpers of
-treegrp.heap, which owns the layout.  Child subpatterns are never read off
-member by member: the candidate set is placed once under each first-level
-child, and a member's child subpattern is tested by masking the member with
-that child's placed prefix mask and looking the result up in the placed set.
-The test is exact because place(t, v, k) is injective and lands exactly on
+treegrp.heap, which owns the layout.  Child subpatterns of a whole group
+are never read off member by member: the candidate set is placed once under
+each first-level child, and a member's child subpattern is tested by
+masking the member with that child's placed prefix mask and looking the
+result up in the placed set.  Only the few members is_essential is handed
+to test (a basis) are gathered one child at a time instead.  The test is
+exact because place(t, v, k) is injective and lands exactly on
 the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
 t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -58,16 +60,17 @@ from .subgroups import (
 )
 
 
-@dataclass(frozen=True)
 class PatternGroup:
     """A subgroup of the depth-d group regarded as an allowed-pattern set.
 
     `essential` is tri-state: True/False once decided, None while unknown.
     """
 
-    depth: int
-    group: EnumeratedSubgroup
-    essential: bool | None = None
+    def __init__(self, depth: int, group: EnumeratedSubgroup,
+                 essential: bool | None = None):
+        self.depth = depth
+        self.group = group
+        self.essential = essential
 
     @classmethod
     def from_subgroup(cls, s: EnumeratedSubgroup) -> "PatternGroup":
@@ -113,9 +116,17 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     d = p.depth
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
-    (lm, left), (rm, right) = _children_placed(set(p.group.masked(prefix_mask(d - 1))),
-                                               d - 1)
-    bad = next((b for b in (p.group.element_bits if tested is None else tested)
+    truncations = set(p.group.masked(prefix_mask(d - 1)))
+    if tested is not None:
+        # Few members: gather their children rather than place every
+        # truncation under both.
+        for b in tested:
+            for i in (0, 1):
+                if gather(b, i + 1, d - 1) not in truncations:
+                    return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
+        return EssentialityResult(True, None)
+    (lm, left), (rm, right) = _children_placed(truncations, d - 1)
+    bad = next((b for b in p.group.element_bits
                 if b & lm not in left or b & rm not in right), None)
     if bad is None:
         return EssentialityResult(True, None)
@@ -417,7 +428,7 @@ def linear_truncation_group(d: int, J: Iterable[int], n: int) -> gf2.LinearSubgr
 
 def linear_stabilizer_log2_order(lin: gf2.LinearSubgroup, n: int) -> int:
     """log2 of the order of the level-n stabilizer of a parity-cut subgroup."""
-    return replace(lin, zero=lin.zero | prefix_mask(n)).log2_order()
+    return gf2.LinearSubgroup(lin.depth, lin.checks, lin.zero | prefix_mask(n)).log2_order()
 
 
 def linear_hausdorff_dimension(lin: gf2.LinearSubgroup) -> Fraction:

@@ -1,7 +1,7 @@
-"""Reports are their dataclasses: one serializer for every JSON report.
+"""Reports are plain classes: one serializer for every JSON report.
 
-A report's JSON keys are its field names, except where a field names
-another key with ``field(metadata={"key": ...})``.  A report class that
+A report's JSON keys are its attribute names (its vars), except where the
+class's ``KEYS`` maps an attribute to another key.  A report class that
 defines ``passed`` also gets a ``"passed"`` key.  Values are made
 JSON-ready recursively: a Fraction becomes {"num", "den"}, a tuple a list,
 and a nested report its own document.
@@ -9,9 +9,7 @@ and a nested report its own document.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from fractions import Fraction
-from functools import cache
 
 
 def _plain(value):
@@ -29,17 +27,15 @@ def _plain(value):
     return value
 
 
-@cache
-def _keys(cls) -> tuple[tuple[str, str], ...]:
-    """(attribute, JSON key) for each field of a report class."""
-    return tuple((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
-
-
 class Report:
-    """Base of the dataclass reports; a subclass declares only its fields."""
+    """Base of the reports; a subclass sets its attributes in __init__."""
+
+    #: JSON key of each attribute whose key is not its name.
+    KEYS: dict[str, str] = {}
 
     def to_dict(self) -> dict:
-        doc = {key: _plain(getattr(self, name)) for name, key in _keys(type(self))}
+        keys = self.KEYS
+        doc = {keys.get(name, name): _plain(value) for name, value in vars(self).items()}
         if hasattr(type(self), "passed"):
             doc["passed"] = self.passed
         return doc

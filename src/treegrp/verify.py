@@ -39,7 +39,6 @@ A genuine counterexample raises VerificationError; reports never bury one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -103,26 +102,30 @@ def derived_of_full(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     return _DERIVED_FULL_CACHE[d]
 
 
-@dataclass(frozen=True)
 class ClassificationRow(Report):
-    d: int
-    J: tuple[int, ...]
-    essential: bool
-    contains_a_dminus1: bool
-    contains_derived_of_Gd: bool
-    dimension: Fraction
-    is_max_dimension: bool
-    bs_premise_fails: bool | None
-    top_fg_verdict: str
+    def __init__(self, d: int, J: tuple[int, ...], essential: bool,
+                 contains_a_dminus1: bool, contains_derived_of_Gd: bool,
+                 dimension: Fraction, is_max_dimension: bool,
+                 bs_premise_fails: bool | None, top_fg_verdict: str):
+        self.d = d
+        self.J = J
+        self.essential = essential
+        self.contains_a_dminus1 = contains_a_dminus1
+        self.contains_derived_of_Gd = contains_derived_of_Gd
+        self.dimension = dimension
+        self.is_max_dimension = is_max_dimension
+        self.bs_premise_fails = bs_premise_fails
+        self.top_fg_verdict = top_fg_verdict
 
 
-@dataclass
 class ClassificationReport(Report):
-    d: int
-    rows: list[ClassificationRow]
-    max_dimension_count: int
-    expected_max_count: int
-    used_gf2: bool
+    def __init__(self, d: int, rows: list[ClassificationRow], max_dimension_count: int,
+                 expected_max_count: int, used_gf2: bool):
+        self.d = d
+        self.rows = rows
+        self.max_dimension_count = max_dimension_count
+        self.expected_max_count = expected_max_count
+        self.used_gf2 = used_gf2
 
     @property
     def passed(self) -> bool:
@@ -217,7 +220,7 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
                 f"the rank route says P_J for d={d}, J={sorted(J)} has "
                 f"essential={essential}, and its listing disagrees")
         contains_derived = derived_full_bits <= pj.element_bits
-        stab = replace(lin, zero=lin.zero | prefix_mask(d - 1)).iter_bits()
+        stab = gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1)).iter_bits()
         schreier = [g.bits for g in _pj_schreier_generators(d, J)]
         bs_fails = not set(stab) <= _derived_from_generators(d, schreier, cap).element_bits
     else:
@@ -268,19 +271,21 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
     return report
 
 
-@dataclass
 class NoAdadCase(Report):
-    J: tuple[int, ...]
-    certificate_verdict: str
-    certificate: str | None
-    enumerated_checked: bool
-    enumerated_excluded: bool | None
+    def __init__(self, J: tuple[int, ...], certificate_verdict: str,
+                 certificate: str | None, enumerated_checked: bool,
+                 enumerated_excluded: bool | None):
+        self.J = J
+        self.certificate_verdict = certificate_verdict
+        self.certificate = certificate
+        self.enumerated_checked = enumerated_checked
+        self.enumerated_excluded = enumerated_excluded
 
 
-@dataclass
 class NoAdadReport(Report):
-    d: int
-    cases: list[NoAdadCase] = field(default_factory=list)
+    def __init__(self, d: int):
+        self.d = d
+        self.cases: list[NoAdadCase] = []
 
     @property
     def passed(self) -> bool:
@@ -323,19 +328,20 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
     return report
 
 
-@dataclass
 class TopFgCase(Report):
-    J: tuple[int, ...]
-    in_top_stabilizer: bool
-    certificate: str | None
-    enumerated_excluded: bool
-    verdict: str
+    def __init__(self, J: tuple[int, ...], in_top_stabilizer: bool,
+                 certificate: str | None, enumerated_excluded: bool, verdict: str):
+        self.J = J
+        self.in_top_stabilizer = in_top_stabilizer
+        self.certificate = certificate
+        self.enumerated_excluded = enumerated_excluded
+        self.verdict = verdict
 
 
-@dataclass
 class TopFgReport(Report):
-    d: int
-    cases: list[TopFgCase] = field(default_factory=list)
+    def __init__(self, d: int):
+        self.d = d
+        self.cases: list[TopFgCase] = []
 
     @property
     def passed(self) -> bool:
@@ -377,23 +383,28 @@ def verify_not_top_fg(d: int, cap: int | None = None, *,
     return report
 
 
-@dataclass
 class NewRelationCase(Report):
-    label: str = field(metadata={"key": "case"})
-    J: tuple[int, ...] | None
-    order_p: int = field(metadata={"key": "order_P"})
-    order_stab: int = field(metadata={"key": "order_P_top_stabilizer"})
-    psi_index: int | None
-    psi_depths: tuple[tuple[int, int], ...]
-    stabilized: bool
-    equality_holds: bool | None
+    KEYS = {"label": "case", "order_p": "order_P", "order_stab": "order_P_top_stabilizer"}
+
+    def __init__(self, label: str, J: tuple[int, ...] | None, order_p: int,
+                 order_stab: int, psi_index: int | None,
+                 psi_depths: tuple[tuple[int, int], ...], stabilized: bool,
+                 equality_holds: bool | None):
+        self.label = label
+        self.J = J
+        self.order_p = order_p
+        self.order_stab = order_stab
+        self.psi_index = psi_index
+        self.psi_depths = psi_depths
+        self.stabilized = stabilized
+        self.equality_holds = equality_holds
 
 
-@dataclass
 class NewRelationReport(Report):
-    d: int
-    cases: list[NewRelationCase] = field(default_factory=list)
-    incomplete: bool = False
+    def __init__(self, d: int):
+        self.d = d
+        self.cases: list[NewRelationCase] = []
+        self.incomplete = False
 
     @property
     def passed(self) -> bool:
@@ -442,15 +453,15 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
     return report
 
 
-@dataclass
 class AuxReport(Report):
-    d: int
-    conjugation_pairs_checked: int = 0
-    conjugation_failures: int = 0
-    sweep_groups_processed: int = 0
-    sweep_equivalences_hold: bool = True
-    pj_equivalences_hold: bool = True
-    allowed_set_violations: int = 0
+    def __init__(self, d: int):
+        self.d = d
+        self.conjugation_pairs_checked = 0
+        self.conjugation_failures = 0
+        self.sweep_groups_processed = 0
+        self.sweep_equivalences_hold = True
+        self.pj_equivalences_hold = True
+        self.allowed_set_violations = 0
 
     @property
     def passed(self) -> bool:

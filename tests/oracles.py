@@ -12,9 +12,10 @@ sampled pair streams one getrandbits call per draw, which
 kernel.sampled_chunks draws a chunk per call, and three are the kernel's
 byte translation tables built bit by bit.
 
-The vertex-word helpers (vertex_word, from_labels, label, beta_V) and the
-closure check verify_closed serve only tests, so they live here rather
-than in the library.
+The vertex-word helpers (vertex_word, from_labels, label, beta_V), the
+closure check verify_closed and state, the value a report or parity-check
+subgroup is compared by, serve only tests, so they live here rather than
+in the library.
 """
 
 from random import Random
@@ -24,7 +25,19 @@ from treegrp import gf2, kernel
 from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import heap_index, place, prefix_mask
 from treegrp.portrait import FiniteAutomorphism
+from treegrp.report import Report
 from treegrp.subgroups import EnumeratedSubgroup, _last_level_images, resolve_cap
+
+
+def state(value):
+    """(type, attributes) of a report or gf2.LinearSubgroup, with nested
+    reports in lists read the same way: two of them are equal exactly when
+    their states are, as a dataclass's generated == compared them."""
+    if isinstance(value, list):
+        return [state(v) for v in value]
+    if isinstance(value, (Report, gf2.LinearSubgroup)):
+        return type(value), {k: state(v) for k, v in vars(value).items()}
+    return value
 
 
 def vertex_word(index: int) -> str:

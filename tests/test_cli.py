@@ -1,11 +1,15 @@
 """CLI contract: outputs, exit codes, JSON determinism, file inputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import treegrp
 from treegrp import verify
 from treegrp.cli import main
 from treegrp.portrait import generator
@@ -550,3 +554,34 @@ def test_verify_runs_noadad_once(runner, monkeypatch, suite):
     res = runner.invoke(main, ["verify", "--suite", suite, "--d", "3", "--samples", "10"])
     assert res.exit_code == 0, res.output
     assert len(calls) == 1
+
+
+# -- start-up --------------------------------------------------------------------
+
+DATACLASSES = """
+import dataclasses, inspect, json, pkgutil, sys
+
+import treegrp, treegrp.cli
+
+names = {info.name for info in pkgutil.iter_modules(treegrp.__path__)}
+assert {m for m in sys.modules if m.startswith("treegrp.")} == {f"treegrp.{n}" for n in names}
+print(json.dumps(sorted(
+    f"{name}.{attr}" for name in names
+    for attr, obj in vars(sys.modules[f"treegrp.{name}"]).items()
+    if inspect.isclass(obj) and obj.__module__ == f"treegrp.{name}"
+    and dataclasses.is_dataclass(obj))))
+"""
+
+
+def test_start_up_builds_only_the_two_value_dataclasses():
+    # @dataclass compiles its generated methods from source in every fresh
+    # process; the reports and contexts are plain classes so the CLI's
+    # import skips that, and a new dataclass has to be added here on purpose.
+    src = str(Path(treegrp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", DATACLASSES], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["patterns.TruncationGroup",
+                                       "portrait.FiniteAutomorphism"]

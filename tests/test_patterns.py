@@ -176,11 +176,12 @@ def test_pj_essential_iff_top_level_in_J():
             assert is_essential(pj_pattern(d, J)).essential == (d - 1 in J)
 
 
-def reference_is_essential(p):
-    """The per-member subtree walk: (verdict, (witness bits, child) or None)."""
+def reference_is_essential(p, tested=None):
+    """The per-member subtree walk over P, or over `tested` in its order:
+    (verdict, (witness bits, child) or None)."""
     d = p.depth
     truncations = {b & prefix_mask(d - 1) for b in p.group.element_bits}
-    for b in p.group.element_bits:
+    for b in p.group.element_bits if tested is None else tested:
         for i in (0, 1):
             if gather(b, 1 + i, d - 1) not in truncations:
                 return False, (b, i)
@@ -199,6 +200,26 @@ def test_is_essential_matches_subtree_walk_with_its_witness():
             g, i = res.witness
             assert (g.depth, g.bits, i) == (s.depth, *witness)
             children.add(i)
+    assert children == {0, 1}
+
+
+def test_tested_members_match_subtree_walk_with_its_witness():
+    # The members handed in are walked in their order, child 0 first.
+    rng = random.Random(409)
+    children = set()
+    for _, s in pinning_cases():
+        p = PatternGroup.from_subgroup(s)
+        members = sorted(s.element_bits)
+        for tested in (members[:64], rng.sample(members, min(len(members), 64))):
+            res = is_essential(p, tested=tested)
+            essential, witness = reference_is_essential(p, tested)
+            assert res.essential == essential
+            if essential:
+                assert res.witness is None
+            else:
+                g, i = res.witness
+                assert (g.depth, g.bits, i) == (s.depth, *witness)
+                children.add(i)
     assert children == {0, 1}
 
 

@@ -15,7 +15,6 @@ count, fails here before it reaches a user.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,17 +56,19 @@ def test_ni_identities_document_is_pinned():
     assert doc == json.loads((DATA / "ni_identities_d3.json").read_text())
 
 
-@dataclass(frozen=True)
 class _Leaf(Report):
-    name: str = field(metadata={"key": "leaf"})
-    ratio: Fraction
-    pairs: tuple[tuple[int, int], ...]
+    KEYS = {"name": "leaf"}
+
+    def __init__(self, name: str, ratio: Fraction, pairs: tuple[tuple[int, int], ...]):
+        self.name = name
+        self.ratio = ratio
+        self.pairs = pairs
 
 
-@dataclass
 class _Tree(Report):
-    leaves: list[_Leaf]
-    notes: dict
+    def __init__(self, leaves: list[_Leaf], notes: dict):
+        self.leaves = leaves
+        self.notes = notes
 
     @property
     def passed(self) -> bool:

@@ -22,7 +22,7 @@ from treegrp.verify import (
     verify_not_top_fg,
 )
 
-from oracles import derived_subgroup_allpairs
+from oracles import derived_subgroup_allpairs, state
 
 
 @pytest.mark.parametrize("cap", [-5, 0])
@@ -207,7 +207,7 @@ def test_not_top_fg_reads_no_adad_cases(monkeypatch):
 def test_not_top_fg_takes_a_no_adad_report():
     for d in (2, 3, 4):
         report = verify_no_adad(d)
-        assert verify_not_top_fg(d, no_adad=report) == verify_not_top_fg(d)
+        assert state(verify_not_top_fg(d, no_adad=report)) == state(verify_not_top_fg(d))
     with pytest.raises(ValueError, match="no_adad"):
         verify_not_top_fg(3, no_adad=verify_no_adad(2))
     failed = verify_no_adad(3)
