@@ -36,9 +36,10 @@ and pair counts of the `ni-depth` benchmark's library ops above d=8.  Two
 rows time whole verify suites at d=4:
 `verify_not_top_fg` (which reads `verify_no_adad`'s cases) and
 `verify_auxiliary` (10,000 sampled conjugation pairs, the depth-2 sweep and
-the 15 P_J), and one times that suite's conjugation law alone
+the 15 P_J), and three time that suite's conjugation law alone
 (`conjugation_law_counts` on the same 10,000 pairs, drawn and packed
-beforehand).  A last row times `classify_maximal(4)` (15 rows read off the
+beforehand, and on 4,000 pairs at d=5 and 2,000 at d=6, where no workload
+goes).  A last row times `classify_maximal(4)` (15 rows read off the
 parity checks, each cross-checked by enumeration) with the cache of
 [G(4), G(4)] cleared before each run.  The start-up row is the median
 wall time of 15 fresh `python -c "import treegrp.cli"` processes less the
@@ -244,14 +245,16 @@ def bench_verify():
         _DERIVED_FULL_CACHE.clear()
         classify_maximal(4)
 
-    chunks = list(conjugation_pairs(4, 10_000, 0))
-    return {
+    rows = {
         "verify_not_top_fg(4)": timeit(lambda: verify_not_top_fg(4)),
         "verify_auxiliary(4)": timeit(lambda: verify_auxiliary(4)),
-        "conjugation_law_counts(4), 10,000 pairs":
-            timeit(lambda: conjugation_law_counts(4, chunks)),
-        "classify_maximal(4), caches cleared": timeit(classify_uncached),
     }
+    for d, samples in [(4, 10_000), (5, 4_000), (6, 2_000)]:
+        chunks = list(conjugation_pairs(d, samples, 0))
+        rows[f"conjugation_law_counts({d}), {samples:,} pairs"] = timeit(
+            lambda d=d, chunks=chunks: conjugation_law_counts(d, chunks))
+    rows["classify_maximal(4), caches cleared"] = timeit(classify_uncached)
+    return rows
 
 
 def bench_start_up():

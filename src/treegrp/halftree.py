@@ -155,9 +155,9 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     per level set, N is the XOR of the kernel's level half parities over
     J', and N_(i + alpha) is N with each sample's pair swapped where its
     root is active.  Each failing pair is reported with the first law it
-    breaks, in stream order, at most 10 per report; a chunk's members are
-    read only when one of its pairs is reported.  The reports come back in
-    the order of `contexts`.
+    breaks, in stream order, at most 10 per report; a reported pair is read
+    off the chunk's batches.  The reports come back in the order of
+    `contexts`.
     """
     if not exhaustive and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -175,13 +175,12 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     else:
         chunks = kernel.sampled_chunks(Random(seed), samples, d)
     checked = 0
-    for n, members, g, h in chunks:
+    for n, g, h in chunks:
         checked += n
         gh, ginv, c = (_batch(x, n, d) for x in kernel.law_batches(g, h, n, d))
         parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
         ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
         evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample
-        gs = hs = None
         for jprime, failures in found.items():
             if len(failures) >= 10:
                 continue
@@ -198,16 +197,17 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
             ]
             laws = [(law, (v | (v >> 1)) & evens) for law, v in laws]
             bad = laws[0][1] | laws[1][1] | laws[2][1]
-            if bad and gs is None:
-                gs, hs = members()
             while bad and len(failures) < 10:
                 low = bad & -bad
                 bad ^= low
                 j = (low.bit_length() - 1) >> 1
+                # Sample j of each batch, level by level (kernel.Chunk).
+                g_j, h_j = (sum((x >> ((n + j) << m) & (1 << (1 << m)) - 1) << (1 << m) - 1
+                                for m in range(d)) for x in (g, h))
                 failures.append({
                     "law": next(law for law, v in laws if v & low),
-                    "g": FiniteAutomorphism(d, gs[j]).to_hex(),
-                    "h": FiniteAutomorphism(d, hs[j]).to_hex(),
+                    "g": FiniteAutomorphism(d, g_j).to_hex(),
+                    "h": FiniteAutomorphism(d, h_j).to_hex(),
                 })
     return [IdentityCheckReport(d, tuple(sorted(ctx.levels)), checked,
                                 [dict(f) for f in found[ctx.jprime]])

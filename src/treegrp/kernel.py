@@ -66,8 +66,7 @@ on the whole chunk, with masks repeated pair by pair.  Shifted up by one
 bit, each full portrait's slot holds its t-coordinate row; those rows, read
 at a stride of one pair's words out of the chunk's big-endian bytes, are
 the rows pack reads levels off, so the batches are pack's, bit for bit.
-The chunk's members are unpacked, with one struct call where the slots
-are machine words, only when a caller asks for them.
+A chunk is its two batches and nothing else: no pair is unpacked.
 
 Closure
 -------
@@ -100,10 +99,11 @@ slots of 2^L bits do the work that slots of 2^d bits would.
 slot_codec packs portraits into fixed byte slots of one int for close's
 cosets, the listing in gf2 (whose blocks slot_join puts end to end), the
 members of subgroups.EnumeratedSubgroup, whose masked(mask) is one AND of
-the broadcast mask and one unpack, and the expected portraits of
-subgroups.conjugation_law_counts, and pack's rows up to d = 6, where a
-slot is one machine word and one big-endian row once shifted into t
-coordinates.
+the broadcast mask and one unpack and whose count_clear(mask) folds each
+masked slot onto its low bit for one bit_count, and pack's rows up to
+d = 6, where a slot is one machine word and one big-endian row once
+shifted into t coordinates.  subgroups.conjugation_law_counts reads its
+pairs' labels off the batches in one byte per pair and uses no codec.
 
 The byte translation tables of _swap_masks, half_parities and pack
 (_hex_tables, _fold_table and _digit_tables) are worked out on all their
@@ -118,9 +118,9 @@ from __future__ import annotations
 import struct
 import sys
 from binascii import hexlify, unhexlify
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import islice, repeat
-from operator import itemgetter, lshift
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -281,9 +281,11 @@ def _pack_rows(rows: bytes, n: int, d: int, end: int, stride: int, level: int = 
 CHUNK_BITS = 1 << 16
 
 
-#: A packed chunk of a pair stream: (n, members, pack(xs), pack(ys)) for its
-#: n pairs (x, y), where members() returns xs and ys.
-Chunk = tuple[int, Callable[[], tuple[Sequence[int], Sequence[int]]], int, int]
+#: A packed chunk of a pair stream: (n, pack(xs), pack(ys)) for its n pairs
+#: (x, y).  Sample j's labels on level m are the 2^m bits of its batch from
+#: (n + j) 2^m on, its heap bits from 2^m - 1 on: a reader of a single
+#: pair takes them level by level.
+Chunk = tuple[int, int, int]
 
 
 def packed_chunks(pairs: Iterable[tuple[int, int]], d: int) -> Iterator[Chunk]:
@@ -296,7 +298,7 @@ def packed_chunks(pairs: Iterable[tuple[int, int]], d: int) -> Iterator[Chunk]:
     per_chunk = max(1, CHUNK_BITS >> d)
     while chunk := list(islice(pairs, per_chunk)):
         xs, ys = zip(*chunk)
-        yield len(chunk), partial(tuple, (xs, ys)), pack(xs, d), pack(ys, d)
+        yield len(chunk), pack(xs, d), pack(ys, d)
 
 
 def sampled_chunks(rng: Random, samples: int, d: int, level: int = 0) -> Iterator[Chunk]:
@@ -326,8 +328,7 @@ def sampled_chunks(rng: Random, samples: int, d: int, level: int = 0) -> Iterato
                            stride + (1 << (level - 3)), stride, level)
         else:
             x = _pack_rows(rows, n, d, stride, stride)
-        yield (n, partial(_drawn_members, drawn, n, wx, wy, level), x,
-               _pack_rows(rows, n, d, 4 * wy, stride))
+        yield n, x, _pack_rows(rows, n, d, 4 * wy, stride)
 
 
 @lru_cache(maxsize=8)
@@ -353,23 +354,6 @@ def _draw_layout(d: int, level: int) -> tuple[int, int, list[tuple[int, int]]]:
     stride = 4 * (wx + wy)
     return wx, wy, [(shift, int.from_bytes(mask.to_bytes(stride, "little") * n, "little"))
                     for shift, mask in masks.items() if mask]
-
-
-def _drawn_members(drawn: int, n: int, wx: int, wy: int, level: int
-                   ) -> tuple[Sequence[int], Sequence[int]]:
-    """xs and ys of sampled_chunks' n pairs in `drawn`, wx and wy words each."""
-    b = drawn.to_bytes(4 * (wx + wy) * n, _ORDER)
-    fx, fy = _WORD_FORMATS.get(4 * wx), _WORD_FORMATS.get(4 * wy)
-    if fx and fy:  # one struct unpack of machine words
-        values = struct.unpack(f"={2 * n}{fx}" if fx == fy else "=" + (fx + fy) * n, b)
-        xs, ys = values[0::2], values[1::2]
-    else:
-        stride, cut = 4 * (wx + wy), 4 * wx
-        xs = [int.from_bytes(b[i:i + cut], _ORDER) for i in range(0, len(b), stride)]
-        ys = [int.from_bytes(b[i + cut:i + stride], _ORDER) for i in range(0, len(b), stride)]
-    if level:
-        xs = list(map(lshift, xs, repeat((1 << level) - 1)))
-    return xs, ys
 
 
 def half_parities(x: int, n: int, d: int) -> list[int]:

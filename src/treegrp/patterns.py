@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -180,10 +179,12 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
 
     Equals log2 of the order of P's level-(d-1) stabilizer divided by
     2^(d-1); the stabilizer order is always a power of two for a 2-group.
+    The stabilizer is counted off the packed members
+    (EnumeratedSubgroup.count_clear).
     """
     p = _ensure_essential(p)
     d = p.depth
-    stab_order = p.group.masked(prefix_mask(d - 1)).count(0)
+    stab_order = p.group.count_clear(prefix_mask(d - 1))
     if stab_order.bit_count() != 1:
         raise VerificationError(
             f"stabilizer order {stab_order} is not a power of two; "
@@ -205,8 +206,7 @@ def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TruncationGroup:
+class TruncationGroup(NamedTuple):
     """Depth-n truncation of the constrained group defined by a size-d P."""
 
     pattern_depth: int

@@ -39,7 +39,7 @@ cap by their exponent, so the check works at every depth.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded
@@ -154,15 +154,32 @@ class EnumeratedSubgroup:
             self._sorted = sorted(self._bits, key=lambda b: b.to_bytes(nb, "little"))
         return self._sorted
 
-    def masked(self, mask: int) -> Sequence[int]:
-        """Every member ANDed with mask, one entry per member in slot order:
-        one AND of the packed members (kernel.slot_codec slots, packed on
-        first use and kept) with mask in every slot, and one unpack.  The
-        result is not kept."""
+    def _masked_slots(self, mask: int) -> tuple[int, Callable, Callable]:
+        """The packed members (kernel.slot_codec slots, packed on first use
+        and kept) ANDed with mask in every slot, with the codec's unpack and
+        broadcast."""
         pack, unpack, broadcast = kernel.slot_codec(len(self._bits), self.depth)
         if self._packed is None:
             self._packed = pack([*self._bits])
-        return unpack(self._packed & broadcast(mask & prefix_mask(self.depth)))
+        return self._packed & broadcast(mask & prefix_mask(self.depth)), unpack, broadcast
+
+    def masked(self, mask: int) -> Sequence[int]:
+        """Every member ANDed with mask, one entry per member in slot order:
+        one AND of the packed members with mask in every slot, and one
+        unpack.  The result is not kept."""
+        x, unpack, _ = self._masked_slots(mask)
+        return unpack(x)
+
+    def count_clear(self, mask: int) -> int:
+        """How many members have no bit of mask set: the packed members
+        ANDed with mask in every slot, each slot's bits OR-folded onto its
+        low bit, and one bit_count of the slots left nonzero."""
+        x, _, broadcast = self._masked_slots(mask)
+        shift = 1
+        while shift < 8 * (((1 << self.depth) + 6) >> 3):  # bits of a slot
+            x |= x >> shift  # each slot's low bit gathers only its own slot's bits
+            shift <<= 1
+        return len(self._bits) - (x & broadcast(1)).bit_count()
 
     def elements(self) -> Iterator[FiniteAutomorphism]:
         for b in self.sorted_bits():
@@ -383,21 +400,8 @@ def enumerate_MV(d: int, V: Iterable[str], cap: int | None = None) -> Enumerated
         _listable(M_V(d, V), cap, f"M_V at depth {d}", "M_V(d, V)"))
 
 
-def _last_level_images(g_bits: int, d: int) -> list[int]:
-    """Heap indices of g's images of the level-(d-1) vertices, in heap order.
-
-    Walks g's labels level by level: g sends the children 2i+1, 2i+2 of a
-    vertex i to the children of g(i), swapped when g's label at i is 1.
-    """
-    images = [0]
-    for lvl in range(d - 1):
-        first = (1 << lvl) - 1
-        nxt = []
-        for u, img in enumerate(images):
-            flip = g_bits >> (first + u) & 1
-            nxt += (2 * img + 1 + flip, 2 * img + 2 - flip)
-        images = nxt
-    return images
+#: Translates a byte holding a value below 16 to its ASCII hex digit.
+_DIGITS = b"0123456789abcdef".ljust(256, b"\0")
 
 
 def conjugation_law_counts(d: int, chunks: Iterable[kernel.Chunk]) -> tuple[int, int]:
@@ -405,47 +409,59 @@ def conjugation_law_counts(d: int, chunks: Iterable[kernel.Chunk]) -> tuple[int,
     portrait pairs, each h stabilizing level d-1: h^g stabilizes level d-1
     and carries, at each last-level vertex v, the label of h at g(v).
 
-    The stream comes as packed chunks (n, members, pack(hs), pack(gs)), from
-    kernel.packed_chunks or kernel.sampled_chunks, where members() returns
-    the chunk's hs and gs.  Each chunk is conjugated by one conjugate_batch
-    call and compared, as one int, with the packed expected portraits.
-    Those are built without the kernel's swap arithmetic.  A chunk's pairs
-    are grouped by g's labels above the last level, which fix g's
-    last-level images (walked off those labels and memoised on them).
-    Each group's h go side by side into kernel.slot_codec slots, and each
-    last-level vertex v takes, in every slot at once, the bit at g(v):
-    2^(d-1) operations on the group's int, whatever its size.  A chunk
-    whose ints differ is recounted pair by pair.
+    The stream comes as packed chunks (n, pack(hs), pack(gs)), from
+    kernel.packed_chunks or kernel.sampled_chunks.  Each chunk is
+    conjugated by one conjugate_batch call and compared, as one int, with
+    the expected portraits, which are built off the two batches' bits by
+    the definition of g's action, with no kernel arithmetic: symbol i of
+    g(v) is v's symbol i XOR g's label at v's length-i prefix.  In one byte
+    per pair, column q holds h's label at last-level offset q, and the
+    selector of a vertex u above the last level holds g's label at u; both
+    are read off the batches' binary digits, one strided slice each.
+    Walking down from the root, each vertex's two child blocks of columns
+    are swapped where its selector is 1, after which column q holds h's
+    label at g(q): (d-1) 2^(d-2) swaps, each a few operations on the whole
+    chunk.  The columns then go back into the last level of a batch.  The
+    delta swaps of conjugate_batch read g's labels through masks widened
+    from them, so this route shares no step with the one it checks.  A
+    chunk whose ints differ is recounted pair by pair with kernel.conjugate.
     """
-    top = prefix_mask(d - 1)
-    first = (1 << (d - 1)) - 1
-    images_of: dict[int, list[int]] = {}
+    half = 1 << (d - 1)  # last-level vertices
+    first, full = half - 1, (1 << half) - 1
     checked = failures = 0
-    for n, members, h, g in chunks:
-        hs, gs = members()
-        if any(map(top.__and__, hs)):
+    for n, h, g in chunks:
+        low = n << (d - 1)  # batch bits below the last level's block
+        if h & ((1 << low) - 1):
             raise ValueError("h must stabilize level d-1")
-        groups: dict[int, list[int]] = {}
-        for i, gb in enumerate(gs):
-            groups.setdefault(gb & top, []).append(i)
-        expected = [0] * n
-        for key, idx in groups.items():
-            images = images_of.get(key)
-            if images is None:
-                images = images_of[key] = _last_level_images(key, d)
-            pack, unpack, broadcast = kernel.slot_codec(len(idx), d)
-            x, ones = pack([hs[i] for i in idx]), broadcast(1)
-            e = 0
-            for k, img in enumerate(images):
-                e |= (x >> img & ones) << k
-            # Built in each slot's low 2^(d-1) bits, so the ints stay small
-            # when a group holds one pair, then lifted to the last level.
-            for i, ei in zip(idx, unpack(e << first)):
-                expected[i] = ei
+        ones = int.from_bytes(b"\1" * n, "little")
+        # Bit i of each int at index i: '0' and '1' differ in their low bit.
+        h_digits = format(h >> low, f"0{low}b").encode()[::-1]
+        g_digits = format(g & ((1 << low) - 1), f"0{low}b").encode()[::-1]
+        cols = [int.from_bytes(h_digits[q:low:half], "little") & ones for q in range(half)]
+        for m in range(d - 1):
+            span = half >> m  # last-level vertices under a level-m vertex
+            k = span >> 1
+            for p in range(1 << m):
+                sel = int.from_bytes(g_digits[(n << m) + p:n << (m + 1):1 << m], "little") & ones
+                for q in range(p * span, p * span + k):
+                    t = (cols[q] ^ cols[q + k]) & sel
+                    cols[q] ^= t
+                    cols[q + k] ^= t
+        rows = [sum(c << i for i, c in enumerate(cols[b:b + 8])) for b in range(0, half, 8)]
+        if half < 8:  # pairs share a byte: each pair's byte is one base-2^half digit
+            e = int(rows[0].to_bytes(n, "big").translate(_DIGITS), 1 << half)
+        else:
+            out = bytearray(low >> 3)
+            for b, row in enumerate(rows):
+                out[b::half >> 3] = row.to_bytes(n, "little")
+            e = int.from_bytes(out, "little")
         checked += n
-        if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):
-            failures += sum(kernel.conjugate(hb, gb, d) != e
-                            for hb, gb, e in zip(hs, gs, expected))
+        if kernel.conjugate_batch(h, g, n, d) != e << low:
+            def member(x: int, j: int) -> int:  # sample j of the batch x
+                return sum((x >> ((n + j) << m) & (1 << (1 << m)) - 1) << (1 << m) - 1
+                           for m in range(d))
+            failures += sum(kernel.conjugate(member(h, j), member(g, j), d)
+                            != (e >> j * half & full) << first for j in range(n))
     return checked, failures
 
 
@@ -453,13 +469,15 @@ def all_subgroups_depth2(cap: int | None = None) -> list[EnumeratedSubgroup]:
     """Every subgroup of the depth-2 group (ten of them).
 
     The depth-2 group has order 8, so all its subgroups are generated by at
-    most two elements; closing all pairs is exhaustive.
+    most two elements; closing every unordered pair {x, y} once (36
+    closures) is exhaustive, since <x, y> = <y, x>.  Each group keeps the
+    first pair, in canonical order, that generates it.
     """
     g2 = full_group(2, cap=cap)
     els = [FiniteAutomorphism(2, b) for b in g2.sorted_bits()]
     seen: dict[frozenset[int], EnumeratedSubgroup] = {}
-    for x in els:
-        for y in els:
+    for i, x in enumerate(els):
+        for y in els[i:]:
             s = close([x, y], cap=cap)
             seen.setdefault(s.element_bits, s)
     return sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))

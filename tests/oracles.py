@@ -2,15 +2,16 @@
 
 Each one computes its answer the slow, direct way, independently of the
 route the library takes: the derived subgroup from all |S|^2 commutators,
-the conjugation law one pair at a time off g's last-level images, the
-inverse of gf2.gather_bits, and the parity-check essential reduction by way
-of a basis of the group.  Three are the library's earlier bodies, which
-built one portrait at a time what kernel.slot_codec now builds slot-packed:
-kernel.pack's rows, gf2.LinearSubgroup.iter_bits's blocks and
-subgroups.conjugation_law_counts's expected portraits.  Two more are the
-sampled pair streams one getrandbits call per draw, which
-kernel.sampled_chunks draws a chunk per call, and three are the kernel's
-byte translation tables built bit by bit.
+the conjugation law one pair at a time off g's last-level images (walked
+vertex by vertex down g's portrait, where subgroups.conjugation_law_counts
+swaps whole columns of a packed chunk), the inverse of gf2.gather_bits,
+and the parity-check essential reduction by way of a basis of the group.
+Two are the library's earlier bodies, which built one portrait at a time
+what kernel.slot_codec now builds slot-packed: kernel.pack's rows and
+gf2.LinearSubgroup.iter_bits's blocks.  Two more are the sampled pair
+streams one getrandbits call per draw, which kernel.sampled_chunks draws a
+chunk per call, and three are the kernel's byte translation tables built
+bit by bit.  batch_members reads a packed batch back sample by sample.
 
 The vertex-word helpers (vertex_word, from_labels, label, beta_V), the
 closure check verify_closed and state, the value a report or parity-check
@@ -18,6 +19,7 @@ subgroup is compared by, serve only tests, so they live here rather than
 in the library.
 """
 
+from itertools import islice
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +28,7 @@ from treegrp.errors import EnumerationCapExceeded
 from treegrp.heap import heap_index, place, prefix_mask
 from treegrp.portrait import FiniteAutomorphism
 from treegrp.report import Report
-from treegrp.subgroups import EnumeratedSubgroup, _last_level_images, resolve_cap
+from treegrp.subgroups import EnumeratedSubgroup, resolve_cap
 
 
 def state(value):
@@ -85,6 +87,23 @@ def derived_subgroup_allpairs(s: EnumeratedSubgroup, cap: int | None = None) -> 
     comms = {kernel.commutator(x, y, d) for x in bits for y in bits}
     closed = kernel.close(d, sorted(comms), resolve_cap(cap))
     return EnumeratedSubgroup.from_element_bits(d, closed)
+
+
+def _last_level_images(g_bits: int, d: int) -> list[int]:
+    """Heap indices of g's images of the level-(d-1) vertices, in heap order.
+
+    Walks g's labels level by level: g sends the children 2i+1, 2i+2 of a
+    vertex i to the children of g(i), swapped when g's label at i is 1.
+    """
+    images = [0]
+    for lvl in range(d - 1):
+        first = (1 << lvl) - 1
+        nxt = []
+        for u, img in enumerate(images):
+            flip = g_bits >> (first + u) & 1
+            nxt += (2 * img + 1 + flip, 2 * img + 2 - flip)
+        images = nxt
+    return images
 
 
 def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
@@ -185,13 +204,15 @@ def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
                                     ) -> tuple[int, int]:
     """Oracle form of subgroups.conjugation_law_counts: each pair's expected
     portrait gathered bit by bit off g's last-level images, then compared
-    chunk by chunk with the conjugates, as the library did before."""
+    with the conjugates chunk by chunk, in kernel.packed_chunks' chunks."""
     top = prefix_mask(d - 1)
     first = (1 << (d - 1)) - 1
     images_of: dict[int, list[int]] = {}
     checked = failures = 0
-    for n, members, h, g in kernel.packed_chunks(pairs, d):
-        hs, gs = members()
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, max(1, kernel.CHUNK_BITS >> d))):
+        hs, gs = zip(*chunk)
+        n = len(chunk)
         expected = []
         for hb, gb in zip(hs, gs):
             if hb & top:
@@ -205,7 +226,8 @@ def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
                 e |= (hb >> img & 1) << k
             expected.append(e << first)
         checked += n
-        if kernel.conjugate_batch(h, g, n, d) != kernel.pack(expected, d):
+        if kernel.conjugate_batch(kernel.pack(hs, d), kernel.pack(gs, d), n, d) \
+                != kernel.pack(expected, d):
             failures += sum(kernel.conjugate(hb, gb, d) != e
                             for hb, gb, e in zip(hs, gs, expected))
     return checked, failures
@@ -229,9 +251,18 @@ def conjugation_pairs_by_draws(d: int, samples: int, seed: int) -> Iterator[tupl
         yield rng.getrandbits(width) << (width - 1), rng.getrandbits(nbits)
 
 
-def stream_pairs(chunks) -> list[tuple[int, int]]:
-    """The pairs of a stream of packed chunks, in stream order."""
-    return [pair for _, members, _, _ in chunks for pair in zip(*members())]
+def batch_members(x: int, n: int, d: int) -> list[int]:
+    """The n depth-d portraits of the batch x, read off its binary digits:
+    sample j's labels on level m are the 2^m bits from (n + j) 2^m on."""
+    bits = format(x, f"0{n << d}b")[::-1]  # bit i at index i
+    return [int("".join(bits[n + j << m:n + j + 1 << m] for m in range(d))[::-1], 2)
+            for j in range(n)]
+
+
+def stream_pairs(chunks, d: int) -> list[tuple[int, int]]:
+    """The pairs of a stream of depth-d packed chunks, in stream order."""
+    return [pair for n, x, y in chunks
+            for pair in zip(batch_members(x, n, d), batch_members(y, n, d))]
 
 
 HEX_DIGITS = b"0123456789abcdef"

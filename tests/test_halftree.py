@@ -220,8 +220,8 @@ def test_identities_report_broken_kernel_like_object_path(monkeypatch, broken, l
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_reported_pairs_are_the_per_draw_stream_pairs(monkeypatch, d):
-    # A chunk's members are read only for a reported pair: as one struct
-    # unpack of 32-bit words at d = 4, slot by slot at d = 8.
+    # A reported pair is read off its chunk's two batches, level by level,
+    # at d = 4, where levels 0-2 share a byte, and at d = 8.
     break_kernel(monkeypatch, "compose", flip_vertex_0)
     ctx = JContext.make(d, {1, d - 1})
     samples = (kernel.CHUNK_BITS >> d) + 3

@@ -298,6 +298,27 @@ def test_stabilizer_order_not_a_power_of_two_is_a_verification_failure():
         hausdorff_dimension(PatternGroup(2, fake, essential=True))
 
 
+def test_stabilizer_count_equals_the_unpacked_count():
+    # count_clear folds each packed slot onto its low bit; masked(...).count(0)
+    # unpacks every member.  Every P_J at d <= 4 and its reduction, the
+    # depth-2 sweep groups and theirs, and one-member groups, under every
+    # prefix mask (the dimension reads level d-1's).
+    sweep = all_subgroups_depth2()
+    groups = sweep + [essential_reduction(PatternGroup.from_subgroup(s)).group for s in sweep]
+    for d in (2, 3, 4):
+        for J in nonempty_level_sets(d):
+            pj = enumerate_PJ(d, J)
+            groups += [pj, essential_reduction(PatternGroup.from_subgroup(pj)).group]
+    groups += [EnumeratedSubgroup.from_element_bits(d, {b})
+               for d in (1, 2, 4) for b in (0, 1, 1 << ((1 << d) - 2))]
+    for group in groups:
+        for n in range(group.depth + 1):
+            mask = prefix_mask(n)
+            assert group.count_clear(mask) == group.masked(mask).count(0), (group, n)
+    trivial = EnumeratedSubgroup.from_element_bits(3, {0})
+    assert hausdorff_dimension(PatternGroup.from_subgroup(trivial)) == 0
+
+
 def test_dimension_allowed_set_on_depth2_sweep():
     seen = set()
     for s in all_subgroups_depth2():

@@ -19,7 +19,6 @@ from treegrp.subgroups import (
     DEFAULT_CAP,
     M_V,
     EnumeratedSubgroup,
-    _last_level_images,
     all_subgroups_depth2,
     close,
     conjugation_law_counts,
@@ -37,6 +36,7 @@ from treegrp.subgroups import (
 )
 
 from oracles import (
+    _last_level_images,
     beta_V,
     conjugate_label_check,
     conjugation_law_counts_by_pairs,
@@ -269,6 +269,22 @@ def test_full_group_transitive_on_all_levels():
 
 def test_pj_transitive_on_last_level():
     assert is_transitive_on_level(enumerate_PJ(3, {2}), 2)
+
+
+def test_depth2_sweep_equals_the_closures_of_all_ordered_pairs():
+    # Closing each unordered pair once finds the groups the 64 ordered pairs
+    # find, first generated by the same pair, in the same order.
+    els = list(full_group(2))
+    seen = {}
+    for x in els:
+        for y in els:
+            s = close([x, y])
+            seen.setdefault(s.element_bits, s)
+    want = sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))
+    got = all_subgroups_depth2()
+    assert len(got) == 10
+    assert [(s.element_bits, s.generators) for s in got] == \
+        [(s.element_bits, s.generators) for s in want]
 
 
 def test_orbit_matches_word_action():
@@ -542,7 +558,7 @@ def per_pair_conjugation_failures(d, pairs):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_conjugation_law_counts_equal_per_pair_oracle_exhaustive(d):
-    pairs = stream_pairs(verify.conjugation_pairs(d, samples=10_000, seed=0))
+    pairs = stream_pairs(verify.conjugation_pairs(d, samples=10_000, seed=0), d)
     assert len(pairs) == len(level_stabilizer(full_group(d), d - 1)) * (1 << ((1 << d) - 1))
     failures = sum(per_pair_conjugation_failures(d, pairs))
     got = conjugation_law_counts(d, verify.conjugation_pairs(d, samples=10_000, seed=0))
@@ -554,7 +570,7 @@ def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
     # The stream of `samples` pairs is the first `samples` of a longer one,
     # so one oracle run covers every count; 4096 pairs fill one chunk at d = 4.
     counts = [1, 4095, 4096, 4097, 10_000]
-    pairs = stream_pairs(verify.conjugation_pairs(4, max(counts), seed))
+    pairs = stream_pairs(verify.conjugation_pairs(4, max(counts), seed), 4)
     rng = random.Random(seed)
     assert pairs == [(rng.getrandbits(8) << 7, FiniteAutomorphism.random(4, rng).bits)
                      for _ in range(max(counts))]
@@ -564,18 +580,28 @@ def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
         assert got == (samples, sum(bad[:samples])), samples
 
 
+def check_law_against_oracles(d, samples, seed):
+    pairs = stream_pairs(verify.conjugation_pairs(d, samples, seed), d)
+    expected = (len(pairs), sum(per_pair_conjugation_failures(d, pairs)))
+    assert conjugation_law_counts(d, verify.conjugation_pairs(d, samples, seed)) == expected
+    assert conjugation_law_counts_by_pairs(d, iter(pairs)) == expected
+
+
 def test_conjugation_law_counts_equal_per_pair_oracle_at_depth_5():
-    # 3000 pairs span two chunks of 2048; at d = 5 nearly every g has its
-    # own labels above the last level, so most groups hold one pair.
-    pairs = stream_pairs(verify.conjugation_pairs(5, 3000, seed=2))
-    expected = (len(pairs), sum(per_pair_conjugation_failures(5, pairs)))
-    assert conjugation_law_counts(5, verify.conjugation_pairs(5, 3000, seed=2)) == expected
-    assert conjugation_law_counts_by_pairs(5, iter(pairs)) == expected
+    # 3000 pairs span two chunks of 2048; each pair's last level fills two
+    # bytes of the expected batch, so the columns go back in two groups.
+    check_law_against_oracles(5, 3000, seed=2)
+
+
+def test_conjugation_law_counts_equal_per_pair_oracle_at_depth_6():
+    # 2500 pairs span three chunks of 1024, the last one cut short.
+    check_law_against_oracles(6, 2500, seed=3)
 
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_conjugation_law_counts_on_a_chunk_sharing_one_g(d):
-    # One full chunk whose pairs all share g: one group, as wide as the chunk.
+    # One full chunk whose pairs all share g: every selector is all ones or
+    # all zeros, so each swap moves a whole column or nothing.
     rng = random.Random(30 + d)
     width, n = 1 << (d - 1), kernel.CHUNK_BITS >> d
     g = rng.getrandbits((1 << d) - 1)
@@ -602,8 +628,8 @@ def test_conjugation_law_counts_equal_per_pair_oracle_on_broken_kernel(monkeypat
     wrong = wrong_conjugate_batches(kernel.conjugate_batch)[name]
     # Patching the batch op also breaks kernel.conjugate, which the oracle uses.
     monkeypatch.setattr(kernel, "conjugate_batch", wrong)
-    for d, samples in [(2, 0), (3, 0), (4, 4097), (5, 2049)]:
-        pairs = stream_pairs(verify.conjugation_pairs(d, samples, seed=1))
+    for d, samples in [(2, 0), (3, 0), (4, 4097), (5, 2049), (6, 1025)]:
+        pairs = stream_pairs(verify.conjugation_pairs(d, samples, seed=1), d)
         failures = sum(per_pair_conjugation_failures(d, pairs))
         assert failures > 0, (name, d)
         got = conjugation_law_counts(d, verify.conjugation_pairs(d, samples, seed=1))
