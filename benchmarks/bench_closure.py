@@ -12,9 +12,11 @@ chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
 drawn and packed, with nothing checked on them (`kernel.sampled_chunks`):
 the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
 12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and ten
-kernel-free pattern-layer calls.  Seven are at d=4: the essentiality test of
-P_{3} (a full pass over an essential group), the classify cross-check of
+kernel-free word action, on full-length words at depths 4 and 24, and eleven
+kernel-free pattern-layer calls.  Eight are at d=4: the essentiality test of
+P_{3} (a full pass over an essential group), the listing of P_{3} by
+`EnumeratedSubgroup.from_linear` read only through `masked` and
+`count_clear` (its member set is never built), the classify cross-check of
 the listed, rank-reduced P_{3} (`is_essential` on its basis and
 `hausdorff_dimension`, whose truncation set and stabilizer count read all
 16,384 members off `EnumeratedSubgroup.masked`), the set-filter essential
@@ -23,7 +25,7 @@ P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
 cross-checked by its essentiality and dimension), the depth-5 truncation
 group of the reduced P_{1}, and the aux suite's transitivity probes
 (`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
-groups and the 15 reduced P_J.  The eighth is the embedding index
+groups and the 15 reduced P_J.  The ninth is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
 (`truncation_orbits`) instead of listing them.  The last two reduce every
@@ -58,6 +60,7 @@ import time
 
 from treegrp import kernel
 from treegrp.halftree import JContext, verify_ni_identities_for
+from treegrp.heap import prefix_mask
 from treegrp.patterns import (
     PatternGroup,
     essential_reduction,
@@ -70,6 +73,7 @@ from treegrp.patterns import (
 from treegrp.portrait import FiniteAutomorphism, generators
 from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
+    EnumeratedSubgroup,
     _derived_from_generators,
     all_subgroups_depth2,
     conjugation_law_counts,
@@ -202,8 +206,17 @@ def bench_patterns():
     listed_p3, _ = _reduced_pj(4, frozenset({3}), None)
     p3_basis = linear_essential_reduction(maximal_subgroup(4, {3}))[0].basis()
     pjs = {d: [maximal_subgroup(d, J) for J in _nonempty_level_sets(d)] for d in (5, 8)}
+    lin3 = maximal_subgroup(4, {3})
+    lin3_basis = lin3.basis()
+
+    def list_p3_read_packed():
+        group = EnumeratedSubgroup.from_linear(lin3, lin3_basis)
+        return group.masked(prefix_mask(3)), group.count_clear(prefix_mask(3))
+
     return {
         "is_essential(P_{3}), d=4": timeit(lambda: is_essential(p3)),
+        "from_linear(P_{3}) read by masked + count_clear, d=4":
+            timeit(list_p3_read_packed, repeats=20),
         "is_essential + hausdorff_dimension(listed reduced P_{3}), d=4":
             timeit(lambda: (is_essential(listed_p3, tested=p3_basis),
                             hausdorff_dimension(listed_p3)), repeats=20),

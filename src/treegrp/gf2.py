@@ -147,9 +147,10 @@ class LinearSubgroup:
 
     def packed(self, basis: list[int] | None = None) -> int:
         """All members in the kernel.slot_codec(order, depth) slots of one
-        int, in iter_bits order: _blocks put end to end.  `basis`, if
-        given, is self.basis(), so a caller that needs it too computes it
-        once."""
+        int, in iter_bits order: _blocks put end to end, as
+        EnumeratedSubgroup.from_linear keeps them, unpacked only on a
+        membership read.  `basis`, if given, is self.basis(), so a caller
+        that needs it too computes it once."""
         basis = self._listing_basis(basis)
         return kernel.slot_join(self._blocks(basis), 1 << min(len(basis), _BLOCK_LOG2),
                                 self.depth)

@@ -7,7 +7,8 @@ Two representations, one per question:
   ordered by the portrait byte encoding.  It also keeps its members packed
   in kernel.slot_codec slots (from the listing, or packed on first use), so
   masked(mask), every member ANDed with one mask, is one AND and one unpack
-  instead of a pass member by member.
+  instead of a pass member by member.  A listing builds its member set only
+  when a membership is read; order, masked and count_clear never build it.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -18,7 +19,8 @@ Structure known from the definitions is never recomputed by closure:
 
 * P_J and M_V are the solution sets of their parity checks, so
   enumerate_PJ and enumerate_MV list them from gf2.LinearSubgroup's
-  packed blocks of the checks' nullspace (EnumeratedSubgroup.from_linear).
+  packed blocks of the checks' nullspace (EnumeratedSubgroup.from_linear,
+  which keeps them packed until a membership is read).
   enumerate_PJ attaches the Schreier generators of the index-2 kernel for
   the transversal {1, a_j0}, j0 = min J, so derived_subgroup starts from
   at most 2(d-1) generators instead of a greedy generating set.
@@ -42,7 +44,7 @@ import os
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2, kernel
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, VerificationError
 from .heap import check_word, heap_index, level_mask, prefix_mask
 from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
 
@@ -86,7 +88,7 @@ def check_order_cap(log2_order: int, cap: int, what: str, advice: str = "") -> N
 class EnumeratedSubgroup:
     """An explicitly enumerated subgroup of the depth-d tree group."""
 
-    __slots__ = ("depth", "generators", "_bits", "_sorted", "_genset", "_packed")
+    __slots__ = ("depth", "generators", "order", "_bits", "_sorted", "_genset", "_packed")
 
     def __init__(self, depth: int, bits: frozenset[int],
                  gens: tuple[FiniteAutomorphism, ...] = (), _trusted: bool = False):
@@ -95,7 +97,8 @@ class EnumeratedSubgroup:
                 "use close() / from_element_bits() / from_linear() to build subgroups")
         self.depth = depth
         self.generators = gens
-        self._bits = bits
+        self.order = len(bits)
+        self._bits: frozenset[int] | None = bits
         self._sorted: list[int] | None = None
         self._genset: tuple[FiniteAutomorphism, ...] | None = gens or None
         self._packed: int | None = None
@@ -114,35 +117,40 @@ class EnumeratedSubgroup:
     @classmethod
     def from_linear(cls, lin: gf2.LinearSubgroup, basis: list[int] | None = None,
                     gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
-        """List a parity-check subgroup: its members come packed in slots
-        (lin.packed) and are unpacked once, and the group keeps the slots.
-        `basis`, if given, is lin.basis().  The caller checks the order
-        against the cap."""
+        """List a parity-check subgroup: the group holds only its members
+        packed in slots (lin.packed), and unpacks them into the member set
+        on the first membership read (element_bits, contains, sorted_bits,
+        ==, hash, iteration); order, len, masked and count_clear never do.
+        `basis`, if given, is lin.basis(); it must be independent, so its
+        2^len(basis) combinations are the distinct members, or
+        VerificationError.  The caller checks the order against the cap."""
         if basis is None:
             basis = lin.basis()
-        packed = lin.packed(basis)
-        unpack = kernel.slot_codec(1 << len(basis), lin.depth)[1]
-        group = cls(lin.depth, frozenset(unpack(packed)), gens, _trusted=True)
-        group._packed = packed
+        if gf2.rank(basis) < len(basis):
+            raise VerificationError(f"a listing basis of {len(basis)} vectors is dependent")
+        group = cls(lin.depth, frozenset(), gens, _trusted=True)
+        group.order, group._bits, group._packed = 1 << len(basis), None, lin.packed(basis)
         return group
 
     # -- basic queries --------------------------------------------------------
 
     @property
     def element_bits(self) -> frozenset[int]:
+        if self._bits is None:  # a listing, unpacked on this first read
+            bits = frozenset(kernel.slot_codec(self.order, self.depth)[1](self._packed))
+            if len(bits) != self.order:
+                raise VerificationError(
+                    f"a listing of {self.order} members holds {len(bits)} distinct ones")
+            self._bits = bits
         return self._bits
 
-    @property
-    def order(self) -> int:
-        return len(self._bits)
-
     def __len__(self) -> int:
-        return len(self._bits)
+        return self.order
 
     def contains(self, g: FiniteAutomorphism) -> bool:
         if g.depth != self.depth:
             raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
-        return g.bits in self._bits
+        return g.bits in self.element_bits
 
     def __contains__(self, g: FiniteAutomorphism) -> bool:
         return self.contains(g)
@@ -151,14 +159,14 @@ class EnumeratedSubgroup:
         """Element portraits in canonical order (by the byte encoding)."""
         if self._sorted is None:
             nb = ((1 << self.depth) - 1 + 7) // 8
-            self._sorted = sorted(self._bits, key=lambda b: b.to_bytes(nb, "little"))
+            self._sorted = sorted(self.element_bits, key=lambda b: b.to_bytes(nb, "little"))
         return self._sorted
 
     def _masked_slots(self, mask: int) -> tuple[int, Callable, Callable]:
         """The packed members (kernel.slot_codec slots, packed on first use
         and kept) ANDed with mask in every slot, with the codec's unpack and
         broadcast."""
-        pack, unpack, broadcast = kernel.slot_codec(len(self._bits), self.depth)
+        pack, unpack, broadcast = kernel.slot_codec(self.order, self.depth)
         if self._packed is None:
             self._packed = pack([*self._bits])
         return self._packed & broadcast(mask & prefix_mask(self.depth)), unpack, broadcast
@@ -179,7 +187,7 @@ class EnumeratedSubgroup:
         while shift < 8 * (((1 << self.depth) + 6) >> 3):  # bits of a slot
             x |= x >> shift  # each slot's low bit gathers only its own slot's bits
             shift <<= 1
-        return len(self._bits) - (x & broadcast(1)).bit_count()
+        return self.order - (x & broadcast(1)).bit_count()
 
     def elements(self) -> Iterator[FiniteAutomorphism]:
         for b in self.sorted_bits():
@@ -191,10 +199,10 @@ class EnumeratedSubgroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnumeratedSubgroup):
             return NotImplemented
-        return self.depth == other.depth and self._bits == other._bits
+        return self.depth == other.depth and self.element_bits == other.element_bits
 
     def __hash__(self) -> int:
-        return hash((self.depth, self._bits))
+        return hash((self.depth, self.element_bits))
 
     def __repr__(self):
         return f"EnumeratedSubgroup(depth={self.depth}, order={self.order})"

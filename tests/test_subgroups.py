@@ -12,8 +12,9 @@ import re
 import pytest
 
 from treegrp import gf2, kernel, subgroups, verify
-from treegrp.errors import EnumerationCapExceeded
+from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import heap_index, level_mask, prefix_mask
+from treegrp.patterns import linear_essential_reduction
 from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
 from treegrp.subgroups import (
     DEFAULT_CAP,
@@ -889,3 +890,96 @@ def test_masked_is_every_member_anded_with_the_mask(d):
     for group in groups:
         for mask in masks:
             assert sorted(group.masked(mask)) == sorted(b & mask for b in group.element_bits)
+
+
+def _set_built(group):
+    return group._bits is not None
+
+
+def test_listings_build_their_member_set_only_on_a_membership_read():
+    lins = [lin for d in (1, 2, 3, 4) for J in nonempty_level_sets(d)
+            for lin in (maximal_subgroup(d, J),
+                        linear_essential_reduction(maximal_subgroup(d, J))[0])]
+    for d in (2, 3):
+        words = level_words(d - 1)
+        lins += [M_V(d, {w for i, w in enumerate(words) if k >> i & 1})
+                 for k in range(1, 1 << len(words))]
+    for lin in lins:
+        group = EnumeratedSubgroup.from_linear(lin)
+        mask = prefix_mask(lin.depth - 1)
+        assert (group.order, len(group)) == (lin.order(), lin.order())
+        assert sorted(group.masked(mask)) == sorted(b & mask for b in lin.iter_bits())
+        assert group.count_clear(mask) == sum(not b & mask for b in lin.iter_bits())
+        assert not _set_built(group)
+        assert group.element_bits == set(lin.iter_bits())
+        assert len(group.element_bits) == group.order
+
+
+def test_every_membership_read_builds_a_listing_set():
+    lin = maximal_subgroup(3, {1})
+    members = set(lin.iter_bits())
+    g = FiniteAutomorphism(3, next(iter(members)))
+    reads = [lambda s: s.element_bits, lambda s: s.contains(g), lambda s: g in s,
+             lambda s: s.sorted_bits(), lambda s: list(s), hash,
+             lambda s: s == EnumeratedSubgroup.from_element_bits(3, members)]
+    for read in reads:
+        group = EnumeratedSubgroup.from_linear(lin)
+        read(group)
+        assert _set_built(group)
+
+
+def test_from_linear_refuses_a_dependent_basis():
+    lin = maximal_subgroup(3, {2})
+    basis = lin.basis()
+    with pytest.raises(VerificationError, match="dependent"):
+        EnumeratedSubgroup.from_linear(lin, basis[:-1] + [basis[0] ^ basis[1]])
+
+
+def test_a_listing_with_a_repeated_slot_is_refused_when_its_set_is_built():
+    lin = maximal_subgroup(3, {2})
+    group = EnumeratedSubgroup.from_linear(lin)
+    members = kernel.slot_codec(group.order, 3)[1](group._packed)
+    group._packed = kernel.slot_codec(group.order, 3)[0]([members[0], *members[:-1]])
+    assert group.order == 64 and group.count_clear(0) == 64
+    with pytest.raises(VerificationError, match="63 distinct"):
+        group.element_bits
+
+
+def test_listing_checks_survive_optimize_flag(run_optimized):
+    proc = run_optimized("""
+        from treegrp import kernel
+        from treegrp.errors import VerificationError
+        from treegrp.subgroups import EnumeratedSubgroup, maximal_subgroup
+
+        lin = maximal_subgroup(3, {2})
+        basis = lin.basis()
+        try:
+            EnumeratedSubgroup.from_linear(lin, basis + basis[:1])
+        except VerificationError:
+            print("raised")
+        group = EnumeratedSubgroup.from_linear(lin, basis)
+        group._packed = kernel.slot_codec(64, 3)[0]([0] * 64)
+        try:
+            group.element_bits
+        except VerificationError:
+            print("raised")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 2
+
+
+def test_aux_suite_never_builds_the_sets_of_its_largest_listings(monkeypatch):
+    # The aux suite's P_J arm reads its listed reductions only through the
+    # packed slots; the eight of order 2^14 are the bulk of what it lists.
+    listed = []
+    from_linear = EnumeratedSubgroup.from_linear
+
+    def record(*args, **kwargs):
+        listed.append(from_linear(*args, **kwargs))
+        return listed[-1]
+
+    monkeypatch.setattr(EnumeratedSubgroup, "from_linear", record)
+    verify.verify_auxiliary(4, samples=64)
+    largest = [group for group in listed if group.order == 1 << 14]
+    assert len(largest) == 8
+    assert not any(map(_set_built, largest))
