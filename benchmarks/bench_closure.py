@@ -12,20 +12,23 @@ chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
 drawn and packed, with nothing checked on them (`kernel.sampled_chunks`):
 the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
 12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and eleven
-kernel-free pattern-layer calls.  Eight are at d=4: the essentiality test of
+kernel-free word action, on full-length words at depths 4 and 24, and twelve
+kernel-free pattern-layer calls.  Nine are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the listing of P_{3} by
 `EnumeratedSubgroup.from_linear` read only through `masked` and
 `count_clear` (its member set is never built), the classify cross-check of
 the listed, rank-reduced P_{3} (`is_essential` on its basis and
-`hausdorff_dimension`, whose truncation set and stabilizer count read all
-16,384 members off `EnumeratedSubgroup.masked`), the set-filter essential
+`hausdorff_dimension`: the stabilizer count reads all 16,384 members off
+`EnumeratedSubgroup.count_clear`, while the essentiality test stops within
+the first 256 off `masked_runs`), the failing path of that test on the
+listed P_{2}, which is not essential (its truncations are read in full
+before the basis is walked for a witness), the set-filter essential
 reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
 P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
 cross-checked by its essentiality and dimension), the depth-5 truncation
 group of the reduced P_{1}, and the aux suite's transitivity probes
 (`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
-groups and the 15 reduced P_J.  The ninth is the embedding index
+groups and the 15 reduced P_J.  The tenth is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
 (`truncation_orbits`) instead of listing them.  The last two reduce every
@@ -208,6 +211,9 @@ def bench_patterns():
     pjs = {d: [maximal_subgroup(d, J) for J in _nonempty_level_sets(d)] for d in (5, 8)}
     lin3 = maximal_subgroup(4, {3})
     lin3_basis = lin3.basis()
+    lin2_basis = maximal_subgroup(4, {2}).basis()
+    listed_p2 = PatternGroup.from_subgroup(
+        EnumeratedSubgroup.from_linear(maximal_subgroup(4, {2}), lin2_basis))
 
     def list_p3_read_packed():
         group = EnumeratedSubgroup.from_linear(lin3, lin3_basis)
@@ -220,6 +226,8 @@ def bench_patterns():
         "is_essential + hausdorff_dimension(listed reduced P_{3}), d=4":
             timeit(lambda: (is_essential(listed_p3, tested=p3_basis),
                             hausdorff_dimension(listed_p3)), repeats=20),
+        "is_essential(listed P_{2}, tested=basis), d=4":
+            timeit(lambda: is_essential(listed_p2, tested=lin2_basis), repeats=20),
         "essential_reduction(P_{3}), d=4": timeit(lambda: essential_reduction(p3)),
         "essential_reduction(P_{0}), d=4": timeit(lambda: essential_reduction(p0)),
         "reduce by rank, list 15 reduced P_J, d=4":

@@ -29,6 +29,7 @@ from .errors import EnumerationCapExceeded, VerificationError
 from .halftree import JContext, verify_ni_identities_for
 from .patterns import PatternGroup, essential_reduction, hausdorff_dimension, is_essential
 from .portrait import MAX_DEPTH, FiniteAutomorphism, distance as metric_distance
+from .report import dumps
 from .subgroups import enumerate_MV, enumerate_PJ, resolve_cap, subgroup_from_json
 
 SCHEMA_VERSION = 1
@@ -41,7 +42,7 @@ def _emit(command: str, config: dict, payload: dict, fmt: str,
         if not no_timestamp:
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
         doc.update(payload)
-        click.echo(json.dumps(doc, sort_keys=True, indent=2))
+        click.echo(dumps(doc))
     else:
         for line in text_lines:
             click.echo(line)

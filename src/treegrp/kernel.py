@@ -99,11 +99,13 @@ slots of 2^L bits do the work that slots of 2^d bits would.
 slot_codec packs portraits into fixed byte slots of one int for close's
 cosets, the listing in gf2 (whose blocks slot_join puts end to end), the
 members of subgroups.EnumeratedSubgroup, whose masked(mask) is one AND of
-the broadcast mask and one unpack and whose count_clear(mask) folds each
-masked slot onto its low bit for one bit_count, and pack's rows up to
-d = 6, where a slot is one machine word and one big-endian row once
-shifted into t coordinates.  subgroups.conjugation_law_counts reads its
-pairs' labels off the batches in one byte per pair and uses no codec.
+the broadcast mask and one unpack (masked_runs unpacks the same slots a
+doubling run at a time, for the readers that stop once their answer is
+fixed) and whose count_clear(mask) folds each masked slot onto its low
+bit for one bit_count, and pack's rows up to d = 6, where a slot is one
+machine word and one big-endian row once shifted into t coordinates.
+subgroups.conjugation_law_counts reads its pairs' labels off the batches
+in one byte per pair and uses no codec.
 
 The byte translation tables of _swap_masks, half_parities and pack
 (_hex_tables, _fold_table and _digit_tables) are worked out on all their
@@ -507,6 +509,31 @@ def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
         def broadcast(x):  # x times the repunit would grow as w^2 n
             return int.from_bytes(x.to_bytes(w, _ORDER) * n, _ORDER)
     return pack, unpack, broadcast
+
+
+def slot_runs(x: int, n: int, d: int, first: int) -> Iterator[Sequence[int]]:
+    """The n slots of x, packed as slot_codec(n, d) packs them, in order and
+    in runs: `first` slots, then runs as long as all before them.  The
+    first run is read off x's low bytes alone, the rest off one bytes copy
+    of x made when the second run is reached, so a reader that stops after
+    the first run never converts all of x."""
+    w = ((1 << d) + 6) >> 3
+    word = _WORD_FORMATS.get(w)
+
+    def run(raw: bytes, start: int, k: int) -> Sequence[int]:
+        if word:
+            return struct.unpack_from(f"={k}{word}", raw, start * w)
+        return [int.from_bytes(raw[i:i + w], _ORDER) for i in range(start * w, (start + k) * w, w)]
+
+    k = min(first, n)
+    yield run((x & (1 << 8 * w * k) - 1).to_bytes(k * w, _ORDER), 0, k)
+    if k < n:
+        raw = x.to_bytes(n * w, _ORDER)
+        start = k
+        while start < n:
+            k = min(start, n - start)
+            yield run(raw, start, k)
+            start += k
 
 
 def slot_join(xs: Iterable[int], n: int, d: int) -> int:

@@ -23,7 +23,12 @@ t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 Every image of P's members under one mask (the truncations, the
 stabilizer count, the left-path labels and the classes of the truncation
 join) is read off the packed slots EnumeratedSubgroup.masked ANDs at once,
-not member by member; every member is still read.  A failed internal
+not member by member.  Two reads stop early, off masked_runs: is_essential
+on `tested` members stops once every tested child is among the
+truncations read, and truncation_orbits' level d stops once all 2^d
+left-path vectors are seen.  Both stops are exact, since reading more
+members can only add truncations or vectors; a failing test reads every
+member, as every other read does.  A failed internal
 consistency check (a stabilizer order that is no power of two, an
 embedding index that is no integer) raises VerificationError.
 
@@ -115,15 +120,25 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     d = p.depth
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
-    truncations = set(p.group.masked(prefix_mask(d - 1)))
     if tested is not None:
         # Few members: gather their children rather than place every
-        # truncation under both.
-        for b in tested:
-            for i in (0, 1):
-                if gather(b, i + 1, d - 1) not in truncations:
-                    return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
+        # truncation under both.  Truncations are read a run at a time
+        # (masked_runs) until every child is among them, which settles
+        # essential; the set only grows, so that stop is exact.
+        children = [(b, i, gather(b, i + 1, d - 1)) for b in tested for i in (0, 1)]
+        wanted = {c for _, _, c in children}
+        truncations: set[int] = set()
+        for run in p.group.masked_runs(prefix_mask(d - 1)):
+            truncations.update(run)
+            if wanted <= truncations:
+                return EssentialityResult(True, None)
+        # Not settled by the runs: with every truncation read, the first
+        # child, in tested's order, that matches none is the witness.
+        for b, i, c in children:
+            if c not in truncations:
+                return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
         return EssentialityResult(True, None)
+    truncations = set(p.group.masked(prefix_mask(d - 1)))
     (lm, left), (rm, right) = _children_placed(truncations, d - 1)
     bad = next((b for b in p.group.element_bits
                 if b & lm not in left or b & rm not in right), None)
@@ -294,7 +309,8 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
     """TruncationLevel for n = d, d + 1, ..., without listing H(n).
 
     g sends 0^n to the word whose symbol k is g's label at 0^k, so the orbit
-    is the set of left-path label vectors.  Level d is read off P's listing;
+    is the set of left-path label vectors.  Level d is read off P's listing
+    (masked_runs), and the read stops once all 2^d vectors are seen;
     each deeper level runs truncation_group's join on each class of top
     d - 1 levels, keeping its element count N and its left-path vectors:
     an allowed root pattern p adds N[c1] * N[c2] elements to its class, and,
@@ -307,14 +323,21 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
     path = [(1 << k) - 1 for k in range(d)]  # heap indices of 0^k, k < d
     path_mask = sum(1 << i for i in path)
     order = group.order
-    orbit = {gf2.gather_bits(b, path) for b in set(group.masked(path_mask))}
+    # Left-path labels a run at a time, until all 2^d vectors are seen: more
+    # members can only add vectors, so that stop is exact.
+    labels: set[int] = set()
+    for run in group.masked_runs(path_mask):
+        labels.update(run)
+        if len(labels) == 1 << d:
+            break
+    orbit = {gf2.gather_bits(b, path) for b in labels}
     joins = None
     for n in itertools.count(d):
         yield TruncationLevel(n, order, frozenset(
             format(f, f"0{n}b")[::-1] for f in orbit))
         if joins is None:
             # Per-class state only once a deeper level is wanted: a caller
-            # that stops at level d passes over P's listing once.
+            # that stops at level d reads P's listing at most once.
             joins = list(_root_joins(group.element_bits, d))
             top = prefix_mask(d - 1)
             counts = Counter(group.masked(top))

@@ -7,8 +7,11 @@ Two representations, one per question:
   ordered by the portrait byte encoding.  It also keeps its members packed
   in kernel.slot_codec slots (from the listing, or packed on first use), so
   masked(mask), every member ANDed with one mask, is one AND and one unpack
-  instead of a pass member by member.  A listing builds its member set only
-  when a membership is read; order, masked and count_clear never build it.
+  instead of a pass member by member.  masked_runs(mask) gives the same
+  list in runs that double, each unpacked only when reached, for readers
+  whose answer can only grow as they read: they stop once it is fixed.  A
+  listing builds its member set only when a membership is read; order,
+  masked, masked_runs and count_clear never build it.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -49,6 +52,9 @@ from .heap import check_word, heap_index, level_mask, prefix_mask
 from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
 
 DEFAULT_CAP = 1 << 26
+
+#: log2 of the slots in the first run of EnumeratedSubgroup.masked_runs.
+_FIRST_RUN_LOG2 = 8
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -120,7 +126,8 @@ class EnumeratedSubgroup:
         """List a parity-check subgroup: the group holds only its members
         packed in slots (lin.packed), and unpacks them into the member set
         on the first membership read (element_bits, contains, sorted_bits,
-        ==, hash, iteration); order, len, masked and count_clear never do.
+        ==, hash, iteration); order, len, masked, masked_runs and count_clear
+        never do.
         `basis`, if given, is lin.basis(); it must be independent, so its
         2^len(basis) combinations are the distinct members, or
         VerificationError.  The caller checks the order against the cap."""
@@ -177,6 +184,17 @@ class EnumeratedSubgroup:
         unpack.  The result is not kept."""
         x, unpack, _ = self._masked_slots(mask)
         return unpack(x)
+
+    def masked_runs(self, mask: int) -> Iterator[Sequence[int]]:
+        """masked(mask) in slot order, cut into runs that are each unpacked
+        only when reached (kernel.slot_runs): a first run of
+        2^_FIRST_RUN_LOG2 slots, then runs as long as all before them, so
+        the read prefix doubles.  For a from_linear listing each prefix of
+        2^k slots is the span of the first k basis vectors.  A reader whose
+        answer can only grow as it reads stops here once that answer is
+        fixed."""
+        return kernel.slot_runs(self._masked_slots(mask)[0], self.order, self.depth,
+                                1 << _FIRST_RUN_LOG2)
 
     def count_clear(self, mask: int) -> int:
         """How many members have no bit of mask set: the packed members

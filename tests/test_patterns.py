@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from treegrp import gf2, patterns
+from treegrp import gf2, kernel, patterns
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
@@ -221,6 +221,92 @@ def test_tested_members_match_subtree_walk_with_its_witness():
                 assert (g.depth, g.bits, i) == (s.depth, *witness)
                 children.add(i)
     assert children == {0, 1}
+
+
+def _counting_unpacks(monkeypatch):
+    """A one-item list that counts the members every kernel.slot_codec
+    unpack and every kernel.slot_runs run return from here on: the members
+    a read of a listing takes."""
+    read = [0]
+    real_codec, real_runs = kernel.slot_codec, kernel.slot_runs
+
+    def counted(members):
+        read[0] += len(members)
+        return members
+
+    def codec(n, d):
+        pack, unpack, broadcast = real_codec(n, d)
+        return pack, lambda x: counted(unpack(x)), broadcast
+
+    monkeypatch.setattr(kernel, "slot_codec", codec)
+    monkeypatch.setattr(kernel, "slot_runs", lambda *args: map(counted, real_runs(*args)))
+    return read
+
+
+def test_tested_essentiality_and_level_d_orbit_stop_within_the_first_run(monkeypatch):
+    # from_linear doubles its listing over a basis ordered by heap column,
+    # so at d = 4 the first 2^8 members already hold every truncation a
+    # basis member's children need and every left-path label vector.
+    read = _counting_unpacks(monkeypatch)
+    for J in nonempty_level_sets(4):
+        checks = linear_essential_reduction(maximal_subgroup(4, J))[0]
+        basis = checks.basis()
+        group = EnumeratedSubgroup.from_linear(checks, basis)
+        p = PatternGroup(4, group, essential=True)
+        read[0] = 0
+        assert is_essential(p, tested=basis) == (True, None)
+        assert read[0] <= 256
+        read[0] = 0
+        level = next(truncation_orbits(p))
+        assert read[0] <= 256
+        assert level.orbit == orbit(group, "0000")
+        assert is_essential(PatternGroup.from_subgroup(group)) == (True, None)
+
+
+def test_stops_wait_for_members_past_the_first_run(monkeypatch):
+    # G(4) packed with every member that has a label under `mask` last:
+    # the first 2^(15 - popcount(mask)) slots show only the zero image.
+    read = _counting_unpacks(monkeypatch)
+    members = list(gf2.LinearSubgroup(4, ()).iter_bits())
+    left_path = 1 | 1 << 1 | 1 << 3 | 1 << 7
+    tested = [generator(4, i).bits for i in range(4)]
+    for mask in (left_path, prefix_mask(3)):
+        group = EnumeratedSubgroup.from_element_bits(4, members)
+        ordered = sorted(members, key=lambda b: (b & mask != 0, b))
+        group._packed = kernel.slot_codec(len(ordered), 4)[0](ordered)
+        p = PatternGroup(4, group, essential=True)
+        read[0] = 0
+        if mask == left_path:
+            assert next(truncation_orbits(p)).orbit == orbit(group, "0000")
+        else:
+            assert is_essential(p, tested=tested) == (True, None)
+        assert 1 << 15 - mask.bit_count() < read[0] <= 1 << 15
+
+
+def test_failing_tested_essentiality_reads_every_member(monkeypatch):
+    read = _counting_unpacks(monkeypatch)
+    for d in (2, 3, 4):
+        for J in nonempty_level_sets(d):
+            if d - 1 in J:
+                continue  # P_J is essential exactly when d - 1 is in J
+            lin = maximal_subgroup(d, J)
+            basis = lin.basis()
+            p = PatternGroup.from_subgroup(EnumeratedSubgroup.from_linear(lin, basis))
+            read[0] = 0
+            res = is_essential(p, tested=basis)
+            assert read[0] == p.order
+            g, i = res.witness
+            assert (res.essential, (g.bits, i)) == reference_is_essential(p, basis)
+
+
+def test_tested_members_may_come_as_a_generator():
+    for d in (2, 3, 4):
+        for J in nonempty_level_sets(d):
+            pj = maximal_subgroup(d, J)
+            for lin in (pj, linear_essential_reduction(pj)[0]):
+                basis = lin.basis()
+                p = PatternGroup.from_subgroup(EnumeratedSubgroup.from_linear(lin, basis))
+                assert is_essential(p, tested=iter(basis)) == is_essential(p, tested=basis)
 
 
 def test_essentiality_needs_depth_at_least_two():

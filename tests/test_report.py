@@ -23,7 +23,7 @@ from click.testing import CliRunner
 
 from treegrp.cli import main
 from treegrp.halftree import JContext, verify_ni_identities
-from treegrp.report import Report
+from treegrp.report import Report, dumps
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,3 +87,29 @@ def test_report_serializes_its_fields():
     }
     assert "passed" not in leaf.to_dict()
     assert json.loads(json.dumps(tree.to_dict())) == tree.to_dict()
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.stem)
+def test_dumps_writes_what_json_writes_on_every_pin(path):
+    doc = json.loads(path.read_text())
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_what_json_writes_on_empty_nested_and_escaped_values():
+    doc = {
+        "empty": {"list": [], "dict": {}, "str": ""},
+        "nested": [[], [[1, -2], {}], [{"b": None, "a": [True, False]}], 10 ** 30],
+        "escapes": "tab\t quote\" backslash\\ newline\n nul\u0000 del\u007f",
+        "non-ASCII \u00e9": ["\u00e9t\u00e9", "\u2211", "\U0001f600", "\ud800"],
+        "Z": 0,
+        "": {"": ""},
+    }
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert dumps([]) == "[]" and dumps({}) == "{}" and dumps(None) == "null"
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {"f": Fraction(1, 2)}, {1: "int key"},
+                                 [{"x": {"y"}}], {"b": b"bytes"}])
+def test_dumps_refuses_any_other_type(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)

@@ -5,6 +5,7 @@ characterization of the full group's derived subgroup as the intersection
 of the single-level P_{j} is held against enumeration exhaustively.
 """
 
+import itertools
 import json
 import random
 import re
@@ -890,6 +891,29 @@ def test_masked_is_every_member_anded_with_the_mask(d):
     for group in groups:
         for mask in masks:
             assert sorted(group.masked(mask)) == sorted(b & mask for b in group.element_bits)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_masked_runs_join_to_masked(d):
+    # Listings, closures and from_element_bits groups, of one member and of
+    # orders below, at and (from d = 4) above the first run of 2^8 slots;
+    # the read prefix doubles with each run.
+    left_path = sum(1 << (1 << k) - 1 for k in range(d))
+    masks = [0, prefix_mask(d), prefix_mask(d - 1), left_path, -1]
+    groups = _masked_groups(d)
+    for k in range(7, 10):
+        if k < 1 << d:
+            lin = gf2.LinearSubgroup(d, (), zero=prefix_mask(d) & ~((1 << k) - 1))
+            groups.append(EnumeratedSubgroup.from_element_bits(d, lin.iter_bits()))
+    orders = {group.order for group in groups}
+    assert 1 in orders and (d < 4 or {128, 256, 512} <= orders)
+    for group in groups:
+        for mask in masks:
+            runs = list(group.masked_runs(mask))
+            ends = [min(group.order, 256 << k) for k in range(len(runs))]
+            assert list(itertools.accumulate(map(len, runs))) == ends
+            assert ends[-1] == group.order
+            assert list(itertools.chain(*runs)) == list(group.masked(mask))
 
 
 def _set_built(group):
