@@ -44,9 +44,13 @@ rows time whole verify suites at d=4:
 the 15 P_J), and three time that suite's conjugation law alone
 (`conjugation_law_counts` on the same 10,000 pairs, drawn and packed
 beforehand, and on 4,000 pairs at d=5 and 2,000 at d=6, where no workload
-goes).  A last row times `classify_maximal(4)` (15 rows read off the
-parity checks, each cross-checked by enumeration) with the cache of
-[G(4), G(4)] cleared before each run.  The start-up row is the median
+goes).  One row times classify's containment arm alone: every member of
+[G(4), G(4)] (packed on the first of 20 runs, as classify packs it once
+per process) tested slot-wise against the checks each of the 15 listed
+P_J comes from (the rank reduction where P_J is essential, P_J's own
+check otherwise).  A last row times `classify_maximal(4)` (15 rows read
+off the parity checks, each cross-checked by enumeration) with the cache
+of [G(4), G(4)] cleared before each run.  The start-up row is the median
 wall time of 15 fresh `python -c "import treegrp.cli"` processes less the
 median of 15 bare `python -c pass` ones, run alternately: what importing
 the CLI adds to every command.  Run after `pip install -e .`:
@@ -87,11 +91,13 @@ from treegrp.subgroups import (
 )
 from treegrp.verify import (
     _DERIVED_FULL_CACHE,
+    _contains_members,
     _nonempty_level_sets,
     _reduced_pj,
     _transitivity_matches,
     classify_maximal,
     conjugation_pairs,
+    derived_of_full,
     verify_auxiliary,
     verify_not_top_fg,
 )
@@ -274,6 +280,14 @@ def bench_verify():
         chunks = list(conjugation_pairs(d, samples, 0))
         rows[f"conjugation_law_counts({d}), {samples:,} pairs"] = timeit(
             lambda d=d, chunks=chunks: conjugation_law_counts(d, chunks))
+    derived = derived_of_full(4)
+    listed_from = []
+    for J in _nonempty_level_sets(4):
+        lin = maximal_subgroup(4, J)
+        checks, essential = linear_essential_reduction(lin)
+        listed_from.append(checks if essential else lin)
+    rows["[G(4), G(4)] slot-wise in the checks of 15 listed P_J"] = timeit(
+        lambda: [_contains_members(lin, derived) for lin in listed_from], repeats=20)
     rows["classify_maximal(4), caches cleared"] = timeit(classify_uncached)
     return rows
 

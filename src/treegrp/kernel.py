@@ -100,9 +100,10 @@ slot_codec packs portraits into fixed byte slots of one int for close's
 cosets, the listing in gf2 (whose blocks slot_join puts end to end), the
 members of subgroups.EnumeratedSubgroup, whose masked(mask) is one AND of
 the broadcast mask and one unpack (masked_runs unpacks the same slots a
-doubling run at a time, for the readers that stop once their answer is
-fixed) and whose count_clear(mask) folds each masked slot onto its low
-bit for one bit_count, and pack's rows up to d = 6, where a slot is one
+doubling run at a time, masking the first run alone, for the readers that
+stop once their answer is fixed) and whose count_clear(mask) and
+count_odd(mask) fold each masked slot onto its low bit, by OR and by XOR,
+for one bit_count, and pack's rows up to d = 6, where a slot is one
 machine word and one big-endian row once shifted into t coordinates.
 subgroups.conjugation_law_counts reads its pairs' labels off the batches
 in one byte per pair and uses no codec.
@@ -511,12 +512,14 @@ def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
     return pack, unpack, broadcast
 
 
-def slot_runs(x: int, n: int, d: int, first: int) -> Iterator[Sequence[int]]:
-    """The n slots of x, packed as slot_codec(n, d) packs them, in order and
-    in runs: `first` slots, then runs as long as all before them.  The
-    first run is read off x's low bytes alone, the rest off one bytes copy
-    of x made when the second run is reached, so a reader that stops after
-    the first run never converts all of x."""
+def slot_runs(x: int, n: int, d: int, first: int, mask: int) -> Iterator[Sequence[int]]:
+    """The n slots of x, packed as slot_codec(n, d) packs them, each ANDed
+    with mask (a depth-d portrait mask), in order and in runs: `first`
+    slots, then runs as long as all before them.  The first run is cut off
+    x's low bytes and masked alone; the rest is masked and copied to bytes
+    once, when the second run is reached.  So a reader that stops after the
+    first run never masks or converts all of x, and one that reads every
+    run pays one mask and one copy, as masking all of x up front would."""
     w = ((1 << d) + 6) >> 3
     word = _WORD_FORMATS.get(w)
 
@@ -525,10 +528,14 @@ def slot_runs(x: int, n: int, d: int, first: int) -> Iterator[Sequence[int]]:
             return struct.unpack_from(f"={k}{word}", raw, start * w)
         return [int.from_bytes(raw[i:i + w], _ORDER) for i in range(start * w, (start + k) * w, w)]
 
+    def masked(k: int) -> bytes:
+        """The low k slots of x, ANDed with mask, as bytes."""
+        return (x & slot_codec(k, d)[2](mask)).to_bytes(k * w, _ORDER)
+
     k = min(first, n)
-    yield run((x & (1 << 8 * w * k) - 1).to_bytes(k * w, _ORDER), 0, k)
+    yield run(masked(k), 0, k)
     if k < n:
-        raw = x.to_bytes(n * w, _ORDER)
+        raw = masked(n)
         start = k
         while start < n:
             k = min(start, n - start)

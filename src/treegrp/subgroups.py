@@ -8,10 +8,16 @@ Two representations, one per question:
   in kernel.slot_codec slots (from the listing, or packed on first use), so
   masked(mask), every member ANDed with one mask, is one AND and one unpack
   instead of a pass member by member.  masked_runs(mask) gives the same
-  list in runs that double, each unpacked only when reached, for readers
-  whose answer can only grow as they read: they stop once it is fixed.  A
-  listing builds its member set only when a membership is read; order,
-  masked, masked_runs and count_clear never build it.
+  list in runs that double, each unpacked only when reached (the first
+  run is masked alone, the rest at once when the second run is reached),
+  for readers whose answer can only grow as they read: they stop once it
+  is fixed.  count_clear(mask) and count_odd(mask), the members with no
+  bit of mask and with an odd number of its bits, fold every masked slot
+  onto its low bit (by OR and by XOR) for one bit_count, so whether a
+  parity-check subgroup holds every member is one count for its zero mask
+  and one per check.  A listing builds its member set only when a
+  membership is read; order, masked, masked_runs, count_clear and
+  count_odd never build it.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -43,6 +49,7 @@ cap by their exponent, so the check works at every depth.
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -126,8 +133,8 @@ class EnumeratedSubgroup:
         """List a parity-check subgroup: the group holds only its members
         packed in slots (lin.packed), and unpacks them into the member set
         on the first membership read (element_bits, contains, sorted_bits,
-        ==, hash, iteration); order, len, masked, masked_runs and count_clear
-        never do.
+        ==, hash, iteration); order, len, masked, masked_runs, count_clear
+        and count_odd never do.
         `basis`, if given, is lin.basis(); it must be independent, so its
         2^len(basis) combinations are the distinct members, or
         VerificationError.  The caller checks the order against the cap."""
@@ -169,14 +176,18 @@ class EnumeratedSubgroup:
             self._sorted = sorted(self.element_bits, key=lambda b: b.to_bytes(nb, "little"))
         return self._sorted
 
-    def _masked_slots(self, mask: int) -> tuple[int, Callable, Callable]:
-        """The packed members (kernel.slot_codec slots, packed on first use
-        and kept) ANDed with mask in every slot, with the codec's unpack and
-        broadcast."""
-        pack, unpack, broadcast = kernel.slot_codec(self.order, self.depth)
+    def _packed_slots(self) -> int:
+        """The members in kernel.slot_codec slots, packed on first use and kept."""
         if self._packed is None:
-            self._packed = pack([*self._bits])
-        return self._packed & broadcast(mask & prefix_mask(self.depth)), unpack, broadcast
+            self._packed = kernel.slot_codec(self.order, self.depth)[0]([*self._bits])
+        return self._packed
+
+    def _masked_slots(self, mask: int) -> tuple[int, Callable, Callable]:
+        """The packed members ANDed with mask in every slot, with the
+        codec's unpack and broadcast."""
+        _, unpack, broadcast = kernel.slot_codec(self.order, self.depth)
+        return (self._packed_slots() & broadcast(mask & prefix_mask(self.depth)),
+                unpack, broadcast)
 
     def masked(self, mask: int) -> Sequence[int]:
         """Every member ANDed with mask, one entry per member in slot order:
@@ -192,20 +203,32 @@ class EnumeratedSubgroup:
         the read prefix doubles.  For a from_linear listing each prefix of
         2^k slots is the span of the first k basis vectors.  A reader whose
         answer can only grow as it reads stops here once that answer is
-        fixed."""
-        return kernel.slot_runs(self._masked_slots(mask)[0], self.order, self.depth,
-                                1 << _FIRST_RUN_LOG2)
+        fixed; if it stops after the first run, which is masked alone, no
+        slot past that run is masked or unpacked."""
+        return kernel.slot_runs(self._packed_slots(), self.order, self.depth,
+                                1 << _FIRST_RUN_LOG2, mask & prefix_mask(self.depth))
 
-    def count_clear(self, mask: int) -> int:
-        """How many members have no bit of mask set: the packed members
-        ANDed with mask in every slot, each slot's bits OR-folded onto its
-        low bit, and one bit_count of the slots left nonzero."""
+    def _fold_count(self, mask: int, fold: Callable[[int, int], int]) -> int:
+        """How many slots of the packed members ANDed with mask fold to 1:
+        each slot's bits folded onto its low bit by `fold` (OR or XOR), and
+        one bit_count of those low bits."""
         x, _, broadcast = self._masked_slots(mask)
         shift = 1
         while shift < 8 * (((1 << self.depth) + 6) >> 3):  # bits of a slot
-            x |= x >> shift  # each slot's low bit gathers only its own slot's bits
+            x = fold(x, x >> shift)  # each slot's low bit gathers only its own slot's bits
             shift <<= 1
-        return self.order - (x & broadcast(1)).bit_count()
+        return (x & broadcast(1)).bit_count()
+
+    def count_clear(self, mask: int) -> int:
+        """How many members have no bit of mask set: the members whose
+        masked slot OR-folds to 0."""
+        return self.order - self._fold_count(mask, operator.or_)
+
+    def count_odd(self, mask: int) -> int:
+        """How many members have an odd number of mask's bits set: the
+        members whose masked slot XOR-folds to 1, so a member lies outside
+        the parity check mask exactly when it is counted here."""
+        return self._fold_count(mask, operator.xor)
 
     def elements(self) -> Iterator[FiniteAutomorphism]:
         for b in self.sorted_bits():

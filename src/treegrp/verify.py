@@ -9,8 +9,12 @@ scratch at desk scale:
   occurs exactly for the 2^(d-1) sets J containing the top level,
   equivalently for the P_J omitting the top generator, all of which
   contain the derived subgroup of the full group.  At d <= 4 every row
-  field is cross-checked by enumeration; d = 5 (use_gf2) reads the ranks
-  alone.
+  field is cross-checked by enumeration, and the listings are read only
+  through their packed slots: every member of the listed [G(d), G(d)] is
+  tested against the checks each listed P_J comes from, by a slot-wise
+  count of members with a bit of the zero mask (count_clear) or odd
+  parity under a check (count_odd), so no listed P_J builds its member
+  set; d = 5 (use_gf2) reads the ranks alone.
 * verify_no_adad: [a_0, a_{d-1}] lies outside [P_J, P_J]: parity
   certificate always, enumerated derived subgroup where feasible, and the
   two arms must agree.
@@ -165,6 +169,15 @@ def _contains_derived_of_full(lin: gf2.LinearSubgroup) -> bool:
     return all(lin.contains_bits(c) for c in _generator_commutators(lin.depth))
 
 
+def _contains_members(lin: gf2.LinearSubgroup, group: EnumeratedSubgroup) -> bool:
+    """Whether every member of `group` lies in lin, read slot-wise off
+    group's packed members: none has a bit of lin.zero set
+    (EnumeratedSubgroup.count_clear) and none has odd parity under a check
+    (EnumeratedSubgroup.count_odd).  group's member set is not built."""
+    return (group.count_clear(lin.zero) == group.order
+            and not any(map(group.count_odd, lin.checks)))
+
+
 def _listed_reduction(checks: gf2.LinearSubgroup,
                       J: frozenset[int]) -> tuple[pt.PatternGroup, Fraction]:
     """The rank reduction `checks` of P_J, listed, and its dimension; the
@@ -189,18 +202,20 @@ def _listed_reduction(checks: gf2.LinearSubgroup,
 
 
 def _classify_row(d: int, J: frozenset[int], cap: int | None,
-                  derived_full_bits: frozenset[int] | None) -> ClassificationRow:
-    """One row, read off P_J's parity check.  `derived_full_bits`, the
-    listed [G(d), G(d)], is given at d <= 4, where enumeration cross-checks
-    every field and a disagreement raises VerificationError: (a) the listed
+                  derived_full: EnumeratedSubgroup | None) -> ClassificationRow:
+    """One row, read off P_J's parity check.  `derived_full`, the listed
+    [G(d), G(d)], is given at d <= 4, where enumeration cross-checks every
+    field and a disagreement raises VerificationError: (a) the listed
     reduction is essential with the rank dimension; (b) a P_J the ranks keep
     lists to P_J's order, one they reduce fails is_essential when listed;
-    (c) [G(d), G(d)] is tested against the listed P_J; (d) the listed
-    St_{P_J}(d-1) against [P_J, P_J] folded from the Schreier generators.
-    At d = 5 the generator commutators give contains_derived_of_Gd, and the
-    certificate gives bs_premise_fails on essential rows with d - 1 in J.
+    (c) every member of [G(d), G(d)] is tested slot-wise against the checks
+    the listed P_J comes from (the rank reduction on essential rows, P_J's
+    own check otherwise); (d) the listed St_{P_J}(d-1) against [P_J, P_J]
+    folded from the Schreier generators.  At d = 5 the generator
+    commutators give contains_derived_of_Gd, and the certificate gives
+    bs_premise_fails on essential rows with d - 1 in J.
     """
-    enumerate_arm = derived_full_bits is not None
+    enumerate_arm = derived_full is not None
     lin = listable_PJ(d, J, cap) if enumerate_arm else maximal_subgroup(d, J)
     checks, essential = pt.linear_essential_reduction(lin)
     dimension = pt.linear_hausdorff_dimension(checks)
@@ -208,10 +223,10 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
     if enumerate_arm:
         reduced, _ = _listed_reduction(checks, J)
         if essential:
-            pj = reduced.group
-            agrees = pj.order == lin.order()
+            listed_from = checks
+            agrees = reduced.group.order == lin.order()
         else:
-            basis = lin.basis()
+            listed_from, basis = lin, lin.basis()
             pj = EnumeratedSubgroup.from_linear(lin, basis)
             agrees = not pt.is_essential(pt.PatternGroup.from_subgroup(pj),
                                          tested=basis).essential
@@ -219,7 +234,7 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
             raise VerificationError(
                 f"the rank route says P_J for d={d}, J={sorted(J)} has "
                 f"essential={essential}, and its listing disagrees")
-        contains_derived = derived_full_bits <= pj.element_bits
+        contains_derived = _contains_members(listed_from, derived_full)
         stab = gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1)).iter_bits()
         schreier = [g.bits for g in _pj_schreier_generators(d, J)]
         bs_fails = not set(stab) <= _derived_from_generators(d, schreier, cap).element_bits
@@ -256,8 +271,8 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
                 else f"the full depth-{d} group has order 2^{(1 << d) - 1}; "
                      "enumeration reaches depth 4 (depth 5 with use_gf2)")
         raise EnumerationCapExceeded(resolve_cap(cap), hint=hint)
-    derived_full_bits = derived_of_full(d, cap=cap).element_bits if d <= 4 else None
-    rows = [_classify_row(d, J, cap, derived_full_bits)
+    derived_full = derived_of_full(d, cap=cap) if d <= 4 else None
+    rows = [_classify_row(d, J, cap, derived_full)
             for J in _nonempty_level_sets(d)]
     for row in rows:
         _check_row_consistency(row)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from treegrp import gf2, kernel, patterns
+from treegrp import gf2, kernel, patterns, subgroups
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import gather, place, prefix_mask
 from treegrp.patterns import (
@@ -403,6 +403,36 @@ def test_stabilizer_count_equals_the_unpacked_count():
             assert group.count_clear(mask) == group.masked(mask).count(0), (group, n)
     trivial = EnumeratedSubgroup.from_element_bits(3, {0})
     assert hausdorff_dimension(PatternGroup.from_subgroup(trivial)) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_odd_count_equals_the_unpacked_parity_count(d):
+    # count_odd XOR-folds each packed slot onto its low bit; the reference
+    # counts each member's parity under the mask.  d = 1..8 spans slots of
+    # 1 to 32 bytes.  Listings (P_J, over more than one block of 2^12 at
+    # d = 4, and a random check with nine free bits above), closures,
+    # from_element_bits groups (packed on first use) and one-member groups,
+    # under every P_J check (so every level mask), no mask and every bit.
+    rng = random.Random(463 + d)
+    n = (1 << d) - 1
+    if d <= 4:
+        lins = [maximal_subgroup(d, {0}), maximal_subgroup(d, {d - 1})]
+    else:
+        free = sum(1 << k for k in rng.sample(range(n), 9))
+        lins = [gf2.LinearSubgroup(d, (rng.getrandbits(n),), zero=prefix_mask(d) & ~free)]
+    groups = [EnumeratedSubgroup.from_linear(lin) for lin in lins]
+    groups += [EnumeratedSubgroup.from_element_bits(d, lin.iter_bits()) for lin in lins]
+    closed = close([generator(d, 0), generator(d, d - 1)])
+    groups += [closed, level_stabilizer(closed, d - 1)]
+    if d <= 3:
+        groups.append(close([FiniteAutomorphism.random(d, rng) for _ in range(2)]))
+    groups += [EnumeratedSubgroup.from_element_bits(d, {b})
+               for b in (0, 1, 1 << n - 1, rng.getrandbits(n))]
+    masks = [subgroups.level_set_mask(d, J) for J in nonempty_level_sets(d)] + [0, -1]
+    for group in groups:
+        for mask in masks:
+            expected = sum((b & mask).bit_count() & 1 for b in group.element_bits)
+            assert group.count_odd(mask) == expected, (group, mask)
 
 
 def test_dimension_allowed_set_on_depth2_sweep():

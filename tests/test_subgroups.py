@@ -1007,3 +1007,23 @@ def test_aux_suite_never_builds_the_sets_of_its_largest_listings(monkeypatch):
     largest = [group for group in listed if group.order == 1 << 14]
     assert len(largest) == 8
     assert not any(map(_set_built, largest))
+
+
+def test_classify_never_builds_the_set_of_a_listing(monkeypatch):
+    # classify's enumeration arm reads every listed P_J and rank reduction
+    # only through the packed slots: [G(d), G(d)] is tested against the
+    # checks a listing comes from, not against its member set.
+    listed = []
+    from_linear = EnumeratedSubgroup.from_linear
+
+    def record(*args, **kwargs):
+        listed.append(from_linear(*args, **kwargs))
+        return listed[-1]
+
+    monkeypatch.setattr(EnumeratedSubgroup, "from_linear", record)
+    for d in (3, 4):
+        del listed[:]
+        verify.classify_maximal(d)
+        # One listed reduction per row, and P_J itself on the rows it reduces.
+        assert len(listed) == (1 << d) - 1 + (1 << d - 1) - 1
+        assert not any(map(_set_built, listed)), d

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from treegrp import gf2, patterns, subgroups, verify
+from treegrp import gf2, kernel, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.cli import main
 from treegrp.heap import half_level_mask, prefix_mask
+from treegrp.portrait import generator
 from treegrp.subgroups import derived_subgroup, full_group
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
@@ -223,6 +224,51 @@ def test_contains_derived_of_full_by_generator_commutators():
     for d in (3, 4, 5):
         half = gf2.LinearSubgroup(d, (half_level_mask(d - 1, 0),))
         assert not verify._contains_derived_of_full(half)
+
+
+def _derived_with_a_non_member_last(d):
+    """[G(d), G(d)] with a_{d-1}, which lies outside it, added in the last
+    packed slot, where a read that stops early never looks."""
+    members = [*derived_of_full(d).masked(-1), generator(d, d - 1).bits]
+    group = subgroups.EnumeratedSubgroup.from_element_bits(d, members)
+    group._packed = kernel.slot_codec(len(members), d)[0](members)
+    return group
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_classify_refuses_a_derived_subgroup_with_a_non_member(monkeypatch, d):
+    # a_{d-1} lies outside every P_J with d - 1 in J, so arm (c) must read
+    # the last slot and fail those rows.
+    fake = _derived_with_a_non_member_last(d)
+    monkeypatch.setattr(verify, "derived_of_full", lambda d, cap=None: fake)
+    with pytest.raises(VerificationError,
+                       match="index-2 kernel must contain the derived subgroup"):
+        classify_maximal(d)
+
+
+def test_slot_wise_containment_equals_the_member_by_member_test():
+    # Every P_J, its rank reduction and every M_V at d <= 4, against groups
+    # inside and outside them: [G(d), G(d)], the same with a non-member in
+    # its last slot, G(d), the level-(d-1) stabilizer and one listed M_V.
+    for d in (2, 3, 4):
+        full = full_group(d)
+        groups = [derived_of_full(d), _derived_with_a_non_member_last(d), full,
+                  subgroups.level_stabilizer(full, d - 1),
+                  subgroups.enumerate_MV(d, {"0" * (d - 1)})]
+        lins = [lin for J in verify._nonempty_level_sets(d)
+                for lin in (subgroups.maximal_subgroup(d, J),
+                            patterns.linear_essential_reduction(
+                                subgroups.maximal_subgroup(d, J))[0])]
+        words = [format(i, f"0{d - 1}b") for i in range(1 << d - 1)]
+        lins += [subgroups.M_V(d, {w for i, w in enumerate(words) if k >> i & 1})
+                 for k in range(1, 1 << len(words))]
+        seen = set()
+        for lin in lins:
+            for group in groups:
+                expected = all(lin.contains_bits(b) for b in group.element_bits)
+                assert verify._contains_members(lin, group) == expected, (d, lin.checks)
+                seen.add(expected)
+        assert seen == {True, False}, d
 
 
 def _orbits_cut_at(depths):
