@@ -48,9 +48,14 @@ goes).  One row times classify's containment arm alone: every member of
 [G(4), G(4)] (packed on the first of 20 runs, as classify packs it once
 per process) tested slot-wise against the checks each of the 15 listed
 P_J comes from (the rank reduction where P_J is essential, P_J's own
-check otherwise).  A last row times `classify_maximal(4)` (15 rows read
-off the parity checks, each cross-checked by enumeration) with the cache
-of [G(4), G(4)] cleared before each run.  The start-up row is the median
+check otherwise).  Two rows time classify's other d=4 enumeration work:
+`gf2.LinearSubgroup.packed` of its 22 listings (the 15 rank reductions
+and the 7 non-essential P_J, bases computed beforehand), and the 15
+[P_J, P_J] folds from each P_J's Schreier generators (seeded by one
+commutator batch, closed under the generators).  A last row times
+`classify_maximal(4)` (15 rows read off the parity checks, each
+cross-checked by enumeration) with the cache of [G(4), G(4)] cleared
+before each run.  The start-up row is the median
 wall time of 15 fresh `python -c "import treegrp.cli"` processes less the
 median of 15 bare `python -c pass` ones, run alternately: what importing
 the CLI adds to every command.  Run after `pip install -e .`:
@@ -82,6 +87,7 @@ from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
     EnumeratedSubgroup,
     _derived_from_generators,
+    _pj_schreier_generators,
     all_subgroups_depth2,
     conjugation_law_counts,
     derived_subgroup,
@@ -288,6 +294,17 @@ def bench_verify():
         listed_from.append(checks if essential else lin)
     rows["[G(4), G(4)] slot-wise in the checks of 15 listed P_J"] = timeit(
         lambda: [_contains_members(lin, derived) for lin in listed_from], repeats=20)
+    listings = []
+    for J in _nonempty_level_sets(4):
+        lin = maximal_subgroup(4, J)
+        checks, essential = linear_essential_reduction(lin)
+        listings += [(x, x.basis()) for x in ((checks,) if essential else (checks, lin))]
+    rows[f"packed() of classify's {len(listings)} d=4 listings"] = timeit(
+        lambda: [lin.packed(basis) for lin, basis in listings], repeats=20)
+    schreier = [[g.bits for g in _pj_schreier_generators(4, J)]
+                for J in _nonempty_level_sets(4)]
+    rows["[P_J, P_J] folds of all 15 J, d=4"] = timeit(
+        lambda: [_derived_from_generators(4, gens) for gens in schreier], repeats=20)
     rows["classify_maximal(4), caches cleared"] = timeit(classify_uncached)
     return rows
 

@@ -147,43 +147,49 @@ class LinearSubgroup:
 
     def packed(self, basis: list[int] | None = None) -> int:
         """All members in the kernel.slot_codec(order, depth) slots of one
-        int, in iter_bits order: _blocks put end to end, as
-        EnumeratedSubgroup.from_linear keeps them, unpacked only on a
+        int, spanned by _span: slot i is the XOR of the basis vectors at
+        the bits of i, so the first 2^k slots are the span of the first k
+        vectors.  That is iter_bits order up to 2^_BLOCK_LOG2 members; past
+        it iter_bits walks its blocks in Gray-code order instead.
+        EnumeratedSubgroup.from_linear keeps this int, unpacked only on a
         membership read.  `basis`, if given, is self.basis(), so a caller
         that needs it too computes it once."""
-        basis = self._listing_basis(basis)
-        return kernel.slot_join(self._blocks(basis), 1 << min(len(basis), _BLOCK_LOG2),
-                                self.depth)
+        return _span(self._listing_basis(basis), self.depth)
 
     def _listing_basis(self, basis: list[int] | None) -> list[int]:
-        if basis is None:
-            basis = self.basis()
+        basis = self.basis() if basis is None else basis
         if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
         return basis
 
     def _blocks(self, basis: list[int]) -> Iterator[int]:
         """The listing as packed blocks of 2^min(len(basis), _BLOCK_LOG2)
-        kernel.slot_codec slots each.
-
-        The span of the first _BLOCK_LOG2 basis vectors is built once, by
-        doubling: the block followed by the block XOR-ed with the new
-        vector in every slot.  A Gray-code walk over the remaining vectors
-        then yields that block translated by each of their combinations in
-        turn, one packed XOR each.
-        """
-        d = self.depth
-        block, n = 0, 1  # one slot is the portrait itself
-        for b in basis[:_BLOCK_LOG2]:
-            block = kernel.slot_join((block, block ^ kernel.slot_codec(n, d)[2](b)), n, d)
-            n <<= 1
+        kernel.slot_codec slots each: the _span of the first _BLOCK_LOG2
+        basis vectors, then, along a Gray-code walk over the remaining
+        vectors, that block translated by each of their combinations in
+        turn, one packed XOR each."""
+        block = _span(basis[:_BLOCK_LOG2], self.depth)
         yield block
         rest = basis[_BLOCK_LOG2:]
-        if not rest:
-            return
-        broadcast = kernel.slot_codec(n, d)[2]
         v = 0
         for i in range(1, 1 << len(rest)):
             # Flip one remaining basis vector per block.
             v ^= rest[(i & -i).bit_length() - 1]
-            yield block ^ broadcast(v)
+            yield block ^ kernel.slot_codec(1 << _BLOCK_LOG2, self.depth)[2](v)
+
+
+def _span(basis: Sequence[int], d: int) -> int:
+    """The span of basis in the kernel.slot_codec(2^len(basis), d) slots of
+    one int, slot i holding the XOR of basis[k] over the bits k of i.
+
+    Each vector doubles the span by whole-int operations: the copy of the
+    block XOR-ed with the vector in every slot (the vector times the slot
+    repunit) goes above the block.  The repunit doubles alongside, so no
+    codec of up to 2^MAX_LIST_LOG2 slots is built or cached for it.
+    """
+    width, block, ones = 8 * (((1 << d) + 6) >> 3), 0, 1  # bits of a slot
+    for b in basis:
+        block |= (block ^ b * ones) << width
+        ones |= ones << width
+        width <<= 1
+    return block

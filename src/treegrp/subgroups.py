@@ -27,17 +27,21 @@ Two representations, one per question:
 Structure known from the definitions is never recomputed by closure:
 
 * P_J and M_V are the solution sets of their parity checks, so
-  enumerate_PJ and enumerate_MV list them from gf2.LinearSubgroup's
-  packed blocks of the checks' nullspace (EnumeratedSubgroup.from_linear,
-  which keeps them packed until a membership is read).
+  enumerate_PJ and enumerate_MV list them as the span of the checks'
+  nullspace, doubled in packed slots by gf2.LinearSubgroup.packed
+  (EnumeratedSubgroup.from_linear, which keeps them packed until a
+  membership is read).
   enumerate_PJ attaches the Schreier generators of the index-2 kernel for
   the transversal {1, a_j0}, j0 = min J, so derived_subgroup starts from
   at most 2(d-1) generators instead of a greedy generating set.
 * [S, S] is the normal closure in S of the commutators of S's generators,
   so derived_subgroup folds it from generators inside kernel.close, which
-  conjugates each generator it accepts by S's generators.  It never lists
-  S itself, and the derived subgroup of the full group is built the same
-  way from the d generators a_i (verify.derived_of_full).
+  conjugates each generator it accepts by S's generators before it reads
+  the next seed.  The seeds, one kernel.commutator_batch over the
+  generator pairs, lie in S, so each finds the subgroup so far normal in
+  S and adds only the cosets of its own powers.  It never lists S itself,
+  and the derived subgroup of the full group is built the same way from
+  the d generators a_i (verify.derived_of_full).
 * orbit reads each element's image of a vertex off its portrait (the
   labels at the vertex's proper prefixes), with no generating set.
 
@@ -320,10 +324,13 @@ def _derived_from_generators(d: int, gens: Sequence[int],
 
     [S, S] is the normal closure in S of the commutators of generator
     pairs, and kernel.close builds that closure directly with gens as the
-    normalizer.  Only pairs x < y are seeded: [y, x] = [x, y]^-1 and
-    [x, x] = 1.
+    normalizer.  Only pairs x < y are seeded, [y, x] = [x, y]^-1 and
+    [x, x] = 1, all by one kernel.commutator_batch.
     """
-    seeds = {kernel.commutator(x, y, d) for i, x in enumerate(gens) for y in gens[i + 1:]}
+    # One identity pair keeps the batch nonempty; close skips its commutator.
+    pairs = [(x, y) for i, x in enumerate(gens) for y in gens[i + 1:]] or [(0, 0)]
+    x, y = (kernel.pack(side, d) for side in zip(*pairs))
+    seeds = kernel.unpack(kernel.commutator_batch(x, y, len(pairs), d), len(pairs), d)
     bits = kernel.close(d, sorted(seeds), resolve_cap(cap), normalizer=gens)
     return EnumeratedSubgroup.from_element_bits(d, bits)
 
@@ -405,8 +412,8 @@ def _listable(lin: gf2.LinearSubgroup, cap: int | None, what: str,
               builder: str) -> gf2.LinearSubgroup:
     """lin, once its order is known to fit under the cap and under the
     listing limit 2^gf2.MAX_LIST_LOG2, which holds whatever the cap; it is
-    then listed by EnumeratedSubgroup.from_linear, from the packed blocks
-    of the walk over its checks' nullspace."""
+    then listed by EnumeratedSubgroup.from_linear, as the span of its
+    checks' nullspace in packed slots."""
     check_order_cap(lin.log2_order(), min(resolve_cap(cap), 1 << gf2.MAX_LIST_LOG2),
                     what, f"use {builder} for membership without enumeration")
     return lin

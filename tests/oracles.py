@@ -8,10 +8,12 @@ swaps whole columns of a packed chunk), the inverse of gf2.gather_bits,
 and the parity-check essential reduction by way of a basis of the group.
 Two are the library's earlier bodies, which built one portrait at a time
 what kernel.slot_codec now builds slot-packed: kernel.pack's rows and
-gf2.LinearSubgroup.iter_bits's blocks.  Two more are the sampled pair
-streams one getrandbits call per draw, which kernel.sampled_chunks draws a
-chunk per call, and three are the kernel's byte translation tables built
-bit by bit.  batch_members reads a packed batch back sample by sample.
+gf2.LinearSubgroup.iter_bits's blocks.  span_by_lists doubles a span as
+a list, and normal_closure_by_lists closes under conjugation and products
+element by element.  Two more are the sampled pair streams one
+getrandbits call per draw, which kernel.sampled_chunks draws a chunk per
+call, and three are the kernel's byte translation tables built bit by
+bit.  batch_members reads a packed batch back sample by sample.
 
 The vertex-word helpers (vertex_word, from_labels, label, beta_V), the
 closure check verify_closed and state, the value a report or parity-check
@@ -198,6 +200,37 @@ def iter_bits_by_lists(lin: gf2.LinearSubgroup) -> Iterator[int]:
     for i in range(1, 1 << len(rest)):
         v ^= rest[(i & -i).bit_length() - 1]
         yield from [x ^ v for x in block]
+
+
+def span_by_lists(basis: Sequence[int]) -> list[int]:
+    """Oracle form of gf2._span: the span as a list, doubled by one list
+    concatenation per vector, so member i is the XOR of basis[k] over the
+    bits k of i."""
+    members = [0]
+    for b in basis:
+        members += [x ^ b for x in members]
+    return members
+
+
+def normal_closure_by_lists(d: int, gens: Sequence[int], normalizer: Sequence[int]) -> set[int]:
+    """Oracle form of kernel.close: every conjugate of gens under the group
+    the normalizer generates, by repeated conjugation with kernel.conjugate,
+    then every product of them, breadth first with kernel.compose, one
+    element at a time."""
+    conjugates, queue = set(gens), list(gens)
+    while queue:
+        x = queue.pop()
+        for s in normalizer:
+            y = kernel.conjugate(x, s, d)
+            if y not in conjugates:
+                conjugates.add(y)
+                queue.append(y)
+    els, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for y in {kernel.compose(x, g, d) for x in frontier for g in conjugates}
+                    if y not in els]
+        els.update(frontier)
+    return els
 
 
 def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]

@@ -5,12 +5,12 @@ from itertools import islice
 
 import pytest
 
-from treegrp import gf2
+from treegrp import gf2, kernel
 from treegrp.heap import level_mask, prefix_mask
 from treegrp.patterns import linear_essential_reduction
 from treegrp.subgroups import maximal_subgroup
 
-from oracles import iter_bits_by_lists, scatter_bits
+from oracles import iter_bits_by_lists, scatter_bits, span_by_lists
 
 
 def brute_span(rows):
@@ -187,3 +187,52 @@ def test_linear_subgroup_contains_checks_depth():
     assert not lin.contains(generator(3, 0))
     with pytest.raises(ValueError):
         lin.contains(generator(2, 1))
+
+
+def test_span_equals_the_list_doubling():
+    # Random vectors, not always independent, at every slot width up to d = 8
+    # (32-byte slots, wider than a machine word).
+    rng = random.Random(263)
+    for d in range(1, 9):
+        n = (1 << d) - 1
+        for k in range(15):
+            basis = [rng.getrandbits(n) for _ in range(k)]
+            slots = kernel.slot_codec(1 << k, d)[1](gf2._span(basis, d))
+            assert list(slots) == span_by_lists(basis), (d, k)
+
+
+def listings_of_every_size(rng):
+    """Parity-check subgroups at d = 1..8 of every dimension 0 .. min(14,
+    2^d - 1): zero clears all but a few random bits, and random checks on
+    those cut the dimension to the target."""
+    for d in range(1, 9):
+        n = (1 << d) - 1
+        for k in range(min(n, 14) + 1):
+            free = rng.sample(range(n), min(n, k + 2))
+            kept = sum(1 << f for f in free)
+            while True:
+                checks = tuple(rng.getrandbits(n) & kept for _ in range(len(free) - k))
+                lin = gf2.LinearSubgroup(d, checks, zero=prefix_mask(d) & ~kept)
+                if lin.log2_order() == k:
+                    yield lin
+                    break
+
+
+def test_packed_listing_is_the_doubled_span_of_the_basis():
+    # Partial blocks (fewer than 2^12 members), one whole block, and two and
+    # four blocks (13 and 14 basis vectors).
+    rng = random.Random(269)
+    sizes = set()
+    for lin in listings_of_every_size(rng):
+        basis = lin.basis()
+        members = list(kernel.slot_codec(1 << len(basis), lin.depth)[1](lin.packed()))
+        assert members == span_by_lists(basis), lin.depth
+        for k in range(len(basis) + 1):
+            assert set(members[:1 << k]) == set(span_by_lists(basis[:k]))
+        listed = list(lin.iter_bits())
+        assert len(set(members)) == len(members) and set(members) == set(listed)
+        if len(basis) <= gf2._BLOCK_LOG2:
+            assert members == listed
+        assert lin.packed(basis) == lin.packed()
+        sizes.add(len(basis))
+    assert sizes == set(range(15))

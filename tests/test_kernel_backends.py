@@ -17,6 +17,8 @@ from treegrp import kernel
 from treegrp.errors import EnumerationCapExceeded
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism, heap_index
 
+from oracles import normal_closure_by_lists
+
 
 def gens_bits(d):
     return [1 << ((1 << i) - 1) for i in range(d)]
@@ -454,3 +456,36 @@ def test_benchmark_tracer_installs_and_the_worker_names_resolve():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
+
+
+def test_close_equals_the_list_based_normal_closure():
+    # Random seeds and normalizers at d = 2 and 3, half of them with seeds
+    # outside <normalizer>, so a seed may not normalize the group closed so
+    # far and its walk leaves the powers of the seed; the rest take their
+    # seeds inside, as a derived-subgroup fold does.  Every closure of more
+    # than one element is refused again under a smaller cap.
+    rng = random.Random(271)
+    outside = 0
+    for d in (2, 3):
+        n = (1 << d) - 1
+        for case in range(60):
+            normalizer = [rng.getrandbits(n) for _ in range(rng.randrange(0, 4))]
+            seeds = [rng.getrandbits(n) for _ in range(rng.randrange(0, 4))]
+            if case % 2 and normalizer:
+                seeds = [kernel.commutator(x, y, d) for x in normalizer for y in normalizer]
+            group = bfs_closure(d, normalizer)
+            outside += any(g not in group for g in seeds)
+            expected = normal_closure_by_lists(d, seeds, normalizer)
+            assert kernel.close(d, seeds, len(expected), normalizer) == expected
+            if len(expected) == 1:
+                continue
+            cap = rng.randrange(1, len(expected))
+            with pytest.raises(EnumerationCapExceeded) as err:
+                kernel.close(d, seeds, cap, normalizer)
+            assert err.value.reached == cap + 1
+            tb = err.tb
+            while tb.tb_next:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code is kernel.close.__code__
+            assert len(tb.tb_frame.f_locals["seen"]) <= cap
+    assert outside >= 30

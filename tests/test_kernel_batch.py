@@ -146,3 +146,11 @@ def test_level_half_parities_are_half_level_popcounts(d):
                     for j, a in enumerate(xs) for i in (0, 1))
                 for m in range(1, d)]
             assert kernel.root_swap_mask(x, n) == sum((a & 1) << 2 * j for j, a in enumerate(xs))
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_kernel_unpack_inverts_pack(d):
+    rng = random.Random(950 + d)
+    for n in (1, 2, 7, 64):
+        for xs in batches(rng, n, d):
+            assert kernel.unpack(kernel.pack(xs, d), n, d) == xs

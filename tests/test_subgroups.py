@@ -1027,3 +1027,24 @@ def test_classify_never_builds_the_set_of_a_listing(monkeypatch):
         # One listed reduction per row, and P_J itself on the rows it reduces.
         assert len(listed) == (1 << d) - 1 + (1 << d - 1) - 1
         assert not any(map(_set_built, listed)), d
+
+
+def test_derived_seeds_are_the_scalar_commutators_of_generator_pairs(monkeypatch):
+    # The seeds kernel.close gets, one per generator pair from one batch,
+    # for the Schreier generators of every P_J and the generators of G(d),
+    # d <= 5; the closure itself is skipped.  Fewer than two generators
+    # seed the identity alone.
+    got = []
+    monkeypatch.setattr(kernel, "close",
+                        lambda d, gens, cap, normalizer=(): got.append(gens) or {0})
+    for d in range(1, 6):
+        cases = [[a.bits for a in generators(d)]]
+        for bits in range(1, 1 << d):
+            J = frozenset(j for j in range(d) if bits >> j & 1)
+            cases.append([g.bits for g in subgroups._pj_schreier_generators(d, J)])
+        for gens in cases:
+            subgroups._derived_from_generators(d, gens)
+            seeds = got.pop()
+            pairs = [(x, y) for i, x in enumerate(gens) for y in gens[i + 1:]]
+            assert sorted(seeds) == sorted(kernel.commutator(x, y, d) for x, y in pairs) \
+                or not pairs and seeds == [0], (d, gens)

@@ -482,3 +482,31 @@ def test_no_adad_passes_with_a_cap_below_the_order_of_pj():
     assert all(case.enumerated_checked and case.enumerated_excluded for case in report.cases)
     with pytest.raises(EnumerationCapExceeded):
         verify_no_adad(4, cap=1023)
+
+
+def test_classify_folds_pull_fewer_slot_batches(monkeypatch):
+    # Every kernel._pull inside a normalized kernel.close over
+    # classify_maximal(4), whose 15 [P_J, P_J] folds and [G(4), G(4)] are
+    # its only such closures: one per membership probe, per coset chunk and
+    # two per accepted generator's conjugates.  With conjugates queued behind
+    # the seeds the count was 2,518 (488 cosets, 1,850 probes); read before
+    # the next seed, it is 1,431 (209 cosets, 972 probes).
+    real_close, real_pull = kernel.close, kernel._pull
+    normalized, pulls = [], [0]
+
+    def close(d, gens, cap, normalizer=()):
+        normalized.append(bool(normalizer))
+        try:
+            return real_close(d, gens, cap, normalizer)
+        finally:
+            normalized.pop()
+
+    def pull(x, masks):
+        pulls[0] += bool(normalized and normalized[-1])
+        return real_pull(x, masks)
+
+    monkeypatch.setattr(kernel, "close", close)
+    monkeypatch.setattr(kernel, "_pull", pull)
+    monkeypatch.setattr(verify, "_DERIVED_FULL_CACHE", {})
+    verify.classify_maximal(4)
+    assert 0 < pulls[0] <= 1431
