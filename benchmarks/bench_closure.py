@@ -21,8 +21,9 @@ the listed, rank-reduced P_{3} (`is_essential` on its basis and
 `hausdorff_dimension`: the stabilizer count reads all 16,384 members off
 `EnumeratedSubgroup.count_clear`, while the essentiality test stops within
 the first 256 off `masked_runs`), the failing path of that test on the
-listed P_{2}, which is not essential (its truncations are read in full
-before the basis is walked for a witness), the set-filter essential
+listed P_{2}, which is not essential (its truncations are read until all
+|P| / |St_P(3)| = 64 are seen, within the first 256 members, before the
+basis is walked for a witness), the set-filter essential
 reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
 P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
 cross-checked by its essentiality and dimension), the depth-5 truncation
@@ -32,7 +33,8 @@ groups and the 15 reduced P_J.  The tenth is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
 (`truncation_orbits`) instead of listing them.  The last two reduce every
-P_J on its parity checks (`linear_essential_reduction`), the 31 at d=5 and
+P_J on its parity checks (`linear_essential_reduction`, one forward
+elimination per round), the 31 at d=5, as `classify --d 5 --gf2` does, and
 the 255 at d=8.  The half-tree law check
 `verify_ni_identities_for` is timed on the level sets `verify --suite ni`
 checks: every J containing the top level at d=4 (10,000 pairs), and J =
@@ -251,7 +253,7 @@ def bench_patterns():
         "psi_image_index(full pattern group), d=3":
             timeit(lambda: psi_image_index(full3)),
     } | {
-        f"reduce all {len(lins)} P_J by rank, d={d}":
+        f"linear_essential_reduction of the {len(lins)} P_J, d={d}":
             timeit(lambda lins=lins: [linear_essential_reduction(lin) for lin in lins])
         for d, lins in pjs.items()
     }

@@ -1,10 +1,12 @@
 """Bit-packed linear algebra over GF(2) and parity-defined subgroups.
 
-Vectors are Python ints (bit k = coordinate k).  LinearSubgroup is the one
-representation of a subgroup cut out by parity functionals of the portrait
-bits (P_J, M_V and what the pattern pipeline derives from them): as a set
-it is the solution space of its parity checks, so membership is a few
-popcounts and orders are ranks.
+Vectors are Python ints (bit k = coordinate k).  rank is the length of
+one forward elimination (echelon); rref back-substitutes it for nullspace,
+which reads solutions off a fully reduced basis.  LinearSubgroup is the
+one representation of a subgroup cut out by parity functionals of the
+portrait bits (P_J, M_V and what the pattern pipeline derives from them):
+as a set it is the solution space of its parity checks, so membership is
+a few popcounts and orders are ranks.
 
 At d <= 4, classify and the aux suite list every rank-reduced P_J at run
 time and cross-check it before a verdict reads it; the test suite holds
@@ -26,32 +28,36 @@ MAX_LIST_LOG2 = 26
 _BLOCK_LOG2 = 12
 
 
+def echelon(rows: Iterable[int]) -> list[int]:
+    """Echelon basis of the span of rows, highest pivot first: one forward
+    elimination (reduce_vector), so the pivots are distinct highest bits
+    but a pivot column may appear in the rows above it."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        r = reduce_vector(r, basis)
+        if r:
+            basis[r.bit_length() - 1] = r
+    return [basis[p] for p in sorted(basis, reverse=True)]
+
+
 def rref(rows: Iterable[int]) -> list[int]:
-    """Fully reduced row echelon basis, highest pivot first.
+    """Fully reduced row echelon basis, highest pivot first: echelon, then
+    back-substitution, each row cleared of the pivots below it.
 
     Full reduction (no pivot column appears in any other row) is load-bearing:
     nullspace() reads solution bits straight off the pivot rows.
     """
-    basis: dict[int, int] = {}
-    for r in rows:
-        r = reduce_vector(r, basis)
-        if not r:
-            continue
-        p = r.bit_length() - 1
-        # Clear the established pivot columns from the new row's interior...
-        for q, b in basis.items():
-            if (r >> q) & 1:
-                r ^= b
-        # ...and the new pivot column from every established row.
-        for q, b in basis.items():
-            if (b >> p) & 1:
-                basis[q] = b ^ r
-        basis[p] = r
-    return [basis[p] for p in sorted(basis, reverse=True)]
+    basis = echelon(rows)
+    for i in range(len(basis) - 2, -1, -1):
+        # The rows below are already reduced, so each clears only its pivot.
+        for b in basis[i + 1:]:
+            if basis[i] >> (b.bit_length() - 1) & 1:
+                basis[i] ^= b
+    return basis
 
 
 def reduce_vector(v: int, basis: dict[int, int]) -> int:
-    """Residual of v after elimination against a reduced basis, keyed by pivot."""
+    """Residual of v after elimination against an echelon basis keyed by pivot."""
     while v:
         p = v.bit_length() - 1
         b = basis.get(p)
@@ -62,7 +68,7 @@ def reduce_vector(v: int, basis: dict[int, int]) -> int:
 
 
 def rank(rows: Iterable[int]) -> int:
-    return len(rref(rows))
+    return len(echelon(rows))
 
 
 def nullspace(rows: Iterable[int], n: int) -> list[int]:

@@ -38,15 +38,19 @@ class JContext:
     """Depth plus level set J, with the derived data the parity functionals use.
 
     J' = J minus {0} (level 0 has no half split) and i0 indicates whether
-    level 0 belongs to J.  The finite-generation pipeline requires the top
-    level d-1 to lie in J; exploratory use may relax that, so the check is
-    a separate method rather than a construction invariant.
+    level 0 belongs to J; both are computed once, and P_J is built on the
+    first subgroup() and kept.  The finite-generation pipeline requires the
+    top level d-1 to lie in J; exploratory use may relax that, so the check
+    is a separate method rather than a construction invariant.
     """
 
     def __init__(self, depth: int, levels: frozenset[int]):
         level_set_mask(depth, levels)  # validates J
         self.depth = depth
         self.levels = levels
+        self.jprime = levels - {0}
+        self.i0 = 1 if 0 in levels else 0
+        self._subgroup = None
 
     @classmethod
     def make(cls, d: int, J: Iterable[int]) -> "JContext":
@@ -58,14 +62,6 @@ class JContext:
         ctx.require_top_level()
         return ctx
 
-    @property
-    def jprime(self) -> frozenset[int]:
-        return self.levels - {0}
-
-    @property
-    def i0(self) -> int:
-        return 1 if 0 in self.levels else 0
-
     def require_top_level(self) -> None:
         if self.depth - 1 not in self.levels:
             raise ValueError(
@@ -74,7 +70,9 @@ class JContext:
 
     def subgroup(self):
         """P_J at this context's depth, as its parity check."""
-        return maximal_subgroup(self.depth, self.levels)
+        if self._subgroup is None:
+            self._subgroup = maximal_subgroup(self.depth, self.levels)
+        return self._subgroup
 
     def half_mask(self, i: int) -> int:
         return _half_mask(self.jprime, i)

@@ -27,10 +27,12 @@ not member by member.  Two reads stop early, off masked_runs: is_essential
 on `tested` members stops once every tested child is among the
 truncations read, and truncation_orbits' level d stops once all 2^d
 left-path vectors are seen.  Both stops are exact, since reading more
-members can only add truncations or vectors; a failing test reads every
-member, as every other read does.  A failed internal
-consistency check (a stabilizer order that is no power of two, an
-embedding index that is no integer) raises VerificationError.
+members can only add truncations or vectors.  A failing is_essential on
+`tested` stops at |P| / |St_P(d-1)| truncations, all of them, as
+truncation is a homomorphism with kernel St_P(d-1); every other read takes
+every member.  A failed internal consistency check (a stabilizer order
+that is no power of two dividing |P|, more truncations than that quotient,
+an embedding index that is no integer) raises VerificationError.
 
 Truncation groups are built one level at a time as a join: the shallower
 group's elements are classed by their top d - 1 levels, and each allowed
@@ -115,7 +117,10 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     `tested`, if given, are the members tested in place of all of P.  When
     P is closed under XOR, as a parity-check solution set is, a basis is
     enough: truncation and the child masks are then linear, so the members
-    that pass form an XOR-closed set.
+    that pass form an XOR-closed set.  A read of more than one run also
+    stops at |P| / |St_P(d-1)| truncations: truncation to depth d - 1 is a
+    homomorphism with kernel St_P(d-1), so they are all of them, and the
+    witness, the first failing child in `tested`'s order, is a full read's.
     """
     d = p.depth
     if d < 2:
@@ -128,10 +133,19 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
         children = [(b, i, gather(b, i + 1, d - 1)) for b in tested for i in (0, 1)]
         wanted = {c for _, _, c in children}
         truncations: set[int] = set()
+        image = None  # |P| / |St_P(d-1)|, counted once more runs follow
         for run in p.group.masked_runs(prefix_mask(d - 1)):
             truncations.update(run)
             if wanted <= truncations:
                 return EssentialityResult(True, None)
+            if image is None and len(run) < p.order:
+                image = p.order // _stabilizer_order(p.group, d)
+            if image is not None and len(truncations) >= image:
+                if len(truncations) > image:
+                    raise VerificationError(
+                        f"{len(truncations)} truncations read, but |P| / |St_P(d-1)| = "
+                        f"{image}; subgroup data is corrupted")
+                break
         # Not settled by the runs: with every truncation read, the first
         # child, in tested's order, that matches none is the witness.
         for b, i, c in children:
@@ -194,18 +208,23 @@ def hausdorff_dimension(p: PatternGroup) -> Fraction:
 
     Equals log2 of the order of P's level-(d-1) stabilizer divided by
     2^(d-1); the stabilizer order is always a power of two for a 2-group.
-    The stabilizer is counted off the packed members
-    (EnumeratedSubgroup.count_clear).
+    The stabilizer is counted off the packed members (_stabilizer_order).
     """
     p = _ensure_essential(p)
     d = p.depth
-    stab_order = p.group.count_clear(prefix_mask(d - 1))
-    if stab_order.bit_count() != 1:
+    return Fraction(_stabilizer_order(p.group, d).bit_length() - 1, 1 << (d - 1))
+
+
+def _stabilizer_order(group: EnumeratedSubgroup, d: int) -> int:
+    """|St_P(d-1)|, counted off the packed members (count_clear): a power
+    of two dividing |P|, as for any subgroup of a 2-group, or
+    VerificationError."""
+    stab_order = group.count_clear(prefix_mask(d - 1))
+    if stab_order.bit_count() != 1 or group.order % stab_order:
         raise VerificationError(
-            f"stabilizer order {stab_order} is not a power of two; "
-            "subgroup data is corrupted"
-        )
-    return Fraction(stab_order.bit_length() - 1, 1 << (d - 1))
+            f"stabilizer order {stab_order} is not a power of two dividing "
+            f"|P| = {group.order}; subgroup data is corrupted")
+    return stab_order
 
 
 def is_allowed_dimension(p: PatternGroup, dim: Fraction) -> bool:
@@ -415,10 +434,11 @@ def linear_essential_reduction(lin: gf2.LinearSubgroup
     """Reduction fixpoint computed on parity checks; returns (reduced,
     was_already_essential).
 
-    A round row-reduces the checks modulo `zero`, highest pivot first.  As
-    the pivots are distinct highest bits, the checks of the depth-(d - 1)
-    truncation are the rows with no bit on level d - 1 plus the `zero` bits
-    above it; placed under both children, they join the checks and `zero`.
+    A round eliminates the checks modulo `zero` (gf2.echelon, with no
+    back-substitution).  As the pivots are distinct highest bits, the checks
+    of the depth-(d - 1) truncation are the rows with no bit on level d - 1
+    plus the `zero` bits above it; placed under both children, they join
+    the checks and `zero`.
     Each round's set lies inside the last, so the fixpoint is reached when
     popcount(zero) + rank stops growing.
     """
@@ -427,7 +447,7 @@ def linear_essential_reduction(lin: gf2.LinearSubgroup
     checks, zero = lin.checks, lin.zero
     codim, rounds = -1, 0
     while True:
-        rows = gf2.rref(c & ~zero for c in checks)
+        rows = gf2.echelon(c & ~zero for c in checks)
         if zero.bit_count() + len(rows) == codim:
             break
         codim, rounds = zero.bit_count() + len(rows), rounds + 1

@@ -56,7 +56,7 @@ from .halftree import (
     derived_membership_certificate,
 )
 from .heap import prefix_mask
-from .portrait import commutator, generator, generators
+from .portrait import FiniteAutomorphism, commutator, generator, generators
 from .report import Report
 from .subgroups import (
     EnumeratedSubgroup,
@@ -162,6 +162,12 @@ def _generator_commutators(d: int) -> tuple[int, ...]:
                  for i in range(d) for j in range(i + 1, d))
 
 
+@lru_cache(maxsize=None)
+def _adad(d: int) -> FiniteAutomorphism:
+    """[a_0, a_{d-1}], the (0, d - 1) entry of _generator_commutators(d)."""
+    return FiniteAutomorphism(d, _generator_commutators(d)[d - 2])
+
+
 def _contains_derived_of_full(lin: gf2.LinearSubgroup) -> bool:
     """Whether a normal subgroup of G(d) cut out by parity checks contains
     [G(d), G(d)]: that is the normal closure of the commutators [a_i, a_j],
@@ -241,9 +247,7 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
     else:
         contains_derived = _contains_derived_of_full(lin)
         if essential and d - 1 in J:
-            cert = derived_membership_certificate(
-                JContext.for_top_level(d, J),
-                commutator(generator(d, 0), generator(d, d - 1)))
+            cert = derived_membership_certificate(JContext.for_top_level(d, J), _adad(d))
             bs_fails = cert.verdict == NOT_IN_DERIVED
     is_max = dimension == 1 - Fraction(1, 1 << (d - 1))
     return ClassificationRow(

@@ -8,7 +8,10 @@ swaps whole columns of a packed chunk), the inverse of gf2.gather_bits,
 and the parity-check essential reduction by way of a basis of the group.
 Two are the library's earlier bodies, which built one portrait at a time
 what kernel.slot_codec now builds slot-packed: kernel.pack's rows and
-gf2.LinearSubgroup.iter_bits's blocks.  span_by_lists doubles a span as
+gf2.LinearSubgroup.iter_bits's blocks.  Two more are earlier bodies that
+fully reduced every row on insertion, where the library now eliminates
+forward and back-substitutes only for gf2.rref: gf2.rref itself and the
+parity-check reduction that ran it each round.  span_by_lists doubles a span as
 a list, and normal_closure_by_lists closes under conjugation and products
 element by element.  Two more are the sampled pair streams one
 getrandbits call per draw, which kernel.sampled_chunks draws a chunk per
@@ -134,6 +137,50 @@ def scatter_bits(v: int, positions: Sequence[int]) -> int:
     for k, p in enumerate(positions):
         out |= ((v >> k) & 1) << p
     return out
+
+
+def rref_by_full_reduction(rows: Iterable[int]) -> list[int]:
+    """Oracle form of gf2.rref: each new row is fully reduced on insertion,
+    its interior cleared of the established pivots and its pivot cleared
+    from every established row.  Highest pivot first."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        r = gf2.reduce_vector(r, basis)
+        if not r:
+            continue
+        p = r.bit_length() - 1
+        for q, b in basis.items():
+            if (r >> q) & 1:
+                r ^= b
+        for q, b in basis.items():
+            if (b >> p) & 1:
+                basis[q] = b ^ r
+        basis[p] = r
+    return [basis[p] for p in sorted(basis, reverse=True)]
+
+
+def linear_essential_reduction_by_rref(lin: gf2.LinearSubgroup, eliminated: list | None = None
+                                       ) -> tuple[gf2.LinearSubgroup, bool]:
+    """Oracle form of patterns.linear_essential_reduction, each round fully
+    reduced by rref_by_full_reduction.  Each round's input rows are
+    appended to `eliminated`, if given."""
+    d = lin.depth
+    top = prefix_mask(d - 1)
+    checks, zero = lin.checks, lin.zero
+    codim, rounds = -1, 0
+    while True:
+        round_rows = [c & ~zero for c in checks]
+        if eliminated is not None:
+            eliminated.append(round_rows)
+        rows = rref_by_full_reduction(round_rows)
+        if zero.bit_count() + len(rows) == codim:
+            break
+        codim, rounds = zero.bit_count() + len(rows), rounds + 1
+        zero |= place(zero & top, 1, d - 1) | place(zero & top, 2, d - 1)
+        checks = rows + [place(c, v, d - 1) for c in rows if c <= top for v in (1, 2)]
+    if rounds == 1:
+        return lin, True
+    return gf2.LinearSubgroup(d, tuple(rows), zero), False
 
 
 def linear_essential_reduction_by_basis(lin: gf2.LinearSubgroup

@@ -10,7 +10,13 @@ from treegrp.heap import level_mask, prefix_mask
 from treegrp.patterns import linear_essential_reduction
 from treegrp.subgroups import maximal_subgroup
 
-from oracles import iter_bits_by_lists, scatter_bits, span_by_lists
+from oracles import (
+    iter_bits_by_lists,
+    linear_essential_reduction_by_rref,
+    rref_by_full_reduction,
+    scatter_bits,
+    span_by_lists,
+)
 
 
 def brute_span(rows):
@@ -48,6 +54,28 @@ def test_rref_is_fully_reduced():
             for j, p in enumerate(pivots):
                 if i != j:
                     assert not (b >> p) & 1
+
+
+def test_elimination_matches_the_full_reduction_oracle():
+    # Seeded random row sets of 0..40 rows over 1..64 bits, and every row
+    # set the reduction of a P_J at d = 2..7 eliminates.
+    rng = random.Random(241)
+    row_sets = []
+    for _ in range(300):
+        n = rng.randrange(1, 65)
+        row_sets.append([rng.getrandbits(n) for _ in range(rng.randrange(0, 41))])
+    for d in range(2, 8):
+        for bits in range(1, 1 << d):
+            J = {j for j in range(d) if bits >> j & 1}
+            linear_essential_reduction_by_rref(maximal_subgroup(d, J), row_sets)
+    for rows in row_sets:
+        full = rref_by_full_reduction(rows)
+        assert gf2.rank(rows) == len(full)
+        assert gf2.rref(rows) == full
+        basis = gf2.echelon(rows)
+        pivots = [b.bit_length() - 1 for b in basis]
+        assert all(basis) and pivots == sorted(set(pivots), reverse=True)
+        assert rref_by_full_reduction(basis) == full
 
 
 def test_in_span_matches_bruteforce():

@@ -54,7 +54,12 @@ from treegrp.verify import (
     verify_new_relation,
 )
 
-from oracles import linear_essential_reduction_by_basis, verify_closed
+from oracles import (
+    linear_essential_reduction_by_basis,
+    linear_essential_reduction_by_rref,
+    rref_by_full_reduction,
+    verify_closed,
+)
 
 
 def nonempty_level_sets(d):
@@ -283,7 +288,9 @@ def test_stops_wait_for_members_past_the_first_run(monkeypatch):
         assert 1 << 15 - mask.bit_count() < read[0] <= 1 << 15
 
 
-def test_failing_tested_essentiality_reads_every_member(monkeypatch):
+def test_failing_tested_essentiality_stops_at_the_truncation_image(monkeypatch):
+    # A listing of one run (d = 2, 3) is read whole; at d = 4 the first
+    # 2^8 members already hold all 64 truncations, |P| / |St_P(3)|.
     read = _counting_unpacks(monkeypatch)
     for d in (2, 3, 4):
         for J in nonempty_level_sets(d):
@@ -294,9 +301,49 @@ def test_failing_tested_essentiality_reads_every_member(monkeypatch):
             p = PatternGroup.from_subgroup(EnumeratedSubgroup.from_linear(lin, basis))
             read[0] = 0
             res = is_essential(p, tested=basis)
-            assert read[0] == p.order
+            assert read[0] == (p.order if d < 4 else 256)
             g, i = res.witness
             assert (res.essential, (g.bits, i)) == reference_is_essential(p, basis)
+
+
+def test_failing_stop_waits_for_an_image_completed_in_a_later_run(monkeypatch):
+    # P_{2} at d = 4 packed with the 256 members of one truncation class
+    # from slot `start` on: the image is complete only in the run that
+    # holds them (runs of 256, 256, 512, 1024, ... slots), and the witness
+    # is the one a full read gives.
+    read = _counting_unpacks(monkeypatch)
+    lin = maximal_subgroup(4, {2})
+    basis = lin.basis()
+    members = sorted(lin.iter_bits())
+    last = max(b & prefix_mask(3) for b in members)
+    cls = [b for b in members if b & prefix_mask(3) == last]
+    others = [b for b in members if b & prefix_mask(3) != last]
+    group = EnumeratedSubgroup.from_element_bits(4, members)
+    p = PatternGroup.from_subgroup(group)
+    for start, expected in ((512, 1024), (len(others), p.order)):
+        ordered = others[:start] + cls + others[start:]
+        group._packed = kernel.slot_codec(len(ordered), 4)[0](ordered)
+        for tested in (basis, basis[::-1]):
+            read[0] = 0
+            res = is_essential(p, tested=tested)
+            assert read[0] == expected
+            g, i = res.witness
+            assert (res.essential, (g.bits, i)) == reference_is_essential(p, tested)
+
+
+def test_failing_stop_checks_the_stabilizer_count(monkeypatch):
+    # A stabilizer count off by a factor of two makes the image smaller
+    # than the truncations read; one that is no power of two is refused.
+    lin = maximal_subgroup(4, {2})
+    basis = lin.basis()
+    p = PatternGroup.from_subgroup(EnumeratedSubgroup.from_linear(lin, basis))
+    real = EnumeratedSubgroup.count_clear
+    for wrong, message in ((lambda n: 2 * n, "64 truncations read"),
+                           (lambda n: n - 1, "stabilizer order 255 is not a power of two")):
+        monkeypatch.setattr(EnumeratedSubgroup, "count_clear",
+                            lambda self, mask, wrong=wrong: wrong(real(self, mask)))
+        with pytest.raises(VerificationError, match=message):
+            is_essential(p, tested=basis)
 
 
 def test_tested_members_may_come_as_a_generator():
@@ -890,6 +937,18 @@ def test_linear_reduction_matches_basis_reference_on_random_zero_systems():
         assert same_solution_set(red, ref), lin
         if was_ess:
             assert red is lin
+
+
+def test_linear_reduction_matches_a_fully_reduced_run():
+    # Each round eliminates to an echelon basis only; a run that fully
+    # reduces every round gives the same zero mask, row space and flag.
+    for d in range(2, 9):
+        for J in nonempty_level_sets(d):
+            lin = maximal_subgroup(d, J)
+            (red, was_ess), (ref, ref_ess) = (
+                linear_essential_reduction(lin), linear_essential_reduction_by_rref(lin))
+            assert (red.zero, was_ess) == (ref.zero, ref_ess), (d, J)
+            assert rref_by_full_reduction(red.checks) == rref_by_full_reduction(ref.checks)
 
 
 def test_linear_reduction_stays_in_check_space(monkeypatch):
