@@ -74,7 +74,7 @@ import time
 
 from treegrp import kernel
 from treegrp.halftree import JContext, verify_ni_identities_for
-from treegrp.heap import prefix_mask
+from treegrp.heap import prefix_mask, spine
 from treegrp.patterns import (
     PatternGroup,
     essential_reduction,
@@ -84,7 +84,7 @@ from treegrp.patterns import (
     psi_image_index,
     truncation_group,
 )
-from treegrp.portrait import FiniteAutomorphism, generators
+from treegrp.portrait import FiniteAutomorphism
 from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
     EnumeratedSubgroup,
@@ -144,11 +144,11 @@ def bench_kernel():
     """Best seconds of the closure, compose, invert and derived-subgroup rows."""
     results = {}
 
-    gens4 = [g.bits for g in generators(4)]
+    gens4 = [spine(i) for i in range(4)]
     results["close G(4) [32768 els]"] = timeit(
         lambda: kernel.close(4, gens4, 1 << 26)
     )
-    a13 = generators(14)[13].bits
+    a13 = spine(13)
     results["close <a_13> (d=14) [2 els]"] = timeit(
         lambda: kernel.close(14, [a13], 10)
     )
@@ -303,8 +303,7 @@ def bench_verify():
         listings += [(x, x.basis()) for x in ((checks,) if essential else (checks, lin))]
     rows[f"packed() of classify's {len(listings)} d=4 listings"] = timeit(
         lambda: [lin.packed(basis) for lin, basis in listings], repeats=20)
-    schreier = [[g.bits for g in _pj_schreier_generators(4, J)]
-                for J in _nonempty_level_sets(4)]
+    schreier = [_pj_schreier_generators(4, J) for J in _nonempty_level_sets(4)]
     rows["[P_J, P_J] folds of all 15 J, d=4"] = timeit(
         lambda: [_derived_from_generators(4, gens) for gens in schreier], repeats=20)
     rows["classify_maximal(4), caches cleared"] = timeit(classify_uncached)

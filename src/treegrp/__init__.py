@@ -39,10 +39,7 @@ from .portrait import (
     MAX_DEPTH,
     DistanceResult,
     FiniteAutomorphism,
-    commutator,
     distance,
-    generator,
-    generators,
     identity,
 )
 from .subgroups import (

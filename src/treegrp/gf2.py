@@ -126,14 +126,11 @@ class LinearSubgroup:
         return not bits & self.zero and all(
             (bits & m).bit_count() & 1 == 0 for m in self.checks)
 
-    def contains(self, g) -> bool:
+    def __contains__(self, g) -> bool:
         """Membership of a FiniteAutomorphism of the same depth."""
         if g.depth != self.depth:
             raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
         return self.contains_bits(g.bits)
-
-    def __contains__(self, g) -> bool:
-        return self.contains(g)
 
     def basis(self) -> list[int]:
         # With zero's bits cleared from the checks, those bits are free
@@ -193,7 +190,7 @@ def _span(basis: Sequence[int], d: int) -> int:
     repunit) goes above the block.  The repunit doubles alongside, so no
     codec of up to 2^MAX_LIST_LOG2 slots is built or cached for it.
     """
-    width, block, ones = 8 * (((1 << d) + 6) >> 3), 0, 1  # bits of a slot
+    width, block, ones = 8 * kernel.slot_bytes(d), 0, 1  # bits of a slot
     for b in basis:
         block |= (block ^ b * ones) << width
         ones |= ones << width

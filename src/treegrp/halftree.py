@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import kernel
 from .errors import VerificationError
-from .heap import half_level_mask
+from .heap import half_level_mask, in_range
 from .portrait import FiniteAutomorphism
 from .report import Report
 from .subgroups import level_set_mask, maximal_subgroup
@@ -82,24 +82,25 @@ def _parity(bits: int, mask: int) -> int:
     return (bits & mask).bit_count() & 1
 
 
-def N(g: FiniteAutomorphism, ctx: JContext, i: int) -> int:
-    """Parity of g's labels in half-tree i over the levels in J'."""
-    if g.depth != ctx.depth:
-        raise ValueError(f"depth mismatch: {g.depth} vs {ctx.depth}")
+def N(g: int, ctx: JContext, i: int) -> int:
+    """Parity of the depth-d portrait g's labels in half-tree i over the levels in J'."""
+    if not in_range(g, ctx.depth):
+        raise ValueError(f"portrait bits out of range for depth {ctx.depth}")
     if i not in (0, 1):
         raise ValueError(f"half index must be 0 or 1, got {i}")
-    return _parity(g.bits, ctx.half_mask(i))
+    return _parity(g, ctx.half_mask(i))
 
 
-def _check_pj_member(ctx: JContext, g: FiniteAutomorphism, name: str) -> None:
+def _check_pj_member(ctx: JContext, g: int, name: str) -> None:
     """Membership precondition plus the internal parity identity.
 
     A P_J member satisfies alpha_{J'}(g) + i0 * alpha_0(g) = 0; checking it
     on every processed member catches membership-predicate bugs early.
+    alpha_{J'} is read through the half masks, not through the parity check.
     """
-    if not ctx.subgroup().contains(g):
+    if not ctx.subgroup().contains_bits(g):
         raise ValueError(f"{name} is not a member of P_J for J={sorted(ctx.levels)}")
-    if (g.alpha(ctx.jprime) if ctx.jprime else 0) ^ (ctx.i0 & g.root_activity):
+    if _parity(g, ctx.half_mask(0) | ctx.half_mask(1)) ^ (ctx.i0 & g):
         raise VerificationError(
             f"{name} passed the P_J membership test for J={sorted(ctx.levels)} "
             "but violates its parity identity"
@@ -179,6 +180,7 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
         parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
         ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
         evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample
+        pairs = None  # the chunk's (g, h) pairs, unpacked only to report one
         for jprime, failures in found.items():
             if len(failures) >= 10:
                 continue
@@ -199,9 +201,9 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
                 low = bad & -bad
                 bad ^= low
                 j = (low.bit_length() - 1) >> 1
-                # Sample j of each batch, level by level (kernel.Chunk).
-                g_j, h_j = (sum((x >> ((n + j) << m) & (1 << (1 << m)) - 1) << (1 << m) - 1
-                                for m in range(d)) for x in (g, h))
+                if pairs is None:
+                    pairs = list(zip(kernel.unpack(g, n, d), kernel.unpack(h, n, d)))
+                g_j, h_j = pairs[j]
                 failures.append({
                     "law": next(law for law, v in laws if v & low),
                     "g": FiniteAutomorphism(d, g_j).to_hex(),
@@ -235,9 +237,8 @@ class CertificateVerdict(Report):
         self.certificate = certificate
 
 
-def derived_membership_certificate(ctx: JContext,
-                                   x: FiniteAutomorphism) -> CertificateVerdict:
-    """Parity obstruction to x lying in [P_J, P_J].
+def derived_membership_certificate(ctx: JContext, x: int) -> CertificateVerdict:
+    """Parity obstruction to the depth-d portrait x lying in [P_J, P_J].
 
     Sound because both half-tree parities vanish on the derived subgroup;
     not complete, so a zero pair yields INCONCLUSIVE rather than a

@@ -54,6 +54,11 @@ def prefix_mask(k: int) -> int:
     return (1 << ((1 << k) - 1)) - 1
 
 
+def spine(i: int) -> int:
+    """The portrait of a_i: one label, at the vertex 0^i (heap index 2^i - 1)."""
+    return 1 << ((1 << i) - 1)
+
+
 def in_range(bits: int, d: int) -> bool:
     """Whether bits is a depth-d portrait, i.e. 0 <= bits < 2^(2^d - 1)."""
     return bits >= 0 and bits.bit_length() < 1 << d

@@ -487,11 +487,16 @@ _ORDER = sys.byteorder
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def slot_bytes(d: int) -> int:
+    """Bytes of one slot of a depth-d portrait: ceil((2^d - 1) / 8)."""
+    return ((1 << d) + 6) >> 3
+
+
 @lru_cache(maxsize=64)
 def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
     """pack, unpack and broadcast for n depth-d portraits in slots of one int.
 
-    A slot is w = ceil((2^d - 1) / 8) bytes, portrait i is slot i and the
+    A slot is w = slot_bytes(d) bytes, portrait i is slot i and the
     bytes are in sys.byteorder, so pack(xs) is the int whose bytes are
     those of xs[0], xs[1], ... each in w bytes, and unpack(x) reads them
     back.  broadcast(x) puts x in every slot.  The top bit of every slot is
@@ -500,7 +505,7 @@ def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
     """
     if n == 1:
         return itemgetter(0), lambda x: (x,), lambda x: x
-    w = ((1 << d) + 6) >> 3
+    w = slot_bytes(d)
     size = n * w
     if w in _WORD_FORMATS:  # struct packs and unpacks machine words in C
         layout = struct.Struct(f"={n}{_WORD_FORMATS[w]}")
@@ -536,7 +541,7 @@ def slot_runs(x: int, n: int, d: int, first: int, mask: int) -> Iterator[Sequenc
     once, when the second run is reached.  So a reader that stops after the
     first run never masks or converts all of x, and one that reads every
     run pays one mask and one copy, as masking all of x up front would."""
-    w = ((1 << d) + 6) >> 3
+    w = slot_bytes(d)
     word = _WORD_FORMATS.get(w)
 
     def run(raw: bytes, start: int, k: int) -> Sequence[int]:

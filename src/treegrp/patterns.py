@@ -58,7 +58,6 @@ from typing import Iterable, Iterator, NamedTuple
 from . import gf2
 from .errors import EnumerationCapExceeded, VerificationError
 from .heap import gather, place, prefix_mask
-from .portrait import FiniteAutomorphism
 from .subgroups import (
     EnumeratedSubgroup,
     level_set_mask,
@@ -89,7 +88,7 @@ class PatternGroup:
 
 class EssentialityResult(NamedTuple):
     essential: bool
-    witness: tuple[FiniteAutomorphism, int] | None
+    witness: tuple[int, int] | None
 
 
 def _children_placed(portraits: set[int] | frozenset[int], k: int
@@ -111,8 +110,9 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
                  ) -> EssentialityResult:
     """Whether every child subpattern of every allowed pattern extends in P.
 
-    On failure the witness is a pair (g, i): the size-(d-1) pattern of g at
-    first-level vertex i matches no truncation of a member of P.
+    On failure the witness is a pair (bits, i): the size-(d-1) pattern of
+    the member portrait bits at first-level vertex i matches no truncation
+    of a member of P.
 
     `tested`, if given, are the members tested in place of all of P.  When
     P is closed under XOR, as a parity-check solution set is, a basis is
@@ -150,7 +150,7 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
         # child, in tested's order, that matches none is the witness.
         for b, i, c in children:
             if c not in truncations:
-                return EssentialityResult(False, (FiniteAutomorphism(d, b), i))
+                return EssentialityResult(False, (b, i))
         return EssentialityResult(True, None)
     truncations = set(p.group.masked(prefix_mask(d - 1)))
     (lm, left), (rm, right) = _children_placed(truncations, d - 1)
@@ -159,7 +159,7 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     if bad is None:
         return EssentialityResult(True, None)
     i = 0 if bad & lm not in left else 1
-    return EssentialityResult(False, (FiniteAutomorphism(d, bad), i))
+    return EssentialityResult(False, (bad, i))
 
 
 def essential_reduction(p: PatternGroup) -> PatternGroup:

@@ -1,5 +1,8 @@
 """Automorphisms of the depth-d binary rooted tree, stored as portraits.
 
+The library computes on portrait ints; FiniteAutomorphism is the value
+type of the CLI and the JSON, built where hex is read or written.
+
 An automorphism of the finite binary tree with d+1 levels is determined by
 its portrait: one parity bit per vertex of the first d levels, where bit 1
 means "swap the two subtrees below this vertex".  Every assignment of bits
@@ -66,13 +69,6 @@ class FiniteAutomorphism:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def generator(cls, d: int, i: int) -> "FiniteAutomorphism":
-        """The standard generator a_i: single nontrivial label at vertex 0^i."""
-        if not 0 <= i <= d - 1:
-            raise ValueError(f"generator index must be in 0..{d - 1}, got {i}")
-        return cls(d, 1 << ((1 << i) - 1))
-
-    @classmethod
     def random(cls, d: int, rng: random.Random) -> "FiniteAutomorphism":
         """Uniformly random element (independent fair portrait bits)."""
         return cls(d, rng.getrandbits((1 << d) - 1))
@@ -83,12 +79,11 @@ class FiniteAutomorphism:
     def from_bytes(cls, data: bytes, d: int) -> "FiniteAutomorphism":
         if not 1 <= d <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {d}")
-        n = (1 << d) - 1
-        expected = (n + 7) // 8
+        expected = kernel.slot_bytes(d)
         if len(data) != expected:
             raise ValueError(f"need {expected} bytes for depth {d}, got {len(data)}")
         bits = int.from_bytes(data, "little")
-        if bits >> n:
+        if not in_range(bits, d):
             raise ValueError("trailing bits beyond the portrait must be zero")
         return cls(d, bits)
 
@@ -98,20 +93,10 @@ class FiniteAutomorphism:
 
     def to_bytes(self) -> bytes:
         """Little-endian packing: bit k of the stream is the heap-index-k label."""
-        return self.bits.to_bytes((self.num_vertices + 7) // 8, "little")
+        return self.bits.to_bytes(kernel.slot_bytes(self.depth), "little")
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return (1 << self.depth) - 1
-
-    @property
-    def root_activity(self) -> int:
-        return self.bits & 1
 
     # -- group operations --------------------------------------------------
 
@@ -185,22 +170,6 @@ class FiniteAutomorphism:
 
 def identity(d: int) -> FiniteAutomorphism:
     return FiniteAutomorphism(d, 0)
-
-
-def generator(d: int, i: int) -> FiniteAutomorphism:
-    return FiniteAutomorphism.generator(d, i)
-
-
-def generators(d: int) -> list[FiniteAutomorphism]:
-    """The standard generating set a_0, ..., a_{d-1}."""
-    return [FiniteAutomorphism.generator(d, i) for i in range(d)]
-
-
-def commutator(g: FiniteAutomorphism, h: FiniteAutomorphism) -> FiniteAutomorphism:
-    """g^-1 h^-1 g h."""
-    if g.depth != h.depth:
-        raise ValueError(f"depth mismatch: {g.depth} vs {h.depth}")
-    return FiniteAutomorphism(g.depth, kernel.commutator(g.bits, h.bits, g.depth))
 
 
 def distance(g: FiniteAutomorphism, h: FiniteAutomorphism) -> DistanceResult:

@@ -1,5 +1,9 @@
 """Subgroups of the depth-d tree group: enumeration and structure.
 
+Subgroups take and hold depth-d portrait ints, and contains_bits is the
+membership test of both representations.  A FiniteAutomorphism is built
+only from hex (subgroup_from_json) and by elements and iteration.
+
 Two representations, one per question:
 
 * EnumeratedSubgroup: an explicit element set, built by kernel.close's
@@ -59,8 +63,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded, VerificationError
-from .heap import check_word, heap_index, level_mask, prefix_mask
-from .portrait import MAX_DEPTH, FiniteAutomorphism, generator, generators
+from .heap import check_word, heap_index, in_range, level_mask, prefix_mask, spine
+from .portrait import MAX_DEPTH, FiniteAutomorphism
 
 DEFAULT_CAP = 1 << 26
 
@@ -108,7 +112,7 @@ class EnumeratedSubgroup:
     __slots__ = ("depth", "generators", "order", "_bits", "_sorted", "_genset", "_packed")
 
     def __init__(self, depth: int, bits: frozenset[int],
-                 gens: tuple[FiniteAutomorphism, ...] = (), _trusted: bool = False):
+                 gens: tuple[int, ...] = (), _trusted: bool = False):
         if not _trusted:
             raise TypeError(
                 "use close() / from_element_bits() / from_linear() to build subgroups")
@@ -117,14 +121,14 @@ class EnumeratedSubgroup:
         self.order = len(bits)
         self._bits: frozenset[int] | None = bits
         self._sorted: list[int] | None = None
-        self._genset: tuple[FiniteAutomorphism, ...] | None = gens or None
+        self._genset: tuple[int, ...] | None = gens or None
         self._packed: int | None = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_element_bits(cls, depth: int, bits: Iterable[int],
-                          gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
+                          gens: tuple[int, ...] = ()) -> "EnumeratedSubgroup":
         """Wrap an element set already known to be closed (kernels, filters).
 
         Closure is the caller's responsibility.
@@ -133,10 +137,10 @@ class EnumeratedSubgroup:
 
     @classmethod
     def from_linear(cls, lin: gf2.LinearSubgroup, basis: list[int] | None = None,
-                    gens: tuple[FiniteAutomorphism, ...] = ()) -> "EnumeratedSubgroup":
+                    gens: tuple[int, ...] = ()) -> "EnumeratedSubgroup":
         """List a parity-check subgroup: the group holds only its members
         packed in slots (lin.packed), and unpacks them into the member set
-        on the first membership read (element_bits, contains, sorted_bits,
+        on the first membership read (element_bits, contains_bits, sorted_bits,
         ==, hash, iteration); order, len, masked, masked_runs, count_clear
         and count_odd never do.
         `basis`, if given, is lin.basis(); it must be independent, so its
@@ -165,18 +169,18 @@ class EnumeratedSubgroup:
     def __len__(self) -> int:
         return self.order
 
-    def contains(self, g: FiniteAutomorphism) -> bool:
-        if g.depth != self.depth:
-            raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
-        return g.bits in self.element_bits
+    def contains_bits(self, bits: int) -> bool:
+        return bits in self.element_bits
 
     def __contains__(self, g: FiniteAutomorphism) -> bool:
-        return self.contains(g)
+        if g.depth != self.depth:
+            raise ValueError(f"depth mismatch: {g.depth} vs {self.depth}")
+        return self.contains_bits(g.bits)
 
     def sorted_bits(self) -> list[int]:
         """Element portraits in canonical order (by the byte encoding)."""
         if self._sorted is None:
-            nb = ((1 << self.depth) - 1 + 7) // 8
+            nb = kernel.slot_bytes(self.depth)
             self._sorted = sorted(self.element_bits, key=lambda b: b.to_bytes(nb, "little"))
         return self._sorted
 
@@ -218,7 +222,7 @@ class EnumeratedSubgroup:
         one bit_count of those low bits."""
         x, _, broadcast = self._masked_slots(mask)
         shift = 1
-        while shift < 8 * (((1 << self.depth) + 6) >> 3):  # bits of a slot
+        while shift < 8 * kernel.slot_bytes(self.depth):  # bits of a slot
             x = fold(x, x >> shift)  # each slot's low bit gathers only its own slot's bits
             shift <<= 1
         return (x & broadcast(1)).bit_count()
@@ -253,23 +257,15 @@ class EnumeratedSubgroup:
         return f"EnumeratedSubgroup(depth={self.depth}, order={self.order})"
 
 
-def close(gens: Sequence[FiniteAutomorphism], *, depth: int | None = None,
-          cap: int | None = None) -> EnumeratedSubgroup:
-    """Least subgroup containing the generators (kernel.close's coset closure)."""
-    gens = list(gens)
-    if gens:
-        d = gens[0].depth
-        for g in gens:
-            if g.depth != d:
-                raise ValueError(f"generator depth mismatch: {g.depth} vs {d}")
-        if depth is not None and depth != d:
-            raise ValueError(f"explicit depth {depth} disagrees with generators ({d})")
-    elif depth is None:
-        raise ValueError("empty generator list needs an explicit depth")
-    else:
-        d = depth
-    bits = kernel.close(d, [g.bits for g in gens], resolve_cap(cap))
-    return EnumeratedSubgroup.from_element_bits(d, bits, tuple(gens))
+def close(d: int, gens: Sequence[int], cap: int | None = None) -> EnumeratedSubgroup:
+    """Least subgroup containing the depth-d portrait ints gens
+    (kernel.close's coset closure); an int that is not a depth-d portrait
+    raises ValueError."""
+    gens = tuple(gens)
+    if not all(in_range(g, d) for g in gens):
+        raise ValueError(f"a generator is not a depth-{d} portrait")
+    bits = kernel.close(d, list(gens), resolve_cap(cap))
+    return EnumeratedSubgroup.from_element_bits(d, bits, gens)
 
 
 _FULL_GROUP_CACHE: dict[int, EnumeratedSubgroup] = {}
@@ -282,7 +278,7 @@ def full_group(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     # earlier calls happen to have enumerated.
     check_order_cap((1 << d) - 1, cap, f"the full depth-{d} group")
     if d not in _FULL_GROUP_CACHE:
-        _FULL_GROUP_CACHE[d] = close(generators(d), cap=cap)
+        _FULL_GROUP_CACHE[d] = close(d, [spine(i) for i in range(d)], cap)
     return _FULL_GROUP_CACHE[d]
 
 
@@ -296,7 +292,7 @@ def level_stabilizer(s: EnumeratedSubgroup, n: int) -> EnumeratedSubgroup:
     )
 
 
-def generating_set(s: EnumeratedSubgroup) -> tuple[FiniteAutomorphism, ...]:
+def generating_set(s: EnumeratedSubgroup) -> tuple[int, ...]:
     """A small generating set, extracted greedily in canonical element order.
 
     When the loop ends, the closure of the chosen elements holds all of S:
@@ -314,7 +310,7 @@ def generating_set(s: EnumeratedSubgroup) -> tuple[FiniteAutomorphism, ...]:
             continue
         chosen.append(b)
         current = kernel.close(d, chosen, len(s))
-    s._genset = tuple(FiniteAutomorphism(d, b) for b in chosen)
+    s._genset = tuple(chosen)
     return s._genset
 
 
@@ -338,8 +334,7 @@ def _derived_from_generators(d: int, gens: Sequence[int],
 def derived_subgroup(s: EnumeratedSubgroup, cap: int | None = None) -> EnumeratedSubgroup:
     """Commutator subgroup [S, S], folded from S's generators (the ones it
     was built from, else a greedy generating set) by _derived_from_generators."""
-    gens = [g.bits for g in generating_set(s)]
-    return _derived_from_generators(s.depth, gens, cap)
+    return _derived_from_generators(s.depth, generating_set(s), cap)
 
 
 def orbit(s: EnumeratedSubgroup, v: str) -> set[str]:
@@ -389,7 +384,7 @@ def maximal_subgroup(d: int, J: Iterable[int]) -> gf2.LinearSubgroup:
     return gf2.LinearSubgroup(d, (level_set_mask(d, J),))
 
 
-def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphism, ...]:
+def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[int, ...]:
     """Schreier generators of P_J for the transversal {1, t}, t = a_j0, j0 = min J.
 
     The standard generator a_i lies in P_J exactly when i is not in J, so
@@ -397,14 +392,14 @@ def _pj_schreier_generators(d: int, J: frozenset[int]) -> tuple[FiniteAutomorphi
     t a_i for i in J other than j0 (those for j0 itself are trivial).  All
     a_i are involutions, so t a_i is the inverse of a_i t and is left out.
     """
-    t = generator(d, min(J))
-    gens: list[FiniteAutomorphism] = []
+    t = spine(min(J))
+    gens: list[int] = []
     for i in range(d):
-        a = generator(d, i)
+        a = spine(i)
         if i not in J:
-            gens += [a, t * a * t]
+            gens += [a, kernel.conjugate(a, t, d)]
         elif a != t:
-            gens.append(a * t)
+            gens.append(kernel.compose(a, t, d))
     return tuple(gens)
 
 
@@ -513,11 +508,9 @@ def conjugation_law_counts(d: int, chunks: Iterable[kernel.Chunk]) -> tuple[int,
             e = int.from_bytes(out, "little")
         checked += n
         if kernel.conjugate_batch(h, g, n, d) != e << low:
-            def member(x: int, j: int) -> int:  # sample j of the batch x
-                return sum((x >> ((n + j) << m) & (1 << (1 << m)) - 1) << (1 << m) - 1
-                           for m in range(d))
-            failures += sum(kernel.conjugate(member(h, j), member(g, j), d)
-                            != (e >> j * half & full) << first for j in range(n))
+            pairs = zip(kernel.unpack(h, n, d), kernel.unpack(g, n, d))
+            failures += sum(kernel.conjugate(hj, gj, d) != (e >> j * half & full) << first
+                            for j, (hj, gj) in enumerate(pairs))
     return checked, failures
 
 
@@ -529,12 +522,11 @@ def all_subgroups_depth2(cap: int | None = None) -> list[EnumeratedSubgroup]:
     closures) is exhaustive, since <x, y> = <y, x>.  Each group keeps the
     first pair, in canonical order, that generates it.
     """
-    g2 = full_group(2, cap=cap)
-    els = [FiniteAutomorphism(2, b) for b in g2.sorted_bits()]
+    els = full_group(2, cap=cap).sorted_bits()
     seen: dict[frozenset[int], EnumeratedSubgroup] = {}
     for i, x in enumerate(els):
         for y in els[i:]:
-            s = close([x, y], cap=cap)
+            s = close(2, [x, y], cap)
             seen.setdefault(s.element_bits, s)
     return sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))
 
@@ -562,9 +554,9 @@ def subgroup_from_json(doc: dict, cap: int | None = None
         raise ValueError(f"'d' must be an integer in 1..{MAX_DEPTH}, got {d!r}")
     kind = doc["kind"]
     if kind == "generated":
-        gens = [FiniteAutomorphism.from_hex(h, d)
+        gens = [FiniteAutomorphism.from_hex(h, d).bits
                 for h in _require_list_of(doc, "generators", str)]
-        return close(gens, depth=d, cap=cap)
+        return close(d, gens, cap)
     if kind == "PJ":
         return maximal_subgroup(d, _require_list_of(doc, "J", int))
     if kind == "MV":

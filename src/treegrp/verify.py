@@ -55,8 +55,7 @@ from .halftree import (
     JContext,
     derived_membership_certificate,
 )
-from .heap import prefix_mask
-from .portrait import FiniteAutomorphism, commutator, generator, generators
+from .heap import prefix_mask, spine
 from .report import Report
 from .subgroups import (
     EnumeratedSubgroup,
@@ -102,7 +101,7 @@ def derived_of_full(d: int, cap: int | None = None) -> EnumeratedSubgroup:
     check_order_cap((1 << d) - 1 - d, cap, f"[G({d}), G({d})]")
     if d not in _DERIVED_FULL_CACHE:
         _DERIVED_FULL_CACHE[d] = _derived_from_generators(
-            d, [a.bits for a in generators(d)], cap)
+            d, [spine(i) for i in range(d)], cap)
     return _DERIVED_FULL_CACHE[d]
 
 
@@ -158,14 +157,14 @@ def _check_row_consistency(row: ClassificationRow) -> None:
 @lru_cache(maxsize=None)
 def _generator_commutators(d: int) -> tuple[int, ...]:
     """The d(d - 1)/2 portraits [a_i, a_j], i < j."""
-    return tuple(commutator(generator(d, i), generator(d, j)).bits
+    return tuple(kernel.commutator(spine(i), spine(j), d)
                  for i in range(d) for j in range(i + 1, d))
 
 
 @lru_cache(maxsize=None)
-def _adad(d: int) -> FiniteAutomorphism:
-    """[a_0, a_{d-1}], the (0, d - 1) entry of _generator_commutators(d)."""
-    return FiniteAutomorphism(d, _generator_commutators(d)[d - 2])
+def _adad(d: int) -> int:
+    """The portrait of [a_0, a_{d-1}]."""
+    return kernel.commutator(spine(0), spine(d - 1), d)
 
 
 def _contains_derived_of_full(lin: gf2.LinearSubgroup) -> bool:
@@ -242,8 +241,8 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
                 f"essential={essential}, and its listing disagrees")
         contains_derived = _contains_members(listed_from, derived_full)
         stab = gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1)).iter_bits()
-        schreier = [g.bits for g in _pj_schreier_generators(d, J)]
-        bs_fails = not set(stab) <= _derived_from_generators(d, schreier, cap).element_bits
+        bs_fails = not set(stab) <= _derived_from_generators(
+            d, _pj_schreier_generators(d, J), cap).element_bits
     else:
         contains_derived = _contains_derived_of_full(lin)
         if essential and d - 1 in J:
@@ -254,7 +253,7 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
         d=d,
         J=tuple(sorted(J)),
         essential=essential,
-        contains_a_dminus1=lin.contains_bits(generator(d, d - 1).bits),
+        contains_a_dminus1=lin.contains_bits(spine(d - 1)),
         contains_derived_of_Gd=contains_derived,
         dimension=dimension,
         is_max_dimension=is_max,
@@ -325,15 +324,15 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
     if d < 2:
         raise ValueError("needs depth >= 2")
     report = NoAdadReport(d)
-    c = commutator(generator(d, 0), generator(d, d - 1))
+    c = _adad(d)
     enumerate_arm = d <= 4
     for J in _top_level_sets(d):
         ctx = JContext.for_top_level(d, J)
         verdict = derived_membership_certificate(ctx, c)
         excluded: bool | None = None
         if enumerate_arm:
-            schreier = [g.bits for g in _pj_schreier_generators(d, J)]
-            excluded = not _derived_from_generators(d, schreier, cap).contains(c)
+            excluded = not _derived_from_generators(
+                d, _pj_schreier_generators(d, J), cap).contains_bits(c)
             if (verdict.verdict == NOT_IN_DERIVED) != excluded:
                 raise VerificationError(
                     f"certificate and enumeration disagree for d={d}, J={sorted(J)}"
@@ -384,8 +383,7 @@ def verify_not_top_fg(d: int, cap: int | None = None, *,
         raise ValueError("enumerated premise check needs 2 <= d <= 4")
     if no_adad is not None and (no_adad.d != d or not no_adad.passed):
         raise ValueError(f"no_adad must be a passed verify_no_adad report at depth {d}")
-    c = commutator(generator(d, 0), generator(d, d - 1))
-    in_stab = not c.bits & prefix_mask(d - 1)
+    in_stab = not _adad(d) & prefix_mask(d - 1)
     if not in_stab:
         raise VerificationError(
             f"finite-generation premise failed for d={d}: [a_0, a_{d - 1}] "

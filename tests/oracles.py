@@ -19,9 +19,11 @@ call, and three are the kernel's byte translation tables built bit by
 bit.  batch_members reads a packed batch back sample by sample.
 
 The vertex-word helpers (vertex_word, from_labels, label, beta_V), the
-closure check verify_closed and state, the value a report or parity-check
-subgroup is compared by, serve only tests, so they live here rather than
-in the library.
+object spellings of the standard generators and their commutator
+(generator, generators, commutator; the library reads a_i's portrait off
+heap.spine), the closure check verify_closed and state, the value a report
+or parity-check subgroup is compared by, serve only tests, so they live
+here rather than in the library.
 """
 
 from itertools import islice
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from treegrp import gf2, kernel
 from treegrp.errors import EnumerationCapExceeded
-from treegrp.heap import heap_index, place, prefix_mask
+from treegrp.heap import heap_index, place, prefix_mask, spine
 from treegrp.portrait import FiniteAutomorphism
 from treegrp.report import Report
 from treegrp.subgroups import EnumeratedSubgroup, resolve_cap
@@ -58,6 +60,25 @@ def from_labels(d: int, labels: dict[str, int]) -> FiniteAutomorphism:
     if any(len(w) >= d for w in labels):
         raise ValueError(f"a vertex of {sorted(labels)} is too deep for depth {d}")
     return FiniteAutomorphism(d, sum(1 << heap_index(w) for w, b in labels.items() if b & 1))
+
+
+def generator(d: int, i: int) -> FiniteAutomorphism:
+    """The standard generator a_i: single nontrivial label at vertex 0^i."""
+    if not 0 <= i <= d - 1:
+        raise ValueError(f"generator index must be in 0..{d - 1}, got {i}")
+    return FiniteAutomorphism(d, spine(i))
+
+
+def generators(d: int) -> list[FiniteAutomorphism]:
+    """The standard generating set a_0, ..., a_{d-1}."""
+    return [generator(d, i) for i in range(d)]
+
+
+def commutator(g: FiniteAutomorphism, h: FiniteAutomorphism) -> FiniteAutomorphism:
+    """g^-1 h^-1 g h."""
+    if g.depth != h.depth:
+        raise ValueError(f"depth mismatch: {g.depth} vs {h.depth}")
+    return FiniteAutomorphism(g.depth, kernel.commutator(g.bits, h.bits, g.depth))
 
 
 def label(g: FiniteAutomorphism, v: str) -> int:

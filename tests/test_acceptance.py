@@ -32,7 +32,7 @@ from treegrp.patterns import (
     psi_image_index,
 )
 from treegrp.heap import prefix_mask
-from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators
+from treegrp.portrait import FiniteAutomorphism
 from treegrp.subgroups import (
     all_subgroups_depth2,
     close,
@@ -44,7 +44,7 @@ from treegrp.subgroups import (
 )
 from treegrp.verify import _contains_derived_of_full, _transitivity_matches, derived_of_full
 
-from oracles import derived_subgroup_allpairs
+from oracles import commutator, derived_subgroup_allpairs, generator, generators
 from test_patterns import is_finite
 
 
@@ -118,9 +118,9 @@ def test_criterion_2_top_commutator_avoids_derived_subgroup(criterion):
                 pj = enumerate_PJ(d, J)
                 derived = derived_subgroup(pj)
                 stab = level_stabilizer(pj, d - 1)
-                assert stab.contains(c), (d, sorted(J))
-                assert not derived.contains(c), (d, sorted(J))
-                verdict = derived_membership_certificate(JContext.for_top_level(d, J), c)
+                assert stab.contains_bits(c.bits), (d, sorted(J))
+                assert not derived.contains_bits(c.bits), (d, sorted(J))
+                verdict = derived_membership_certificate(JContext.for_top_level(d, J), c.bits)
                 assert verdict.verdict == NOT_IN_DERIVED, (d, sorted(J))
                 cases += 1
         assert cases == 2 + 4 + 8
@@ -129,7 +129,7 @@ def test_criterion_2_top_commutator_avoids_derived_subgroup(criterion):
             js = top_level_sets(d)
             assert len(js) == 1 << (d - 1)
             for J in js:
-                verdict = derived_membership_certificate(JContext.for_top_level(d, J), c)
+                verdict = derived_membership_certificate(JContext.for_top_level(d, J), c.bits)
                 assert verdict.verdict == NOT_IN_DERIVED, (d, sorted(J))
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s (limit 60s)"
@@ -182,7 +182,7 @@ def test_criterion_6_oracle_equivalences(criterion):
         rng = random.Random(606)
         for _ in range(50):
             gens = [FiniteAutomorphism.random(3, rng) for _ in range(rng.randrange(1, 4))]
-            s = close(gens)
+            s = close(3, [g.bits for g in gens])
             assert derived_subgroup(s) == derived_subgroup_allpairs(s)
         for d in (2, 3, 4):
             derived_bits = derived_of_full(d).element_bits

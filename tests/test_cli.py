@@ -12,9 +12,9 @@ from click.testing import CliRunner
 import treegrp
 from treegrp import verify
 from treegrp.cli import main
-from treegrp.portrait import generator
+from treegrp.portrait import FiniteAutomorphism
 
-from oracles import from_labels
+from oracles import from_labels, generator
 
 
 @pytest.fixture()
@@ -554,6 +554,30 @@ def test_verify_runs_noadad_once(runner, monkeypatch, suite):
     res = runner.invoke(main, ["verify", "--suite", suite, "--d", "3", "--samples", "10"])
     assert res.exit_code == 0, res.output
     assert len(calls) == 1
+
+
+def test_verdict_paths_build_no_portrait_objects(runner, monkeypatch):
+    # The verdicts are computed on portrait ints: FiniteAutomorphism is the
+    # value type of hex input and output, which these runs have none of.
+    # Constructions are counted as perfbench/tracing.py counts them.
+    built = []
+    post_init = FiniteAutomorphism.__post_init__
+
+    def counting_post_init(obj):
+        built.append(obj)
+        post_init(obj)
+
+    monkeypatch.setattr(FiniteAutomorphism, "__post_init__", counting_post_init)
+    runs = [["classify", "--d", "4"], ["classify", "--d", "5", "--gf2"],
+            ["verify", "--suite", "all", "--d", "4", "--samples", "200"],
+            ["verify", "--suite", "noadad", "--d", "8"]]
+    counts = {}
+    for argv in runs:
+        built.clear()
+        res = runner.invoke(main, [*argv, "--format", "json", "--no-timestamp"])
+        assert res.exit_code == 0, res.output
+        counts[" ".join(argv)] = len(built)
+    assert counts == dict.fromkeys(counts, 0)
 
 
 # -- start-up --------------------------------------------------------------------

@@ -23,10 +23,10 @@ from treegrp.halftree import (
     verify_ni_identities,
     verify_ni_identities_for,
 )
-from treegrp.portrait import FiniteAutomorphism, commutator, generator, identity
+from treegrp.portrait import FiniteAutomorphism, identity
 from treegrp.subgroups import derived_subgroup, enumerate_PJ, maximal_subgroup
 
-from oracles import from_labels, state
+from oracles import commutator, from_labels, generator, state
 
 
 def top_level_sets(d):
@@ -41,7 +41,7 @@ def sample_pj_member(rng, d, J):
     pred = maximal_subgroup(d, J)
     while True:
         g = FiniteAutomorphism.random(d, rng)
-        if pred.contains(g):
+        if pred.contains_bits(g.bits):
             return g
 
 
@@ -72,16 +72,16 @@ def test_jprime_nonempty_when_top_level_present():
 
 def test_n_of_identity_vanishes():
     ctx = JContext.make(3, {1, 2})
-    assert N(identity(3), ctx, 0) == 0
-    assert N(identity(3), ctx, 1) == 0
+    assert N(identity(3).bits, ctx, 0) == 0
+    assert N(identity(3).bits, ctx, 1) == 0
 
 
 def test_n_counts_half_tree_labels():
     ctx = JContext.make(3, {0, 1, 2})
     g = from_labels(3, {"0": 1, "10": 1, "11": 1, "": 1})
     # level 0 is excluded (not in J'); halves split on the first symbol
-    assert N(g, ctx, 0) == 1  # vertex "0"
-    assert N(g, ctx, 1) == 0  # vertices "10", "11" cancel
+    assert N(g.bits, ctx, 0) == 1  # vertex "0"
+    assert N(g.bits, ctx, 1) == 0  # vertices "10", "11" cancel
 
 
 def test_n_of_top_commutator():
@@ -89,8 +89,8 @@ def test_n_of_top_commutator():
         c = commutator(generator(d, 0), generator(d, d - 1))
         for J in top_level_sets(d) if d <= 5 else [frozenset({d - 1})]:
             ctx = JContext.make(d, J)
-            assert N(c, ctx, 0) == 1
-            assert N(c, ctx, 1) == 1
+            assert N(c.bits, ctx, 0) == 1
+            assert N(c.bits, ctx, 1) == 1
 
 
 def test_right_multiplication_by_root_swap_exchanges_parities():
@@ -101,16 +101,16 @@ def test_right_multiplication_by_root_swap_exchanges_parities():
         for _ in range(10_000 // 4):
             g = FiniteAutomorphism.random(d, rng)
             ga0 = g * a0
-            assert N(ga0, ctx, 0) == N(g, ctx, 1)
-            assert N(ga0, ctx, 1) == N(g, ctx, 0)
+            assert N(ga0.bits, ctx, 0) == N(g.bits, ctx, 1)
+            assert N(ga0.bits, ctx, 1) == N(g.bits, ctx, 0)
 
 
 def test_n_depth_mismatch_and_bad_half():
     ctx = JContext.make(3, {2})
     with pytest.raises(ValueError):
-        N(identity(2), ctx, 0)
+        N(1 << 7, ctx, 0)  # a depth-3 portrait has 7 bits
     with pytest.raises(ValueError):
-        N(identity(3), ctx, 2)
+        N(identity(3).bits, ctx, 2)
 
 
 # -- transformation laws -----------------------------------------------------------
@@ -146,15 +146,15 @@ def reference_ni_failures(ctx, samples, seed, limit=10):
     for _ in range(samples):
         g = FiniteAutomorphism.random(ctx.depth, rng)
         h = FiniteAutomorphism.random(ctx.depth, rng)
-        ag, ah = g.root_activity, h.root_activity
+        ag, ah = g.bits & 1, h.bits & 1
         gh, ginv, c = g * h, ~g, commutator(g, h)
         law = None
-        if any(N(gh, ctx, i) != N(h, ctx, i) ^ N(g, ctx, i ^ ah) for i in (0, 1)):
+        if any(N(gh.bits, ctx, i) != N(h.bits, ctx, i) ^ N(g.bits, ctx, i ^ ah) for i in (0, 1)):
             law = "product"
-        elif any(N(ginv, ctx, i) != N(g, ctx, i ^ ag) for i in (0, 1)):
+        elif any(N(ginv.bits, ctx, i) != N(g.bits, ctx, i ^ ag) for i in (0, 1)):
             law = "inverse"
-        elif any(N(c, ctx, i) != N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i)
-                 ^ N(h, ctx, i ^ ag) for i in (0, 1)):
+        elif any(N(c.bits, ctx, i) != N(g.bits, ctx, i) ^ N(g.bits, ctx, i ^ ah) ^ N(h.bits, ctx, i)
+                 ^ N(h.bits, ctx, i ^ ag) for i in (0, 1)):
             law = "commutator"
         if law is not None and (limit is None or len(failures) < limit):
             failures.append({"law": law, "g": g.to_hex(), "h": h.to_hex()})
@@ -355,12 +355,12 @@ def test_pj_member_parity_check_survives_optimize_flag(run_optimized):
     proc = run_optimized("""
         from treegrp.errors import VerificationError
         from treegrp.halftree import JContext, derived_membership_certificate
-        from treegrp.portrait import generator
+        from treegrp.heap import spine
         from treegrp import gf2
 
-        gf2.LinearSubgroup.contains = lambda self, g: True
+        gf2.LinearSubgroup.contains_bits = lambda self, g: True
         try:
-            derived_membership_certificate(JContext.make(3, {1, 2}), generator(3, 1))
+            derived_membership_certificate(JContext.make(3, {1, 2}), spine(1))
         except VerificationError:
             print("raised")
     """)
@@ -375,7 +375,7 @@ def test_certificate_on_top_commutator_all_depths():
     for d in range(2, 9):
         c = commutator(generator(d, 0), generator(d, d - 1))
         for J in top_level_sets(d):
-            verdict = derived_membership_certificate(JContext.for_top_level(d, J), c)
+            verdict = derived_membership_certificate(JContext.for_top_level(d, J), c.bits)
             assert verdict.verdict == NOT_IN_DERIVED
             assert verdict.certificate == "N0"
 
@@ -387,7 +387,7 @@ def test_certificate_inconclusive_on_identity_and_commutators():
         for J in top_level_sets(d):
             ctx = JContext.for_top_level(d, J)
             for x in derived_subgroup(enumerate_PJ(d, J)):
-                v = derived_membership_certificate(ctx, x)
+                v = derived_membership_certificate(ctx, x.bits)
                 assert v.verdict == INCONCLUSIVE, (d, sorted(J), x)
 
 
@@ -398,14 +398,14 @@ def commutator_parity(g, h, ctx):
     """(N_0, N_1) of [g, h], read off the commutator's portrait and through
     the commutator transformation law; the two routes must agree."""
     c = commutator(g, h)
-    direct = (N(c, ctx, 0), N(c, ctx, 1))
-    ag, ah = g.root_activity, h.root_activity
+    direct = (N(c.bits, ctx, 0), N(c.bits, ctx, 1))
+    ag, ah = g.bits & 1, h.bits & 1
     via_law = tuple(
-        N(g, ctx, i) ^ N(g, ctx, i ^ ah) ^ N(h, ctx, i) ^ N(h, ctx, i ^ ag)
+        N(g.bits, ctx, i) ^ N(g.bits, ctx, i ^ ah) ^ N(h.bits, ctx, i) ^ N(h.bits, ctx, i ^ ag)
         for i in (0, 1)
     )
     assert direct == via_law, (direct, via_law)
-    assert derived_membership_certificate(ctx, c).verdict == INCONCLUSIVE
+    assert derived_membership_certificate(ctx, c.bits).verdict == INCONCLUSIVE
     return direct
 
 
@@ -444,21 +444,21 @@ def test_certificate_soundness_against_enumerated_derived():
             fired = 0
             for _ in range(500):
                 x = sample_pj_member(rng, d, J)
-                v = derived_membership_certificate(ctx, x)
+                v = derived_membership_certificate(ctx, x.bits)
                 if v.verdict == NOT_IN_DERIVED:
                     fired += 1
-                    assert not dp.contains(x)
+                    assert not dp.contains_bits(x.bits)
             assert fired > 0
 
 
 def test_certificate_serialization():
     ctx = JContext.for_top_level(2, {1})
     c = commutator(generator(2, 0), generator(2, 1))
-    assert derived_membership_certificate(ctx, c).to_dict() == {
+    assert derived_membership_certificate(ctx, c.bits).to_dict() == {
         "verdict": "NOT_IN_DERIVED",
         "certificate": "N0",
     }
-    assert derived_membership_certificate(ctx, identity(2)).to_dict() == {
+    assert derived_membership_certificate(ctx, identity(2).bits).to_dict() == {
         "verdict": "INCONCLUSIVE",
         "certificate": None,
     }
@@ -467,7 +467,9 @@ def test_certificate_serialization():
 def test_certificate_rejects_non_member():
     ctx = JContext.for_top_level(2, {1})
     with pytest.raises(ValueError):
-        derived_membership_certificate(ctx, generator(2, 1))
+        derived_membership_certificate(ctx, generator(2, 1).bits)
+    with pytest.raises(ValueError):
+        derived_membership_certificate(ctx, 1 << 3)  # a depth-2 portrait has 3 bits
 
 
 def test_sampled_identities_need_at_least_one_pair():

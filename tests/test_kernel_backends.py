@@ -105,7 +105,7 @@ def test_normal_closure_matches_saturation_on_every_pj():
     for d in (2, 3, 4):
         for mask in range(1, 1 << d):
             J = frozenset(j for j in range(d) if mask >> j & 1)
-            gens = [g.bits for g in _pj_schreier_generators(d, J)]
+            gens = list(_pj_schreier_generators(d, J))
             seeds = [kernel.commutator(x, y, d) for x in gens for y in gens]
             got = kernel.close(d, seeds, 1 << 26, normalizer=gens)
             assert got == saturate_then_close(d, seeds, gens), (d, sorted(J))

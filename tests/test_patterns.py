@@ -34,7 +34,7 @@ from treegrp.patterns import (
     truncation_group,
     truncation_orbits,
 )
-from treegrp.portrait import FiniteAutomorphism, generator, identity
+from treegrp.portrait import FiniteAutomorphism, identity
 from treegrp.subgroups import (
     EnumeratedSubgroup,
     all_subgroups_depth2,
@@ -55,6 +55,7 @@ from treegrp.verify import (
 )
 
 from oracles import (
+    generator,
     linear_essential_reduction_by_basis,
     linear_essential_reduction_by_rref,
     rref_by_full_reduction,
@@ -109,7 +110,7 @@ def pinning_cases():
     cases = [(None, s) for s in all_subgroups_depth2()]
     rng = random.Random(401)
     cases += [
-        (None, close([FiniteAutomorphism.random(3, rng) for _ in range(2)]))
+        (None, close(3, [FiniteAutomorphism.random(3, rng).bits for _ in range(2)]))
         for _ in range(15)
     ]
     cases += [(J, enumerate_PJ(d, J)) for d in (2, 3, 4) for J in nonempty_level_sets(d)]
@@ -168,10 +169,10 @@ def test_full_group_is_essential():
 def test_p0_at_depth2_not_essential_with_expected_witness():
     res = is_essential(pj_pattern(2, {0}))
     assert not res.essential
-    g, child = res.witness
+    bits, child = res.witness
     # the witness carries its nontrivial label at vertex "0" only: its
     # section there is a root swap, while every member truncates trivially
-    assert g.bits == 1 << 1  # heap index 1 is vertex "0"
+    assert bits == 1 << 1  # heap index 1 is vertex "0"
     assert child == 0
 
 
@@ -202,9 +203,8 @@ def test_is_essential_matches_subtree_walk_with_its_witness():
         if essential:
             assert res.witness is None
         else:
-            g, i = res.witness
-            assert (g.depth, g.bits, i) == (s.depth, *witness)
-            children.add(i)
+            assert res.witness == witness
+            children.add(witness[1])
     assert children == {0, 1}
 
 
@@ -222,9 +222,8 @@ def test_tested_members_match_subtree_walk_with_its_witness():
             if essential:
                 assert res.witness is None
             else:
-                g, i = res.witness
-                assert (g.depth, g.bits, i) == (s.depth, *witness)
-                children.add(i)
+                assert res.witness == witness
+                children.add(witness[1])
     assert children == {0, 1}
 
 
@@ -302,8 +301,7 @@ def test_failing_tested_essentiality_stops_at_the_truncation_image(monkeypatch):
             read[0] = 0
             res = is_essential(p, tested=basis)
             assert read[0] == (p.order if d < 4 else 256)
-            g, i = res.witness
-            assert (res.essential, (g.bits, i)) == reference_is_essential(p, basis)
+            assert (res.essential, res.witness) == reference_is_essential(p, basis)
 
 
 def test_failing_stop_waits_for_an_image_completed_in_a_later_run(monkeypatch):
@@ -327,8 +325,7 @@ def test_failing_stop_waits_for_an_image_completed_in_a_later_run(monkeypatch):
             read[0] = 0
             res = is_essential(p, tested=tested)
             assert read[0] == expected
-            g, i = res.witness
-            assert (res.essential, (g.bits, i)) == reference_is_essential(p, tested)
+            assert (res.essential, res.witness) == reference_is_essential(p, tested)
 
 
 def test_failing_stop_checks_the_stabilizer_count(monkeypatch):
@@ -358,7 +355,7 @@ def test_tested_members_may_come_as_a_generator():
 
 def test_essentiality_needs_depth_at_least_two():
     with pytest.raises(ValueError):
-        is_essential(PatternGroup.from_subgroup(close([generator(1, 0)])))
+        is_essential(PatternGroup.from_subgroup(close(1, [generator(1, 0).bits])))
 
 
 # -- reduction --------------------------------------------------------------------
@@ -393,7 +390,7 @@ def test_reduction_matches_literal_filter_oracle():
 def test_reduction_output_is_a_subgroup():
     rng = random.Random(409)
     for _ in range(10):
-        s = close([FiniteAutomorphism.random(3, rng) for _ in range(2)])
+        s = close(3, [FiniteAutomorphism.random(3, rng).bits for _ in range(2)])
         red = essential_reduction(PatternGroup.from_subgroup(s))
         assert verify_closed(red.group)
 
@@ -469,10 +466,10 @@ def test_odd_count_equals_the_unpacked_parity_count(d):
         lins = [gf2.LinearSubgroup(d, (rng.getrandbits(n),), zero=prefix_mask(d) & ~free)]
     groups = [EnumeratedSubgroup.from_linear(lin) for lin in lins]
     groups += [EnumeratedSubgroup.from_element_bits(d, lin.iter_bits()) for lin in lins]
-    closed = close([generator(d, 0), generator(d, d - 1)])
+    closed = close(d, [generator(d, 0).bits, generator(d, d - 1).bits])
     groups += [closed, level_stabilizer(closed, d - 1)]
     if d <= 3:
-        groups.append(close([FiniteAutomorphism.random(d, rng) for _ in range(2)]))
+        groups.append(close(d, [FiniteAutomorphism.random(d, rng).bits for _ in range(2)]))
     groups += [EnumeratedSubgroup.from_element_bits(d, {b})
                for b in (0, 1, 1 << n - 1, rng.getrandbits(n))]
     masks = [subgroups.level_set_mask(d, J) for J in nonempty_level_sets(d)] + [0, -1]
@@ -512,7 +509,7 @@ def transitive_one_level_down(p):
 
 
 def test_finiteness_and_transitivity():
-    trivial = PatternGroup.from_subgroup(close([], depth=2))
+    trivial = PatternGroup.from_subgroup(close(2, []))
     assert is_finite(trivial) and not transitive_one_level_down(trivial)
     for d in (2, 3):
         full = PatternGroup.from_subgroup(full_group(d))

@@ -19,16 +19,13 @@ from treegrp.heap import gather, place, prefix_mask
 from treegrp.portrait import (
     MAX_DEPTH,
     FiniteAutomorphism,
-    commutator,
     distance,
-    generator,
-    generators,
     heap_index,
     identity,
     level_of_index,
 )
 
-from oracles import from_labels, label, vertex_word
+from oracles import commutator, from_labels, generator, generators, label, vertex_word
 
 
 def all_words(max_len: int):
@@ -347,7 +344,7 @@ def test_from_sections_roundtrip():
         d = rng.randrange(2, 8)
         g = random_element(rng, d)
         m = d - 1
-        assert g.root_activity | place(g.section("0").bits, 1, m) | place(
+        assert g.alpha({0}) | place(g.section("0").bits, 1, m) | place(
             g.section("1").bits, 2, m) == g.bits
 
 
@@ -356,9 +353,9 @@ def test_from_sections_roundtrip():
 
 def test_root_activity_of_generators():
     for d in range(2, 7):
-        assert generator(d, 0).root_activity == 1
+        assert generator(d, 0).alpha({0}) == 1
         for i in range(1, d):
-            assert generator(d, i).root_activity == 0
+            assert generator(d, i).alpha({0}) == 0
 
 
 def test_root_activity_is_homomorphism():
@@ -366,7 +363,7 @@ def test_root_activity_is_homomorphism():
     for _ in range(1000):
         d = rng.randrange(2, 9)
         g, h = random_element(rng, d), random_element(rng, d)
-        assert (g * h).root_activity == g.root_activity ^ h.root_activity
+        assert (g * h).alpha({0}) == g.alpha({0}) ^ h.alpha({0})
 
 
 def test_alpha_top_level_of_top_generator():

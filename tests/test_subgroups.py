@@ -16,7 +16,7 @@ from treegrp import gf2, kernel, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.heap import heap_index, level_mask, prefix_mask
 from treegrp.patterns import linear_essential_reduction
-from treegrp.portrait import FiniteAutomorphism, commutator, generator, generators, identity
+from treegrp.portrait import FiniteAutomorphism, identity
 from treegrp.subgroups import (
     DEFAULT_CAP,
     M_V,
@@ -40,10 +40,13 @@ from treegrp.subgroups import (
 from oracles import (
     _last_level_images,
     beta_V,
+    commutator,
     conjugate_label_check,
     conjugation_law_counts_by_pairs,
     derived_subgroup_allpairs,
     from_labels,
+    generator,
+    generators,
     state,
     stream_pairs,
     verify_closed,
@@ -59,8 +62,8 @@ def nonempty_level_sets(d):
 
 def random_small_subgroup(rng, d):
     k = rng.randrange(1, 4)
-    gens = [FiniteAutomorphism.random(d, rng) for _ in range(k)]
-    return close(gens)
+    gens = [FiniteAutomorphism.random(d, rng).bits for _ in range(k)]
+    return close(d, gens)
 
 
 # -- closure -------------------------------------------------------------------
@@ -73,8 +76,8 @@ def test_full_group_orders():
 
 
 def test_close_trivial_cases():
-    assert close([], depth=3).order == 1
-    assert close([generator(2, 0)]).order == 2
+    assert close(3, []).order == 1
+    assert close(2, [generator(2, 0).bits]).order == 2
 
 
 def test_direct_construction_names_builders_that_exist():
@@ -90,18 +93,18 @@ def test_close_is_idempotent_and_order_independent():
     rng = random.Random(301)
     for _ in range(20):
         d = rng.randrange(2, 4)
-        gens = [FiniteAutomorphism.random(d, rng) for _ in range(3)]
-        s = close(gens)
+        gens = [FiniteAutomorphism.random(d, rng).bits for _ in range(3)]
+        s = close(d, gens)
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert close(shuffled) == s
-        assert close(list(s.generators) + gens) == s
-        assert close(list(s)[:6] + gens) == s
+        assert close(d, shuffled) == s
+        assert close(d, list(s.generators) + gens) == s
+        assert close(d, s.sorted_bits()[:6] + gens) == s
 
 
 def test_close_cap_error_names_cap():
     with pytest.raises(EnumerationCapExceeded) as err:
-        close(generators(4), cap=1000)
+        close(4, [a.bits for a in generators(4)], cap=1000)
     assert "1000" in str(err.value)
 
 
@@ -119,9 +122,9 @@ def test_resolve_cap_reads_and_checks_the_environment(monkeypatch):
 
 def test_close_rejects_mixed_depths():
     with pytest.raises(ValueError):
-        close([generator(2, 0), generator(3, 0)])
+        close(2, [generator(2, 0).bits, generator(3, 2).bits])  # a_2 is wider than depth 2
     with pytest.raises(ValueError):
-        close([], depth=None)
+        close(2, [-1])
 
 
 def test_canonical_ordering_matches_byte_encoding():
@@ -135,7 +138,7 @@ def test_canonical_ordering_matches_byte_encoding():
 
 def test_index_of_root_swap_subgroup():
     g2 = full_group(2)
-    root_swap = close([generator(2, 0)])
+    root_swap = close(2, [generator(2, 0).bits])
     assert root_swap.element_bits <= g2.element_bits
     assert g2.order // root_swap.order == 4
 
@@ -189,7 +192,7 @@ def test_stabilizer_is_kernel_of_truncation():
 
 
 def test_derived_of_abelian_is_trivial():
-    klein = close([generator(2, 1), from_labels(2, {"1": 1})])
+    klein = close(2, [generator(2, 1).bits, from_labels(2, {"1": 1}).bits])
     assert klein.order == 4
     assert derived_subgroup(klein).order == 1
 
@@ -250,7 +253,7 @@ def test_generating_set_regenerates():
         s = random_small_subgroup(rng, 3)
         stripped = EnumeratedSubgroup.from_element_bits(3, s.element_bits)
         gens = generating_set(stripped)
-        assert close(list(gens)) == s
+        assert close(3, gens) == s
         assert len(gens) <= max(1, s.order.bit_length())
 
 
@@ -258,7 +261,7 @@ def test_generating_set_regenerates():
 
 
 def test_orbit_of_trivial_group():
-    t = close([], depth=3)
+    t = close(3, [])
     assert orbit(t, "01") == {"01"}
 
 
@@ -276,11 +279,11 @@ def test_pj_transitive_on_last_level():
 def test_depth2_sweep_equals_the_closures_of_all_ordered_pairs():
     # Closing each unordered pair once finds the groups the 64 ordered pairs
     # find, first generated by the same pair, in the same order.
-    els = list(full_group(2))
+    els = full_group(2).sorted_bits()
     seen = {}
     for x in els:
         for y in els:
-            s = close([x, y])
+            s = close(2, [x, y])
             seen.setdefault(s.element_bits, s)
     want = sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))
     got = all_subgroups_depth2()
@@ -332,13 +335,13 @@ def test_top_generator_membership_iff_top_level_absent():
     for d in (2, 3, 4):
         a_top = generator(d, d - 1)
         for J in nonempty_level_sets(d):
-            assert maximal_subgroup(d, J).contains(a_top) == (d - 1 not in J)
+            assert maximal_subgroup(d, J).contains_bits(a_top.bits) == (d - 1 not in J)
 
 
 def test_identity_in_every_pj():
     for d in (2, 3, 4):
         for J in nonempty_level_sets(d):
-            assert maximal_subgroup(d, J).contains(identity(d))
+            assert maximal_subgroup(d, J).contains_bits(identity(d).bits)
 
 
 def test_maximal_subgroup_rejects_bad_level_sets():
@@ -356,7 +359,7 @@ def test_enumerate_pj_orders_and_predicate_agreement():
             assert pj.order == 1 << ((1 << d) - 2)
             pred = maximal_subgroup(d, J)
             for b in grp.element_bits:
-                assert (b in pj.element_bits) == pred.contains(FiniteAutomorphism(d, b))
+                assert (b in pj.element_bits) == pred.contains_bits(b)
 
 
 def test_enumerate_pj_schreier_generators_generate_pj():
@@ -367,7 +370,7 @@ def test_enumerate_pj_schreier_generators_generate_pj():
             pj = enumerate_PJ(d, J)
             assert pj.element_bits == filtered
             assert len(pj.generators) <= 2 * (d - 1)
-            assert close(list(pj.generators), depth=d).element_bits == filtered
+            assert close(d, pj.generators).element_bits == filtered
 
 
 def test_derived_of_pj_from_schreier_generators_matches_allpairs():
@@ -403,7 +406,7 @@ def test_top_stabilizer_cut_is_the_full_vertex_set_case():
         mv = M_V(d, words)
         pj_stab = level_stabilizer(enumerate_PJ(d, {d - 1}), d - 1)
         grp = full_group(d)
-        mv_bits = {b for b in grp.element_bits if mv.contains(FiniteAutomorphism(d, b))}
+        mv_bits = {b for b in grp.element_bits if mv.contains_bits(b)}
         assert mv_bits == pj_stab.element_bits
 
 
@@ -415,13 +418,13 @@ def test_mv_conjugation_law_exhaustive_depth3(g3):
         V = {words[i] for i in range(4) if (mask >> i) & 1}
         mv = M_V(3, V)
         members = [FiniteAutomorphism(3, b) for b in stab_bits
-                   if mv.contains(FiniteAutomorphism(3, b))]
+                   if mv.contains_bits(b)]
         for g_bits in g3.element_bits:
             g = FiniteAutomorphism(3, g_bits)
             g_inv_V = {(~g).apply(w) for w in V}
             target = M_V(3, g_inv_V)
             conjugated = {kernel.conjugate(h.bits, g_bits, 3) for h in members}
-            expected = {b for b in stab_bits if target.contains(FiniteAutomorphism(3, b))}
+            expected = {b for b in stab_bits if target.contains_bits(b)}
             assert conjugated == expected
 
 
@@ -448,17 +451,17 @@ def test_pj_membership_is_the_level_parity():
             pj = maximal_subgroup(d, J)
             for b in full_group(d).element_bits:
                 g = FiniteAutomorphism(d, b)
-                assert pj.contains(g) == (g.alpha(J) == 0)
-                assert (g in pj) == pj.contains(g)
+                assert pj.contains_bits(g.bits) == (g.alpha(J) == 0)
+                assert (g in pj) == pj.contains_bits(g.bits)
     for d, seed in ((8, 1201), (16, 1202)):
         rng = random.Random(seed)
         samples = membership_samples(d, seed)
         for _ in range(12):
             J = {j for j in range(d) if rng.getrandbits(1)} or {d - 1}
             pj = maximal_subgroup(d, J)
-            assert {pj.contains(g) for g in samples} == {True, False}
+            assert {pj.contains_bits(g.bits) for g in samples} == {True, False}
             for g in samples:
-                assert pj.contains(g) == (g.alpha(J) == 0)
+                assert pj.contains_bits(g.bits) == (g.alpha(J) == 0)
 
 
 def test_mv_membership_is_the_stabilizer_and_beta_parity():
@@ -472,23 +475,23 @@ def test_mv_membership_is_the_stabilizer_and_beta_parity():
             mv = M_V(d, V)
             for b in full_group(d).element_bits:
                 g = FiniteAutomorphism(d, b)
-                assert mv.contains(g) == by_definition(g, V)
+                assert mv.contains_bits(g.bits) == by_definition(g, V)
     for d, seed in ((8, 1203), (16, 1204)):
         rng = random.Random(seed)
         samples = membership_samples(d, seed)
         for size in (1, 2, 5, 64):
             V = {format(rng.getrandbits(d - 1), "b").zfill(d - 1) for _ in range(size)}
             mv = M_V(d, V)
-            assert {mv.contains(g) for g in samples} == {True, False}
+            assert {mv.contains_bits(g.bits) for g in samples} == {True, False}
             for g in samples:
-                assert mv.contains(g) == by_definition(g, V)
+                assert mv.contains_bits(g.bits) == by_definition(g, V)
 
 
 def test_mv_order_from_its_checks():
     for d in (2, 3, 8, 24):
         mv = M_V(d, {"0" * (d - 1)})
         assert mv.log2_order() == (1 << (d - 1)) - 1
-    assert M_V(24, {"1" * 23}).contains(identity(24))
+    assert M_V(24, {"1" * 23}).contains_bits(identity(24).bits)
 
 
 # -- conjugation label law ---------------------------------------------------------------
@@ -652,7 +655,7 @@ def in_every_single_level_pj(g):
     """The abelianization of G(d) is elementary abelian of rank d, realized
     by the d level parities, so [G(d), G(d)] is the intersection of the
     P_{j}, j = 0..d-1."""
-    return all(maximal_subgroup(g.depth, {j}).contains(g) for j in range(g.depth))
+    return all(maximal_subgroup(g.depth, {j}).contains_bits(g.bits) for j in range(g.depth))
 
 
 def test_generators_not_in_derived():
@@ -715,11 +718,11 @@ def test_verify_closed_rejects_non_closed_sets():
 def test_contains_rejects_depth_mismatch_in_both_representations():
     g = generator(3, 0)
     with pytest.raises(ValueError):
-        full_group(2).contains(g)
+        g in enumerate_PJ(2, {1})
     with pytest.raises(ValueError):
         g in full_group(2)
     with pytest.raises(ValueError):
-        maximal_subgroup(2, {1}).contains(g)
+        g in maximal_subgroup(2, {1})
 
 
 def test_generating_set_check_survives_optimize_flag(run_optimized):
@@ -727,12 +730,12 @@ def test_generating_set_check_survives_optimize_flag(run_optimized):
     # refusal is kernel.close's cap check, not an assert, so -O keeps it.
     proc = run_optimized("""
         from treegrp.errors import EnumerationCapExceeded
-        from treegrp.portrait import generator
+        from treegrp.heap import spine
         from treegrp.subgroups import EnumeratedSubgroup, enumerate_PJ, generating_set
 
-        for d, bits in [(2, {0, generator(2, 0).bits, generator(2, 1).bits}),
-                        (2, {generator(2, 0).bits}),
-                        (3, enumerate_PJ(3, {2}).element_bits | {generator(3, 2).bits})]:
+        for d, bits in [(2, {0, spine(0), spine(1)}),
+                        (2, {spine(0)}),
+                        (3, enumerate_PJ(3, {2}).element_bits | {spine(2)})]:
             try:
                 generating_set(EnumeratedSubgroup.from_element_bits(d, bits))
             except EnumerationCapExceeded:
@@ -762,9 +765,9 @@ def test_generated_subgroup_json_roundtrip():
     ]:
         doc = json.loads(text)
         s = subgroup_from_json(doc)
-        gens = [FiniteAutomorphism.from_hex(h, doc["d"]) for h in doc["generators"]]
+        gens = [FiniteAutomorphism.from_hex(h, doc["d"]).bits for h in doc["generators"]]
         assert s.generators == tuple(gens)
-        assert s == close(gens, depth=doc["d"])
+        assert s == close(doc["d"], gens)
         assert s.order == order
 
 
@@ -832,7 +835,7 @@ def test_enumerate_mv_matches_predicate_filter():
         for mask in range(1, 1 << len(words)):
             V = {words[i] for i in range(len(words)) if (mask >> i) & 1}
             mv = M_V(d, V)
-            reference = {b for b in grp.element_bits if mv.contains(FiniteAutomorphism(d, b))}
+            reference = {b for b in grp.element_bits if mv.contains_bits(b)}
             assert enumerate_MV(d, V).element_bits == reference
 
 
@@ -865,9 +868,9 @@ def _masked_groups(d):
     of several.  A listing keeps the slots it was built in; a closure packs
     its members on first use."""
     rng = random.Random(431 + d)
-    groups = [close([], depth=d), close([generator(d, 0), generator(d, d - 1)])]
+    groups = [close(d, []), close(d, [generator(d, 0).bits, generator(d, d - 1).bits])]
     if d <= 3:
-        groups.append(close([FiniteAutomorphism.random(d, rng) for _ in range(2)]))
+        groups.append(close(d, [FiniteAutomorphism.random(d, rng).bits for _ in range(2)]))
     n = (1 << d) - 1
     # Up to 14 free bits, so at d >= 4 the listing spans more than one block
     # of 2^12 members.
@@ -943,7 +946,7 @@ def test_every_membership_read_builds_a_listing_set():
     lin = maximal_subgroup(3, {1})
     members = set(lin.iter_bits())
     g = FiniteAutomorphism(3, next(iter(members)))
-    reads = [lambda s: s.element_bits, lambda s: s.contains(g), lambda s: g in s,
+    reads = [lambda s: s.element_bits, lambda s: s.contains_bits(g.bits), lambda s: g in s,
              lambda s: s.sorted_bits(), lambda s: list(s), hash,
              lambda s: s == EnumeratedSubgroup.from_element_bits(3, members)]
     for read in reads:
@@ -1041,7 +1044,7 @@ def test_derived_seeds_are_the_scalar_commutators_of_generator_pairs(monkeypatch
         cases = [[a.bits for a in generators(d)]]
         for bits in range(1, 1 << d):
             J = frozenset(j for j in range(d) if bits >> j & 1)
-            cases.append([g.bits for g in subgroups._pj_schreier_generators(d, J)])
+            cases.append(list(subgroups._pj_schreier_generators(d, J)))
         for gens in cases:
             subgroups._derived_from_generators(d, gens)
             seeds = got.pop()

@@ -10,7 +10,6 @@ from treegrp import gf2, kernel, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.cli import main
 from treegrp.heap import half_level_mask, prefix_mask
-from treegrp.portrait import generator
 from treegrp.subgroups import derived_subgroup, full_group
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
@@ -23,7 +22,7 @@ from treegrp.verify import (
     verify_not_top_fg,
 )
 
-from oracles import derived_subgroup_allpairs, state
+from oracles import derived_subgroup_allpairs, generator, state
 
 
 @pytest.mark.parametrize("cap", [-5, 0])
