@@ -12,8 +12,8 @@ chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
 drawn and packed, with nothing checked on them (`kernel.sampled_chunks`):
 the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
 12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
-kernel-free word action, on full-length words at depths 4 and 24, and twelve
-kernel-free pattern-layer calls.  Nine are at d=4: the essentiality test of
+kernel-free word action, on full-length words at depths 4 and 24, and fourteen
+kernel-free pattern-layer calls.  Eleven are at d=4: the essentiality test of
 P_{3} (a full pass over an essential group), the listing of P_{3} by
 `EnumeratedSubgroup.from_linear` read only through `masked` and
 `count_clear` (its member set is never built), the classify cross-check of
@@ -28,8 +28,13 @@ reductions of P_{3} (one pass) and P_{0} (several passes), the aux suite's
 P_J arm (all 15 P_J reduced by rank, only the reductions listed, each
 cross-checked by its essentiality and dimension), the depth-5 truncation
 group of the reduced P_{1}, and the aux suite's transitivity probes
-(`_transitivity_matches`) on its 25 groups, the ten reduced depth-2 sweep
-groups and the 15 reduced P_J.  The tenth is the embedding index
+(`_transitivity_matches`: `truncation_orbits` to at most two levels past
+d, which perfbench's tracer does not wrap) on its 25 groups, the ten
+reduced depth-2 sweep groups and the 15 reduced P_J, then on the two of
+order 2^8 alone (the reductions of P_{1} and P_{0,1}, whose joins are the
+widest), and `is_essential` on the basis of each of the 15 listed P_J and
+their 15 listed rank reductions (the tested children read slot-wise, the
+truncations a run at a time).  The twelfth is the embedding index
 of the full depth-3 pattern group, the relation suite's heaviest case: it
 counts the 32,768 elements of the depth-4 truncation group class by class
 (`truncation_orbits`) instead of listing them.  The last two reduce every
@@ -228,6 +233,13 @@ def bench_patterns():
     lin2_basis = maximal_subgroup(4, {2}).basis()
     listed_p2 = PatternGroup.from_subgroup(
         EnumeratedSubgroup.from_linear(maximal_subgroup(4, {2}), lin2_basis))
+    order_256 = [(p, dim) for p, dim in probed if p.order == 256]
+    tested = []
+    for J in _nonempty_level_sets(4):
+        for lin in (maximal_subgroup(4, J), linear_essential_reduction(maximal_subgroup(4, J))[0]):
+            basis = lin.basis()
+            tested.append((PatternGroup.from_subgroup(
+                EnumeratedSubgroup.from_linear(lin, basis)), basis))
 
     def list_p3_read_packed():
         group = EnumeratedSubgroup.from_linear(lin3, lin3_basis)
@@ -250,6 +262,10 @@ def bench_patterns():
             timeit(lambda: truncation_group(reduced_p1, 5)),
         "aux transitivity probes, 25 groups, d=4":
             timeit(lambda: [_transitivity_matches(p, dim) for p, dim in probed]),
+        f"aux probes of the {len(order_256)} order-2^8 reductions (J = {{1}}, {{0, 1}}), d=4":
+            timeit(lambda: [_transitivity_matches(p, dim) for p, dim in order_256], repeats=20),
+        f"is_essential on the bases of {len(tested)} listed P_J and reductions, d=4":
+            timeit(lambda: [is_essential(p, tested=basis) for p, basis in tested], repeats=20),
         "psi_image_index(full pattern group), d=3":
             timeit(lambda: psi_image_index(full3)),
     } | {

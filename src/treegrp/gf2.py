@@ -88,13 +88,6 @@ def nullspace(rows: Iterable[int], n: int) -> list[int]:
     return out
 
 
-def gather_bits(v: int, positions: Sequence[int]) -> int:
-    out = 0
-    for k, p in enumerate(positions):
-        out |= ((v >> p) & 1) << k
-    return out
-
-
 class LinearSubgroup:
     """A subgroup of the depth-d tree group whose element set is linear.
 

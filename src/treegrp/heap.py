@@ -6,7 +6,10 @@ word) is index 0 and the children of index i are 2i+1 and 2i+2.  Level j
 then occupies the contiguous index range [2^j - 1, 2^(j+1) - 2], which makes
 level and half-tree parity functionals single-mask popcounts.  Level j of
 the subtree at index v is the 2^j indices from (v + 1) * 2^j - 1 on, so a
-subtree is read or written one level slice at a time.
+subtree is read or written one level slice at a time.  A read is a list of
+(shift, mask) steps (subtree_steps, path_steps), each keeping the bits
+(bits >> shift) & mask; kernel.slot_gather applies the same steps to every
+slot of a packed int, so one formula serves one portrait and n of them.
 """
 
 from __future__ import annotations
@@ -64,12 +67,34 @@ def in_range(bits: int, d: int) -> bool:
     return bits >= 0 and bits.bit_length() < 1 << d
 
 
+@lru_cache(maxsize=None)
+def subtree_steps(v: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) steps that read the k-level subtree at heap index v
+    as a depth-k portrait: level l of it is (bits >> (v << l)) & level_mask(l).
+
+    Level l of the subtree starts at heap bit ((v + 1) << l) - 1 and level
+    l of a portrait at 2^l - 1, v << l below it, so each kept bit comes
+    from a higher bit of the same portrait.  kernel.slot_gather takes the
+    same steps to read the subtree out of every slot of a packed int.
+    """
+    return tuple((v << lvl, level_mask(lvl)) for lvl in range(k))
+
+
+@lru_cache(maxsize=None)
+def path_steps(word: str) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) steps that move the label at the length-j prefix of
+    word to bit j, for j < len(word): the labels a portrait flips word's
+    symbols by.  The prefix's heap index is at least 2^j - 1 >= j, so each
+    label moves down; for word = 0^k the label at 2^j - 1 moves to bit j."""
+    return tuple((heap_index(word[:j]) - j, 1 << j) for j in range(len(word)))
+
+
 def gather(bits: int, v: int, k: int) -> int:
-    """The k-level subtree of bits rooted at heap index v, as a depth-k portrait."""
+    """The k-level subtree of bits rooted at heap index v, as a depth-k
+    portrait, read by subtree_steps."""
     out = 0
-    for lvl in range(k):
-        width = 1 << lvl
-        out |= ((bits >> (((v + 1) << lvl) - 1)) & ((1 << width) - 1)) << (width - 1)
+    for shift, mask in subtree_steps(v, k):
+        out |= bits >> shift & mask
     return out
 
 

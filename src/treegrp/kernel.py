@@ -107,13 +107,21 @@ slots of 2^L bits do the work that slots of 2^d bits would.
 
 slot_codec packs portraits into fixed byte slots of one int for close's
 cosets, the listing in gf2 (spanned in them by whole-int doubling), the
-members of subgroups.EnumeratedSubgroup, whose masked(mask) is one AND of
-the broadcast mask and one unpack (masked_runs unpacks the same slots a
-doubling run at a time, masking the first run alone, for the readers that
-stop once their answer is fixed) and whose count_clear(mask) and
-count_odd(mask) fold each masked slot onto its low bit, by OR and by XOR,
-for one bit_count, and pack's rows up to d = 6, where a slot is one
-machine word and one big-endian row once shifted into t coordinates.
+members of subgroups.EnumeratedSubgroup and pack's rows up to d = 6, where
+a slot is one machine word and one big-endian row once shifted into t
+coordinates.  slot_gather reads every slot at once through (shift, mask)
+steps, each one shift and one AND with the broadcast mask: a mask alone
+(shift 0), a k-level subtree (heap.subtree_steps: level l of the subtree
+at v is (x >> (v << l)) & level_mask(l), each kept bit from a higher bit
+of the same portrait, so nothing crosses a slot) or the left-path labels
+(heap.path_steps of 0^d: the label at 2^k - 1 moves to bit k).  So
+EnumeratedSubgroup's masked(mask), its members' classes and child classes
+and their left-path vectors are each one read and one unpack, as are the
+children of the few members patterns.is_essential tests; slot_runs
+unpacks a read a doubling run at a time, reading the first run alone, for
+the readers that stop once their answer is fixed.  EnumeratedSubgroup's
+count_clear(mask) and count_odd(mask) fold each masked slot onto its low
+bit, by OR and by XOR, for one bit_count.
 subgroups.conjugation_law_counts reads its pairs' labels off the batches
 in one byte per pair and uses no codec.
 
@@ -260,9 +268,20 @@ def pack(xs: Sequence[int], d: int) -> int:
 
 def unpack(x: int, n: int, d: int) -> list[int]:
     """The n depth-d portraits (heap-indexed ints) of the batch x, inverting
-    pack: sample j's level m is the 2^m bits of x from (n + j) 2^m on."""
-    return [sum((x >> ((n + j) << m) & (1 << (1 << m)) - 1) << (1 << m) - 1 for m in range(d))
-            for j in range(n)]
+    pack: sample j's level m is the 2^m bits of x from (n + j) 2^m on.
+
+    Read off x's binary digits, most significant first: each level block
+    is sliced once, into its samples' pieces, and each portrait is its
+    pieces joined from the deepest level up, one int() each.
+    """
+    size = n << d
+    digits = format(x, f"0{size}b")
+    levels = []
+    for m in range(d - 1, -1, -1):
+        w = 1 << m
+        block = digits[size - (n << m + 1):size - (n << m)]  # sample n - 1 first
+        levels.append([block[i:i + w] for i in range((n - 1) * w, -1, -w)])
+    return [int("".join(pieces), 2) for pieces in zip(*levels)]
 
 
 def _pack_rows(rows: bytes, n: int, d: int, end: int, stride: int, level: int = 0) -> int:
@@ -533,14 +552,31 @@ def slot_codec(n: int, d: int) -> tuple[Callable, Callable, Callable]:
     return pack, unpack, broadcast
 
 
-def slot_runs(x: int, n: int, d: int, first: int, mask: int) -> Iterator[Sequence[int]]:
-    """The n slots of x, packed as slot_codec(n, d) packs them, each ANDed
-    with mask (a depth-d portrait mask), in order and in runs: `first`
-    slots, then runs as long as all before them.  The first run is cut off
-    x's low bytes and masked alone; the rest is masked and copied to bytes
-    once, when the second run is reached.  So a reader that stops after the
-    first run never masks or converts all of x, and one that reads every
-    run pays one mask and one copy, as masking all of x up front would."""
+def slot_gather(x: int, n: int, d: int, steps: Iterable[tuple[int, int]]) -> int:
+    """Every slot of x, packed as slot_codec(n, d) packs it, read through
+    the (shift, mask) steps: each slot becomes the OR of its bits
+    (slot >> shift) & mask.  With heap.subtree_steps(v, k) each slot holds
+    its k-level subtree at heap index v, with heap.path_steps(word) the
+    labels at word's proper prefixes.  Each mask must fit the portrait and
+    each kept bit come from the same portrait (a subtree that fits it, a
+    word no longer than d), so nothing crosses a slot: one shift and one
+    AND of the whole int per step, whatever n."""
+    broadcast = slot_codec(n, d)[2]
+    out = 0
+    for shift, mask in steps:
+        out |= (x >> shift if shift else x) & broadcast(mask)
+    return out
+
+
+def slot_runs(x: int, n: int, d: int, first: int,
+              steps: Sequence[tuple[int, int]]) -> Iterator[Sequence[int]]:
+    """The n slots of x, packed as slot_codec(n, d) packs them, each read
+    through steps (slot_gather), in order and in runs: `first` slots, then
+    runs as long as all before them.  The first run is cut off x's low
+    bytes and read alone; the rest is read and copied to bytes once, when
+    the second run is reached.  So a reader that stops after the first run
+    never reads or converts all of x, and one that reads every run pays
+    one read and one copy, as reading all of x up front would."""
     w = slot_bytes(d)
     word = _WORD_FORMATS.get(w)
 
@@ -549,14 +585,15 @@ def slot_runs(x: int, n: int, d: int, first: int, mask: int) -> Iterator[Sequenc
             return struct.unpack_from(f"={k}{word}", raw, start * w)
         return [int.from_bytes(raw[i:i + w], _ORDER) for i in range(start * w, (start + k) * w, w)]
 
-    def masked(k: int) -> bytes:
-        """The low k slots of x, ANDed with mask, as bytes."""
-        return (x & slot_codec(k, d)[2](mask)).to_bytes(k * w, _ORDER)
+    def read(k: int) -> bytes:
+        """The low k slots of x, read through steps, as bytes."""
+        low = x if k == n else x & (1 << 8 * k * w) - 1  # shift only the k slots
+        return slot_gather(low, k, d, steps).to_bytes(k * w, _ORDER)
 
     k = min(first, n)
-    yield run(masked(k), 0, k)
+    yield run(read(k), 0, k)
     if k < n:
-        raw = masked(n)
+        raw = read(n)
         start = k
         while start < n:
             k = min(start, n - start)

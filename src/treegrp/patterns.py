@@ -15,20 +15,23 @@ are never read off member by member: the candidate set is placed once under
 each first-level child, and a member's child subpattern is tested by
 masking the member with that child's placed prefix mask and looking the
 result up in the placed set.  Only the few members is_essential is handed
-to test (a basis) are gathered one child at a time instead.  The test is
-exact because place(t, v, k) is injective and lands exactly on
+to test (a basis) have their children read instead, slot-wise: packed
+once, with both children read off every slot by kernel.slot_gather.  The
+test is exact because place(t, v, k) is injective and lands exactly on
 the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
 t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 
-Every image of P's members under one mask (the truncations, the
-stabilizer count, the left-path labels and the classes of the truncation
-join) is read off the packed slots EnumeratedSubgroup.masked ANDs at once,
-not member by member.  Two reads stop early, off masked_runs: is_essential
-on `tested` members stops once every tested child is among the
-truncations read, and truncation_orbits' level d stops once all 2^d
-left-path vectors are seen.  Both stops are exact, since reading more
-members can only add truncations or vectors.  A failing is_essential on
-`tested` stops at |P| / |St_P(d-1)| truncations, all of them, as
+Every image of P's members (the truncations, the stabilizer count, the
+left-path vectors, and the classes and child classes of the truncation
+join) is read off P's packed slots at once, by a mask or by heap's
+(shift, mask) steps (EnumeratedSubgroup.masked, gathered and
+child_classes), not member by member.  Two reads stop early, off
+masked_runs and gathered_runs: is_essential on `tested` members stops
+once every tested child is among the truncations read, and
+truncation_orbits' level d stops once all 2^d left-path vectors are
+seen.  Both stops are exact, since reading more members can only add
+truncations or vectors.  A failing is_essential on `tested` stops at
+|P| / |St_P(d-1)| truncations, all of them, as
 truncation is a homomorphism with kernel St_P(d-1); every other read takes
 every member.  A failed internal consistency check (a stabilizer order
 that is no power of two dividing |P|, more truncations than that quotient,
@@ -41,11 +44,13 @@ subpatterns, so each step does work in proportion to the elements it
 outputs.  The same join, run on per-class counts and per-class orbits of
 the left path instead of on elements, gives |H(n)| and the orbit of 0^n
 under H(n) without listing H(n) (truncation_orbits, which takes no cap:
-its work per level is bounded by |P| times the orbit size, whatever |H(n)|
-is); truncation_group checks the cap against that count before it lists
-any level.  The embedding index reads its orders off those counted levels
-too: |H(n+1)_1| is |H(n+1)| over the number of first symbols in the orbit
-of 0^(n+1), so no truncation group is listed for it.
+it joins once per (class, child-1 class) pair of P's members, summing the
+counts of the pair's child-2 classes, so its work per level is bounded by
+|P| times the orbit size, whatever |H(n)| is); truncation_group checks the
+cap against that count before it lists any level.  The embedding index
+reads its orders off those counted levels too: |H(n+1)_1| is |H(n+1)|
+over the number of first symbols in the orbit of 0^(n+1), so no
+truncation group is listed for it.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from . import gf2
+from . import gf2, kernel
 from .errors import EnumerationCapExceeded, VerificationError
-from .heap import gather, place, prefix_mask
+from .heap import path_steps, place, prefix_mask, subtree_steps
 from .subgroups import (
     EnumeratedSubgroup,
     level_set_mask,
@@ -106,6 +111,17 @@ def _children_placed(portraits: set[int] | frozenset[int], k: int
     )
 
 
+def _tested_children(tested: list[int], d: int) -> list[tuple[int, int, int]]:
+    """(b, i, the size-(d-1) subpattern of b at first-level vertex i) for
+    each b in tested and i = 0, 1, in that order: the tested members packed
+    once and both children read off every slot (kernel.slot_gather)."""
+    pack, unpack, _ = kernel.slot_codec(len(tested), d)
+    x = pack(tested)
+    left, right = (unpack(kernel.slot_gather(x, len(tested), d, subtree_steps(v, d - 1)))
+                   for v in (1, 2))
+    return [(b, i, c) for b, l, r in zip(tested, left, right) for i, c in ((0, l), (1, r))]
+
+
 def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
                  ) -> EssentialityResult:
     """Whether every child subpattern of every allowed pattern extends in P.
@@ -126,11 +142,11 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
     if tested is not None:
-        # Few members: gather their children rather than place every
-        # truncation under both.  Truncations are read a run at a time
-        # (masked_runs) until every child is among them, which settles
-        # essential; the set only grows, so that stop is exact.
-        children = [(b, i, gather(b, i + 1, d - 1)) for b in tested for i in (0, 1)]
+        # Few members: read their children slot-wise rather than place
+        # every truncation under both.  Truncations are read a run at a
+        # time (masked_runs) until every child is among them, which
+        # settles essential; the set only grows, so that stop is exact.
+        children = _tested_children(list(tested), d)
         wanted = {c for _, _, c in children}
         truncations: set[int] = set()
         image = None  # |P| / |St_P(d-1)|, counted once more runs follow
@@ -248,19 +264,8 @@ class TruncationGroup(NamedTuple):
     group: EnumeratedSubgroup
 
 
-def _root_joins(member_bits: frozenset[int], d: int
-                ) -> Iterator[tuple[int, int, int, int]]:
-    """(class, root bit, child-1 class, child-2 class) of each allowed root
-    pattern p, the join rule of every truncation level: p's top d - 1
-    levels are the class of each element it builds, and the classes of its
-    two sections are its child subpatterns, the top d - 1 levels of each."""
-    top = prefix_mask(d - 1)
-    for p in member_bits:
-        yield p & top, p & 1, gather(p, 1, d - 1), gather(p, 2, d - 1)
-
-
 def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
-                      member_bits: frozenset[int]) -> frozenset[int]:
+                      joins: list[tuple[int, int, int]]) -> frozenset[int]:
     """Depth-(m+1) truncation group from the depth-m one, m >= d.
 
     An element belongs iff both its sections lie in the depth-m group and
@@ -269,8 +274,10 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
     elements are classed by their top d - 1 levels, placed once under each
     child, and each allowed p contributes its root bit with every section in
     the class of its child-1 subpattern beside every section in the class of
-    its child-2 subpattern.  Distinct p give disjoint outputs (an output's
-    root pattern is its p), so nothing is built twice or thrown away and the
+    its child-2 subpattern: joins holds P's child_classes, p's top d - 1
+    levels (its class, whose bit 0 is its root bit) and its two child
+    subpatterns.  Distinct p give disjoint outputs (an output's root
+    pattern is its p), so nothing is built twice or thrown away and the
     work is proportional to the output.
     """
     top = prefix_mask(d - 1)
@@ -280,10 +287,10 @@ def _extend_one_level(h_bits: frozenset[int], m: int, d: int,
         lefts.setdefault(b & top, []).append(place(b, 1, m))
         rights.setdefault(b & top, []).append(place(b, 2, m))
     out: list[int] = []
-    for _, root, c1, c2 in _root_joins(member_bits, d):
+    for cls, c1, c2 in joins:
         rs = rights.get(c2, ())
         for left in lefts.get(c1, ()):
-            left |= root
+            left |= cls & 1
             out.extend([left | right for right in rs])
     return frozenset(out)
 
@@ -308,10 +315,10 @@ def truncation_group(p: PatternGroup, n: int, cap: int | None = None) -> Truncat
         order = next(itertools.islice(truncation_orbits(p), n - d, None)).order
         if order > cap:
             raise EnumerationCapExceeded(cap, order, hint=f"depth-{n} truncation group")
-    member_bits = p.group.element_bits
-    h = member_bits
+    h = p.group.element_bits
+    joins = list(p.group.child_classes()) if n > d else []
     for m in range(d, n):
-        h = _extend_one_level(h, m, d, member_bits)
+        h = _extend_one_level(h, m, d, joins)
     return TruncationGroup(d, n, EnumeratedSubgroup.from_element_bits(n, h))
 
 
@@ -328,49 +335,59 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
     """TruncationLevel for n = d, d + 1, ..., without listing H(n).
 
     g sends 0^n to the word whose symbol k is g's label at 0^k, so the orbit
-    is the set of left-path label vectors.  Level d is read off P's listing
-    (masked_runs), and the read stops once all 2^d vectors are seen;
-    each deeper level runs truncation_group's join on each class of top
-    d - 1 levels, keeping its element count N and its left-path vectors:
-    an allowed root pattern p adds N[c1] * N[c2] elements to its class, and,
-    when N[c2] > 0, the vectors p's root bit followed by a vector of class
-    c1.  Nothing is listed past P, so no cap applies.
+    is the set of left-path label vectors.  Level d reads them off P's
+    listing slot-wise (heap.path_steps of 0^d, in gathered_runs), and the
+    read stops once all 2^d vectors are seen.  Each deeper level runs
+    truncation_group's join on the classes of top d - 1 levels, keeping
+    each class's element count N and its left-path vectors: an allowed
+    root pattern p of class c adds N[c1] * N[c2] elements to c and, when
+    N[c2] > 0, the vectors p's root bit followed by a vector of class c1.
+    Members of one class with one child-1 class c1 differ only in c2, so
+    the join runs once per (class, child-1 class) pair, adding
+    N[c1] * (the sum of N[c2] over the pair's child-2 classes): the
+    per-member join's sum.  The classes and child classes
+    (child_classes) and the per-class vectors (the path read beside the
+    classes) are read off the packed slots.  Nothing is listed past P, so
+    no cap applies.
     """
     p = _ensure_essential(p)
     d = p.depth
     group = p.group
-    path = [(1 << k) - 1 for k in range(d)]  # heap indices of 0^k, k < d
-    path_mask = sum(1 << i for i in path)
     order = group.order
-    # Left-path labels a run at a time, until all 2^d vectors are seen: more
+    left_path = path_steps("0" * d)
+    # Left-path vectors a run at a time, until all 2^d are seen: more
     # members can only add vectors, so that stop is exact.
-    labels: set[int] = set()
-    for run in group.masked_runs(path_mask):
-        labels.update(run)
-        if len(labels) == 1 << d:
+    orbit: set[int] = set()
+    for run in group.gathered_runs(left_path):
+        orbit.update(run)
+        if len(orbit) == 1 << d:
             break
-    orbit = {gf2.gather_bits(b, path) for b in labels}
-    joins = None
+    pairs = None
     for n in itertools.count(d):
         yield TruncationLevel(n, order, frozenset(
             format(f, f"0{n}b")[::-1] for f in orbit))
-        if joins is None:
+        if pairs is None:
             # Per-class state only once a deeper level is wanted: a caller
             # that stops at level d reads P's listing at most once.
-            joins = list(_root_joins(group.element_bits, d))
-            top = prefix_mask(d - 1)
-            counts = Counter(group.masked(top))
+            pairs = {}  # (class, child-1 class) -> its child-2 classes
+            classes = []
+            for cls, c1, c2 in group.child_classes():
+                pairs.setdefault((cls, c1), []).append(c2)
+                classes.append(cls)
+            counts = Counter(classes)
             vectors: dict[int, set[int]] = {}
-            for b in set(group.masked(top | path_mask)):
-                vectors.setdefault(b & top, set()).add(gf2.gather_bits(b, path))
+            for cls, q in set(zip(classes, group.gathered(left_path))):
+                vectors.setdefault(cls, set()).add(q)
+        # Each class's vectors shifted past a root bit of 0 and of 1.
+        shifted = {c: ({q << 1 for q in qs}, {q << 1 | 1 for q in qs})
+                   for c, qs in vectors.items()}
         next_counts: Counter[int] = Counter()
         next_vectors: dict[int, set[int]] = {}
-        for cls, root, c1, c2 in joins:
-            joined = counts[c1] * counts[c2]
+        for (cls, c1), c2s in pairs.items():
+            joined = counts[c1] * sum(map(counts.__getitem__, c2s))
             if joined:
                 next_counts[cls] += joined
-                next_vectors.setdefault(cls, set()).update(
-                    root | q << 1 for q in vectors[c1])
+                next_vectors.setdefault(cls, set()).update(shifted[c1][cls & 1])
         counts, vectors = next_counts, next_vectors
         order = sum(counts.values())
         orbit = set().union(*vectors.values())

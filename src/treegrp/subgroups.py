@@ -11,17 +11,21 @@ Two representations, one per question:
   ordered by the portrait byte encoding.  It also keeps its members packed
   in kernel.slot_codec slots (from the listing, or packed on first use), so
   masked(mask), every member ANDed with one mask, is one AND and one unpack
-  instead of a pass member by member.  masked_runs(mask) gives the same
-  list in runs that double, each unpacked only when reached (the first
-  run is masked alone, the rest at once when the second run is reached),
-  for readers whose answer can only grow as they read: they stop once it
-  is fixed.  count_clear(mask) and count_odd(mask), the members with no
-  bit of mask and with an odd number of its bits, fold every masked slot
-  onto its low bit (by OR and by XOR) for one bit_count, so whether a
-  parity-check subgroup holds every member is one count for its zero mask
-  and one per check.  A listing builds its member set only when a
-  membership is read; order, masked, masked_runs, count_clear and
-  count_odd never build it.
+  instead of a pass member by member.  gathered(steps) reads every member
+  through heap's (shift, mask) steps the same way (kernel.slot_gather): a
+  subtree or the labels on a vertex's path, so child_classes, each
+  member's top depth - 1 levels and its two child subpatterns, and orbit
+  are three reads and one.  masked_runs(mask) and gathered_runs(steps)
+  give the same lists in runs that double, each unpacked only when reached
+  (the first run is read alone, the rest at once when the second run is
+  reached), for readers whose answer can only grow as they read: they
+  stop once it is fixed.  count_clear(mask) and count_odd(mask), the
+  members with no bit of mask and with an odd number of its bits, fold
+  every masked slot onto its low bit (by OR and by XOR, only as far as
+  mask's bits reach) for one bit_count, so whether a parity-check
+  subgroup holds every member is one count for its zero mask and one per
+  check.  A listing builds its member set only when a membership is read;
+  order, the reads and the counts never build it.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -63,7 +67,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf2, kernel
 from .errors import EnumerationCapExceeded, VerificationError
-from .heap import check_word, heap_index, in_range, level_mask, prefix_mask, spine
+from .heap import (
+    check_word,
+    heap_index,
+    in_range,
+    level_mask,
+    path_steps,
+    prefix_mask,
+    spine,
+    subtree_steps,
+)
 from .portrait import MAX_DEPTH, FiniteAutomorphism
 
 DEFAULT_CAP = 1 << 26
@@ -141,8 +154,8 @@ class EnumeratedSubgroup:
         """List a parity-check subgroup: the group holds only its members
         packed in slots (lin.packed), and unpacks them into the member set
         on the first membership read (element_bits, contains_bits, sorted_bits,
-        ==, hash, iteration); order, len, masked, masked_runs, count_clear
-        and count_odd never do.
+        ==, hash, iteration); order, len, the masked and gathered reads,
+        count_clear and count_odd never do.
         `basis`, if given, is lin.basis(); it must be independent, so its
         2^len(basis) combinations are the distinct members, or
         VerificationError.  The caller checks the order against the cap."""
@@ -190,39 +203,55 @@ class EnumeratedSubgroup:
             self._packed = kernel.slot_codec(self.order, self.depth)[0]([*self._bits])
         return self._packed
 
-    def _masked_slots(self, mask: int) -> tuple[int, Callable, Callable]:
-        """The packed members ANDed with mask in every slot, with the
-        codec's unpack and broadcast."""
-        _, unpack, broadcast = kernel.slot_codec(self.order, self.depth)
-        return (self._packed_slots() & broadcast(mask & prefix_mask(self.depth)),
-                unpack, broadcast)
+    def gathered(self, steps: Sequence[tuple[int, int]]) -> Sequence[int]:
+        """Every member read through the (shift, mask) steps, one entry per
+        member in slot order: one kernel.slot_gather of the packed members
+        and one unpack.  The steps read within a depth-`depth` portrait
+        (heap.subtree_steps of a subtree that fits, heap.path_steps of a
+        word no longer than depth).  The result is not kept."""
+        x = kernel.slot_gather(self._packed_slots(), self.order, self.depth, steps)
+        return kernel.slot_codec(self.order, self.depth)[1](x)
 
     def masked(self, mask: int) -> Sequence[int]:
         """Every member ANDed with mask, one entry per member in slot order:
-        one AND of the packed members with mask in every slot, and one
-        unpack.  The result is not kept."""
-        x, unpack, _ = self._masked_slots(mask)
-        return unpack(x)
+        gathered with the one step (0, mask), the mask cut to the portrait."""
+        return self.gathered(((0, mask & prefix_mask(self.depth)),))
 
-    def masked_runs(self, mask: int) -> Iterator[Sequence[int]]:
-        """masked(mask) in slot order, cut into runs that are each unpacked
+    def child_classes(self) -> Iterator[tuple[int, int, int]]:
+        """(class, child-1 class, child-2 class) of each member, in slot
+        order: its top depth - 1 levels and its (depth - 1)-level subtrees
+        at heap indices 1 and 2, each read off the packed slots at once
+        (gathered).  These are the triples every truncation join reads."""
+        k = self.depth - 1
+        return zip(self.masked(prefix_mask(k)), self.gathered(subtree_steps(1, k)),
+                   self.gathered(subtree_steps(2, k)))
+
+    def gathered_runs(self, steps: Sequence[tuple[int, int]]) -> Iterator[Sequence[int]]:
+        """gathered(steps) in slot order, cut into runs that are each unpacked
         only when reached (kernel.slot_runs): a first run of
         2^_FIRST_RUN_LOG2 slots, then runs as long as all before them, so
         the read prefix doubles.  For a from_linear listing each prefix of
         2^k slots is the span of the first k basis vectors.  A reader whose
         answer can only grow as it reads stops here once that answer is
-        fixed; if it stops after the first run, which is masked alone, no
-        slot past that run is masked or unpacked."""
+        fixed; if it stops after the first run, which is read alone, no
+        slot past that run is read or unpacked."""
         return kernel.slot_runs(self._packed_slots(), self.order, self.depth,
-                                1 << _FIRST_RUN_LOG2, mask & prefix_mask(self.depth))
+                                1 << _FIRST_RUN_LOG2, steps)
+
+    def masked_runs(self, mask: int) -> Iterator[Sequence[int]]:
+        """masked(mask) in the runs of gathered_runs."""
+        return self.gathered_runs(((0, mask & prefix_mask(self.depth)),))
 
     def _fold_count(self, mask: int, fold: Callable[[int, int], int]) -> int:
         """How many slots of the packed members ANDed with mask fold to 1:
         each slot's bits folded onto its low bit by `fold` (OR or XOR), and
-        one bit_count of those low bits."""
-        x, _, broadcast = self._masked_slots(mask)
+        one bit_count of those low bits.  The folds reach only as far as
+        the mask's bits, not the whole slot."""
+        mask &= prefix_mask(self.depth)
+        broadcast = kernel.slot_codec(self.order, self.depth)[2]
+        x = self._packed_slots() & broadcast(mask)
         shift = 1
-        while shift < 8 * kernel.slot_bytes(self.depth):  # bits of a slot
+        while shift < mask.bit_length():
             x = fold(x, x >> shift)  # each slot's low bit gathers only its own slot's bits
             shift <<= 1
         return (x & broadcast(1)).bit_count()
@@ -342,15 +371,13 @@ def orbit(s: EnumeratedSubgroup, v: str) -> set[str]:
 
     g flips symbol k of v exactly when its label at the length-k prefix of
     v is 1, so g(v) is v XOR g's labels at the proper prefixes of v.  Only
-    those labels matter: the orbit is one image per distinct restriction of
-    an element portrait to them.
+    those labels matter: they are read off S's packed slots at once
+    (heap.path_steps), and the orbit is one image per distinct vector.
     """
     check_word(v)
     if len(v) > s.depth:
         raise ValueError(f"vertex {v!r} too deep for depth {s.depth}")
-    prefixes = [heap_index(v[:k]) for k in range(len(v))]
-    mask = sum(1 << p for p in prefixes)
-    flips = {gf2.gather_bits(b, prefixes) for b in {b & mask for b in s.element_bits}}
+    flips = set(s.gathered(path_steps(v)))
     return {
         "".join("1" if (c == "1") ^ ((f >> k) & 1) else "0" for k, c in enumerate(v))
         for f in flips
@@ -518,15 +545,24 @@ def all_subgroups_depth2(cap: int | None = None) -> list[EnumeratedSubgroup]:
     """Every subgroup of the depth-2 group (ten of them).
 
     The depth-2 group has order 8, so all its subgroups are generated by at
-    most two elements; closing every unordered pair {x, y} once (36
-    closures) is exhaustive, since <x, y> = <y, x>.  Each group keeps the
-    first pair, in canonical order, that generates it.
+    most two elements; taking every unordered pair {x, y} once (36 of them)
+    is exhaustive, since <x, y> = <y, x>.  A pair with y in <x> or x in <y>
+    generates that cyclic group, so only the 18 other pairs are closed, and
+    each element's cyclic group once: 26 closures.  Every group keeps the
+    pair that generates it as its generators, and the first pair, in
+    canonical order, that generates a group is the one kept.
     """
     els = full_group(2, cap=cap).sorted_bits()
+    cyclic = {x: close(2, [x], cap).element_bits for x in els}
     seen: dict[frozenset[int], EnumeratedSubgroup] = {}
     for i, x in enumerate(els):
         for y in els[i:]:
-            s = close(2, [x, y], cap)
+            if y in cyclic[x]:
+                s = EnumeratedSubgroup.from_element_bits(2, cyclic[x], (x, y))
+            elif x in cyclic[y]:
+                s = EnumeratedSubgroup.from_element_bits(2, cyclic[y], (x, y))
+            else:
+                s = close(2, [x, y], cap)
             seen.setdefault(s.element_bits, s)
     return sorted(seen.values(), key=lambda s: (s.order, s.sorted_bits()))
 

@@ -4,7 +4,10 @@ Each one computes its answer the slow, direct way, independently of the
 route the library takes: the derived subgroup from all |S|^2 commutators,
 the conjugation law one pair at a time off g's last-level images (walked
 vertex by vertex down g's portrait, where subgroups.conjugation_law_counts
-swaps whole columns of a packed chunk), the inverse of gf2.gather_bits,
+swaps whole columns of a packed chunk), gather_bits and its inverse, one
+bit at a time where heap.path_steps reads a whole packed int at once,
+the per-member truncation join that patterns.truncation_orbits runs once
+per (class, child-1 class) pair on classes read slot-wise,
 and the parity-check essential reduction by way of a basis of the group.
 Two are the library's earlier bodies, which built one portrait at a time
 what kernel.slot_codec now builds slot-packed: kernel.pack's rows and
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from treegrp import gf2, kernel
 from treegrp.errors import EnumerationCapExceeded
-from treegrp.heap import heap_index, place, prefix_mask, spine
+from treegrp.heap import gather, heap_index, place, prefix_mask, spine
 from treegrp.portrait import FiniteAutomorphism
 from treegrp.report import Report
 from treegrp.subgroups import EnumeratedSubgroup, resolve_cap
@@ -153,10 +156,51 @@ def conjugate_label_check(h: FiniteAutomorphism, g: FiniteAutomorphism) -> bool:
     return kernel.conjugate(h.bits, g.bits, d) == expected
 
 
+def gather_bits(v: int, positions: Sequence[int]) -> int:
+    """Bit k of the result is bit positions[k] of v, one bit at a time."""
+    out = 0
+    for k, p in enumerate(positions):
+        out |= ((v >> p) & 1) << k
+    return out
+
+
 def scatter_bits(v: int, positions: Sequence[int]) -> int:
+    """Inverse of gather_bits: bit k of v goes to bit positions[k]."""
     out = 0
     for k, p in enumerate(positions):
         out |= ((v >> k) & 1) << p
+    return out
+
+
+def truncation_orbits_by_members(p, levels: int) -> list[tuple[int, int, frozenset[str]]]:
+    """(n, |H(n)|, orbit of 0^n under H(n)) for n = d .. d + levels - 1,
+    by the per-member join that patterns.truncation_orbits ran before it
+    read its classes slot-wise: each member's class, root bit and child
+    classes gathered one member at a time, its left-path vector gathered
+    bit by bit, and every member joined on its own."""
+    d = p.depth
+    top = prefix_mask(d - 1)
+    path = [(1 << k) - 1 for k in range(d)]
+    members = p.group.element_bits
+    joins = [(b & top, b & 1, gather(b, 1, d - 1), gather(b, 2, d - 1)) for b in members]
+    counts: dict[int, int] = {}
+    vectors: dict[int, set[int]] = {}
+    for b in members:
+        counts[b & top] = counts.get(b & top, 0) + 1
+        vectors.setdefault(b & top, set()).add(gather_bits(b, path))
+    out = []
+    for n in range(d, d + levels):
+        orbit = set().union(*vectors.values())
+        out.append((n, sum(counts.values()),
+                    frozenset(format(f, f"0{n}b")[::-1] for f in orbit)))
+        next_counts: dict[int, int] = {}
+        next_vectors: dict[int, set[int]] = {}
+        for cls, root, c1, c2 in joins:
+            joined = counts.get(c1, 0) * counts.get(c2, 0)
+            if joined:
+                next_counts[cls] = next_counts.get(cls, 0) + joined
+                next_vectors.setdefault(cls, set()).update(root | q << 1 for q in vectors[c1])
+        counts, vectors = next_counts, next_vectors
     return out
 
 

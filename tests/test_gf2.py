@@ -14,7 +14,6 @@ from oracles import (
     iter_bits_by_lists,
     linear_essential_reduction_by_rref,
     rref_by_full_reduction,
-    scatter_bits,
     span_by_lists,
 )
 
@@ -115,16 +114,6 @@ def test_dual_of_dual_recovers_span():
         basis = gf2.rref(rows)
         checks = gf2.nullspace(basis, n)
         assert gf2.rref(gf2.nullspace(checks, n)) == basis
-
-
-def test_gather_scatter_roundtrip():
-    rng = random.Random(239)
-    for _ in range(200):
-        n = rng.randrange(1, 40)
-        k = rng.randrange(0, n + 1)
-        positions = rng.sample(range(n), k)
-        v = rng.getrandbits(k) if k else 0
-        assert gf2.gather_bits(scatter_bits(v, positions), positions) == v
 
 
 def test_linear_subgroup_order_and_membership():

@@ -1,17 +1,26 @@
-"""Heap geometry: subtree gather/place, prefix masks and the range check."""
+"""Heap geometry: subtree gather/place, the (shift, mask) steps of subtree
+and path reads on one portrait and on every slot of a packed int, prefix
+masks and the range check."""
 
+import itertools
 import random
 
+import pytest
+
+from treegrp import kernel
 from treegrp.heap import (
     gather,
+    heap_index,
     in_range,
     level_mask,
+    path_steps,
     place,
     prefix_mask,
+    subtree_steps,
 )
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism
 
-from oracles import label, scatter_bits, vertex_word
+from oracles import gather_bits, label, scatter_bits, vertex_word
 
 MAX_TESTED_DEPTH = 8
 
@@ -59,6 +68,54 @@ def test_place_matches_scatter_over_positions():
     for v, k in subtrees(MAX_TESTED_DEPTH):
         x = rng.getrandbits((1 << k) - 1)
         assert place(x, v, k) == scatter_bits(x, block_positions(v, k))
+
+
+def words_up_to(depth):
+    """Every vertex word of length 0 .. depth."""
+    for length in range(depth + 1):
+        for symbols in itertools.product("01", repeat=length):
+            yield "".join(symbols)
+
+
+def prefix_positions(word):
+    """Heap indices of the proper prefixes of word, shortest first."""
+    return [heap_index(word[:j]) for j in range(len(word))]
+
+
+def leak_catching_slots(rng, depth):
+    """All-ones portraits beside identities, and a random one: a read that
+    took a bit from a neighbouring slot would set a bit of an identity's."""
+    full = prefix_mask(depth)
+    return [full, 0, full, rng.getrandbits((1 << depth) - 1), 0, full]
+
+
+@pytest.mark.parametrize("depth", range(1, MAX_TESTED_DEPTH + 1))
+def test_slot_gather_reads_every_subtree_and_path_of_every_slot(depth):
+    # n = 1 is the identity codec, the portrait alone; n = 6 spans the 1-,
+    # 2-, 4- and 8-byte struct slots and the byte-joined slots at d >= 7.
+    rng = random.Random(13 + depth)
+    xs = leak_catching_slots(rng, depth)
+    batches = [[b] for b in xs] + [xs]
+    for batch in batches:
+        n = len(batch)
+        pack, unpack, _ = kernel.slot_codec(n, depth)
+        x = pack(batch)
+        for v, k in subtrees(depth):
+            got = list(unpack(kernel.slot_gather(x, n, depth, subtree_steps(v, k))))
+            want = [gather_bits(b, block_positions(v, k)) for b in batch]
+            assert got == want == [gather(b, v, k) for b in batch], (v, k)
+        for word in words_up_to(depth):
+            got = list(unpack(kernel.slot_gather(x, n, depth, path_steps(word))))
+            assert got == [gather_bits(b, prefix_positions(word)) for b in batch], word
+
+
+def test_path_steps_invert_scatter_over_the_prefixes():
+    rng = random.Random(239)
+    for depth in range(1, MAX_TESTED_DEPTH + 1):
+        for word in words_up_to(depth):
+            v = rng.getrandbits(len(word)) if word else 0
+            bits = scatter_bits(v, prefix_positions(word))
+            assert kernel.slot_gather(bits, 1, depth, path_steps(word)) == v
 
 
 def test_prefix_mask_is_union_of_level_masks():

@@ -13,6 +13,7 @@ from treegrp import kernel
 from treegrp.heap import half_level_mask
 
 from oracles import (
+    batch_members,
     conjugation_pairs_by_draws,
     digit_tables_by_bits,
     fold_table_by_bits,
@@ -154,3 +155,13 @@ def test_kernel_unpack_inverts_pack(d):
     for n in (1, 2, 7, 64):
         for xs in batches(rng, n, d):
             assert kernel.unpack(kernel.pack(xs, d), n, d) == xs
+
+
+def test_kernel_unpack_equals_the_digit_reading_at_a_full_chunk():
+    # One full chunk of depth-4 portraits, the batch a failing half-tree
+    # law chunk is unpacked from, read back against the binary digits.
+    rng = random.Random(977)
+    n = kernel.CHUNK_BITS >> 4
+    for xs in batches(rng, n, 4):
+        x = kernel.pack(xs, 4)
+        assert kernel.unpack(x, n, 4) == batch_members(x, n, 4) == xs

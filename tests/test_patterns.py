@@ -10,6 +10,7 @@ truncation groups and held against the order bookkeeping identity.  The parity-c
 basis-space reference in tests/oracles.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import pytest
 
 from treegrp import gf2, kernel, patterns, subgroups
 from treegrp.errors import EnumerationCapExceeded, VerificationError
-from treegrp.heap import gather, place, prefix_mask
+from treegrp.heap import gather, level_mask, place, prefix_mask
 from treegrp.patterns import (
     PatternGroup,
     _ensure_essential,
@@ -59,6 +60,7 @@ from oracles import (
     linear_essential_reduction_by_basis,
     linear_essential_reduction_by_rref,
     rref_by_full_reduction,
+    truncation_orbits_by_members,
     verify_closed,
 )
 
@@ -230,9 +232,12 @@ def test_tested_members_match_subtree_walk_with_its_witness():
 def _counting_unpacks(monkeypatch):
     """A one-item list that counts the members every kernel.slot_codec
     unpack and every kernel.slot_runs run return from here on: the members
-    a read of a listing takes."""
+    a read of a listing takes.  is_essential's slot-wise read of the
+    children of the members it tests (patterns._tested_children) packs and
+    unpacks those few members, not the listing, so it is not counted."""
     read = [0]
     real_codec, real_runs = kernel.slot_codec, kernel.slot_runs
+    real_children = patterns._tested_children
 
     def counted(members):
         read[0] += len(members)
@@ -242,8 +247,15 @@ def _counting_unpacks(monkeypatch):
         pack, unpack, broadcast = real_codec(n, d)
         return pack, lambda x: counted(unpack(x)), broadcast
 
+    def uncounted_children(*args):
+        before = read[0]
+        children = real_children(*args)
+        read[0] = before
+        return children
+
     monkeypatch.setattr(kernel, "slot_codec", codec)
     monkeypatch.setattr(kernel, "slot_runs", lambda *args: map(counted, real_runs(*args)))
+    monkeypatch.setattr(patterns, "_tested_children", uncounted_children)
     return read
 
 
@@ -279,9 +291,10 @@ def test_stops_wait_for_members_past_the_first_run(monkeypatch):
         ordered = sorted(members, key=lambda b: (b & mask != 0, b))
         group._packed = kernel.slot_codec(len(ordered), 4)[0](ordered)
         p = PatternGroup(4, group, essential=True)
+        want = orbit(group, "0000")
         read[0] = 0
         if mask == left_path:
-            assert next(truncation_orbits(p)).orbit == orbit(group, "0000")
+            assert next(truncation_orbits(p)).orbit == want
         else:
             assert is_essential(p, tested=tested) == (True, None)
         assert 1 << 15 - mask.bit_count() < read[0] <= 1 << 15
@@ -587,11 +600,12 @@ def test_join_matches_candidate_scan():
     cases += [essential_reduction(pj_pattern(3, J)) for J in nonempty_level_sets(3)]
     for p in cases:
         d, member = p.depth, p.group.element_bits
+        joins = list(p.group.child_classes())
         h = member
         for m in range(d, 5):
             if 2 * len(h) * len(h) > 1 << 17:
                 break
-            joined = _extend_one_level(h, m, d, member)
+            joined = _extend_one_level(h, m, d, joins)
             assert joined == candidate_scan_bits(h, m, d, member)
             h = joined
 
@@ -600,7 +614,8 @@ def test_join_with_child_subpatterns_in_no_section_class():
     # a_1 swaps at vertex "0", so its child-1 subpattern is the root swap;
     # the only section here is the identity, so a_1 joins nothing.
     g = generator(2, 1).bits
-    out = _extend_one_level(frozenset({0}), 2, 2, frozenset({0, g}))
+    joins = list(EnumeratedSubgroup.from_element_bits(2, {0, g}).child_classes())
+    out = _extend_one_level(frozenset({0}), 2, 2, joins)
     assert out == candidate_scan_bits({0}, 2, 2, {0, g}) == {0}
 
 
@@ -692,6 +707,31 @@ def test_truncation_orbits_match_listed_truncation_groups():
                 break
     # 24 of these levels past d are the ones verify --suite aux --d 4 probes.
     assert probed == 40
+
+
+def test_truncation_orbits_equal_the_per_member_join():
+    # The 25 groups verify --suite aux --d 4 probes (the ten reduced depth-2
+    # sweep groups and the 15 reduced P_J at d = 4) and the reductions of
+    # random subgroups at d <= 4, each generated by three portraits with
+    # labels on a random set of levels, and the uneven member sets below,
+    # at n = d .. d + 3: the pair-wise join on slot-wise classes gives the
+    # order and orbit of the join run member by member.
+    cases = [PatternGroup(2, EnumeratedSubgroup.from_element_bits(2, members), essential=True)
+             for members in ({0b000, 0b010, 0b100, 0b001}, {0b000, 0b010, 0b100})]
+    cases += [essential_reduction(PatternGroup.from_subgroup(s)) for s in all_subgroups_depth2()]
+    cases += [_reduced_pj(4, J, None)[0] for J in nonempty_level_sets(4)]
+    rng = random.Random(37)
+    for d in (2, 3, 4):
+        for _ in range(6):
+            gens = [rng.getrandbits((1 << d) - 1)
+                    & sum(level_mask(j) for j in range(d) if rng.random() < 0.6)
+                    for _ in range(3)]
+            cases.append(essential_reduction(PatternGroup.from_subgroup(close(d, gens))))
+    assert len({p.order for p in cases if p.depth == 4}) >= 4
+    for p in cases:
+        levels = itertools.islice(truncation_orbits(p), 4)
+        assert [(level.depth, level.order, level.orbit) for level in levels] == \
+            truncation_orbits_by_members(p, 4)
 
 
 @pytest.mark.parametrize("members", [{0b000, 0b010, 0b100, 0b001}, {0b000, 0b010, 0b100}])

@@ -14,7 +14,7 @@ import pytest
 
 from treegrp import gf2, kernel, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
-from treegrp.heap import heap_index, level_mask, prefix_mask
+from treegrp.heap import gather, heap_index, level_mask, prefix_mask
 from treegrp.patterns import linear_essential_reduction
 from treegrp.portrait import FiniteAutomorphism, identity
 from treegrp.subgroups import (
@@ -274,6 +274,23 @@ def test_full_group_transitive_on_all_levels():
 
 def test_pj_transitive_on_last_level():
     assert is_transitive_on_level(enumerate_PJ(3, {2}), 2)
+
+
+def test_depth2_sweep_closes_only_the_pairs_outside_a_cyclic_group(monkeypatch):
+    # Of the 36 unordered pairs of the dihedral group of order 8, 18 lie in
+    # one cyclic group (x = y, a pair with the identity, two powers of the
+    # order-4 element): those read the cyclic group closed once per element.
+    full_group(2)
+    calls = []
+    real = subgroups.close
+
+    def counted(d, gens, cap=None):
+        calls.append(len(gens))
+        return real(d, gens, cap)
+
+    monkeypatch.setattr(subgroups, "close", counted)
+    subgroups.all_subgroups_depth2()
+    assert sorted(calls) == [1] * 8 + [2] * 18
 
 
 def test_depth2_sweep_equals_the_closures_of_all_ordered_pairs():
@@ -917,6 +934,15 @@ def test_masked_runs_join_to_masked(d):
             assert list(itertools.accumulate(map(len, runs))) == ends
             assert ends[-1] == group.order
             assert list(itertools.chain(*runs)) == list(group.masked(mask))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_child_classes_are_each_members_top_and_child_subpatterns(d):
+    # In slot order, the order masked reads the members in.
+    for group in _masked_groups(d):
+        k = d - 1
+        want = [(b & prefix_mask(k), gather(b, 1, k), gather(b, 2, k)) for b in group.masked(-1)]
+        assert list(group.child_classes()) == want
 
 
 def _set_built(group):
