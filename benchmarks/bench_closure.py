@@ -62,10 +62,12 @@ and the 7 non-essential P_J, bases computed beforehand), and the 15
 commutator batch, closed under the generators).  A last row times
 `classify_maximal(4)` (15 rows read off the parity checks, each
 cross-checked by enumeration) with the cache of [G(4), G(4)] cleared
-before each run.  The start-up row is the median
-wall time of 15 fresh `python -c "import treegrp.cli"` processes less the
-median of 15 bare `python -c pass` ones, run alternately: what importing
-the CLI adds to every command.  Run after `pip install -e .`:
+before each run.  The start-up row is the median, over 15 fresh
+`python -X importtime -c "import treegrp.cli"` processes, of the summed
+self times of the treegrp modules: what importing the CLI's own code
+adds to every command, without the interpreter's start-up or the
+third-party imports, whose wall-clock noise would swamp it.  Run after
+`pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
@@ -132,7 +134,7 @@ NI_DEPTHS = [(4, 10_000), (8, 1_500), (12, 50), (14, 7)]
 # (depth, calls timed) for the apply rows.
 APPLY_DEPTHS = [(4, 20_000), (24, 16)]
 
-# Fresh processes per side of the start-up row.
+# Fresh processes of the start-up row.
 START_UP_RUNS = 15
 
 
@@ -327,18 +329,20 @@ def bench_verify():
 
 
 def bench_start_up():
-    """Median seconds `import treegrp.cli` adds to a fresh interpreter."""
+    """Median seconds of treegrp's own modules in `import treegrp.cli`, each
+    fresh process's -X importtime self times summed over them."""
     src = os.path.dirname(os.path.dirname(kernel.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    times = {"import treegrp.cli": [], "pass": []}
+    totals = []
     for _ in range(START_UP_RUNS):
-        for code, runs in times.items():
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", code], env=env, check=True)
-            runs.append(time.perf_counter() - start)
-    cli, bare = (statistics.median(runs) for runs in times.values())
-    return {f"import treegrp.cli less bare python, median of {START_UP_RUNS}": cli - bare}
+        # Each line is "import time: <self us> | <cumulative us> | <module>".
+        report = subprocess.run([sys.executable, "-X", "importtime", "-c", "import treegrp.cli"],
+                                env=env, check=True, capture_output=True, text=True).stderr
+        rows = [line.split("|") for line in report.splitlines()]
+        totals.append(sum(int(row[0].split(":")[1]) for row in rows
+                          if row[-1].strip().startswith("treegrp")) / 1e6)
+    return {f"treegrp self import time, median of {START_UP_RUNS}": statistics.median(totals)}
 
 
 def main():

@@ -6,7 +6,9 @@ which reads solutions off a fully reduced basis.  LinearSubgroup is the
 one representation of a subgroup cut out by parity functionals of the
 portrait bits (P_J, M_V and what the pattern pipeline derives from them):
 as a set it is the solution space of its parity checks, so membership is
-a few popcounts and orders are ranks.
+a few popcounts and orders are ranks.  A listing is one int: the span of
+the basis doubled in kernel.slot_codec slots (_span), which packed keeps
+and iter_bits unpacks whole, so both list the members in one order.
 
 At d <= 4, classify and the aux suite list every rank-reduced P_J at run
 time and cross-check it before a verdict reads it; the test suite holds
@@ -15,17 +17,13 @@ membership against the label definitions.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernel
 
-#: log2 of the most members LinearSubgroup.iter_bits lists, whatever the
-#: enumeration cap.
+#: log2 of the most members LinearSubgroup.iter_bits and packed list,
+#: whatever the enumeration cap.
 MAX_LIST_LOG2 = 26
-
-#: log2 of the most members LinearSubgroup.iter_bits holds at once.
-_BLOCK_LOG2 = 12
 
 
 def echelon(rows: Iterable[int]) -> list[int]:
@@ -131,25 +129,19 @@ class LinearSubgroup:
         free = nullspace((c & ~self.zero for c in self.checks), self.num_bits)
         return [v for v in free if not v & self.zero]
 
-    def iter_bits(self) -> Iterator[int]:
-        """All member portraits, lazily (meant for small solution spaces only).
-
-        The members come in the packed blocks of _blocks, each unpacked
-        when it is reached.
-        """
+    def iter_bits(self) -> Sequence[int]:
+        """All member portraits, in packed() order (meant for small solution
+        spaces only): the slots of packed(), unpacked at once."""
         basis = self._listing_basis(None)
-        unpack = kernel.slot_codec(1 << min(len(basis), _BLOCK_LOG2), self.depth)[1]
-        return chain.from_iterable(map(unpack, self._blocks(basis)))
+        return kernel.slot_codec(1 << len(basis), self.depth)[1](_span(basis, self.depth))
 
     def packed(self, basis: list[int] | None = None) -> int:
         """All members in the kernel.slot_codec(order, depth) slots of one
         int, spanned by _span: slot i is the XOR of the basis vectors at
         the bits of i, so the first 2^k slots are the span of the first k
-        vectors.  That is iter_bits order up to 2^_BLOCK_LOG2 members; past
-        it iter_bits walks its blocks in Gray-code order instead.
-        EnumeratedSubgroup.from_linear keeps this int, unpacked only on a
-        membership read.  `basis`, if given, is self.basis(), so a caller
-        that needs it too computes it once."""
+        vectors.  EnumeratedSubgroup.from_linear keeps this int, unpacked
+        only on a membership read.  `basis`, if given, is self.basis(), so
+        a caller that needs it too computes it once."""
         return _span(self._listing_basis(basis), self.depth)
 
     def _listing_basis(self, basis: list[int] | None) -> list[int]:
@@ -157,21 +149,6 @@ class LinearSubgroup:
         if len(basis) > MAX_LIST_LOG2:
             raise ValueError(f"solution space of dimension {len(basis)} too large to list")
         return basis
-
-    def _blocks(self, basis: list[int]) -> Iterator[int]:
-        """The listing as packed blocks of 2^min(len(basis), _BLOCK_LOG2)
-        kernel.slot_codec slots each: the _span of the first _BLOCK_LOG2
-        basis vectors, then, along a Gray-code walk over the remaining
-        vectors, that block translated by each of their combinations in
-        turn, one packed XOR each."""
-        block = _span(basis[:_BLOCK_LOG2], self.depth)
-        yield block
-        rest = basis[_BLOCK_LOG2:]
-        v = 0
-        for i in range(1, 1 << len(rest)):
-            # Flip one remaining basis vector per block.
-            v ^= rest[(i & -i).bit_length() - 1]
-            yield block ^ kernel.slot_codec(1 << _BLOCK_LOG2, self.depth)[2](v)
 
 
 def _span(basis: Sequence[int], d: int) -> int:

@@ -10,6 +10,7 @@ subtree is read or written one level slice at a time.  A read is a list of
 (shift, mask) steps (subtree_steps, path_steps), each keeping the bits
 (bits >> shift) & mask; kernel.slot_gather applies the same steps to every
 slot of a packed int, so one formula serves one portrait and n of them.
+place writes a subtree by the inverse of each step, (bits & mask) << shift.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def gather(bits: int, v: int, k: int) -> int:
 
 
 def place(bits: int, v: int, k: int) -> int:
-    """Inverse of gather: the depth-k portrait bits as the subtree at v."""
+    """Inverse of gather: the depth-k portrait bits as the subtree at v,
+    written by subtree_steps, each kept bit (bits & mask) moved up by shift."""
     out = 0
-    for lvl in range(k):
-        width = 1 << lvl
-        out |= ((bits >> (width - 1)) & ((1 << width) - 1)) << (((v + 1) << lvl) - 1)
+    for shift, mask in subtree_steps(v, k):
+        out |= (bits & mask) << shift
     return out

@@ -107,13 +107,13 @@ slots of 2^L bits do the work that slots of 2^d bits would.
 
 slot_codec packs portraits into fixed byte slots of one int for close's
 cosets, the listing in gf2 (spanned in them by whole-int doubling), the
-members of subgroups.EnumeratedSubgroup and pack's rows up to d = 6, where
-a slot is one machine word and one big-endian row once shifted into t
-coordinates.  slot_gather reads every slot at once through (shift, mask)
-steps, each one shift and one AND with the broadcast mask: a mask alone
-(shift 0), a k-level subtree (heap.subtree_steps: level l of the subtree
-at v is (x >> (v << l)) & level_mask(l), each kept bit from a higher bit
-of the same portrait, so nothing crosses a slot) or the left-path labels
+members of subgroups.EnumeratedSubgroup and pack's rows, where a slot is
+one big-endian row once shifted into t coordinates.  slot_gather reads
+every slot at once through (shift, mask) steps, each one shift and one
+AND with the broadcast mask: a mask alone (shift 0), a k-level subtree
+(heap.subtree_steps: level l of the subtree at v is
+(x >> (v << l)) & level_mask(l), each kept bit from a higher bit of the
+same portrait, so nothing crosses a slot) or the left-path labels
 (heap.path_steps of 0^d: the label at 2^k - 1 moves to bit k).  So
 EnumeratedSubgroup's masked(mask), its members' classes and child classes
 and their left-path vectors are each one read and one unpack, as are the
@@ -249,20 +249,13 @@ def _push(x: int, masks: list[int]) -> int:
 def pack(xs: Sequence[int], d: int) -> int:
     """The depth-d portraits xs (heap-indexed ints) as one batch, xs[j] as sample j."""
     n = len(xs)
-    row = max(1, (1 << d) >> 3)  # bytes of one portrait in t coordinates
+    row = slot_bytes(d)  # bytes of one portrait in t coordinates
     # Big-endian rows, last sample first: the same run of bytes taken from
-    # every row, in row order, is a big-endian level block.
-    if row in _WORD_FORMATS:
-        # A row is one slot of slot_codec (both are ceil((2^d - 1)/8) bytes)
-        # and each slot's top bit is clear, so shifting the packed slots by
-        # one shifts every portrait into t coordinates inside its own row.
-        rows = (slot_codec(n, d)[0](xs) << 1).to_bytes(n * row, "big")
-    else:
-        # Wider rows are written one by one: the slot int's round trip
-        # through from_bytes and to_bytes would cost more than the rows
-        # (2-core x86 VM, Python 3.11: 16 rows at d = 12 in 24 us, 50 us
-        # through the slot int; at d = 6, 1024 rows in 186 us, 73 us).
-        rows = b"".join((x << 1).to_bytes(row, "big") for x in reversed(xs))
+    # every row, in row order, is a big-endian level block.  A row is one
+    # slot of slot_codec and each slot's top bit is clear, so shifting the
+    # packed slots by one shifts every portrait into t coordinates inside
+    # its own row.
+    rows = (slot_codec(n, d)[0](xs) << 1).to_bytes(n * row, "big")
     return _pack_rows(rows, n, d, row, row)
 
 

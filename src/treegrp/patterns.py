@@ -324,11 +324,12 @@ def truncation_group(p: PatternGroup, n: int, cap: int | None = None) -> Truncat
 
 class TruncationLevel(NamedTuple):
     """|H(n)| and the orbit of the vertex 0^n under H(n), the depth-n
-    truncation group."""
+    truncation group.  The orbit holds each image as an int whose bit k
+    is the word's symbol k."""
 
     depth: int
     order: int
-    orbit: frozenset[str]
+    orbit: frozenset[int]
 
 
 def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
@@ -364,8 +365,7 @@ def truncation_orbits(p: PatternGroup) -> Iterator[TruncationLevel]:
             break
     pairs = None
     for n in itertools.count(d):
-        yield TruncationLevel(n, order, frozenset(
-            format(f, f"0{n}b")[::-1] for f in orbit))
+        yield TruncationLevel(n, order, frozenset(orbit))
         if pairs is None:
             # Per-class state only once a deeper level is wanted: a caller
             # that stops at level d reads P's listing at most once.
@@ -424,7 +424,7 @@ def psi_image_index(p: PatternGroup, *, max_depth: int | None = None) -> PsiImag
     prev_idx: int | None = None
     for n in range(d - 1, max_depth + 1):
         level = next(levels)
-        stab_order = level.order // len({w[0] for w in level.orbit})
+        stab_order = level.order // len({f & 1 for f in level.orbit})
         idx, rem = divmod(order * order, stab_order)
         if rem:
             raise VerificationError(

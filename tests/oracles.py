@@ -9,13 +9,14 @@ bit at a time where heap.path_steps reads a whole packed int at once,
 the per-member truncation join that patterns.truncation_orbits runs once
 per (class, child-1 class) pair on classes read slot-wise,
 and the parity-check essential reduction by way of a basis of the group.
-Two are the library's earlier bodies, which built one portrait at a time
-what kernel.slot_codec now builds slot-packed: kernel.pack's rows and
-gf2.LinearSubgroup.iter_bits's blocks.  Two more are earlier bodies that
-fully reduced every row on insertion, where the library now eliminates
-forward and back-substitutes only for gf2.rref: gf2.rref itself and the
-parity-check reduction that ran it each round.  span_by_lists doubles a span as
-a list, and normal_closure_by_lists closes under conjugation and products
+One is the library's earlier body of kernel.pack, which wrote one
+portrait's row at a time where kernel.slot_codec now packs every row at
+once.  Two more are earlier bodies that fully reduced every row on
+insertion, where the library now eliminates forward and back-substitutes
+only for gf2.rref: gf2.rref itself and the parity-check reduction that ran
+it each round.  span_by_lists doubles a span as a list, the listing
+gf2.LinearSubgroup.packed and iter_bits build by whole-int doubling, and
+normal_closure_by_lists closes under conjugation and products
 element by element.  Two more are the sampled pair streams one
 getrandbits call per draw, which kernel.sampled_chunks draws a chunk per
 call, and three are the kernel's byte translation tables built bit by
@@ -172,8 +173,9 @@ def scatter_bits(v: int, positions: Sequence[int]) -> int:
     return out
 
 
-def truncation_orbits_by_members(p, levels: int) -> list[tuple[int, int, frozenset[str]]]:
-    """(n, |H(n)|, orbit of 0^n under H(n)) for n = d .. d + levels - 1,
+def truncation_orbits_by_members(p, levels: int) -> list[tuple[int, int, frozenset[int]]]:
+    """(n, |H(n)|, orbit of 0^n under H(n), each image an int whose bit k is
+    the word's symbol k) for n = d .. d + levels - 1,
     by the per-member join that patterns.truncation_orbits ran before it
     read its classes slot-wise: each member's class, root bit and child
     classes gathered one member at a time, its left-path vector gathered
@@ -191,8 +193,7 @@ def truncation_orbits_by_members(p, levels: int) -> list[tuple[int, int, frozens
     out = []
     for n in range(d, d + levels):
         orbit = set().union(*vectors.values())
-        out.append((n, sum(counts.values()),
-                    frozenset(format(f, f"0{n}b")[::-1] for f in orbit)))
+        out.append((n, sum(counts.values()), frozenset(orbit)))
         next_counts: dict[int, int] = {}
         next_vectors: dict[int, set[int]] = {}
         for cls, root, c1, c2 in joins:
@@ -295,23 +296,6 @@ def pack_by_rows(xs: Sequence[int], d: int) -> int:
     for m, table in enumerate(kernel._digit_tables()[:d]):
         out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
     return out
-
-
-def iter_bits_by_lists(lin: gf2.LinearSubgroup) -> Iterator[int]:
-    """Oracle form of gf2.LinearSubgroup.iter_bits: the same block and Gray
-    code walk, each member XOR-ed on its own."""
-    basis = lin.basis()
-    if len(basis) > gf2.MAX_LIST_LOG2:
-        raise ValueError(f"solution space of dimension {len(basis)} too large to list")
-    rest = basis[gf2._BLOCK_LOG2:]
-    block = [0]
-    for b in basis[:gf2._BLOCK_LOG2]:
-        block += [x ^ b for x in block]
-    yield from block
-    v = 0
-    for i in range(1, 1 << len(rest)):
-        v ^= rest[(i & -i).bit_length() - 1]
-        yield from [x ^ v for x in block]
 
 
 def span_by_lists(basis: Sequence[int]) -> list[int]:

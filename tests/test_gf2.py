@@ -1,17 +1,14 @@
 """GF(2) linear algebra validated against exhaustive span enumeration."""
 
 import random
-from itertools import islice
 
 import pytest
 
 from treegrp import gf2, kernel
 from treegrp.heap import level_mask, prefix_mask
-from treegrp.patterns import linear_essential_reduction
 from treegrp.subgroups import maximal_subgroup
 
 from oracles import (
-    iter_bits_by_lists,
     linear_essential_reduction_by_rref,
     rref_by_full_reduction,
     span_by_lists,
@@ -134,38 +131,12 @@ def test_linear_subgroup_order_and_membership():
 
 
 def test_listing_beyond_one_block_has_every_member_once():
-    # 14 and 13 basis vectors: more than the 2^12-member block.
+    # 14 and 13 basis vectors: listings of 16,384 and 8,192 members.
     for checks in [(level_mask(2),), (level_mask(1), 0b101 << 7)]:
         lin = gf2.LinearSubgroup(4, checks)
         listed = list(lin.iter_bits())
         assert len(listed) == len(set(listed)) == lin.order()
         assert set(listed) == {b for b in range(1 << 15) if lin.contains_bits(b)}
-
-
-def test_listing_yields_the_old_sequence_in_order():
-    # Every P_J and its reduction at d = 2..4, the two listings of more than
-    # one block above, and a two-block listing at d = 7, whose 16-byte slots
-    # are wider than a machine word.
-    lins = []
-    for d in (2, 3, 4):
-        for bits in range(1, 1 << d):
-            pj = maximal_subgroup(d, {j for j in range(d) if bits >> j & 1})
-            lins += [pj, linear_essential_reduction(pj)[0]]
-    lins += [gf2.LinearSubgroup(4, checks) for checks in [(level_mask(2),),
-                                                         (level_mask(1), 0b101 << 7)]]
-    free = sum(1 << (1 << j) - 1 + j for j in range(7)) | 0b1111111 << 120
-    lins.append(gf2.LinearSubgroup(7, (1 << 5 | 1 << 126,), zero=prefix_mask(7) & ~free))
-    assert lins[-1].log2_order() == 13
-    for lin in lins:
-        assert list(lin.iter_bits()) == list(iter_bits_by_lists(lin)), lin
-
-
-def test_listing_is_lazy_at_the_limit():
-    lin = gf2.LinearSubgroup(5, tuple(1 << k for k in range(5)))
-    assert lin.log2_order() == gf2.MAX_LIST_LOG2
-    head = list(islice(lin.iter_bits(), 3 * 4096 + 1))
-    assert len(set(head)) == len(head)
-    assert all(lin.contains_bits(b) for b in head)
 
 
 def test_linear_subgroup_refuses_huge_listing():
@@ -236,8 +207,8 @@ def listings_of_every_size(rng):
 
 
 def test_packed_listing_is_the_doubled_span_of_the_basis():
-    # Partial blocks (fewer than 2^12 members), one whole block, and two and
-    # four blocks (13 and 14 basis vectors).
+    # Every dimension 0 .. 14 at d = 1 .. 8: the packed slots are the span
+    # doubled over the basis, and iter_bits lists them slot for slot.
     rng = random.Random(269)
     sizes = set()
     for lin in listings_of_every_size(rng):
@@ -247,9 +218,7 @@ def test_packed_listing_is_the_doubled_span_of_the_basis():
         for k in range(len(basis) + 1):
             assert set(members[:1 << k]) == set(span_by_lists(basis[:k]))
         listed = list(lin.iter_bits())
-        assert len(set(members)) == len(members) and set(members) == set(listed)
-        if len(basis) <= gf2._BLOCK_LOG2:
-            assert members == listed
+        assert len(set(members)) == len(members) and members == listed
         assert lin.packed(basis) == lin.packed()
         sizes.add(len(basis))
     assert sizes == set(range(15))

@@ -76,6 +76,12 @@ def pj_pattern(d, J):
     return PatternGroup.from_subgroup(enumerate_PJ(d, J))
 
 
+def path_vectors(s, n):
+    """subgroups.orbit of 0^n under s, each image word as an int whose bit k
+    is its symbol k: the form of TruncationLevel.orbit."""
+    return frozenset(int(w[::-1], 2) for w in orbit(s, "0" * n))
+
+
 def is_finite(p):
     """Whether the constrained group defined by P is finite (dimension zero).
 
@@ -275,7 +281,7 @@ def test_tested_essentiality_and_level_d_orbit_stop_within_the_first_run(monkeyp
         read[0] = 0
         level = next(truncation_orbits(p))
         assert read[0] <= 256
-        assert level.orbit == orbit(group, "0000")
+        assert level.orbit == path_vectors(group, 4)
         assert is_essential(PatternGroup.from_subgroup(group)) == (True, None)
 
 
@@ -291,7 +297,7 @@ def test_stops_wait_for_members_past_the_first_run(monkeypatch):
         ordered = sorted(members, key=lambda b: (b & mask != 0, b))
         group._packed = kernel.slot_codec(len(ordered), 4)[0](ordered)
         p = PatternGroup(4, group, essential=True)
-        want = orbit(group, "0000")
+        want = path_vectors(group, 4)
         read[0] = 0
         if mask == left_path:
             assert next(truncation_orbits(p)).orbit == want
@@ -701,7 +707,7 @@ def test_truncation_orbits_match_listed_truncation_groups():
             h = truncation_group(p, n).group
             assert level.depth == n
             assert level.order == h.order
-            assert level.orbit == orbit(h, "0" * n)
+            assert level.orbit == path_vectors(h, n)
             probed += n > d
             if n == d + PROBE_DEPTH_EXTRA or level.order > PROBE_ORDER_LIMIT:
                 break
@@ -745,7 +751,7 @@ def test_truncation_orbits_join_on_uneven_classes(members):
     p = PatternGroup(2, EnumeratedSubgroup.from_element_bits(2, members), essential=True)
     for n, level in zip(range(2, 5), truncation_orbits(p)):
         h = truncation_group(p, n).group
-        assert (level.depth, level.order, level.orbit) == (n, h.order, orbit(h, "0" * n))
+        assert (level.depth, level.order, level.orbit) == (n, h.order, path_vectors(h, n))
 
 
 # -- embedding index ------------------------------------------------------------------------
