@@ -42,10 +42,12 @@ def _emit(command: str, config: dict, payload: dict, fmt: str,
         if not no_timestamp:
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
         doc.update(payload)
-        click.echo(dumps(doc))
+        text = dumps(doc)
     else:
-        for line in text_lines:
-            click.echo(line)
+        text = "\n".join(text_lines)
+    # One plain write: click.echo's first call costs a codec lookup and an
+    # ANSI-strip pass over the whole document, which is plain text.
+    sys.stdout.write(text + "\n")
 
 
 def _parse_element(hexstr: str, d: int, field: str) -> FiniteAutomorphism:

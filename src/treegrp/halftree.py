@@ -151,7 +151,9 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     commutators come from one kernel.law_batches call, which builds each
     operand's delta-swap masks once.  The laws are then checked for every
     sample at once on 2n-bit vectors whose bit 2j + i is N_i of sample j:
-    per level set, N is the XOR of the kernel's level half parities over
+    one kernel.half_parities call folds the five batches g, h, gh, g^-1
+    and [g, h] on the union of the contexts' J' only, the levels the laws
+    read; per level set, N is the XOR of those level half parities over
     J', and N_(i + alpha) is N with each sample's pair swapped where its
     root is active.  Each failing pair is reported with the first law it
     breaks, in stream order, at most 10 per report; a reported pair is read
@@ -169,6 +171,7 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
         raise ValueError(f"contexts must share one depth, got {[c.depth for c in contexts]}")
     # The laws read J only through J', which J and J ∪ {0} share.
     found: dict[frozenset[int], list[dict]] = {ctx.jprime: [] for ctx in contexts}
+    levels = frozenset().union(*found)  # the only levels whose parities the laws read
     if exhaustive:
         chunks = kernel.packed_chunks(product(range(1 << ((1 << d) - 1)), repeat=2), d)
     else:
@@ -177,15 +180,15 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
     for n, g, h in chunks:
         checked += n
         gh, ginv, c = (_batch(x, n, d) for x in kernel.law_batches(g, h, n, d))
-        parities = [kernel.half_parities(x, n, d) for x in (g, h, gh, ginv, c)]
+        parities = kernel.half_parities((g, h, gh, ginv, c), n, levels)
         ag, ah = kernel.root_swap_mask(g, n), kernel.root_swap_mask(h, n)
         evens = ((1 << 2 * n) - 1) // 3  # bit 2j of every sample
         pairs = None  # the chunk's (g, h) pairs, unpacked only to report one
         for jprime, failures in found.items():
             if len(failures) >= 10:
                 continue
-            ng, nh, ngh, nginv, nc = (reduce(xor, (p[m - 1] for m in jprime), 0)
-                                      for p in parities)
+            ng, nh, ngh, nginv, nc = (reduce(xor, (parities[m][k] for m in jprime), 0)
+                                      for k in range(5))
             # Each law holds where its vector of both sides' XOR vanishes.
             laws = [
                 # product law: N_i(g*h) = N_i(h) + N_{i + alpha(h)}(g)

@@ -49,9 +49,15 @@ the commutator of two batches in one call, with each operand's masks
 built once and that inverse reused inside the commutator: it is the
 half-tree law check's one call per chunk.
 
-half_parities reads per-level half-tree parities off a batch by the
-inverse of the widening: each XOR-fold step translates every byte to the
-hex digit of its four XOR-ed bit pairs and unhexlifies, halving the int.
+half_parities reads per-level half-tree parities off several batches by
+the inverse of the widening, on the levels asked for only: it joins the
+batches' level-m blocks into one string and XOR-folds it m - 1 times in one
+chain.  Each fold translates every byte to the hex digit of its four XOR-ed
+bit pairs and unhexlifies, halving the string, so each batch's sample
+slices shrink in place until a sample's two halves are two bits.  The law
+check's level sets at d = 6 and 8 read the top level alone, so the folds
+skip the lower levels, which hold as many bits again, and the five batches
+of a chunk share one chain.
 
 Sampled streams
 ---------------
@@ -387,23 +393,30 @@ def _draw_layout(d: int, level: int) -> tuple[int, int, list[tuple[int, int]]]:
                     for shift, mask in masks.items() if mask]
 
 
-def half_parities(x: int, n: int, d: int) -> list[int]:
-    """Half-tree parities of each level of the batch x of n depth-d portraits.
+def half_parities(xs: Sequence[int], n: int, levels: Iterable[int]) -> dict[int, list[int]]:
+    """Half-tree parities of the batches xs of n depth-d portraits, on each
+    of the levels in `levels` (all in 1 .. d-1).
 
-    Entry m - 1, for levels m = 1 .. d-1, is a 2n-bit int whose bit 2j + i
-    is the parity of sample j's level-m labels under the root's child i.
-    Each XOR-fold halves the batch, so after m - 1 folds level m's halves
-    are single bits at [2n, 4n).
+    Entry m is a list with one 2n-bit int per batch, in the order of xs,
+    whose bit 2j + i is the parity of sample j's level-m labels under the
+    root's child i.  Level m's block is the n 2^m bits from n 2^m on.  The
+    blocks of every batch are joined, the first one highest, and each
+    XOR-fold halves every sample's slice, so after m - 1 folds batch k's
+    parities are the 2n bits at 2n (len(xs) - 1 - k).
     """
     low = (1 << 2 * n) - 1
-    tail = (4 * n + 7) >> 3  # the last bytes, which hold bits [0, 4n)
     fold = _fold_table()
-    b = x.to_bytes(((n << d) + 7) >> 3, "big")
-    out = []
-    for m in range(1, d):
-        if m > 1:
+    out = {}
+    for m in levels:
+        w = n << m
+        joined, below = 0, (1 << 2 * w) - 1  # the AND keeps the shift off the batch
+        for x in xs:
+            joined = joined << w | (x & below) >> w
+        b = joined.to_bytes((len(xs) * w + 7) >> 3, "big")
+        for _ in range(m - 1):
             b = unhexlify((b"\0" * (len(b) & 1) + b).translate(fold))
-        out.append(int.from_bytes(b[-tail:], "big") >> 2 * n & low)
+        v = int.from_bytes(b, "big")
+        out[m] = [v >> 2 * n * k & low for k in range(len(xs) - 1, -1, -1)]
     return out
 
 

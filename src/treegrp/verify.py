@@ -76,15 +76,18 @@ VERDICT_NOT_TOP_FG = "not_topologically_finitely_generated"
 VERDICT_UNKNOWN = "unknown"
 
 
+def _level_sets(d: int, masks: range) -> list[frozenset[int]]:
+    """The level sets whose bit masks are `masks`, in mask order."""
+    return [frozenset(j for j in range(d) if (bits >> j) & 1) for bits in masks]
+
+
 def _nonempty_level_sets(d: int) -> list[frozenset[int]]:
-    return [
-        frozenset(j for j in range(d) if (bits >> j) & 1)
-        for bits in range(1, 1 << d)
-    ]
+    return _level_sets(d, range(1, 1 << d))
 
 
 def _top_level_sets(d: int) -> list[frozenset[int]]:
-    return [J for J in _nonempty_level_sets(d) if d - 1 in J]
+    # The masks with bit d - 1 set are the top half of the range.
+    return _level_sets(d, range(1 << (d - 1), 1 << d))
 
 
 _DERIVED_FULL_CACHE: dict[int, EnumeratedSubgroup] = {}

@@ -316,6 +316,59 @@ def test_multi_chunk_failures_stop_at_ten_across_chunks(monkeypatch):
     assert len(full) > 10
 
 
+def per_pair_failures(ctx, samples, seed):
+    """The three laws checked pair by pair with N on the chunks' batches,
+    unpacked: the products come from kernel.law_batches, so a fault put
+    into it shows here as in the check.  The first ten failing pairs."""
+    d, failures = ctx.depth, []
+    for n, g, h in kernel.sampled_chunks(random.Random(seed), samples, d):
+        batches = (g, h, *kernel.law_batches(g, h, n, d))
+        for gj, hj, ghj, ginvj, cj in zip(*(kernel.unpack(x, n, d) for x in batches)):
+            ag, ah = gj & 1, hj & 1
+            law = None
+            if any(N(ghj, ctx, i) != N(hj, ctx, i) ^ N(gj, ctx, i ^ ah) for i in (0, 1)):
+                law = "product"
+            elif any(N(ginvj, ctx, i) != N(gj, ctx, i ^ ag) for i in (0, 1)):
+                law = "inverse"
+            elif any(N(cj, ctx, i) != N(gj, ctx, i) ^ N(gj, ctx, i ^ ah) ^ N(hj, ctx, i)
+                     ^ N(hj, ctx, i ^ ag) for i in (0, 1)):
+                law = "commutator"
+            if law is not None and len(failures) < 10:
+                failures.append({"law": law, "g": FiniteAutomorphism(d, gj).to_hex(),
+                                 "h": FiniteAutomorphism(d, hj).to_hex()})
+    return failures
+
+
+def flip_level(m):
+    """A fault that flips each sample's label at the first vertex of level m
+    where the first operand has it."""
+    def fault(original):
+        def flipped(*args):
+            out = original(*args)
+            n = args[-2]
+            firsts = ((1 << (n << m)) - 1) // ((1 << (1 << m)) - 1) << (n << m)
+            return out ^ (args[0] & firsts)
+        return flipped
+    return fault
+
+
+@pytest.mark.parametrize("d", range(5, 10))
+@pytest.mark.parametrize("flipped", [None, 2, 3, "top"])
+def test_shared_stream_reads_the_union_of_the_level_sets(monkeypatch, d, flipped):
+    # J = {0} reads no level, level 3 lies outside every J' here, and level 2
+    # only in the scattered set's; 300 pairs are two chunks from d = 8 on.
+    level_sets = [{0}, {d - 1}, {1, d - 1}, {0, 2, d - 1}]
+    m = d - 1 if flipped == "top" else flipped
+    if m is not None:
+        break_kernel(monkeypatch, "compose", flip_level(m))
+    contexts = [JContext.make(d, J) for J in level_sets]
+    reports = verify_ni_identities_for(contexts, samples=300, seed=60 + d)
+    for ctx, rep in zip(contexts, reports):
+        assert rep.pairs_checked == 300
+        assert rep.failures == per_pair_failures(ctx, 300, 60 + d)
+    assert [bool(rep.failures) for rep in reports] == [m in c.jprime for c in contexts]
+
+
 def test_chunked_run_memory_does_not_grow_with_pairs():
     contexts = [JContext.make(6, {1, 5})]
     verify_ni_identities_for(contexts, samples=10)  # builds the kernel's tables

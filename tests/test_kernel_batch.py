@@ -136,17 +136,33 @@ def test_law_batches_equal_the_three_batch_ops(d):
                 kernel.commutator_batch(x, y, n, d)), n
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+def level_sets(rng, d):
+    """Every subset of levels 1..d-1 up to d = 5, a few random ones above."""
+    levels = range(1, d)
+    if d <= 5:
+        return [[m for m in levels if bits >> m & 1] for bits in range(0, 1 << d, 2)]
+    return [list(levels)] + [[m for m in levels if rng.random() < 0.4] for _ in range(4)]
+
+
+@pytest.mark.parametrize("d", range(1, 15))
 def test_level_half_parities_are_half_level_popcounts(d):
+    # Five batches at once, as the half-tree law check hands them over, in
+    # small batches, a full chunk and the last chunk of 5000 pairs (904 at
+    # d = 6), on every level set up to d = 5 and random ones above.
     rng = random.Random(800 + d)
-    for n in BATCH_SIZES:
-        for xs in batches(rng, n, d):
-            x = kernel.pack(xs, d)
-            assert kernel.half_parities(x, n, d) == [
-                sum(((a & half_level_mask(m, i)).bit_count() & 1) << (2 * j + i)
-                    for j, a in enumerate(xs) for i in (0, 1))
-                for m in range(1, d)]
-            assert kernel.root_swap_mask(x, n) == sum((a & 1) << 2 * j for j, a in enumerate(xs))
+    per_chunk = kernel.CHUNK_BITS >> d
+    for n in {1, 2, 3, 5, 64, per_chunk, 5000 % per_chunk or per_chunk}:
+        xss = batches(rng, n, d) + [[rng.getrandbits((1 << d) - 1) for _ in range(n)]
+                                    for _ in range(2)]
+        xs = [kernel.pack(ys, d) for ys in xss]
+        expected = {m: [sum(((a & half_level_mask(m, i)).bit_count() & 1) << (2 * j + i)
+                            for j, a in enumerate(ys) for i in (0, 1)) for ys in xss]
+                    for m in range(1, d)}
+        for levels in level_sets(rng, d):
+            assert kernel.half_parities(xs, n, levels) == {
+                m: expected[m] for m in levels}, (n, levels)
+        for x, ys in zip(xs, xss):
+            assert kernel.root_swap_mask(x, n) == sum((a & 1) << 2 * j for j, a in enumerate(ys))
 
 
 @pytest.mark.parametrize("d", range(1, 15))

@@ -46,6 +46,12 @@ def test_explicit_cap_that_is_not_an_int_is_refused(cap):
     assert str(err.value) == message
 
 
+def test_top_level_sets_are_the_filtered_level_sets():
+    for d in range(1, 10):
+        assert verify._top_level_sets(d) == [
+            J for J in verify._nonempty_level_sets(d) if d - 1 in J]
+
+
 def test_classify_depth2_rows():
     report = classify_maximal(2)
     assert len(report.rows) == 3
