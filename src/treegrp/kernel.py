@@ -123,9 +123,9 @@ same portrait, so nothing crosses a slot) or the left-path labels
 (heap.path_steps of 0^d: the label at 2^k - 1 moves to bit k).  So
 EnumeratedSubgroup's masked(mask), its members' classes and child classes
 and their left-path vectors are each one read and one unpack, as are the
-children of the few members patterns.is_essential tests; slot_runs
-unpacks a read a doubling run at a time, reading the first run alone, for
-the readers that stop once their answer is fixed.  EnumeratedSubgroup's
+children of the few members patterns.is_essential tests; slot_runs reads
+each doubling run of slots the same way, when reached, for the readers
+that stop once their answer is fixed.  EnumeratedSubgroup's
 count_clear(mask) and count_odd(mask) fold each masked slot onto its low
 bit, by OR and by XOR, for one bit_count.
 subgroups.conjugation_law_counts reads its pairs' labels off the batches
@@ -574,37 +574,30 @@ def slot_gather(x: int, n: int, d: int, steps: Iterable[tuple[int, int]]) -> int
     return out
 
 
-def slot_runs(x: int, n: int, d: int, first: int,
-              steps: Sequence[tuple[int, int]]) -> Iterator[Sequence[int]]:
+#: Slots in the first run of slot_runs.
+FIRST_RUN = 1 << 8
+
+
+def slot_runs(x: int, n: int, d: int, steps: Sequence[tuple[int, int]]) -> Iterator[Sequence[int]]:
     """The n slots of x, packed as slot_codec(n, d) packs them, each read
-    through steps (slot_gather), in order and in runs: `first` slots, then
-    runs as long as all before them.  The first run is cut off x's low
-    bytes and read alone; the rest is read and copied to bytes once, when
-    the second run is reached.  So a reader that stops after the first run
-    never reads or converts all of x, and one that reads every run pays
-    one read and one copy, as reading all of x up front would."""
-    w = slot_bytes(d)
-    word = _WORD_FORMATS.get(w)
-
-    def run(raw: bytes, start: int, k: int) -> Sequence[int]:
-        if word:
-            return struct.unpack_from(f"={k}{word}", raw, start * w)
-        return [int.from_bytes(raw[i:i + w], _ORDER) for i in range(start * w, (start + k) * w, w)]
-
-    def read(k: int) -> bytes:
-        """The low k slots of x, read through steps, as bytes."""
-        low = x if k == n else x & (1 << 8 * k * w) - 1  # shift only the k slots
-        return slot_gather(low, k, d, steps).to_bytes(k * w, _ORDER)
-
-    k = min(first, n)
-    yield run(read(k), 0, k)
-    if k < n:
-        raw = read(n)
-        start = k
-        while start < n:
-            k = min(start, n - start)
-            yield run(raw, start, k)
-            start += k
+    through steps, in order and in runs: FIRST_RUN slots, then runs as long
+    as all before them, the last cut short (one empty run when n = 0).
+    Each run is cut off x, by a shift past the runs before it and an AND
+    below the runs after it, and read as a listing of its own: one
+    slot_gather and the unpack of slot_codec(k, d).  So a reader that
+    stops after the first run never reads or converts the rest of x; one
+    that reads every run shifts x once per run past the first."""
+    bits = slot_bytes(d) << 3
+    start, k = 0, min(FIRST_RUN, n)
+    while True:
+        run = x >> start * bits if start else x  # x >> 0 would copy x
+        if start + k < n:
+            run &= (1 << k * bits) - 1
+        yield slot_codec(k, d)[1](slot_gather(run, k, d, steps))
+        start += k
+        if start == n:
+            return
+        k = min(start, n - start)
 
 
 def close(d: int, gens: list[int], cap: int, normalizer: Sequence[int] = ()) -> set[int]:

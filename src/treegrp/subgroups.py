@@ -16,16 +16,16 @@ Two representations, one per question:
   subtree or the labels on a vertex's path, so child_classes, each
   member's top depth - 1 levels and its two child subpatterns, and orbit
   are three reads and one.  masked_runs(mask) and gathered_runs(steps)
-  give the same lists in runs that double, each unpacked only when reached
-  (the first run is read alone, the rest at once when the second run is
-  reached), for readers whose answer can only grow as they read: they
-  stop once it is fixed.  count_clear(mask) and count_odd(mask), the
-  members with no bit of mask and with an odd number of its bits, fold
-  every masked slot onto its low bit (by OR and by XOR, only as far as
-  mask's bits reach) for one bit_count, so whether a parity-check
-  subgroup holds every member is one count for its zero mask and one per
-  check.  A listing builds its member set only when a membership is read;
-  order, the reads and the counts never build it.
+  give the same lists in runs that double, each read only when reached
+  and as a listing of its own (kernel.slot_runs: one gather and one
+  slot_codec unpack per run), for readers whose answer can only grow as
+  they read: they stop once it is fixed.  count_clear(mask) and
+  count_odd(mask), the members with no bit of mask and with an odd number
+  of its bits, fold every masked slot onto its low bit (by OR and by XOR,
+  only as far as mask's bits reach) for one bit_count, so whether a
+  parity-check subgroup holds every member is one count for its zero mask
+  and one per check.  A listing builds its member set only when a
+  membership is read; order, the reads and the counts never build it.
 * gf2.LinearSubgroup: a subgroup cut out by parity checks, with membership
   and order read off the checks without enumeration.  The parity-defined
   families are built here in that form: the level-parity kernels P_J
@@ -80,9 +80,6 @@ from .heap import (
 from .portrait import MAX_DEPTH, FiniteAutomorphism
 
 DEFAULT_CAP = 1 << 26
-
-#: log2 of the slots in the first run of EnumeratedSubgroup.masked_runs.
-_FIRST_RUN_LOG2 = 8
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -227,16 +224,14 @@ class EnumeratedSubgroup:
                    self.gathered(subtree_steps(2, k)))
 
     def gathered_runs(self, steps: Sequence[tuple[int, int]]) -> Iterator[Sequence[int]]:
-        """gathered(steps) in slot order, cut into runs that are each unpacked
-        only when reached (kernel.slot_runs): a first run of
-        2^_FIRST_RUN_LOG2 slots, then runs as long as all before them, so
-        the read prefix doubles.  For a from_linear listing each prefix of
-        2^k slots is the span of the first k basis vectors.  A reader whose
-        answer can only grow as it reads stops here once that answer is
-        fixed; if it stops after the first run, which is read alone, no
-        slot past that run is read or unpacked."""
-        return kernel.slot_runs(self._packed_slots(), self.order, self.depth,
-                                1 << _FIRST_RUN_LOG2, steps)
+        """gathered(steps) in slot order, in the runs of kernel.slot_runs:
+        kernel.FIRST_RUN slots, then runs as long as all before them, each
+        read as gathered reads the whole listing, only when reached.  For a
+        from_linear listing each prefix of 2^k slots is the span of the
+        first k basis vectors.  A reader whose answer can only grow as it
+        reads stops here once that answer is fixed; if it stops after the
+        first run, no slot past that run is read or unpacked."""
+        return kernel.slot_runs(self._packed_slots(), self.order, self.depth, steps)
 
     def masked_runs(self, mask: int) -> Iterator[Sequence[int]]:
         """masked(mask) in the runs of gathered_runs."""

@@ -21,8 +21,8 @@ scratch at desk scale:
 * verify_not_top_fg: the finite-generation obstruction: [a_0, a_{d-1}]
   stabilizes the top level yet avoids [P_J, P_J] (as verify_no_adad's cases
   find), so the constrained group of every maximal-dimension P_J is not
-  topologically finitely generated (by the imported sufficient condition on
-  P_{d-1} vs [P, P], which is used as a black box, not re-proved).
+  topologically finitely generated (by the level-sum argument that
+  verify_not_top_fg states: proved for J without 0, checked for the rest).
 * verify_new_relation: the exact bookkeeping identity
   2|P| = |P_{d-1}|^2 * [HxH : H_1] with the embedding index read off the
   counted truncation levels (orders and orbits of 0^n, never a listing),
@@ -374,13 +374,27 @@ def verify_not_top_fg(d: int, cap: int | None = None, *,
     """Finite-generation obstruction for every maximal-dimension P_J.
 
     Reads verify_no_adad's cases, whose certificate and enumerated derived
-    subgroup both exclude [a_0, a_{d-1}] from [P_J, P_J], and adds that the
-    commutator stabilizes the top level (the certificate has already checked
-    that it lies in P_J); the "not topologically finitely generated" verdict
-    then follows from the imported sufficient condition (P_{d-1} not inside
-    [P, P]), which this suite does not re-prove.  `no_adad` is a report
-    verify_no_adad(d) has already returned, so a caller running both suites
-    runs noadad once; without it, verify_no_adad(d, cap) runs here.
+    subgroup both exclude u = [a_0, a_{d-1}] from [P_J, P_J], and adds that
+    u stabilizes the top level (the certificate has already checked that it
+    lies in P_J).  The "not topologically finitely generated" verdict rests
+    on that premise, u in P_{d-1} but not in [P, P], for the essential
+    P = P_J (d - 1 in J), by level sums.  Let chi: P -> A = P/[P, P];
+    chi_n(g), for g in G_P or a truncation H(m), sums chi over g's size-d
+    patterns on level n.  The pattern of gh at v is g's at h(v) times h's
+    at v, so chi_n is a homomorphism.  Let g_n be u placed under one
+    level-n vertex and extended below (P essential makes that possible):
+    chi_k(g_n) = 0 for k < n, and chi_n(g_n) = chi(u) != 0.  If every
+    chi_k(g_n) has order at most 2, the images of g_0 .. g_n span
+    (Z/2)^(n+1), so the image of G_P needs n + 1 generators for every n:
+    G_P is not topologically finitely generated, and d(H(m)) >= m - d + 1.
+    A character A -> Z/2 that is 1 at chi(u) gives that condition when
+    chi(u) is not twice an element of A, as for every J without 0 at
+    d <= 4.  For J holding 0 the condition is checked on g_0 .. g_5 in
+    H(d + 5) at d = 2..4 (tests/test_verify.py), not proved.
+
+    `no_adad` is a report verify_no_adad(d) has already returned, so a
+    caller running both suites runs noadad once; without it,
+    verify_no_adad(d, cap) runs here.
     """
     if not 2 <= d <= 4:
         raise ValueError("enumerated premise check needs 2 <= d <= 4")
@@ -443,28 +457,24 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
         pg = pt.PatternGroup.from_subgroup(group)
         stab = level_stabilizer(group, d - 1)
         psi = pt.psi_image_index(pg)
-        if not psi.stabilized:
-            report.cases.append(
-                NewRelationCase(label, tuple(sorted(J)) if J else None,
-                                group.order, stab.order, None, psi.per_depth,
-                                False, None)
-            )
+        holds = None  # an index that never stabilized leaves the identity unread
+        if psi.stabilized:
+            holds = 2 * group.order == stab.order ** 2 * psi.value
+            if not holds:
+                raise VerificationError(
+                    f"bookkeeping identity failed for {label}: "
+                    f"2*{group.order} != {stab.order}^2 * {psi.value}"
+                )
+            if expect_index is not None and psi.value != expect_index:
+                raise VerificationError(
+                    f"embedding index for {label} is {psi.value}, expected {expect_index}"
+                )
+        else:
             report.incomplete = True
-            return
-        holds = 2 * group.order == stab.order ** 2 * psi.value
-        if not holds:
-            raise VerificationError(
-                f"bookkeeping identity failed for {label}: "
-                f"2*{group.order} != {stab.order}^2 * {psi.value}"
-            )
-        if expect_index is not None and psi.value != expect_index:
-            raise VerificationError(
-                f"embedding index for {label} is {psi.value}, expected {expect_index}"
-            )
         report.cases.append(
             NewRelationCase(label, tuple(sorted(J)) if J else None,
                             group.order, stab.order, psi.value, psi.per_depth,
-                            True, holds)
+                            psi.stabilized, holds)
         )
 
     for J in _top_level_sets(d):

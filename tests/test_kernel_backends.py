@@ -7,7 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ import pytest
 import treegrp
 from treegrp import kernel
 from treegrp.errors import EnumerationCapExceeded
+from treegrp.heap import path_steps, prefix_mask, subtree_steps
 from treegrp.portrait import MAX_DEPTH, FiniteAutomorphism, heap_index
 
 from oracles import normal_closure_by_lists
@@ -192,6 +193,33 @@ def test_slot_codec_round_trips(d):
         xs = [rng.getrandbits((1 << d) - 1) for _ in range(n - 1)] + [full]
         assert list(unpack(pack(xs))) == xs
         assert list(unpack(broadcast(full))) == [full] * n
+
+
+#: Run lengths of slot_runs over n slots: 256, then as long as all before
+#: them, the last cut short; no slot is still one run.
+SLOT_RUN_LENGTHS = {0: [0], 1: [1], 255: [255], 256: [256], 257: [256, 1],
+                    1000: [256, 256, 488]}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_slot_runs_cut_one_gather_into_doubling_runs(d):
+    # d = 1..8 spans the 1-, 2-, 4- and 8-byte struct slots and the 16- and
+    # 32-byte slots read through bytes.
+    rng = random.Random(211 + d)
+    steps = {"mask": ((0, prefix_mask(d - 1) | 1 << (1 << d) - 2),),
+             "subtree": subtree_steps(1, d - 1),
+             "left path": path_steps("0" * d)}
+    assert kernel.FIRST_RUN == 256
+    for n, lengths in SLOT_RUN_LENGTHS.items():
+        xs = [rng.getrandbits((1 << d) - 1) for _ in range(n)]
+        pack, unpack, _ = kernel.slot_codec(n, d)
+        for name, read in steps.items():
+            runs = list(kernel.slot_runs(pack(xs), n, d, read))
+            assert [len(run) for run in runs] == lengths, (n, name)
+            joined = list(chain(*runs))
+            assert joined == list(unpack(kernel.slot_gather(pack(xs), n, d, read)))
+            # Each step's mask is disjoint from the others'.
+            assert joined == [sum(x >> shift & mask for shift, mask in read) for x in xs]
 
 
 def test_coset_closure_skips_generated_elements():

@@ -237,12 +237,13 @@ def test_tested_members_match_subtree_walk_with_its_witness():
 
 def _counting_unpacks(monkeypatch):
     """A one-item list that counts the members every kernel.slot_codec
-    unpack and every kernel.slot_runs run return from here on: the members
-    a read of a listing takes.  is_essential's slot-wise read of the
-    children of the members it tests (patterns._tested_children) packs and
-    unpacks those few members, not the listing, so it is not counted."""
+    unpack returns from here on: the members a read of a listing takes,
+    whole or a kernel.slot_runs run at a time, since each run is an unpack
+    of its own.  is_essential's slot-wise read of the children of the
+    members it tests (patterns._tested_children) packs and unpacks those
+    few members, not the listing, so it is not counted."""
     read = [0]
-    real_codec, real_runs = kernel.slot_codec, kernel.slot_runs
+    real_codec = kernel.slot_codec
     real_children = patterns._tested_children
 
     def counted(members):
@@ -260,7 +261,6 @@ def _counting_unpacks(monkeypatch):
         return children
 
     monkeypatch.setattr(kernel, "slot_codec", codec)
-    monkeypatch.setattr(kernel, "slot_runs", lambda *args: map(counted, real_runs(*args)))
     monkeypatch.setattr(patterns, "_tested_children", uncounted_children)
     return read
 

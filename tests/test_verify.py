@@ -1,7 +1,10 @@
 """Verification suites: report structure, frozen values, and error paths."""
 
+import functools
+import operator
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 from click.testing import CliRunner
@@ -9,7 +12,8 @@ from click.testing import CliRunner
 from treegrp import gf2, kernel, patterns, subgroups, verify
 from treegrp.errors import EnumerationCapExceeded, VerificationError
 from treegrp.cli import main
-from treegrp.heap import half_level_mask, prefix_mask
+from treegrp.heap import half_level_mask, prefix_mask, spine
+from treegrp.patterns import linear_truncation_group
 from treegrp.subgroups import derived_subgroup, full_group
 from treegrp.verify import (
     VERDICT_NOT_TOP_FG,
@@ -22,7 +26,7 @@ from treegrp.verify import (
     verify_not_top_fg,
 )
 
-from oracles import derived_subgroup_allpairs, generator, state
+from oracles import LevelSumCharacters, derived_subgroup_allpairs, generator, state
 
 
 @pytest.mark.parametrize("cap", [-5, 0])
@@ -222,6 +226,42 @@ def test_not_top_fg_takes_a_no_adad_report():
         verify_not_top_fg(3, no_adad=failed)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_level_sum_characters_bound_the_generators_of_every_truncation(d):
+    # verify_not_top_fg's argument, on every P_J with d - 1 in J (so P_J is
+    # essential): chi is the coset map of the listed [P_J, P_J], u is
+    # [a_0, a_(d-1)] in St_P(d-1), and H(m) is linear_truncation_group(d,
+    # J, m).  Each chi_k is additive on H(m), and g_0 .. g_5 lie in
+    # H(d + 5) with chi_k(g_n) = 0 for k < n, chi_n(g_n) = chi(u) and every
+    # chi_k(g_n) of order at most 2, so their images span (Z/2)^6.
+    # chi(u) is twice an element of the quotient exactly when 0 is in J.
+    rng = Random(577 + d)
+    u = kernel.commutator(spine(0), spine(d - 1), d)
+    assert not u & prefix_mask(d - 1)
+    for J in verify._top_level_sets(d):
+        group = subgroups.enumerate_PJ(d, J)
+        chars = LevelSumCharacters(d, group.element_bits, derived_subgroup(group).element_bits)
+        unit, zero = chars.chi[u], chars.zero
+        doubles = {chars.add[a][a] for a in range(len(chars.add))}
+        assert unit != zero and chars.add[unit][unit] == zero
+        assert (unit in doubles) == (0 in J), J
+        for m in range(d, d + 6):
+            basis = linear_truncation_group(d, J, m).basis()
+            for _ in range(20):
+                g, h = (functools.reduce(operator.xor, (b for b in basis if rng.getrandbits(1)), 0)
+                        for _ in range(2))
+                gh = kernel.compose(g, h, m)
+                for k in range(m - d + 1):
+                    assert chars.level_sum(gh, k) == \
+                        chars.add[chars.level_sum(g, k)][chars.level_sum(h, k)], (J, m, k)
+        h_top = linear_truncation_group(d, J, d + 5)
+        family = chars.family(u, d + 5)
+        assert all(h_top.contains_bits(g) for g in family), J
+        rows = [[chars.level_sum(g, k) for k in range(6)] for g in family]
+        assert [row[:n + 1] for n, row in enumerate(rows)] == [[zero] * n + [unit] for n in range(6)], J
+        assert all(chars.add[x][x] == zero for row in rows for x in row), J
+
+
 def test_contains_derived_of_full_by_generator_commutators():
     for d in range(2, 7):
         for J in verify._nonempty_level_sets(d):
@@ -327,6 +367,20 @@ def test_new_relation_stabilization_evidence():
         assert case.stabilized
         assert len(case.psi_depths) >= 2
         assert case.psi_depths[-1][1] == case.psi_depths[-2][1]
+
+
+def test_new_relation_records_an_unstabilized_index_as_incomplete(monkeypatch):
+    # An index that never settles leaves every case unread, not failed:
+    # the identity is not evaluated, and the report cannot pass.
+    per_depth = ((1, 2), (2, 4))
+    monkeypatch.setattr(patterns, "psi_image_index",
+                        lambda p: patterns.PsiImageIndex(False, None, per_depth))
+    report = verify_new_relation(2)
+    assert report.incomplete and not report.passed
+    assert report.cases
+    for case in report.cases:
+        assert (case.psi_index, case.stabilized, case.equality_holds) == (None, False, None)
+        assert case.psi_depths == per_depth
 
 
 def test_auxiliary_suite():
