@@ -59,19 +59,24 @@ check otherwise).  Two rows time classify's other d=4 enumeration work:
 `gf2.LinearSubgroup.packed` of its 22 listings (the 15 rank reductions
 and the 7 non-essential P_J, bases computed beforehand), and the 15
 [P_J, P_J] folds from each P_J's Schreier generators (seeded by one
-commutator batch, closed under the generators).  A last row times
+commutator batch, closed under the generators).  Beside that row, one
+times the fold set classify runs instead: the 8 [P_K, P_K] with 0 in K,
+one per level-set pair {J, K = J | {0}}, and for the 7 J without 0 the
+test that P_J's seeds lie in [P_K, P_K].  A last row times
 `classify_maximal(4)` (15 rows read off the parity checks, each
 cross-checked by enumeration) with the cache of [G(4), G(4)] cleared
 before each run.  The start-up row is the median, over 15 fresh
 `python -X importtime -c "import treegrp.cli"` processes, of the summed
 self times of the treegrp modules: what importing the CLI's own code
 adds to every command, without the interpreter's start-up or the
-third-party imports, whose wall-clock noise would swamp it.  Run after
+third-party imports, whose wall-clock noise would swamp it.  Every row
+prints microseconds to three significant digits.  Run after
 `pip install -e .`:
 
     python benchmarks/bench_closure.py
 """
 
+import math
 import os
 import random
 import statistics
@@ -96,6 +101,7 @@ from treegrp.subgroups import (
     _FULL_GROUP_CACHE,
     EnumeratedSubgroup,
     _derived_from_generators,
+    _derived_seeds,
     _pj_schreier_generators,
     all_subgroups_depth2,
     conjugation_law_counts,
@@ -324,6 +330,20 @@ def bench_verify():
     schreier = [_pj_schreier_generators(4, J) for J in _nonempty_level_sets(4)]
     rows["[P_J, P_J] folds of all 15 J, d=4"] = timeit(
         lambda: [_derived_from_generators(4, gens) for gens in schreier], repeats=20)
+    # (P_K's Schreier generators, P_J's or None), J = K - {0}, for 0 in K.
+    siblings = [(_pj_schreier_generators(4, K),
+                 _pj_schreier_generators(4, K - {0}) if len(K) > 1 else None)
+                for K in _nonempty_level_sets(4) if 0 in K]
+
+    def sibling_folds():
+        for k_gens, j_gens in siblings:
+            derived = _derived_from_generators(4, k_gens)
+            if j_gens is not None:
+                all(map(derived.contains_bits, _derived_seeds(4, j_gens)))
+
+    checked = sum(j_gens is not None for _, j_gens in siblings)
+    rows[f"{len(siblings)} [P_K, P_K] folds + {checked} seed checks, d=4"] = timeit(
+        sibling_folds, repeats=20)
     rows["classify_maximal(4), caches cleared"] = timeit(classify_uncached)
     return rows
 
@@ -345,26 +365,33 @@ def bench_start_up():
     return {f"treegrp self import time, median of {START_UP_RUNS}": statistics.median(totals)}
 
 
+def micros(seconds):
+    """seconds as microseconds to three significant digits, no exponent."""
+    us = float(f"{seconds * 1e6:.3g}")
+    decimals = max(0, 2 - math.floor(math.log10(us))) if us else 0
+    return f"{us:,.{decimals}f} us"
+
+
 def main():
     kernel_rows = bench_kernel()
     width = max(len(s) for s in kernel_rows) + 2
-    header = f"{'benchmark':<{width}}{'best s':>16}"
+    header = f"{'benchmark':<{width}}{'best':>16}"
     print(header)
     print("-" * len(header))
     for label, best in kernel_rows.items():
-        print(f"{label:<{width}}{best:>16.6f}")
+        print(f"{label:<{width}}{micros(best):>16}")
 
     print()
     for label, per_call in bench_apply().items():
-        print(f"{label:<{width}}{per_call * 1e6:>13.2f} us per call")
+        print(f"{label:<{width}}{micros(per_call):>16} per call")
 
     print()
     patterns = bench_patterns() | bench_halftree() | bench_verify()
     width = max(len(s) for s in patterns) + 2
     for label, seconds in patterns.items():
-        print(f"{label:<{width}}{seconds:>10.4f} s (best)")
+        print(f"{label:<{width}}{micros(seconds):>16} (best)")
     for label, seconds in bench_start_up().items():
-        print(f"{label:<{width}}{seconds:>10.4f} s (median)")
+        print(f"{label:<{width}}{micros(seconds):>16} (median)")
 
 
 if __name__ == "__main__":

@@ -338,20 +338,25 @@ def generating_set(s: EnumeratedSubgroup) -> tuple[int, ...]:
     return s._genset
 
 
+def _derived_seeds(d: int, gens: Sequence[int]) -> list[int]:
+    """The commutators [x, y] of the generator pairs x < y, sorted, from one
+    kernel.commutator_batch ([y, x] = [x, y]^-1 and [x, x] = 1 add nothing
+    to a normal closure).  Fewer than two generators give the identity."""
+    # One identity pair keeps the batch nonempty; close skips its commutator.
+    pairs = [(x, y) for i, x in enumerate(gens) for y in gens[i + 1:]] or [(0, 0)]
+    x, y = (kernel.pack(side, d) for side in zip(*pairs))
+    return sorted(kernel.unpack(kernel.commutator_batch(x, y, len(pairs), d), len(pairs), d))
+
+
 def _derived_from_generators(d: int, gens: Sequence[int],
                              cap: int | None = None) -> EnumeratedSubgroup:
     """[S, S] for S generated by the portrait ints gens.
 
     [S, S] is the normal closure in S of the commutators of generator
-    pairs, and kernel.close builds that closure directly with gens as the
-    normalizer.  Only pairs x < y are seeded, [y, x] = [x, y]^-1 and
-    [x, x] = 1, all by one kernel.commutator_batch.
+    pairs (_derived_seeds), and kernel.close builds that closure directly
+    with gens as the normalizer.
     """
-    # One identity pair keeps the batch nonempty; close skips its commutator.
-    pairs = [(x, y) for i, x in enumerate(gens) for y in gens[i + 1:]] or [(0, 0)]
-    x, y = (kernel.pack(side, d) for side in zip(*pairs))
-    seeds = kernel.unpack(kernel.commutator_batch(x, y, len(pairs), d), len(pairs), d)
-    bits = kernel.close(d, sorted(seeds), resolve_cap(cap), normalizer=gens)
+    bits = kernel.close(d, _derived_seeds(d, gens), resolve_cap(cap), normalizer=gens)
     return EnumeratedSubgroup.from_element_bits(d, bits)
 
 

@@ -14,10 +14,11 @@ scratch at desk scale:
   tested against the checks each listed P_J comes from, by a slot-wise
   count of members with a bit of the zero mask (count_clear) or odd
   parity under a check (count_odd), so no listed P_J builds its member
-  set; d = 5 (use_gf2) reads the ranks alone.
+  set, and St_{P_J}(d-1) is tested against a listed derived subgroup
+  (see below the list); d = 5 (use_gf2) reads the ranks alone.
 * verify_no_adad: [a_0, a_{d-1}] lies outside [P_J, P_J]: parity
-  certificate always, enumerated derived subgroup where feasible, and the
-  two arms must agree.
+  certificate always, enumerated derived subgroup where feasible (see
+  below the list), and the two arms must agree.
 * verify_not_top_fg: the finite-generation obstruction: [a_0, a_{d-1}]
   stabilizes the top level yet avoids [P_J, P_J] (as verify_no_adad's cases
   find), so the constrained group of every maximal-dimension P_J is not
@@ -38,6 +39,16 @@ scratch at desk scale:
   each P_J is reduced by rank and only the reduction is listed, which must
   be essential and match the rank dimension, as in classify_maximal.
 
+The enumerated arms of classify_maximal and verify_no_adad read one
+listed derived subgroup per level-set pair {J, K = J | {0}}: P_K has
+index 2, so it is normal in G(d), and so is [P_K, P_K], characteristic in
+it; when [P_K, P_K] holds the commutators of P_J's Schreier generators,
+whose normal closure in P_J is [P_J, P_J], it holds [P_J, P_J], and what
+lies outside it lies outside [P_J, P_J].  Where that does not decide,
+[P_J, P_J] is folded itself (_outside_derived_pj), so both arms stay
+exact; at d = 2..4 the two derived subgroups coincide, and neither arm
+falls back there.
+
 A genuine counterexample raises VerificationError; reports never bury one.
 """
 
@@ -46,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import gf2, kernel, patterns as pt
 from .errors import EnumerationCapExceeded, VerificationError
@@ -60,6 +71,7 @@ from .report import Report
 from .subgroups import (
     EnumeratedSubgroup,
     _derived_from_generators,
+    _derived_seeds,
     _pj_schreier_generators,
     all_subgroups_depth2,
     check_order_cap,
@@ -209,8 +221,43 @@ def _listed_reduction(checks: gf2.LinearSubgroup,
     return reduced, dim
 
 
+def _outside_derived_pj(d: int, J: frozenset[int], xs: Iterable[int], cap: int | None,
+                        memo: dict[frozenset[int], EnumeratedSubgroup]) -> bool:
+    """Whether some x in xs lies outside [P_J, P_J], read off one listed
+    derived subgroup per level-set pair {J, K}, K = J | {0}.
+
+    P_K has index 2, so it is normal in G(d), and so is its characteristic
+    subgroup [P_K, P_K].  [P_J, P_J] is the normal closure in P_J of the
+    commutators of P_J's Schreier generators (_derived_seeds), so when
+    [P_K, P_K] holds every one of them it holds [P_J, P_J], and an x
+    outside it lies outside [P_J, P_J].  [P_K, P_K] is folded from P_K's
+    Schreier generators, one fewer than P_J's when K != J.  When that does
+    not decide (an x outside [P_K, P_K] with a seed outside it too, or
+    every x inside it), [P_J, P_J] is folded itself, so the answer is
+    exact whether or not the two coincide, as they do at d = 2..4.
+
+    `memo` holds the last [P_K, P_K] folded: J and K are adjacent in mask
+    order, so a caller walking the level sets in that order folds each K
+    once and keeps one listing alive.
+    """
+    K = J | {0}
+    if K not in memo:
+        memo.clear()
+        memo[K] = _derived_from_generators(d, _pj_schreier_generators(d, K), cap)
+    derived = memo[K]
+    xs = list(xs)
+    if K != J:
+        gens = _pj_schreier_generators(d, J)
+        if (not all(map(derived.contains_bits, xs))
+                and all(map(derived.contains_bits, _derived_seeds(d, gens)))):
+            return True
+        derived = _derived_from_generators(d, gens, cap)
+    return not all(map(derived.contains_bits, xs))
+
+
 def _classify_row(d: int, J: frozenset[int], cap: int | None,
-                  derived_full: EnumeratedSubgroup | None) -> ClassificationRow:
+                  derived_full: EnumeratedSubgroup | None,
+                  memo: dict[frozenset[int], EnumeratedSubgroup]) -> ClassificationRow:
     """One row, read off P_J's parity check.  `derived_full`, the listed
     [G(d), G(d)], is given at d <= 4, where enumeration cross-checks every
     field and a disagreement raises VerificationError: (a) the listed
@@ -219,9 +266,12 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
     (c) every member of [G(d), G(d)] is tested slot-wise against the checks
     the listed P_J comes from (the rank reduction on essential rows, P_J's
     own check otherwise); (d) the listed St_{P_J}(d-1) against [P_J, P_J]
-    folded from the Schreier generators.  At d = 5 the generator
-    commutators give contains_derived_of_Gd, and the certificate gives
-    bs_premise_fails on essential rows with d - 1 in J.
+    by _outside_derived_pj: [P_K, P_K], K = J | {0}, folded from P_K's
+    Schreier generators once for the pair {J, K} and kept in `memo`
+    between the two rows, decides when it holds P_J's seeds and not all of
+    St_{P_J}(d-1), else [P_J, P_J] is folded itself.  At d = 5 the
+    generator commutators give contains_derived_of_Gd, and the certificate
+    gives bs_premise_fails on essential rows with d - 1 in J.
     """
     enumerate_arm = derived_full is not None
     lin = listable_PJ(d, J, cap) if enumerate_arm else maximal_subgroup(d, J)
@@ -244,8 +294,7 @@ def _classify_row(d: int, J: frozenset[int], cap: int | None,
                 f"essential={essential}, and its listing disagrees")
         contains_derived = _contains_members(listed_from, derived_full)
         stab = gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1)).iter_bits()
-        bs_fails = not set(stab) <= _derived_from_generators(
-            d, _pj_schreier_generators(d, J), cap).element_bits
+        bs_fails = _outside_derived_pj(d, J, stab, cap, memo)
     else:
         contains_derived = _contains_derived_of_full(lin)
         if essential and d - 1 in J:
@@ -278,7 +327,8 @@ def classify_maximal(d: int, *, use_gf2: bool = False,
                      "enumeration reaches depth 4 (depth 5 with use_gf2)")
         raise EnumerationCapExceeded(resolve_cap(cap), hint=hint)
     derived_full = derived_of_full(d, cap=cap) if d <= 4 else None
-    rows = [_classify_row(d, J, cap, derived_full)
+    memo: dict[frozenset[int], EnumeratedSubgroup] = {}
+    rows = [_classify_row(d, J, cap, derived_full, memo)
             for J in _nonempty_level_sets(d)]
     for row in rows:
         _check_row_consistency(row)
@@ -322,20 +372,23 @@ def verify_no_adad(d: int, cap: int | None = None) -> NoAdadReport:
 
     The parity certificate runs at any supported depth; for d <= 4 the
     derived subgroup is also enumerated outright and must agree.  It is
-    folded from P_J's Schreier generators, so P_J itself is never listed.
+    folded from Schreier generators, so P_J itself is never listed, and
+    once per pair {J, K = J | {0}}: the listed [P_K, P_K], normal in G(d),
+    excludes c from [P_J, P_J] when it excludes c and holds P_J's seeds;
+    otherwise [P_J, P_J] is folded itself (_outside_derived_pj).
     """
     if d < 2:
         raise ValueError("needs depth >= 2")
     report = NoAdadReport(d)
     c = _adad(d)
     enumerate_arm = d <= 4
+    memo: dict[frozenset[int], EnumeratedSubgroup] = {}
     for J in _top_level_sets(d):
         ctx = JContext.for_top_level(d, J)
         verdict = derived_membership_certificate(ctx, c)
         excluded: bool | None = None
         if enumerate_arm:
-            excluded = not _derived_from_generators(
-                d, _pj_schreier_generators(d, J), cap).contains_bits(c)
+            excluded = _outside_derived_pj(d, J, [c], cap, memo)
             if (verdict.verdict == NOT_IN_DERIVED) != excluded:
                 raise VerificationError(
                     f"certificate and enumeration disagree for d={d}, J={sorted(J)}"

@@ -545,11 +545,12 @@ def test_no_adad_passes_with_a_cap_below_the_order_of_pj():
 
 def test_classify_folds_pull_fewer_slot_batches(monkeypatch):
     # Every kernel._pull inside a normalized kernel.close over
-    # classify_maximal(4), whose 15 [P_J, P_J] folds and [G(4), G(4)] are
-    # its only such closures: one per membership probe, per coset chunk and
-    # two per accepted generator's conjugates.  With conjugates queued behind
-    # the seeds the count was 2,518 (488 cosets, 1,850 probes); read before
-    # the next seed, it is 1,431 (209 cosets, 972 probes).
+    # classify_maximal(4), whose 8 [P_K, P_K] folds, one per level-set pair
+    # {J, K = J | {0}}, and [G(4), G(4)] are its only such closures: one per
+    # membership probe, per coset chunk and two per accepted generator's
+    # conjugates.  With conjugates queued behind the seeds the count was
+    # 2,518 (488 cosets, 1,850 probes); read before the next seed, 1,431;
+    # with one fold per pair instead of one per J (15), it is 799.
     real_close, real_pull = kernel.close, kernel._pull
     normalized, pulls = [], [0]
 
@@ -568,4 +569,91 @@ def test_classify_folds_pull_fewer_slot_batches(monkeypatch):
     monkeypatch.setattr(kernel, "_pull", pull)
     monkeypatch.setattr(verify, "_DERIVED_FULL_CACHE", {})
     verify.classify_maximal(4)
-    assert 0 < pulls[0] <= 1431
+    assert 0 < pulls[0] <= 799
+
+
+def _count_normalized_closes(monkeypatch) -> list[int]:
+    """A one-item counter of the normalized kernel.close calls from here on:
+    the derived-subgroup folds."""
+    real_close, count = kernel.close, [0]
+
+    def close(d, gens, cap, normalizer=()):
+        count[0] += bool(normalizer)
+        return real_close(d, gens, cap, normalizer)
+
+    monkeypatch.setattr(kernel, "close", close)
+    return count
+
+
+@pytest.mark.parametrize("f,d,folds", [
+    (classify_maximal, 4, 9), (classify_maximal, 3, 5), (verify_no_adad, 4, 4)])
+def test_derived_folds_are_one_per_level_set_pair(monkeypatch, f, d, folds):
+    # One [P_K, P_K] fold per pair {J, K = J | {0}} (2^(d-1) pairs over the
+    # nonempty level sets, 2^(d-2) over the top ones), plus [G(d), G(d)]
+    # for classify, whose cache is cleared; no fallback fold runs.
+    monkeypatch.setattr(verify, "_DERIVED_FULL_CACHE", {})
+    count = _count_normalized_closes(monkeypatch)
+    assert f(d).passed
+    assert count[0] == folds
+
+
+def _pj_members(d, J, rng, n):
+    """n seeded random members of P_J: XORs of random subsets of its basis."""
+    basis = subgroups.maximal_subgroup(d, J).basis()
+    return [functools.reduce(operator.xor, (b for b in basis if rng.getrandbits(1)), 0)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_outside_derived_pj_matches_the_direct_fold(d):
+    # Probes: [a_0, a_{d-1}], the members of St_{P_J}(d-1), P_J's seeds and
+    # seeded random members of P_J, as whole lists and one at a time, each
+    # against [P_J, P_J] folded directly from P_J's Schreier generators.
+    rng = Random(d)
+    memo = {}
+    for J in verify._nonempty_level_sets(d):
+        gens = subgroups._pj_schreier_generators(d, J)
+        direct = subgroups._derived_from_generators(d, gens)
+        lin = subgroups.maximal_subgroup(d, J)
+        stab = list(gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1)).iter_bits())
+        members = _pj_members(d, J, rng, 12)
+        probes = [[verify._adad(d)], stab, subgroups._derived_seeds(d, gens), members,
+                  *([x] for x in members)]
+        for xs in probes:
+            expected = not all(map(direct.contains_bits, xs))
+            assert verify._outside_derived_pj(d, J, xs, None, memo) == expected, (d, J, xs)
+            assert verify._outside_derived_pj(d, J, iter(xs), None, {}) == expected, (d, J)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_outside_derived_pj_falls_back_when_every_x_is_inside(monkeypatch, d):
+    # P_J's own seeds lie in [P_J, P_J], so the listed [P_K, P_K] cannot
+    # decide: [P_J, P_J] is folded as well when K != J, and the answer is
+    # that no seed lies outside.
+    count = _count_normalized_closes(monkeypatch)
+    for J in verify._nonempty_level_sets(d):
+        seeds = subgroups._derived_seeds(d, subgroups._pj_schreier_generators(d, J))
+        before = count[0]
+        assert not verify._outside_derived_pj(d, J, seeds, None, {})
+        assert count[0] - before == (1 if 0 in J else 2), (d, J)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_outside_derived_pj_needs_p_js_seeds_inside_the_listing(monkeypatch, d):
+    # Give J = {d-1} the generators a_0 .. a_{d-1} of G(d): its "[P_J, P_J]"
+    # is then [G(d), G(d)], which holds c = [a_0, a_{d-1}].  The listed
+    # [P_K, P_K], K = {0, d-1}, is still the true one and excludes c, but
+    # not every seed [a_i, a_j] lies in it, so the helper must fall back
+    # and find c inside; reading the listing alone would say outside.
+    J, c = frozenset({d - 1}), verify._adad(d)
+    K = J | {0}
+    real = subgroups._pj_schreier_generators
+    full_gens = tuple(spine(i) for i in range(d))
+    monkeypatch.setattr(verify, "_pj_schreier_generators",
+                        lambda d, S: full_gens if S == J else real(d, S))
+    listed_k = subgroups._derived_from_generators(d, real(d, K))
+    assert not listed_k.contains_bits(c)
+    assert not all(map(listed_k.contains_bits, subgroups._derived_seeds(d, full_gens)))
+    count = _count_normalized_closes(monkeypatch)
+    assert not verify._outside_derived_pj(d, J, [c], None, {})
+    assert count[0] == 2
