@@ -9,7 +9,8 @@ depth-4 group (a normal closure folded from its four generators), raw
 compose and invert throughput at depths 4, 8, 12 and 16, where each
 product is d - 1 whole-portrait delta swaps, kernel.pack of one full
 chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
-drawn and packed, with nothing checked on them (`kernel.sampled_chunks`):
+drawn straight into their batches, with nothing checked on them
+(`kernel.sampled_chunks`, one `getrandbits` call per batch):
 the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
 12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
 kernel-free word action, on full-length words at depths 4 and 24, and fourteen

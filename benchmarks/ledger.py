@@ -9,7 +9,8 @@ Ten seeds, because setup_s has two modes.  The ledger holds every run's
 metrics, the median and quartiles of each metric per workload, the
 environment of the runs and the wall time of the tier-1 tests.  A run that
 is not correct or has a failed op, or a failing tier-1 run, writes no
-ledger.
+ledger.  The env's commit is null unless src is committed, so a ledger
+never names a commit beside the source_sha256 of uncommitted changes.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def tier1() -> dict:
     return {"wall_s": round(wall, 2), "summary": summary}
 
 
+def committed(commit: str | None) -> str | None:
+    """commit, the HEAD a run recorded, if `git status --porcelain -- src`
+    is empty; None if src has changes or git cannot tell."""
+    try:
+        res = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                             capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return commit if res.returncode == 0 and not res.stdout.strip() else None
+
+
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
@@ -84,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
                         for k, unit in units.items()},
             "runs": runs,
         }
+    if "commit" in env:
+        env["commit"] = committed(env["commit"])
     ledger = {"label": args.label, "seconds": SECONDS, "seeds": list(SEEDS),
               "env": env, "tier1": tier1(), "workloads": workloads}
     path = ROOT / f"BENCH_{args.label}.json"

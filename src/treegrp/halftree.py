@@ -144,10 +144,12 @@ def verify_ni_identities_for(contexts: Sequence[JContext], samples: int = 10_000
 
     All contexts share one depth and one stream of element pairs (g, h):
     every ordered pair with exhaustive=True (meant for d <= 3), otherwise
-    `samples` seeded random pairs, at least one, drawn as
-    FiniteAutomorphism.random draws g, then h, from Random(seed) (seed at
-    least 0).  The stream comes in packed chunks, kernel.packed_chunks or
-    kernel.sampled_chunks, and each chunk's products, inverses and
+    `samples` seeded random pairs, at least one, drawn by
+    kernel.sampled_chunks from Random(seed) (seed at least 0): one
+    getrandbits call per chunk for the g batch, then one for the h batch,
+    so the pairs depend on kernel.CHUNK_BITS and on where `samples` cuts
+    the last chunk, and only a failing pair is ever reported.  The stream
+    comes in packed chunks, and each chunk's products, inverses and
     commutators come from one kernel.law_batches call, which builds each
     operand's delta-swap masks once.  The laws are then checked for every
     sample at once on 2n-bit vectors whose bit 2j + i is N_i of sample j:

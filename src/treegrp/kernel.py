@@ -59,22 +59,6 @@ check's level sets at d = 6 and 8 read the top level alone, so the folds
 skip the lower levels, which hold as many bits again, and the five batches
 of a chunk share one chain.
 
-Sampled streams
----------------
-sampled_chunks draws a chunk of seeded random pairs already packed, and
-relies on how CPython's random.Random.getrandbits(k) fills its result: it
-takes w = ceil(k/32) outputs of the generator as 32-bit words, the first
-as the lowest, and shifts the last word right by 32 w - k.  A run of draws
-is therefore one draw of all their words, getrandbits(32 W) with W the
-words' total, whose last word is not shifted.  Cut into fixed slots of
-each draw's w words, it gives every draw back once each slot's last word
-is shifted down, and that takes one shift and one AND per distinct shift
-on the whole chunk, with masks repeated pair by pair.  Shifted up by one
-bit, each full portrait's slot holds its t-coordinate row; those rows, read
-at a stride of one pair's words out of the chunk's big-endian bytes, are
-the rows pack reads levels off, so the batches are pack's, bit for bit.
-A chunk is its two batches and nothing else: no pair is unpacked.
-
 Closure
 -------
 close is Dimino's coset closure (G. Butler, Fundamental Algorithms for
@@ -262,7 +246,25 @@ def pack(xs: Sequence[int], d: int) -> int:
     # packed slots by one shifts every portrait into t coordinates inside
     # its own row.
     rows = (slot_codec(n, d)[0](xs) << 1).to_bytes(n * row, "big")
-    return _pack_rows(rows, n, d, row, row)
+    blocks = []
+    for m in range(d - 1, 2, -1):  # level m >= 3 is 2^(m-3) whole bytes of a row
+        w = 1 << (m - 3)
+        lo = row - 2 * w
+        # min(n, w) slice copies: one strided column per byte of the level
+        # slice, or one run per sample.  On a 2-core x86 VM (Python 3.11)
+        # columns pack d = 6, n = 1024 3.6x faster, runs d = 14, n = 4 23x.
+        if w <= n:
+            block = bytearray(n * w)
+            for i in range(w):
+                block[i::w] = rows[lo + i::row]
+        else:
+            block = b"".join(rows[r:r + w] for r in range(lo, n * row, row))
+        blocks.append(block)
+    out = int.from_bytes(b"".join(blocks), "big") << (n << 3)
+    low = rows[row - 1::row]  # levels 0, 1 and 2 share each row's last byte
+    for m, table in enumerate(_digit_tables()[:d]):
+        out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
+    return out
 
 
 def unpack(x: int, n: int, d: int) -> list[int]:
@@ -281,35 +283,6 @@ def unpack(x: int, n: int, d: int) -> list[int]:
         block = digits[size - (n << m + 1):size - (n << m)]  # sample n - 1 first
         levels.append([block[i:i + w] for i in range((n - 1) * w, -1, -w)])
     return [int("".join(pieces), 2) for pieces in zip(*levels)]
-
-
-def _pack_rows(rows: bytes, n: int, d: int, end: int, stride: int, level: int = 0) -> int:
-    """The batch of n depth-d portraits read off their big-endian
-    t-coordinate rows in `rows`, the last sample's first: sample n-1-r's
-    row ends at byte end + r*stride.  With level >= 3 only levels
-    level..d-1 are read, the rest being 0, so a row need only hold those.
-    """
-    first = max(level, 3)
-    blocks = []
-    for m in range(d - 1, first - 1, -1):  # level m >= 3 is 2^(m-3) whole bytes of a row
-        w = 1 << (m - 3)
-        lo = end - 2 * w
-        # min(n, w) slice copies: one strided column per byte of the level
-        # slice, or one run per sample.  On a 2-core x86 VM (Python 3.11)
-        # columns pack d = 6, n = 1024 3.6x faster, runs d = 14, n = 4 23x.
-        if w <= n:
-            block = bytearray(n * w)
-            for i in range(w):
-                block[i::w] = rows[lo + i::stride]
-        else:
-            block = b"".join(rows[r:r + w] for r in range(lo, n * stride, stride))
-        blocks.append(block)
-    out = int.from_bytes(b"".join(blocks), "big") << (n << first)
-    if level == 0:
-        low = rows[end - 1::stride]  # levels 0, 1 and 2 share each row's last byte
-        for m, table in enumerate(_digit_tables()[:d]):
-            out |= int(low.translate(table), 1 << (1 << m)) << (n << m)
-    return out
 
 
 #: Bits of batch in one chunk of a pair stream, and of packed slots in one
@@ -339,58 +312,24 @@ def packed_chunks(pairs: Iterable[tuple[int, int]], d: int) -> Iterator[Chunk]:
 
 
 def sampled_chunks(rng: Random, samples: int, d: int, level: int = 0) -> Iterator[Chunk]:
-    """packed_chunks of `samples` pairs (x, y) drawn from rng, each as
-    x = rng.getrandbits(2^d - 2^level) << (2^level - 1), then
-    y = rng.getrandbits(2^d - 1), with one getrandbits call per chunk.
+    """`samples` seeded random pairs (x, y) of depth-d portraits, drawn from
+    rng in packed_chunks' chunks, each chunk of n pairs as
+    x = rng.getrandbits(n (2^d - 2^level)) << (n 2^level), then
+    y = rng.getrandbits(n (2^d - 1)) << n.
 
-    x is a depth-d portrait for level 0 and, for 3 <= level < d, one with
-    labels on levels level..d-1 only.  See Sampled streams above.
+    A batch holds its labels in bits [n, n 2^d), so a uniform draw of those
+    bits is n uniform depth-d portraits; x's draw starts at level `level`
+    (0 <= level < d), so x has labels on levels level..d-1 only.  The pairs
+    depend on the seed, on CHUNK_BITS and on where `samples` cuts the last
+    chunk: the first k pairs of a longer stream need not be the stream of k.
     """
-    wx, wy, fixups = _draw_layout(d, level)
-    stride = 4 * (wx + wy)  # bytes of one pair's words
+    if not 0 <= level < d:
+        raise ValueError(f"level must be in 0..{d - 1}, got {level}")
     per_chunk = max(1, CHUNK_BITS >> d)
     for start in range(0, samples, per_chunk):
         n = min(per_chunk, samples - start)
-        r = rng.getrandbits(8 * stride * n)
-        drawn = 0
-        for shift, wide in fixups:
-            drawn |= (r >> shift if shift else r) & wide
-        # Pair n-1-k is bytes [k stride, (k+1) stride) of a big-endian
-        # chunk: y's words, then x's.  Shifted by one bit, each full
-        # portrait's words hold its t-coordinate row.  An x above level 0
-        # is read unshifted: its row would end 2^level bits past its words.
-        rows = (drawn << 1).to_bytes(stride * n, "big")
-        if level:
-            x = _pack_rows(drawn.to_bytes(stride * n, "big"), n, d,
-                           stride + (1 << (level - 3)), stride, level)
-        else:
-            x = _pack_rows(rows, n, d, stride, stride)
-        yield n, x, _pack_rows(rows, n, d, 4 * wy, stride)
-
-
-@lru_cache(maxsize=8)
-def _draw_layout(d: int, level: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """32-bit words of sampled_chunks' draws x and y, and the (right shift,
-    mask) terms that put a full chunk's draws in place.
-
-    A draw of k bits is its w = ceil(k/32) words with the last one shifted
-    down by 32 w - k, so each draw keeps its words below the last as they
-    are and takes its last word's top k - 32 (w - 1) bits.  The masks span
-    a full chunk, which cuts any shorter chunk's draw to its own length.
-    """
-    if level and not 3 <= level < d:
-        raise ValueError(f"level must be 0 or in 3..{d - 1}, got {level}")
-    kx, ky = (1 << d) - (1 << level), (1 << d) - 1  # bits of each draw
-    wx, wy = (kx + 31) >> 5, (ky + 31) >> 5
-    masks: dict[int, int] = {}
-    for base, k, w in ((0, kx, wx), (32 * wx, ky, wy)):
-        last = base + 32 * (w - 1)
-        masks[0] = masks.get(0, 0) | ((1 << (last - base)) - 1) << base
-        masks[32 * w - k] = masks.get(32 * w - k, 0) | ((1 << (k - 32 * (w - 1))) - 1) << last
-    n = max(1, CHUNK_BITS >> d)
-    stride = 4 * (wx + wy)
-    return wx, wy, [(shift, int.from_bytes(mask.to_bytes(stride, "little") * n, "little"))
-                    for shift, mask in masks.items() if mask]
+        x = rng.getrandbits(n * ((1 << d) - (1 << level))) << (n << level)
+        yield n, x, rng.getrandbits(n * ((1 << d) - 1)) << n
 
 
 def half_parities(xs: Sequence[int], n: int, levels: Iterable[int]) -> dict[int, list[int]]:

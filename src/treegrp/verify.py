@@ -49,6 +49,23 @@ lies outside it lies outside [P_J, P_J].  Where that does not decide,
 exact; at d = 2..4 the two derived subgroups coincide, and neither arm
 falls back there.
 
+The rows in closed form.  With m = max J, P_J is essential iff
+m = d - 1, and the constrained group of P_J has dimension 1 - 1/2^m, at
+every d; _check_row_consistency asserts both on every row.  P_J's check,
+the J-parity, reads levels <= m only.  If m = d - 1, any depth-(d-1)
+portrait extends to a member by one label on level d - 1, so
+pi_{d-1}(P_J) = G(d-1), every child subpattern extends and P_J is
+essential; St_{P_J}(d-1) is the even-weight last level, of log2 order
+2^(d-1) - 1, so the dimension is 1 - 1/2^(d-1).  If m < d - 1, flip the
+identity's label at one level-(m+1) vertex in half 0: the root's J-parity
+keeps its value, as m + 1 is not in J, and child 0's flips, as m is in J;
+pi_{d-1}(P_J) still checks the J-parity, so that child does not extend
+and P_J is not essential.  A portrait's size-d patterns lie in P_J iff
+its size-(m+1) patterns pass the J-parity, so the constrained group of
+P_J is that of the size-(m+1) P_J, of dimension 1 - 1/2^m by the first
+case.  So exactly the 2^(d-1) sets J holding d - 1 reach the maximal
+dimension, and each P_J, of index 2, is maximal in G(d).
+
 A genuine counterexample raises VerificationError; reports never bury one.
 """
 
@@ -151,7 +168,9 @@ class ClassificationReport(Report):
 
 
 def _check_row_consistency(row: ClassificationRow) -> None:
-    """The classification equivalences; a violating row aborts the run."""
+    """The classification equivalences and the closed-form dimension
+    1 - 1/2^(max J) of every row (see the rows in closed form above); a
+    violating row aborts the run."""
     expect_max = not row.contains_a_dminus1
     problems = []
     if row.essential != expect_max:
@@ -160,11 +179,8 @@ def _check_row_consistency(row: ClassificationRow) -> None:
         problems.append("max dimension <=> omits top generator")
     if not row.contains_derived_of_Gd:
         problems.append("index-2 kernel must contain the derived subgroup")
-    if row.is_max_dimension:
-        if row.dimension != 1 - Fraction(1, 1 << (row.d - 1)):
-            problems.append("maximal dimension has the wrong value")
-    elif row.dimension >= 1 - Fraction(1, 1 << (row.d - 1)):
-        problems.append("non-essential row failed to reduce below maximal dimension")
+    if row.dimension != 1 - Fraction(1, 1 << max(row.J)):
+        problems.append("dimension must be 1 - 1/2^(max J)")
     if problems:
         raise VerificationError(f"classification row {row.to_dict()}: " + "; ".join(problems))
 
@@ -600,9 +616,11 @@ def conjugation_pairs(d: int, samples: int, seed: int,
     """The (h, g) portrait pairs of verify_auxiliary's conjugation law, h in
     the level-(d-1) stabilizer, as conjugation_law_counts' packed chunks:
     every pair through depth 3 (kernel.packed_chunks), `samples` seeded
-    random pairs above (kernel.sampled_chunks at level d-1).  Each sampled
-    pair draws from Random(seed), seed at least 0, h's last-level labels
-    as getrandbits(2^(d-1)), then g as FiniteAutomorphism.random does.
+    random pairs above (kernel.sampled_chunks at level d-1), from
+    Random(seed), seed at least 0: per chunk one getrandbits call for the
+    hs' last-level labels, then one for the gs.  The pairs depend on
+    kernel.CHUNK_BITS and on where `samples` cuts the last chunk; the
+    report counts them and prints none.
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")

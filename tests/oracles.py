@@ -17,10 +17,10 @@ only for gf2.rref: gf2.rref itself and the parity-check reduction that ran
 it each round.  span_by_lists doubles a span as a list, the listing
 gf2.LinearSubgroup.packed and iter_bits build by whole-int doubling, and
 normal_closure_by_lists closes under conjugation and products
-element by element.  Two more are the sampled pair streams one
-getrandbits call per draw, which kernel.sampled_chunks draws a chunk per
-call, and three are the kernel's byte translation tables built bit by
-bit.  batch_members reads a packed batch back sample by sample.
+element by element.  sampled_pairs reads the sampled pair stream one
+pair at a time off each chunk's getrandbits results, where
+kernel.sampled_chunks shifts each result into a batch whole, and three
+more are the kernel's byte translation tables built bit by bit.  batch_members reads a packed batch back sample by sample.
 LevelSumCharacters computes the level sums of a pattern group's
 abelianization member by member, the argument verify_not_top_fg's verdict
 rests on, which no library route computes.
@@ -422,22 +422,35 @@ def conjugation_law_counts_by_pairs(d: int, pairs: Iterable[tuple[int, int]]
     return checked, failures
 
 
-def ni_pairs_by_draws(d: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
-    """The (g, h) stream of halftree.verify_ni_identities_for, one draw at a
-    time: g, then h, as FiniteAutomorphism.random draws them."""
+def sampled_pairs(d: int, samples: int, seed: int, level: int = 0) -> Iterator[tuple[int, int]]:
+    """The (x, y) pairs of kernel.sampled_chunks(Random(seed), samples, d,
+    level), read one at a time off each chunk's two getrandbits results.
+
+    A chunk of n pairs draws n (2^d - 2^level) bits for x, then n (2^d - 1)
+    for y; sample j's level-m labels are the 2^m bits of x's draw from
+    (2^m - 2^level) n + j 2^m (levels level..d-1 only) and of y's from
+    (2^m - 1) n + j 2^m.
+    """
     rng = Random(seed)
-    nbits = (1 << d) - 1
-    for _ in range(samples):
-        yield rng.getrandbits(nbits), rng.getrandbits(nbits)
+    per_chunk = max(1, kernel.CHUNK_BITS >> d)
+    for start in range(0, samples, per_chunk):
+        n = min(per_chunk, samples - start)
+        xs = _labels_off_draw(rng.getrandbits(n * ((1 << d) - (1 << level))), n, d, level)
+        yield from zip(xs, _labels_off_draw(rng.getrandbits(n * ((1 << d) - 1)), n, d, 0))
 
 
-def conjugation_pairs_by_draws(d: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
-    """The sampled (h, g) stream of verify.conjugation_pairs, one draw at a
-    time: h's last-level labels, then g as FiniteAutomorphism.random draws it."""
-    rng = Random(seed)
-    width, nbits = 1 << (d - 1), (1 << d) - 1
-    for _ in range(samples):
-        yield rng.getrandbits(width) << (width - 1), rng.getrandbits(nbits)
+def _labels_off_draw(r: int, n: int, d: int, level: int) -> list[int]:
+    """The n heap-indexed portraits whose level-m labels (m >= level) are
+    the 2^m bits of r from (2^m - 2^level) n + j 2^m, for sample j."""
+    bits = format(r, f"0{n * ((1 << d) - (1 << level))}b")[::-1]  # bit i at index i
+    out = []
+    for j in range(n):
+        x = 0
+        for m in range(level, d):
+            lo = ((1 << m) - (1 << level)) * n + (j << m)
+            x |= int(bits[lo:lo + (1 << m)][::-1], 2) << (1 << m) - 1
+        out.append(x)
+    return out
 
 
 def batch_members(x: int, n: int, d: int) -> list[int]:

@@ -26,7 +26,7 @@ from treegrp.halftree import (
 from treegrp.portrait import FiniteAutomorphism, identity
 from treegrp.subgroups import derived_subgroup, enumerate_PJ, maximal_subgroup
 
-from oracles import commutator, from_labels, generator, state
+from oracles import commutator, from_labels, generator, sampled_pairs, state
 
 
 def top_level_sets(d):
@@ -137,15 +137,15 @@ def test_identities_random_each_depth():
 
 
 def reference_ni_failures(ctx, samples, seed, limit=10):
-    """The three laws checked on FiniteAutomorphism objects, one pair at a time.
+    """The three laws checked on FiniteAutomorphism objects, one pair at a
+    time, on the sampled stream read off each chunk's draws
+    (oracles.sampled_pairs).
 
     Returns the first `limit` failing pairs (every one for limit=None).
     """
-    rng = random.Random(seed)
     failures = []
-    for _ in range(samples):
-        g = FiniteAutomorphism.random(ctx.depth, rng)
-        h = FiniteAutomorphism.random(ctx.depth, rng)
+    for gb, hb in sampled_pairs(ctx.depth, samples, seed):
+        g, h = FiniteAutomorphism(ctx.depth, gb), FiniteAutomorphism(ctx.depth, hb)
         ag, ah = g.bits & 1, h.bits & 1
         gh, ginv, c = g * h, ~g, commutator(g, h)
         law = None
@@ -307,9 +307,8 @@ def test_multi_chunk_failures_stop_at_ten_across_chunks(monkeypatch):
     assert [len(rep.failures) for rep in reports] == [10, 10, 0, 0]
     # Where the reported pairs sit in the stream: the ten span several chunks,
     # and the stream holds more broken pairs than were reported.
-    rng = random.Random(seed)
-    stream = [FiniteAutomorphism.random(6, rng).to_hex() for _ in range(2 * samples)]
-    position = {pair: i for i, pair in enumerate(zip(stream[::2], stream[1::2]))}
+    position = {(FiniteAutomorphism(6, g).to_hex(), FiniteAutomorphism(6, h).to_hex()): i
+                for i, (g, h) in enumerate(sampled_pairs(6, samples, seed))}
     chunks = [position[f["g"], f["h"]] // per_chunk for f in reports[0].failures]
     assert chunks == sorted(chunks) and chunks[0] < chunks[-1] < 4
     full = reference_ni_failures(contexts[0], samples=samples, seed=seed, limit=None)

@@ -1,5 +1,6 @@
 """Batches of portraits in the kernel's level-major layout: pack against a
-reference unpack, sampled chunks against the per-draw streams packed, the
+reference unpack, sampled chunks against their pairs read one at a time
+off each chunk's draws, packed, the
 batch ops against the single ops, law_batches against the three batch ops
 it stands for, the level half parities and root swap mask against
 heap-mask popcounts, and the byte translation tables against their per-bit
@@ -14,12 +15,11 @@ from treegrp.heap import half_level_mask
 
 from oracles import (
     batch_members,
-    conjugation_pairs_by_draws,
     digit_tables_by_bits,
     fold_table_by_bits,
     hex_tables_by_bits,
-    ni_pairs_by_draws,
     pack_by_rows,
+    sampled_pairs,
 )
 
 BATCH_SIZES = [1, 2, 3, 7, 8, 9, 64]
@@ -74,28 +74,41 @@ def test_pack_equals_per_portrait_rows(d):
 @pytest.mark.parametrize("stream, d", [("ni", d) for d in range(1, 15)]
                          + [("conjugation", d) for d in range(4, 8)])
 def test_sampled_chunks_equal_the_per_draw_stream_packed(stream, d):
-    # A wrong shift of a slot's last word, word order or pair stride shows
-    # in the batches, at every slot width from one word to 512 and with one,
-    # whole and cut chunks.
-    oracle, level = {"ni": (ni_pairs_by_draws, 0),
-                     "conjugation": (conjugation_pairs_by_draws, d - 1)}[stream]
+    # A wrong level offset, sample stride, draw order or draw width shows in
+    # the batches, at every depth from one byte of batch per sample to 2 KiB
+    # and with one, whole and cut chunks.
+    level = {"ni": 0, "conjugation": d - 1}[stream]
     per_chunk = max(1, kernel.CHUNK_BITS >> d)
     for samples in sorted({1, max(1, per_chunk - 1), per_chunk, per_chunk + 1,
                            3 * per_chunk + 5}):
         for seed in range(3):
             got = list(kernel.sampled_chunks(random.Random(seed), samples, d, level))
-            want = list(kernel.packed_chunks(oracle(d, samples, seed), d))
+            want = list(kernel.packed_chunks(sampled_pairs(d, samples, seed, level), d))
             assert got == want, (samples, seed)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_sampled_chunks_draw_from_level(level):
+    # Every level a draw may start at, levels 1 and 2 included, which share
+    # a byte of a row with level 0, at the shallowest depth that has it and
+    # at d = 6; x holds no label above its level.
+    for d in sorted({level + 1, 6}):
+        per_chunk = max(1, kernel.CHUNK_BITS >> d)
+        for samples in (1, per_chunk + 1):
+            got = list(kernel.sampled_chunks(random.Random(level), samples, d, level))
+            pairs = list(sampled_pairs(d, samples, level, level))
+            assert got == list(kernel.packed_chunks(pairs, d)), (d, samples)
+            assert all(not x & (1 << (1 << level) - 1) - 1 for x, _ in pairs)
 
 
 def test_sampled_chunks_at_depth_16():
     # One pair is wider than a chunk: each chunk holds one.
     got = list(kernel.sampled_chunks(random.Random(5), 2, 16))
-    want = list(kernel.packed_chunks(ni_pairs_by_draws(16, 2, 5), 16))
+    want = list(kernel.packed_chunks(sampled_pairs(16, 2, 5), 16))
     assert got == want
 
 
-@pytest.mark.parametrize("level", [-1, 1, 2, 6])
+@pytest.mark.parametrize("level", [-1, 6])
 def test_sampled_chunks_reject_levels_they_cannot_draw(level):
     with pytest.raises(ValueError, match="level"):
         next(kernel.sampled_chunks(random.Random(0), 1, 6, level))

@@ -47,6 +47,7 @@ from oracles import (
     from_labels,
     generator,
     generators,
+    sampled_pairs,
     state,
     stream_pairs,
     verify_closed,
@@ -589,17 +590,13 @@ def test_conjugation_law_counts_equal_per_pair_oracle_exhaustive(d):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_conjugation_law_counts_equal_per_pair_oracle_sampled(seed):
-    # The stream of `samples` pairs is the first `samples` of a longer one,
-    # so one oracle run covers every count; 4096 pairs fill one chunk at d = 4.
-    counts = [1, 4095, 4096, 4097, 10_000]
-    pairs = stream_pairs(verify.conjugation_pairs(4, max(counts), seed), 4)
-    rng = random.Random(seed)
-    assert pairs == [(rng.getrandbits(8) << 7, FiniteAutomorphism.random(4, rng).bits)
-                     for _ in range(max(counts))]
-    bad = per_pair_conjugation_failures(4, pairs)
-    for samples in counts:
+    # A stream cut short of a whole chunk is no prefix of a longer one, so
+    # each count gets its own oracle run; 4096 pairs fill one chunk at d = 4.
+    for samples in [1, 4095, 4096, 4097, 10_000]:
+        pairs = stream_pairs(verify.conjugation_pairs(4, samples, seed), 4)
+        assert pairs == list(sampled_pairs(4, samples, seed, level=3)), samples
         got = conjugation_law_counts(4, verify.conjugation_pairs(4, samples, seed))
-        assert got == (samples, sum(bad[:samples])), samples
+        assert got == (samples, sum(per_pair_conjugation_failures(4, pairs))), samples
 
 
 def check_law_against_oracles(d, samples, seed):

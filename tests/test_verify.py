@@ -85,6 +85,33 @@ def test_classify_depth3_counts():
             assert row.dimension < Fraction(3, 4)
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_every_pj_by_rank_has_the_closed_form_row(d):
+    # The rows in closed form (the verify docstring): P_J is essential iff
+    # d - 1 is in J, and its dimension is 1 - 1/2^(max J), on every P_J.
+    for J in verify._nonempty_level_sets(d):
+        checks, essential = patterns.linear_essential_reduction(subgroups.maximal_subgroup(d, J))
+        assert essential == (d - 1 in J), J
+        assert patterns.linear_hausdorff_dimension(checks) == 1 - Fraction(1, 1 << max(J)), J
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_listed_rows_have_the_closed_form_dimension(d):
+    for row in classify_maximal(d).rows:
+        assert row.dimension == 1 - Fraction(1, 1 << max(row.J)), row.J
+        assert row.essential == row.is_max_dimension == (d - 1 in row.J), row.J
+
+
+def test_row_check_refuses_a_dimension_off_the_closed_form():
+    # J = {0} at d = 3 has dimension 0; 1/2 is still below the maximal 3/4,
+    # which is all that was checked of a non-maximal row before.
+    row = next(r for r in classify_maximal(3).rows if r.J == (0,))
+    verify._check_row_consistency(row)
+    row.dimension = Fraction(1, 2)
+    with pytest.raises(VerificationError, match="max J"):
+        verify._check_row_consistency(row)
+
+
 def test_classify_depth5_needs_gf2_flag():
     with pytest.raises(EnumerationCapExceeded):
         classify_maximal(5)
