@@ -7,15 +7,16 @@ inputs occupy, so a generator must reach level 13 to be measured there),
 derived subgroups of a 16384-element index-2 subgroup and of the full
 depth-4 group (a normal closure folded from its four generators), raw
 compose and invert throughput at depths 4, 8, 12 and 16, where each
-product is d - 1 whole-portrait delta swaps, kernel.pack of one full
-chunk of portraits at depths 4, 6 and 12, and the sampled pair streams
+product is d - 1 whole-portrait delta swaps, kernel.pack at the sizes
+the commands pack (the 8,192-portrait exhaustive chunks at d = 3 and the
+at most 15 derived seeds at d = 4), and the sampled pair streams
 drawn straight into their batches, with nothing checked on them
 (`kernel.sampled_chunks`, one `getrandbits` call per batch):
 the half-tree law stream at d = 4 (10,000 pairs), 6 (5,000), 8 (1,500),
 12 (50) and 14 (7), and the conjugation law stream at d = 4 (10,000).  It also times FiniteAutomorphism.apply, the
 kernel-free word action, on full-length words at depths 4 and 24, and fourteen
 kernel-free pattern-layer calls.  Eleven are at d=4: the essentiality test of
-P_{3} (a full pass over an essential group), the listing of P_{3} by
+P_{3} (on its Schreier generators), the listing of P_{3} by
 `EnumeratedSubgroup.from_linear` read only through `masked` and
 `count_clear` (its member set is never built), the classify cross-check of
 the listed, rank-reduced P_{3} (`is_essential` on its basis and
@@ -127,8 +128,9 @@ from treegrp.verify import (
 # (depth, products timed) for the compose and invert rows.
 KERNEL_DEPTHS = [(4, 20_000), (8, 5_000), (12, 500), (16, 50)]
 
-# Depths of the pack rows; each packs one full chunk of portraits.
-PACK_DEPTHS = [4, 6, 12]
+# (depth, portraits) of the pack rows: an exhaustive chunk of
+# kernel.packed_chunks at d = 3 and the most derived seeds packed at d = 4.
+PACK_DEPTHS = [(3, 8_192), (4, 15)]
 
 # (stream, depth, pairs drawn) for the sampled stream rows: the pair counts
 # of the verify-all and ni-depth benchmark ops at each depth.
@@ -183,8 +185,7 @@ def bench_kernel():
         results[f"compose x{count} (d={d})"] = timeit(compose_burst)
         results[f"invert x{count} (d={d})"] = timeit(invert_burst)
 
-    for d in PACK_DEPTHS:
-        n = kernel.CHUNK_BITS >> d
+    for d, n in PACK_DEPTHS:
         xs = [rng.getrandbits((1 << d) - 1) for _ in range(n)]
         results[f"pack x{n} (d={d})"] = timeit(lambda xs=xs, d=d: kernel.pack(xs, d))
 

@@ -10,30 +10,33 @@ index used by the dimension bookkeeping identity.
 
 All dimension arithmetic is exact (fractions.Fraction); no floats anywhere.
 Patterns are assembled from portrait ints with the subtree helpers of
-treegrp.heap, which owns the layout.  Child subpatterns of a whole group
-are never read off member by member: the candidate set is placed once under
-each first-level child, and a member's child subpattern is tested by
-masking the member with that child's placed prefix mask and looking the
-result up in the placed set.  Only the few members is_essential is handed
-to test (a basis) have their children read instead, slot-wise: packed
-once, with both children read off every slot by kernel.slot_gather.  The
-test is exact because place(t, v, k) is injective and lands exactly on
-the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at v is
-t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
+treegrp.heap, which owns the layout.
+
+Essentiality is decided on a generating set.  The child subpattern of h∘g
+at a first-level vertex v is h's at g(v) composed with g's at v, and the
+truncations Q = π_{d-1}(P) form a group, so the members whose two child
+subpatterns both lie in Q are closed under products: they form a subgroup,
+which holds all of P once it holds every generator.  is_essential reads
+the children of the few members it tests slot-wise: packed once, with both
+children read off every slot by kernel.slot_gather.  essential_reduction
+must filter every member, so it places the truncations once under each
+first-level child instead and tests a member by masking it with that
+child's placed prefix mask and looking the result up in the placed set.
+That test is exact because place(t, v, k) is injective and lands exactly
+on the bits of place(prefix_mask(k), v, k), so the k-level subtree of b at
+v is t iff b & place(prefix_mask(k), v, k) == place(t, v, k).
 
 Every image of P's members (the truncations, the stabilizer count, the
 left-path vectors, and the classes and child classes of the truncation
 join) is read off P's packed slots at once, by a mask or by heap's
 (shift, mask) steps (EnumeratedSubgroup.masked, gathered and
 child_classes), not member by member.  Two reads stop early, off
-masked_runs and gathered_runs: is_essential on `tested` members stops
-once every tested child is among the truncations read, and
-truncation_orbits' level d stops once all 2^d left-path vectors are
-seen.  Both stops are exact, since reading more members can only add
-truncations or vectors.  A failing is_essential on `tested` stops at
-|P| / |St_P(d-1)| truncations, all of them, as
-truncation is a homomorphism with kernel St_P(d-1); every other read takes
-every member.  A failed internal consistency check (a stabilizer order
+masked_runs and gathered_runs: is_essential stops once every tested child
+is among the truncations read, and truncation_orbits' level d stops once
+all 2^d left-path vectors are seen.  Both stops are exact, since reading
+more members can only add truncations or vectors.  A failing is_essential
+stops at |P| / |St_P(d-1)| truncations, all of them, as truncation is a
+homomorphism with kernel St_P(d-1); every other read takes every member.  A failed internal consistency check (a stabilizer order
 that is no power of two dividing |P|, more truncations than that quotient,
 an embedding index that is no integer) raises VerificationError.
 
@@ -96,21 +99,6 @@ class EssentialityResult(NamedTuple):
     witness: tuple[int, int] | None
 
 
-def _children_placed(portraits: set[int] | frozenset[int], k: int
-                     ) -> tuple[tuple[int, set[int]], ...]:
-    """(mask, placed set) for heap indices 1 and 2: the bits of the k-level
-    subtree there, and the depth-k portraits placed onto those bits.
-
-    The k-level subtree of b at v is one of the portraits exactly when
-    b & mask is in the placed set, since place is injective onto the bits
-    under the mask.
-    """
-    top = prefix_mask(k)
-    return tuple(
-        (place(top, v, k), {place(t, v, k) for t in portraits}) for v in (1, 2)
-    )
-
-
 def _tested_children(tested: list[int], d: int) -> list[tuple[int, int, int]]:
     """(b, i, the size-(d-1) subpattern of b at first-level vertex i) for
     each b in tested and i = 0, 1, in that order: the tested members packed
@@ -126,56 +114,61 @@ def is_essential(p: PatternGroup, *, tested: Iterable[int] | None = None
                  ) -> EssentialityResult:
     """Whether every child subpattern of every allowed pattern extends in P.
 
+    Decided on a generating set.  Let v be a first-level vertex: the child
+    subpattern of h∘g at v is h's at g(v) composed with g's at v, and the
+    truncations Q = π_{d-1}(P) form a group.  So the members whose two
+    child subpatterns both lie in Q are closed under products, and as P is
+    finite they form a subgroup: if every generator passes, all of P
+    passes, and a generator that fails is a true witness.  With no
+    `tested`, the generators tested are p.group.generators, and a group
+    built with none tests every member, in sorted_bits() order, through
+    the same read.
+
     On failure the witness is a pair (bits, i): the size-(d-1) pattern of
     the member portrait bits at first-level vertex i matches no truncation
-    of a member of P.
+    of a member of P.  It is the first failing child in the tested order,
+    child 0 before child 1.
 
-    `tested`, if given, are the members tested in place of all of P.  When
-    P is closed under XOR, as a parity-check solution set is, a basis is
-    enough: truncation and the child masks are then linear, so the members
-    that pass form an XOR-closed set.  A read of more than one run also
-    stops at |P| / |St_P(d-1)| truncations: truncation to depth d - 1 is a
-    homomorphism with kernel St_P(d-1), so they are all of them, and the
-    witness, the first failing child in `tested`'s order, is a full read's.
+    `tested`, if given, are the members tested in place of the generators.
+    When P is closed under XOR, as a parity-check solution set is, a basis
+    is enough, though it need not generate P as a group: truncation and the
+    child masks are then linear, so the members that pass form an
+    XOR-closed set.
+
+    The tested children are read slot-wise (_tested_children), and the
+    truncations a run at a time (masked_runs) until every child is among
+    them, which settles essential: the set only grows, so that stop is
+    exact.  A read of more than one run also stops at |P| / |St_P(d-1)|
+    truncations: truncation to depth d - 1 is a homomorphism with kernel
+    St_P(d-1), so they are all of them, and the witness is a full read's.
     """
     d = p.depth
     if d < 2:
         raise ValueError("essentiality needs pattern size >= 2")
-    if tested is not None:
-        # Few members: read their children slot-wise rather than place
-        # every truncation under both.  Truncations are read a run at a
-        # time (masked_runs) until every child is among them, which
-        # settles essential; the set only grows, so that stop is exact.
-        children = _tested_children(list(tested), d)
-        wanted = {c for _, _, c in children}
-        truncations: set[int] = set()
-        image = None  # |P| / |St_P(d-1)|, counted once more runs follow
-        for run in p.group.masked_runs(prefix_mask(d - 1)):
-            truncations.update(run)
-            if wanted <= truncations:
-                return EssentialityResult(True, None)
-            if image is None and len(run) < p.order:
-                image = p.order // _stabilizer_order(p.group, d)
-            if image is not None and len(truncations) >= image:
-                if len(truncations) > image:
-                    raise VerificationError(
-                        f"{len(truncations)} truncations read, but |P| / |St_P(d-1)| = "
-                        f"{image}; subgroup data is corrupted")
-                break
-        # Not settled by the runs: with every truncation read, the first
-        # child, in tested's order, that matches none is the witness.
-        for b, i, c in children:
-            if c not in truncations:
-                return EssentialityResult(False, (b, i))
-        return EssentialityResult(True, None)
-    truncations = set(p.group.masked(prefix_mask(d - 1)))
-    (lm, left), (rm, right) = _children_placed(truncations, d - 1)
-    bad = next((b for b in p.group.element_bits
-                if b & lm not in left or b & rm not in right), None)
-    if bad is None:
-        return EssentialityResult(True, None)
-    i = 0 if bad & lm not in left else 1
-    return EssentialityResult(False, (bad, i))
+    if tested is None:
+        tested = p.group.generators or p.group.sorted_bits()
+    children = _tested_children(list(tested), d)
+    wanted = {c for _, _, c in children}
+    truncations: set[int] = set()
+    image = None  # |P| / |St_P(d-1)|, counted once more runs follow
+    for run in p.group.masked_runs(prefix_mask(d - 1)):
+        truncations.update(run)
+        if wanted <= truncations:
+            return EssentialityResult(True, None)
+        if image is None and len(run) < p.order:
+            image = p.order // _stabilizer_order(p.group, d)
+        if image is not None and len(truncations) >= image:
+            if len(truncations) > image:
+                raise VerificationError(
+                    f"{len(truncations)} truncations read, but |P| / |St_P(d-1)| = "
+                    f"{image}; subgroup data is corrupted")
+            break
+    # Not settled by the runs: with every truncation read, the first
+    # child, in the tested order, that matches none is the witness.
+    for b, i, c in children:
+        if c not in truncations:
+            return EssentialityResult(False, (b, i))
+    return EssentialityResult(True, None)
 
 
 def essential_reduction(p: PatternGroup) -> PatternGroup:
@@ -186,17 +179,23 @@ def essential_reduction(p: PatternGroup) -> PatternGroup:
     products factor through sections of the factors), so the result is again
     a pattern group; it is essential by construction and defines the same
     constrained group as P.  A group already marked essential is returned
-    as it is.
+    as it is.  Each step places the truncations once under each first-level
+    child and keeps a member when both of its children, masked, are among
+    them.
     """
     d = p.depth
     if d < 2:
         raise ValueError("reduction needs pattern size >= 2")
     if p.essential is True:
         return p
-    top = prefix_mask(d - 1)
+    k = d - 1
+    top = prefix_mask(k)
+    lm, rm = place(top, 1, k), place(top, 2, k)
     current = set(p.group.element_bits)
     while True:
-        (lm, left), (rm, right) = _children_placed({b & top for b in current}, d - 1)
+        truncations = {b & top for b in current}
+        left = {place(t, 1, k) for t in truncations}
+        right = {place(t, 2, k) for t in truncations}
         kept = {b for b in current if b & lm in left and b & rm in right}
         if kept == current:
             break
@@ -486,12 +485,10 @@ def linear_truncation_group(d: int, J: Iterable[int], n: int) -> gf2.LinearSubgr
     return gf2.LinearSubgroup(n, tuple(checks))
 
 
-def linear_stabilizer_log2_order(lin: gf2.LinearSubgroup, n: int) -> int:
-    """log2 of the order of the level-n stabilizer of a parity-cut subgroup."""
-    return gf2.LinearSubgroup(lin.depth, lin.checks, lin.zero | prefix_mask(n)).log2_order()
-
-
 def linear_hausdorff_dimension(lin: gf2.LinearSubgroup) -> Fraction:
-    """Dimension of the constrained group of an essential parity-cut P."""
+    """Dimension of the constrained group of an essential parity-cut P:
+    log2 |St_P(d-1)| over 2^(d-1), St_P(d-1) being P with the bits of
+    levels 0..d-2 added to its zero mask."""
     d = lin.depth
-    return Fraction(linear_stabilizer_log2_order(lin, d - 1), 1 << (d - 1))
+    stab = gf2.LinearSubgroup(d, lin.checks, lin.zero | prefix_mask(d - 1))
+    return Fraction(stab.log2_order(), 1 << (d - 1))

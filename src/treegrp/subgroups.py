@@ -119,7 +119,7 @@ def check_order_cap(log2_order: int, cap: int, what: str, advice: str = "") -> N
 class EnumeratedSubgroup:
     """An explicitly enumerated subgroup of the depth-d tree group."""
 
-    __slots__ = ("depth", "generators", "order", "_bits", "_sorted", "_genset", "_packed")
+    __slots__ = ("depth", "generators", "order", "_bits", "_sorted", "_packed")
 
     def __init__(self, depth: int, bits: frozenset[int],
                  gens: tuple[int, ...] = (), _trusted: bool = False):
@@ -131,7 +131,6 @@ class EnumeratedSubgroup:
         self.order = len(bits)
         self._bits: frozenset[int] | None = bits
         self._sorted: list[int] | None = None
-        self._genset: tuple[int, ...] | None = gens or None
         self._packed: int | None = None
 
     # -- constructors --------------------------------------------------------
@@ -317,15 +316,16 @@ def level_stabilizer(s: EnumeratedSubgroup, n: int) -> EnumeratedSubgroup:
 
 
 def generating_set(s: EnumeratedSubgroup) -> tuple[int, ...]:
-    """A small generating set, extracted greedily in canonical element order.
+    """S's generators: those it was built from, else a small set extracted
+    greedily in canonical element order and kept as S.generators.
 
     When the loop ends, the closure of the chosen elements holds all of S:
     each member is either already in it or chosen and closed into it.  So
     a set that is not a subgroup, whose closure outgrows it, is refused by
     kernel.close's cap of |S| with EnumerationCapExceeded.
     """
-    if s._genset is not None:
-        return s._genset
+    if s.generators:
+        return s.generators
     d = s.depth
     current: set[int] = {0}
     chosen: list[int] = []
@@ -334,8 +334,8 @@ def generating_set(s: EnumeratedSubgroup) -> tuple[int, ...]:
             continue
         chosen.append(b)
         current = kernel.close(d, chosen, len(s))
-    s._genset = tuple(chosen)
-    return s._genset
+    s.generators = tuple(chosen)
+    return s.generators
 
 
 def _derived_seeds(d: int, gens: Sequence[int]) -> list[int]:

@@ -516,7 +516,9 @@ class NewRelationReport(Report):
 
 def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
     """Exact identity 2|P| = |P_{d-1}|^2 * [HxH : H_1] for every top-level J,
-    plus the full pattern group; maximal cases must have index exactly 2."""
+    plus the full pattern group; maximal cases must have index exactly 2.
+    |P_{d-1}|, the level-(d-1) stabilizer, is counted off P's packed
+    members (count_clear), so no listed P_J builds its member set."""
     if not 2 <= d <= 3:
         raise ValueError("embedding-index enumeration needs 2 <= d <= 3")
     report = NewRelationReport(d)
@@ -524,15 +526,15 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
     def run_case(label: str, J: frozenset[int] | None, group: EnumeratedSubgroup,
                  expect_index: int | None) -> None:
         pg = pt.PatternGroup.from_subgroup(group)
-        stab = level_stabilizer(group, d - 1)
+        stab_order = group.count_clear(prefix_mask(d - 1))
         psi = pt.psi_image_index(pg)
         holds = None  # an index that never stabilized leaves the identity unread
         if psi.stabilized:
-            holds = 2 * group.order == stab.order ** 2 * psi.value
+            holds = 2 * group.order == stab_order ** 2 * psi.value
             if not holds:
                 raise VerificationError(
                     f"bookkeeping identity failed for {label}: "
-                    f"2*{group.order} != {stab.order}^2 * {psi.value}"
+                    f"2*{group.order} != {stab_order}^2 * {psi.value}"
                 )
             if expect_index is not None and psi.value != expect_index:
                 raise VerificationError(
@@ -542,7 +544,7 @@ def verify_new_relation(d: int, cap: int | None = None) -> NewRelationReport:
             report.incomplete = True
         report.cases.append(
             NewRelationCase(label, tuple(sorted(J)) if J else None,
-                            group.order, stab.order, psi.value, psi.per_depth,
+                            group.order, stab_order, psi.value, psi.per_depth,
                             psi.stabilized, holds)
         )
 

@@ -29,7 +29,6 @@ from treegrp.patterns import (
     is_essential,
     linear_essential_reduction,
     linear_hausdorff_dimension,
-    linear_stabilizer_log2_order,
     linear_truncation_group,
     psi_image_index,
     truncation_group,
@@ -202,18 +201,40 @@ def reference_is_essential(p, tested=None):
     return True, None
 
 
+def essentiality_cases():
+    """pinning_cases' subgroups, 15 seeded random generated groups at d = 4,
+    and, listed with no generators, every P_J at d = 2, 3, 4 (essential
+    exactly when d - 1 is in J) and the M_V at d = 3 over one or two
+    vertices (none essential)."""
+    rng = random.Random(433)
+    cases = [s for _, s in pinning_cases()]
+    cases += [close(4, [FiniteAutomorphism.random(4, rng).bits for _ in range(2)])
+              for _ in range(15)]
+    cases += [EnumeratedSubgroup.from_linear(maximal_subgroup(d, J))
+              for d in (2, 3, 4) for J in nonempty_level_sets(d)]
+    cases += [EnumeratedSubgroup.from_linear(subgroups.M_V(3, V))
+              for V in ({"00"}, {"01"}, {"00", "11"}, {"01", "10"})]
+    return cases
+
+
 def test_is_essential_matches_subtree_walk_with_its_witness():
+    # The verdict is the whole-member walk's.  The witness is the first
+    # failing child of P's generators, child 0 first, or of every member in
+    # sorted_bits() order when P was built with none.
     children = set()
-    for _, s in pinning_cases():
-        res = is_essential(PatternGroup.from_subgroup(s))
-        essential, witness = reference_is_essential(PatternGroup.from_subgroup(s))
+    verdicts = {True: 0, False: 0}
+    for s in essentiality_cases():
+        p = PatternGroup.from_subgroup(s)
+        res = is_essential(p)
+        essential, _ = reference_is_essential(p)
         assert res.essential == essential
-        if essential:
-            assert res.witness is None
-        else:
-            assert res.witness == witness
-            children.add(witness[1])
+        verdicts[essential] += 1
+        tested = s.generators or s.sorted_bits()
+        assert res == reference_is_essential(p, tested)
+        if not essential:
+            children.add(res.witness[1])
     assert children == {0, 1}
+    assert min(verdicts.values()) >= 20
 
 
 def test_tested_members_match_subtree_walk_with_its_witness():
@@ -930,17 +951,17 @@ def test_linear_projective_consistency_beyond_enumeration():
 
 
 def test_linear_stabilizer_order_equals_unit_check_form():
-    # The level-n stabilizer as a zero mask against one unit check per bit
-    # on levels 0..n-1, for P_J and its reduction.
-    for d in range(1, 7):
+    # The level-(d-1) stabilizer linear_hausdorff_dimension counts, its zero
+    # mask widened by levels 0..d-2, against one unit check per bit on those
+    # levels, for P_J and its reduction.
+    for d in range(2, 7):
         for J in nonempty_level_sets(d):
             lin = maximal_subgroup(d, J)
-            systems = [lin, linear_essential_reduction(lin)[0]] if d >= 2 else [lin]
-            for s in systems:
-                for n in range(d + 1):
-                    units = gf2.LinearSubgroup(
-                        d, s.checks + tuple(1 << k for k in range((1 << n) - 1)), s.zero)
-                    assert linear_stabilizer_log2_order(s, n) == units.log2_order()
+            for s in (lin, linear_essential_reduction(lin)[0]):
+                units = gf2.LinearSubgroup(
+                    d, s.checks + tuple(1 << k for k in range((1 << (d - 1)) - 1)), s.zero)
+                assert linear_hausdorff_dimension(s) == Fraction(units.log2_order(),
+                                                                 1 << (d - 1))
 
 
 def same_solution_set(a, b):

@@ -254,6 +254,7 @@ def test_generating_set_regenerates():
         s = random_small_subgroup(rng, 3)
         stripped = EnumeratedSubgroup.from_element_bits(3, s.element_bits)
         gens = generating_set(stripped)
+        assert stripped.generators == gens
         assert close(3, gens) == s
         assert len(gens) <= max(1, s.order.bit_length())
 
@@ -1052,6 +1053,25 @@ def test_classify_never_builds_the_set_of_a_listing(monkeypatch):
         verify.classify_maximal(d)
         # One listed reduction per row, and P_J itself on the rows it reduces.
         assert len(listed) == (1 << d) - 1 + (1 << d - 1) - 1
+        assert not any(map(_set_built, listed)), d
+
+
+def test_relation_suite_never_builds_the_set_of_a_listing(monkeypatch):
+    # The relation suite counts |St_P(d-1)| off the packed slots and tests
+    # each listed P_J's essentiality on its Schreier generators.
+    listed = []
+    from_linear = EnumeratedSubgroup.from_linear
+
+    def record(*args, **kwargs):
+        listed.append(from_linear(*args, **kwargs))
+        return listed[-1]
+
+    monkeypatch.setattr(EnumeratedSubgroup, "from_linear", record)
+    for d in (2, 3):
+        del listed[:]
+        assert verify.verify_new_relation(d).passed
+        # One listed P_J per J holding the top level.
+        assert len(listed) == 1 << d - 1
         assert not any(map(_set_built, listed)), d
 
 
